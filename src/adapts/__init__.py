@@ -34,6 +34,7 @@ from .metrics import (
     default_seasonality,
     mase,
     rmsse,
+    score_windows,
 )
 from .spectral import (
     FilterSpec,
@@ -82,4 +83,5 @@ __all__ = [
     "rmsse",
     "run",
     "save_forecaster",
+    "score_windows",
 ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .errors import InvalidConfig
@@ -48,12 +49,12 @@ class RollingConfig:
                 f"need 1 <= seasonality < context_length, got "
                 f"({self.seasonality}, {self.context_length})"
             )
-        if not self.lam > 0:
-            raise InvalidConfig(f"lambda must be positive, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise InvalidConfig(f"lambda must be positive and finite, got {self.lam}")
         if not 0.0 < self.alpha <= 1.0:
             raise InvalidConfig(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.eta < 0:
-            raise InvalidConfig(f"eta must be >= 0, got {self.eta}")
+        if not 0 <= self.eta < math.inf:
+            raise InvalidConfig(f"eta must be finite and >= 0, got {self.eta}")
         if self.fast_window < 1:
             raise InvalidConfig(f"fast_window must be >= 1, got {self.fast_window}")
         if self.warmup < 0:

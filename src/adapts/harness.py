@@ -31,13 +31,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .forecaster import OnlineForecaster, SamplePair
-from .metrics import (
-    DENOMINATOR_FLOOR,
-    block_average_mase,
-    mase,
-    rmsse,
-    seasonal_naive_mae,
-)
+from .metrics import score_windows
 from .weighter import ChannelWeighter, combine
 
 STREAMS = ("base", "adaptive", "combined")
@@ -222,18 +216,6 @@ def collect_completed_pairs(t_now: int, last_collected: int, context_length: int
     return origins
 
 
-def _select_weight(weighter: ChannelWeighter, mode: str) -> float:
-    if weighter.update_count < weighter.warmup_steps:
-        return 1.0
-    if mode == "full":
-        return weighter.current_weight()
-    if mode == "slow_only":
-        return weighter.w_slow
-    if mode == "fast_only":
-        return weighter.fast_weight()
-    return 0.5  # unweighted
-
-
 def _check_row(row, t: int):
     bad = np.nonzero(~np.isfinite(np.asarray(row, dtype=np.float64)))[0]
     if bad.size:
@@ -295,6 +277,10 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
                         warmup_steps=config.warmup)
         for _ in range(n_channels)
     ]
+    # weights only move at updates: each channel's fast weight and applied
+    # weight are computed once here and once after each of its updates
+    w_fast = [w.fast_weight() for w in weighters]
+    applied = [w.current_weight(config.weighter_mode, wf) for w, wf in zip(weighters, w_fast)]
 
     report = RunReport(config=config, channel_names=list(channel_names),
                        skipped_initial_steps=L - 1)
@@ -313,41 +299,42 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
                 block = [bundles[ch][t - t0] for t in origins]
                 ctxs = np.stack([dataset[t - L + 1: t + 1, ch] for t in origins])
                 tgts = np.stack([dataset[t + 1: t + 1 + H, ch] for t in origins])
-                for b, tgt, ctx in zip(block, tgts, ctxs):
+                w = weighters[ch]
+                # streams: base, adaptive, combined, and the two combos at
+                # the fast and slow weights frozen since the previous update
+                forecasts = np.empty((5, len(origins), H))
+                for row, attr in enumerate(("base_forecast", "adaptive_forecast",
+                                            "combined_forecast")):
+                    np.stack([getattr(b, attr) for b in block], out=forecasts[row])
+                forecasts[3] = combine(forecasts[0], forecasts[1], w_fast[ch])
+                forecasts[4] = combine(forecasts[0], forecasts[1], w.w_slow)
+                scores = score_windows(forecasts, tgts, ctxs, config.seasonality,
+                                       rmsse_streams=3)
+                del forecasts
+                for b, tgt, mases, rmsses, floored in zip(
+                        block, tgts, scores.mase[:3].T.tolist(), scores.rmsse.T.tolist(),
+                        scores.floored.tolist()):
                     b.target = tgt
                     b.fully_observed = True
-                    floored = seasonal_naive_mae(ctx, config.seasonality) < DENOMINATOR_FLOOR
                     report.records.append(WindowRecord(
                         time_step=b.time_step, channel=ch,
-                        mase_base=mase(b.base_forecast, tgt, ctx, config.seasonality),
-                        mase_adaptive=mase(b.adaptive_forecast, tgt, ctx, config.seasonality),
-                        mase_combined=mase(b.combined_forecast, tgt, ctx, config.seasonality),
-                        rmsse_base=rmsse(b.base_forecast, tgt, ctx, config.seasonality),
-                        rmsse_adaptive=rmsse(b.adaptive_forecast, tgt, ctx, config.seasonality),
-                        rmsse_combined=rmsse(b.combined_forecast, tgt, ctx, config.seasonality),
+                        mase_base=mases[0], mase_adaptive=mases[1], mase_combined=mases[2],
+                        rmsse_base=rmsses[0], rmsse_adaptive=rmsses[1],
+                        rmsse_combined=rmsses[2],
                         denominator_floored=floored,
                     ))
-                w = weighters[ch]
-                w_fast_prev, w_slow_prev = w.fast_weight(), w.w_slow
-                base_block = np.stack([b.base_forecast for b in block])
-                adaptive_block = np.stack([b.adaptive_forecast for b in block])
-                loss_base = block_average_mase(base_block, tgts, ctxs, config.seasonality)
-                loss_adaptive = block_average_mase(adaptive_block, tgts, ctxs,
-                                                   config.seasonality)
-                loss_fast = block_average_mase(
-                    combine(base_block, adaptive_block, w_fast_prev), tgts, ctxs,
-                    config.seasonality)
-                loss_slow = block_average_mase(
-                    combine(base_block, adaptive_block, w_slow_prev), tgts, ctxs,
-                    config.seasonality)
+                loss_base, loss_adaptive, _, loss_fast, loss_slow = \
+                    scores.mase.mean(axis=1).tolist()
                 w.update(loss_base, loss_adaptive, loss_fast, loss_slow)
+                w_fast[ch] = w.fast_weight()
+                applied[ch] = w.current_weight(config.weighter_mode, w_fast[ch])
                 trajectories[ch].append({
                     "update_step": w.update_count,
                     "time_step": t_now,
                     "w_slow": w.w_slow,
-                    "w_fast": w.fast_weight(),
+                    "w_fast": w_fast[ch],
                     "beta_merge": w.beta_merge,
-                    "w_combined": _select_weight(w, config.weighter_mode),
+                    "w_combined": applied[ch],
                     "loss_base": loss_base,
                     "loss_adaptive": loss_adaptive,
                 })
@@ -403,7 +390,7 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
                     f"expected ({H},)"
                 )
             af = forecaster_for(ch).predict(ctx, ch if config.shared_weights else 0)
-            w = _select_weight(weighters[ch], config.weighter_mode)
+            w = applied[ch]
             bundles[ch].append(ForecastBundle(
                 time_step=t, channel=ch, base_forecast=bf, adaptive_forecast=af,
                 combined_forecast=combine(bf, af, w), weight_used=w,

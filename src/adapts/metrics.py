@@ -8,10 +8,12 @@ doubles as the loss signal for the weighters.
 The denominator is floored at ``DENOMINATOR_FLOOR`` so block averages stay
 defined on locally constant or perfectly periodic contexts; callers that
 care can test :func:`seasonal_naive_mae` against the floor and flag the
-window.
+window, as :func:`score_windows` does for a whole block.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,6 +96,59 @@ def rmsse(forecast, target, context, s: int) -> float:
     return float(np.sqrt(numerator / max(seasonal_naive_mse(context, s), DENOMINATOR_FLOOR)))
 
 
+class WindowScores(NamedTuple):
+    """Per-window scores of a stack of forecast streams over one block.
+
+    ``mase`` is ``(k, m)``, ``rmsse`` is ``(r, m)`` for the first ``r``
+    streams, and ``floored`` is ``(m,)``: whether the window's unfloored
+    seasonal-naive MAE lies below ``DENOMINATOR_FLOOR``.
+    """
+
+    mase: np.ndarray
+    rmsse: np.ndarray
+    floored: np.ndarray
+
+
+def score_windows(forecasts, targets, contexts, s: int,
+                  rmsse_streams: int = None) -> WindowScores:
+    """Array form of :func:`mase` and :func:`rmsse` over a block of windows.
+
+    Each window's seasonal-naive denominators are computed once and shared
+    by every stream. Row by row the values equal the scalar functions
+    exactly: every mean runs over a contiguous last axis, as it does there.
+
+    Parameters
+    ----------
+    forecasts : (k, m, H) array, one stack of m window forecasts per stream
+    targets : (m, H) array
+    contexts : (m, L) array of the matching context windows
+    rmsse_streams : number of leading streams to score by RMSSE as well
+        (default all k)
+    """
+    forecasts = np.asarray(forecasts, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    contexts = np.asarray(contexts, dtype=np.float64)
+    if forecasts.ndim != 3 or forecasts.shape[1] == 0:
+        raise EmptyBlock("block must contain at least one window")
+    k, m, _ = forecasts.shape
+    if (targets.shape != forecasts.shape[1:] or contexts.ndim != 2
+            or contexts.shape[0] != m):
+        raise ShapeMismatch(
+            f"inconsistent block shapes: {forecasts.shape}, {targets.shape}, {contexts.shape}"
+        )
+    if not isinstance(s, (int, np.integer)) or not 1 <= s < contexts.shape[1]:
+        raise InvalidSeasonality(f"need 1 <= s < {contexts.shape[1]}, got {s!r}")
+    r = k if rmsse_streams is None else rmsse_streams
+    diff = contexts[:, s:] - contexts[:, :-s]
+    naive_mae = np.mean(np.abs(diff), axis=-1)
+    naive_mse = np.mean(np.square(diff), axis=-1)
+    errors = forecasts - targets
+    mase_rows = np.mean(np.abs(errors), axis=-1) / np.maximum(naive_mae, DENOMINATOR_FLOOR)
+    rmsse_rows = np.sqrt(np.mean(np.square(errors[:r]), axis=-1)
+                         / np.maximum(naive_mse, DENOMINATOR_FLOOR))
+    return WindowScores(mase_rows, rmsse_rows, naive_mae < DENOMINATOR_FLOOR)
+
+
 def block_average_mase(forecasts, targets, contexts, s: int) -> float:
     """Arithmetic mean of per-window MASE over one update block.
 
@@ -102,15 +157,5 @@ def block_average_mase(forecasts, targets, contexts, s: int) -> float:
     forecasts, targets : (m, H) arrays, one row per window
     contexts : (m, L) array of the matching context windows
     """
-    forecasts = np.asarray(forecasts, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    contexts = np.asarray(contexts, dtype=np.float64)
-    if forecasts.ndim != 2 or forecasts.shape[0] == 0:
-        raise EmptyBlock("block must contain at least one window")
-    if targets.shape != forecasts.shape or contexts.shape[0] != forecasts.shape[0]:
-        raise ShapeMismatch(
-            f"inconsistent block shapes: {forecasts.shape}, {targets.shape}, {contexts.shape}"
-        )
-    return float(np.mean([
-        mase(forecasts[i], targets[i], contexts[i], s) for i in range(forecasts.shape[0])
-    ]))
+    stack = np.asarray(forecasts, dtype=np.float64)[None]
+    return float(np.mean(score_windows(stack, targets, contexts, s, rmsse_streams=0).mase[0]))

@@ -51,8 +51,8 @@ def exp_weight_step(prev_weights, losses, eta: float) -> np.ndarray:
         raise InvalidLoss(f"prior weights must form a simplex, got {prev}")
     if not np.all(np.isfinite(loss)):
         raise InvalidLoss(f"losses must be finite, got {loss}")
-    if eta < 0:
-        raise InvalidLoss(f"learning rate must be >= 0, got {eta}")
+    if not (math.isfinite(eta) and eta >= 0):
+        raise InvalidLoss(f"learning rate must be finite and >= 0, got {eta}")
     with np.errstate(divide="ignore"):
         log_w = np.log(prev) - eta * loss
     shifted = np.exp(log_w - log_w.max())
@@ -134,8 +134,8 @@ class ChannelWeighter:
     """
 
     def __init__(self, eta: float = 0.5, fast_window: int = 5, warmup_steps: int = 5):
-        if eta < 0:
-            raise InvalidLoss(f"learning rate must be >= 0, got {eta}")
+        if not (math.isfinite(eta) and eta >= 0):
+            raise InvalidLoss(f"learning rate must be finite and >= 0, got {eta}")
         if fast_window < 1:
             raise InvalidLoss(f"fast window must be >= 1, got {fast_window}")
         if warmup_steps < 0:
@@ -177,12 +177,26 @@ class ChannelWeighter:
         sums = np.sum(np.asarray(self.fast_losses, dtype=np.float64), axis=0)
         return float(exp_weight_step(np.array([0.5, 0.5]), sums, self.eta)[0])
 
-    def current_weight(self) -> float:
-        """Weight applied to the base forecast at this moment."""
+    def current_weight(self, mode: str = "full", w_fast: float = None) -> float:
+        """Weight applied to the base forecast at this moment.
+
+        ``mode`` picks the rule (see ``RollingConfig.weighter_mode``): the
+        merge of the fast and slow weights, one of them alone, or a plain
+        0.5 average. During warm-up every mode applies 1.0. ``w_fast`` may
+        pass in the current :meth:`fast_weight` to save recomputing it.
+        """
         if self.update_count < self.warmup_steps:
             return 1.0
+        if mode == "slow_only":
+            return self.w_slow
+        if mode == "unweighted":
+            return 0.5
+        if w_fast is None:
+            w_fast = self.fast_weight()
+        if mode == "fast_only":
+            return w_fast
         beta = self.beta_merge
-        return beta * self.fast_weight() + (1.0 - beta) * self.w_slow
+        return beta * w_fast + (1.0 - beta) * self.w_slow
 
     def update(self, loss_base: float, loss_adaptive: float,
                loss_fast_combo: float, loss_slow_combo: float) -> None:

@@ -239,6 +239,23 @@ class TestWeighterModes:
             compared += 1
         assert compared > 0
 
+    @pytest.mark.parametrize("mode", ["full", "slow_only", "fast_only", "unweighted"])
+    def test_bundles_use_latest_update_weight(self, mode):
+        # the applied weight is cached between updates; every bundle must
+        # carry the w_combined of the newest update before its time step
+        data = sine_dataset(600, channels=2, noise=0.2, seed=12)
+        report, cfg = self._run_mode(mode, data)
+        post_warmup = 0
+        for ch, name in enumerate(report.channel_names):
+            traj = report.weights[name]
+            assert len(traj) > cfg.warmup + 3
+            for b in report.bundles[ch]:
+                past = [e for e in traj if e["time_step"] < b.time_step]
+                want = past[-1]["w_combined"] if past else 1.0
+                assert b.weight_used == want
+                post_warmup += want != 1.0
+        assert post_warmup > 0
+
     def test_mode_weights_used_in_bundles(self):
         data = sine_dataset(400, channels=1, noise=0.2, seed=10)
         slow, cfg = self._run_mode("slow_only", data)
@@ -318,6 +335,14 @@ class TestSharedVersusPerChannel:
         # the pooled fit and the per-channel fits are different models
         assert r_shared.aggregate["adaptive"]["mase"] != pytest.approx(
             r_split.aggregate["adaptive"]["mase"], rel=1e-12)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("key", ["eta", "lam"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rate_and_ridge_rejected(self, key, value):
+        with pytest.raises(InvalidConfig, match="finite"):
+            small_config(**{key: value})
 
 
 class TestBaseValidation:

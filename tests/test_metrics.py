@@ -6,10 +6,12 @@ import pytest
 from adapts.errors import EmptyBlock, InvalidSeasonality, ShapeMismatch
 from adapts.metrics import (
     DATASET_SEASONALITY,
+    DENOMINATOR_FLOOR,
     block_average_mase,
     default_seasonality,
     mase,
     rmsse,
+    score_windows,
     seasonal_naive_mae,
 )
 
@@ -132,6 +134,80 @@ class TestBlockAverage:
     def test_empty_block_rejected(self):
         with pytest.raises(EmptyBlock):
             block_average_mase(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 8)), 2)
+
+
+class TestScoreWindows:
+    """The array scorer against the scalar functions, window by window."""
+
+    def _check_against_scalars(self, forecasts, targets, contexts, s, rmsse_streams=None):
+        scores = score_windows(forecasts, targets, contexts, s, rmsse_streams)
+        k, m, _ = forecasts.shape
+        r = k if rmsse_streams is None else rmsse_streams
+        assert scores.mase.shape == (k, m)
+        assert scores.rmsse.shape == (r, m)
+        assert scores.floored.shape == (m,)
+        for i in range(m):
+            floored = seasonal_naive_mae(contexts[i], s) < DENOMINATOR_FLOOR
+            assert scores.floored[i] == floored
+            for j in range(k):
+                assert scores.mase[j, i] == mase(forecasts[j, i], targets[i], contexts[i], s)
+            for j in range(r):
+                assert scores.rmsse[j, i] == rmsse(forecasts[j, i], targets[i], contexts[i], s)
+        return scores
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_blocks(self, seed):
+        rng = np.random.default_rng(seed)
+        m, H, L, s = 37, 11, 48, 12
+        contexts = rng.normal(size=(m, L)) * rng.uniform(0.1, 100.0, size=(m, 1))
+        targets = rng.normal(size=(m, H))
+        forecasts = targets + rng.normal(size=(5, m, H))
+        self._check_against_scalars(forecasts, targets, contexts, s, rmsse_streams=3)
+        self._check_against_scalars(forecasts, targets, contexts, s)
+
+    def test_constant_context_is_floored(self):
+        rng = np.random.default_rng(3)
+        contexts = rng.normal(size=(4, 16))
+        contexts[1] = 2.5
+        contexts[3] = np.tile([1.0, -1.0], 8)  # perfectly periodic at s=2
+        targets = rng.normal(size=(4, 5))
+        forecasts = rng.normal(size=(2, 4, 5))
+        scores = self._check_against_scalars(forecasts, targets, contexts, 2)
+        assert scores.floored.tolist() == [False, True, False, True]
+
+    @pytest.mark.parametrize("s", [1, 19])
+    def test_extreme_seasonalities(self, s):
+        rng = np.random.default_rng(4)
+        contexts = rng.normal(size=(6, 20))
+        targets = rng.normal(size=(6, 3))
+        forecasts = rng.normal(size=(3, 6, 3))
+        self._check_against_scalars(forecasts, targets, contexts, s)
+
+    def test_one_window_block(self):
+        rng = np.random.default_rng(5)
+        contexts = rng.normal(size=(1, 12))
+        targets = rng.normal(size=(1, 4))
+        forecasts = rng.normal(size=(5, 1, 4))
+        self._check_against_scalars(forecasts, targets, contexts, 3, rmsse_streams=3)
+
+    def test_block_average_matches_mean_of_scalars(self):
+        rng = np.random.default_rng(6)
+        contexts = rng.normal(size=(9, 24))
+        targets = rng.normal(size=(9, 6))
+        forecasts = rng.normal(size=(9, 6))
+        want = float(np.mean([mase(forecasts[i], targets[i], contexts[i], 4)
+                              for i in range(9)]))
+        assert block_average_mase(forecasts, targets, contexts, 4) == want
+
+    def test_invalid_blocks_rejected(self):
+        with pytest.raises(EmptyBlock):
+            score_windows(np.zeros((3, 0, 2)), np.zeros((0, 2)), np.zeros((0, 8)), 2)
+        with pytest.raises(ShapeMismatch):
+            score_windows(np.zeros((3, 4, 2)), np.zeros((4, 3)), np.zeros((4, 8)), 2)
+        with pytest.raises(ShapeMismatch):
+            score_windows(np.zeros((3, 4, 2)), np.zeros((4, 2)), np.zeros((5, 8)), 2)
+        with pytest.raises(InvalidSeasonality):
+            score_windows(np.zeros((3, 4, 2)), np.zeros((4, 2)), np.zeros((4, 8)), 8)
 
 
 class TestSeasonalityTable:

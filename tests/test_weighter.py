@@ -50,6 +50,11 @@ class TestExpWeightStep:
         with pytest.raises(ShapeMismatch):
             exp_weight_step(np.array([0.5, 0.5]), np.array([1.0, 1.0, 1.0]), 0.5)
 
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_rejected(self, eta):
+        with pytest.raises(InvalidLoss, match="finite"):
+            exp_weight_step(np.array([0.5, 0.5]), np.array([1.0, 2.0]), eta)
+
 
 class TestFastWeight:
     def test_empty_buffer_is_uniform(self):
@@ -99,6 +104,26 @@ class TestCurrentWeight:
         w.fast_losses.append((0.0, 2 * math.log(4.0)))
         assert w.fast_weight() == pytest.approx(0.8, rel=1e-12)
         assert w.current_weight() == pytest.approx(0.5 * 0.8 + 0.5 * 0.4, rel=1e-12)
+
+    def test_modes_select_their_weight(self):
+        w = ChannelWeighter(eta=0.5, warmup_steps=0)
+        w.update(0.3, 0.9, 0.5, 0.7)
+        w.update(0.4, 0.2, 0.6, 0.3)
+        fast = w.fast_weight()
+        assert w.current_weight("slow_only") == w.w_slow
+        assert w.current_weight("fast_only") == fast
+        assert w.current_weight("unweighted") == 0.5
+        beta = w.beta_merge
+        assert w.current_weight("full") == beta * fast + (1.0 - beta) * w.w_slow
+        for mode in ("full", "fast_only"):
+            assert w.current_weight(mode, fast) == w.current_weight(mode)
+
+    @pytest.mark.parametrize("mode", ["full", "slow_only", "fast_only", "unweighted"])
+    def test_warmup_forces_base_in_every_mode(self, mode):
+        w = ChannelWeighter(warmup_steps=1)
+        assert w.current_weight(mode) == 1.0
+        w.update(0.0, 5.0, 1.0, 1.0)
+        assert w.current_weight(mode) != 1.0
 
 
 class TestCombine:
@@ -165,6 +190,11 @@ class TestUpdate:
         w.update(0.0, 1.0, 0.5, 0.5)
         assert w.w_slow > 0.5
         assert len(w.fast_losses) == 1
+
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_rejected(self, eta):
+        with pytest.raises(InvalidLoss, match="finite"):
+            ChannelWeighter(eta=eta)
 
     def test_nan_loss_rejected(self):
         w = ChannelWeighter(warmup_steps=0)
