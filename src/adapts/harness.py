@@ -280,7 +280,7 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
     # weights only move at updates: each channel's fast weight and applied
     # weight are computed once here and once after each of its updates
     w_fast = [w.fast_weight() for w in weighters]
-    applied = [w.current_weight(config.weighter_mode, wf) for w, wf in zip(weighters, w_fast)]
+    applied = [w.current_weight(config.weighter_mode) for w in weighters]
 
     report = RunReport(config=config, channel_names=list(channel_names),
                        skipped_initial_steps=L - 1)
@@ -308,11 +308,10 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
                     np.stack([getattr(b, attr) for b in block], out=forecasts[row])
                 forecasts[3] = combine(forecasts[0], forecasts[1], w_fast[ch])
                 forecasts[4] = combine(forecasts[0], forecasts[1], w.w_slow)
-                scores = score_windows(forecasts, tgts, ctxs, config.seasonality,
-                                       rmsse_streams=3)
+                scores = score_windows(forecasts, tgts, ctxs, config.seasonality)
                 del forecasts
                 for b, tgt, mases, rmsses, floored in zip(
-                        block, tgts, scores.mase[:3].T.tolist(), scores.rmsse.T.tolist(),
+                        block, tgts, scores.mase[:3].T.tolist(), scores.rmsse[:3].T.tolist(),
                         scores.floored.tolist()):
                     b.target = tgt
                     b.fully_observed = True
@@ -327,7 +326,7 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
                     scores.mase.mean(axis=1).tolist()
                 w.update(loss_base, loss_adaptive, loss_fast, loss_slow)
                 w_fast[ch] = w.fast_weight()
-                applied[ch] = w.current_weight(config.weighter_mode, w_fast[ch])
+                applied[ch] = w.current_weight(config.weighter_mode)
                 trajectories[ch].append({
                     "update_step": w.update_count,
                     "time_step": t_now,

@@ -99,9 +99,9 @@ def rmsse(forecast, target, context, s: int) -> float:
 class WindowScores(NamedTuple):
     """Per-window scores of a stack of forecast streams over one block.
 
-    ``mase`` is ``(k, m)``, ``rmsse`` is ``(r, m)`` for the first ``r``
-    streams, and ``floored`` is ``(m,)``: whether the window's unfloored
-    seasonal-naive MAE lies below ``DENOMINATOR_FLOOR``.
+    ``mase`` and ``rmsse`` are ``(k, m)``, and ``floored`` is ``(m,)``:
+    whether the window's unfloored seasonal-naive MAE lies below
+    ``DENOMINATOR_FLOOR``.
     """
 
     mase: np.ndarray
@@ -109,8 +109,7 @@ class WindowScores(NamedTuple):
     floored: np.ndarray
 
 
-def score_windows(forecasts, targets, contexts, s: int,
-                  rmsse_streams: int = None) -> WindowScores:
+def score_windows(forecasts, targets, contexts, s: int) -> WindowScores:
     """Array form of :func:`mase` and :func:`rmsse` over a block of windows.
 
     Each window's seasonal-naive denominators are computed once and shared
@@ -122,8 +121,6 @@ def score_windows(forecasts, targets, contexts, s: int,
     forecasts : (k, m, H) array, one stack of m window forecasts per stream
     targets : (m, H) array
     contexts : (m, L) array of the matching context windows
-    rmsse_streams : number of leading streams to score by RMSSE as well
-        (default all k)
     """
     forecasts = np.asarray(forecasts, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -138,13 +135,12 @@ def score_windows(forecasts, targets, contexts, s: int,
         )
     if not isinstance(s, (int, np.integer)) or not 1 <= s < contexts.shape[1]:
         raise InvalidSeasonality(f"need 1 <= s < {contexts.shape[1]}, got {s!r}")
-    r = k if rmsse_streams is None else rmsse_streams
     diff = contexts[:, s:] - contexts[:, :-s]
     naive_mae = np.mean(np.abs(diff), axis=-1)
     naive_mse = np.mean(np.square(diff), axis=-1)
     errors = forecasts - targets
     mase_rows = np.mean(np.abs(errors), axis=-1) / np.maximum(naive_mae, DENOMINATOR_FLOOR)
-    rmsse_rows = np.sqrt(np.mean(np.square(errors[:r]), axis=-1)
+    rmsse_rows = np.sqrt(np.mean(np.square(errors), axis=-1)
                          / np.maximum(naive_mse, DENOMINATOR_FLOOR))
     return WindowScores(mase_rows, rmsse_rows, naive_mae < DENOMINATOR_FLOOR)
 
@@ -158,4 +154,4 @@ def block_average_mase(forecasts, targets, contexts, s: int) -> float:
     contexts : (m, L) array of the matching context windows
     """
     stack = np.asarray(forecasts, dtype=np.float64)[None]
-    return float(np.mean(score_windows(stack, targets, contexts, s, rmsse_streams=0).mase[0]))
+    return float(np.mean(score_windows(stack, targets, contexts, s).mase[0]))

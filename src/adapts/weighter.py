@@ -27,7 +27,8 @@ from collections import deque
 
 import numpy as np
 
-from .errors import DegenerateWeights, InvalidLoss, ShapeMismatch
+from .config import WEIGHTER_MODES
+from .errors import DegenerateWeights, InvalidConfig, InvalidLoss, ShapeMismatch
 
 
 def exp_weight_step(prev_weights, losses, eta: float) -> np.ndarray:
@@ -177,26 +178,26 @@ class ChannelWeighter:
         sums = np.sum(np.asarray(self.fast_losses, dtype=np.float64), axis=0)
         return float(exp_weight_step(np.array([0.5, 0.5]), sums, self.eta)[0])
 
-    def current_weight(self, mode: str = "full", w_fast: float = None) -> float:
+    def current_weight(self, mode: str = "full") -> float:
         """Weight applied to the base forecast at this moment.
 
-        ``mode`` picks the rule (see ``RollingConfig.weighter_mode``): the
-        merge of the fast and slow weights, one of them alone, or a plain
-        0.5 average. During warm-up every mode applies 1.0. ``w_fast`` may
-        pass in the current :meth:`fast_weight` to save recomputing it.
+        ``mode`` picks the rule (one of ``WEIGHTER_MODES``, see
+        ``RollingConfig.weighter_mode``): the merge of the fast and slow
+        weights, one of them alone, or a plain 0.5 average. During warm-up
+        every mode applies 1.0.
         """
+        if mode not in WEIGHTER_MODES:
+            raise InvalidConfig(f"weighter mode must be one of {WEIGHTER_MODES}, got {mode!r}")
         if self.update_count < self.warmup_steps:
             return 1.0
         if mode == "slow_only":
             return self.w_slow
+        if mode == "fast_only":
+            return self.fast_weight()
         if mode == "unweighted":
             return 0.5
-        if w_fast is None:
-            w_fast = self.fast_weight()
-        if mode == "fast_only":
-            return w_fast
         beta = self.beta_merge
-        return beta * w_fast + (1.0 - beta) * self.w_slow
+        return beta * self.fast_weight() + (1.0 - beta) * self.w_slow
 
     def update(self, loss_base: float, loss_adaptive: float,
                loss_fast_combo: float, loss_slow_combo: float) -> None:

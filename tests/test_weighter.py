@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from adapts.errors import InvalidLoss, ShapeMismatch
+from adapts.errors import InvalidConfig, InvalidLoss, ShapeMismatch
 from adapts.weighter import ChannelWeighter, combine, exp_weight_step
 
 
@@ -115,8 +115,9 @@ class TestCurrentWeight:
         assert w.current_weight("unweighted") == 0.5
         beta = w.beta_merge
         assert w.current_weight("full") == beta * fast + (1.0 - beta) * w.w_slow
-        for mode in ("full", "fast_only"):
-            assert w.current_weight(mode, fast) == w.current_weight(mode)
+        for mode in ("slow-only", "fast", ""):
+            with pytest.raises(InvalidConfig, match="weighter mode"):
+                w.current_weight(mode)
 
     @pytest.mark.parametrize("mode", ["full", "slow_only", "fast_only", "unweighted"])
     def test_warmup_forces_base_in_every_mode(self, mode):
