@@ -1,9 +1,10 @@
 """Rolling-window deployment simulator.
 
 The harness steps through a multichannel series one time step at a time.
-At each step it cuts the trailing context window per channel, obtains a
-base forecast and an adaptive forecast, combines them with the channel's
-current weight and emits a bundle. Every ``update_period`` steps it scores
+At each step it reads the trailing context window of every channel once,
+obtains a base forecast and an adaptive forecast per channel (one
+``predict`` call on the whole stack when the forecaster is shared),
+combines them with the channel's current weight and emits a bundle. Every ``update_period`` steps it scores
 every window whose target has fully materialized, feeds those scores to
 the per-channel weighters, absorbs the newly revealed raw values into the
 running channel statistics and refits the forecaster on the newly
@@ -269,9 +270,6 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
     else:
         forecasters = [new_forecaster() for _ in range(n_channels)]
 
-    def forecaster_for(ch):
-        return forecasters[0] if config.shared_weights else forecasters[ch]
-
     weighters = [
         ChannelWeighter(eta=config.eta, fast_window=config.fast_window,
                         warmup_steps=config.warmup)
@@ -380,15 +378,19 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
     for t in range(t0, total - 1):
         _check_row(dataset[t], t)
         base.observe(t, np.asarray(dataset[t], dtype=np.float64))
+        # the (L, C) window is read once; row ch of ctxs is channel ch's context
+        ctxs = np.ascontiguousarray(np.asarray(dataset[t - L + 1: t + 1], dtype=np.float64).T)
+        if config.shared_weights:
+            shared_forecasts = forecasters[0].predict(ctxs)
         for ch in range(n_channels):
-            ctx = np.asarray(dataset[t - L + 1: t + 1, ch], dtype=np.float64)
+            ctx = ctxs[ch]
             bf = np.asarray(base.forecast(t, ch, ctx), dtype=np.float64)
             if bf.shape != (H,):
                 raise ShapeMismatch(
                     f"base forecast at (t={t}, channel={ch}) has shape {bf.shape}, "
                     f"expected ({H},)"
                 )
-            af = forecaster_for(ch).predict(ctx, ch if config.shared_weights else 0)
+            af = shared_forecasts[ch] if config.shared_weights else forecasters[ch].predict(ctx)
             w = applied[ch]
             bundles[ch].append(ForecastBundle(
                 time_step=t, channel=ch, base_forecast=bf, adaptive_forecast=af,

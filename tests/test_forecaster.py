@@ -18,7 +18,7 @@ from adapts.forecaster import (
     new_forecaster,
     save_forecaster,
 )
-from adapts.spectral import forward_rft, lowpass
+from adapts.spectral import Spectrum, forward_rft, inverse_rft, lowpass, pad_spectrum
 
 
 def random_complex(rng, shape):
@@ -33,6 +33,45 @@ def batch_inverse(all_rows, lam):
 
 def rel_frobenius(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def spectral_chain_predict(f, context):
+    """The unfolded inference chain for one context: forward transform,
+    low-pass, conjugate augmentation, complex weight, zero padding and
+    inverse transform, plus the context mean."""
+    ctx = np.asarray(context, dtype=np.float64)
+    mu = ctx.mean() if f.instance_norm else 0.0
+    row = lowpass(forward_rft(ctx - mu), f.filter.context_bins).bins
+    out_bins = f._augment(row) @ f.core.weight
+    return inverse_rft(pad_spectrum(Spectrum(bins=out_bins, original_length=f.horizon))) + mu
+
+
+# (context_length, horizon, alpha): even L keeping the Nyquist bin, odd L
+# with a partial filter, and a filter keeping the DC bin alone
+SHAPES = [(16, 4, 1.0), (17, 5, 0.8), (10, 4, 0.01)]
+CONFIGS = [(L, H, alpha, instance_norm, channel_scaling)
+           for L, H, alpha in SHAPES
+           for instance_norm in (True, False)
+           for channel_scaling in (True, False)]
+
+
+def fitted_pair_of_forecasters(config, seed):
+    """Two identical forecasters with the same channel statistics over
+    three observed channels, plus a generator for random pair blocks that
+    also use a channel never observed."""
+    L, H, alpha, instance_norm, channel_scaling = config
+    rng = np.random.default_rng(seed)
+    twins = [new_forecaster(L, H, 2, lam=2.0, alpha=alpha, instance_norm=instance_norm,
+                            channel_scaling=channel_scaling) for _ in range(2)]
+    for v in rng.normal(size=(25, 3)) * [1.0, 6.0, 0.05]:
+        for f in twins:
+            f.observe_values(v)
+
+    def block(n):
+        return [SamplePair(rng.normal(size=L) + 4.0, rng.normal(size=H) + 4.0,
+                           int(rng.choice([0, 1, 2, 5]))) for _ in range(n)]
+
+    return twins, block, rng
 
 
 class TestConstruction:
@@ -297,6 +336,86 @@ class TestFitBlock:
         with pytest.raises(ShapeMismatch):
             f.fit_block([])
 
+    def test_wrong_lengths_rejected(self):
+        f = new_forecaster(8, 2, 2)
+        with pytest.raises(ShapeMismatch):
+            f.fit_block([SamplePair(np.zeros(8), np.zeros(2), 0),
+                         SamplePair(np.zeros(7), np.zeros(2), 0)])
+        with pytest.raises(ShapeMismatch):
+            f.fit_block([SamplePair(np.zeros(8), np.zeros(3), 0)])
+        assert f.n_samples == 0
+
+
+class TestBatchedEmbedding:
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_ridge_state_matches_scalar_embedding(self, config):
+        (f, oracle), block, _ = fitted_pair_of_forecasters(config, seed=23)
+        # block sizes below and above design_dim take both solve paths
+        for n in (3, 40, 1, 12):
+            pairs = block(n)
+            f.fit_block(pairs)
+            emb = [oracle.embed_pair(p) for p in pairs]
+            oracle.core.absorb(np.stack([oracle._augment(c) for c, _ in emb]),
+                               np.stack([t for _, t in emb]))
+            for name in ("a_inv", "gram_norm", "cross_norm", "weight"):
+                got, want = getattr(f.core, name), getattr(oracle.core, name)
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
+        assert f.n_samples == oracle.n_samples == 56
+
+
+class TestFoldedPredict:
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_matches_spectral_chain(self, config):
+        (f, _), block, rng = fitted_pair_of_forecasters(config, seed=29)
+        L = config[0]
+        for n in (30, 4):
+            f.fit_block(block(n))
+            probes = rng.normal(size=(6, L)) * 3.0 + 2.0
+            want = np.stack([spectral_chain_predict(f, p) for p in probes])
+            got = np.stack([f.predict(p) for p in probes])
+            assert rel_frobenius(got, want) <= 1e-10
+            assert rel_frobenius(f.predict(probes), want) <= 1e-10
+
+    def test_stack_equals_row_by_row(self):
+        (f, _), block, rng = fitted_pair_of_forecasters((17, 5, 0.8, True, True), seed=31)
+        f.fit_block(block(20))
+        probes = rng.normal(size=(7, 17))
+        stacked = f.predict(probes)
+        assert stacked.shape == (7, 5)
+        rows = np.stack([f.predict(p) for p in probes])
+        np.testing.assert_allclose(stacked, rows, rtol=1e-12, atol=1e-12)
+
+    def test_cold_start_tiles_each_row_of_a_stack(self):
+        f = new_forecaster(6, 5, 2)
+        ctxs = np.array([[1.0, 2.0, 3.0, 4.0, 7.0, 9.0],
+                         [0.0, 0.0, 0.0, 0.0, -1.0, 5.0]])
+        np.testing.assert_array_equal(f.predict(ctxs), [[7.0, 9.0, 7.0, 9.0, 7.0],
+                                                        [-1.0, 5.0, -1.0, 5.0, -1.0]])
+        g = new_forecaster(8, 2, 4)
+        np.testing.assert_array_equal(g.predict(np.arange(16.0).reshape(2, 8)),
+                                      [[4.0, 5.0], [12.0, 13.0]])
+
+    def test_bad_shapes_rejected(self):
+        (f, _), block, _ = fitted_pair_of_forecasters((16, 4, 1.0, True, True), seed=37)
+        for fitted in (False, True):
+            if fitted:
+                f.fit_block(block(5))
+            with pytest.raises(ShapeMismatch):
+                f.predict(np.zeros((2, 3, 16)))
+            with pytest.raises(ShapeMismatch):
+                f.predict(np.zeros((3, 15)))
+            with pytest.raises(ShapeMismatch):
+                f.predict(np.zeros(17))
+
+    def test_predict_leaves_state_untouched(self):
+        (f, _), block, rng = fitted_pair_of_forecasters((16, 4, 1.0, True, True), seed=41)
+        f.fit_block(block(10))
+        folded = f.time_map.copy()
+        weight = f.core.weight.copy()
+        f.predict(rng.normal(size=(3, 16)))
+        np.testing.assert_array_equal(f.time_map, folded)
+        np.testing.assert_array_equal(f.core.weight, weight)
+
 
 class TestPredict:
     def test_cold_start_tiles_last_season(self):
@@ -392,3 +511,29 @@ class TestSnapshot:
         np.testing.assert_array_equal(g.stats.means, f.stats.means)
         probe = rng.normal(size=16)
         np.testing.assert_array_equal(g.predict(probe, 1), f.predict(probe, 1))
+
+    @pytest.mark.parametrize("field, bad", [
+        ("a_inv", lambda a: np.zeros((3, 16), dtype=complex)),
+        ("gram_norm", lambda a: a[:-1]),
+        ("cross_norm", lambda a: a[:, :-1]),
+        ("weight", lambda a: a[:, :2]),
+        ("stats_means", lambda a: a[:1]),
+        ("stats_m2s", lambda a: np.zeros(0)),
+        ("stats_counts", lambda a: a[None, :]),
+    ])
+    def test_mis_shaped_fields_rejected(self, tmp_path, field, bad):
+        rng = np.random.default_rng(43)
+        f = new_forecaster(16, 4, 2, lam=3.0, alpha=0.8)
+        for v in rng.normal(size=(10, 2)):
+            f.observe_values(v)
+        f.fit_block([SamplePair(rng.normal(size=16), rng.normal(size=4), 0)
+                     for _ in range(5)])
+        assert f.core.weight.shape == (f.design_dim, 3)
+        path = tmp_path / "state.npz"
+        save_forecaster(f, path)
+        with np.load(path) as data:
+            fields = dict(data)
+        fields[field] = bad(fields[field])
+        np.savez(path, **fields)
+        with pytest.raises(InvalidConfig, match=field):
+            load_forecaster(path)
