@@ -18,22 +18,23 @@ model = SpectralRidge(dim, out_dim, lam)
 seen = []
 for step in range(12):
     m = int(rng.integers(1, dim))  # keep blocks small: low-rank update path
-    rows = rng.normal(size=(m, dim)) + 1j * rng.normal(size=(m, dim))
-    outs = rng.normal(size=(m, out_dim)) + 1j * rng.normal(size=(m, out_dim))
+    rows = rng.normal(size=(m, dim))
+    outs = rng.normal(size=(m, out_dim))
     model.absorb(rows, outs)
     seen.append(rows)
 
 stacked = np.vstack(seen)
-batch = np.linalg.inv(stacked.conj().T @ stacked + lam * np.eye(dim))
+batch = np.linalg.inv(stacked.T @ stacked + lam * np.eye(dim))
 gap = np.linalg.norm(model.a_inv - batch) / np.linalg.norm(batch)
 print(f"{len(seen)} incremental updates, {stacked.shape[0]} rows total")
 print(f"maintained inverse vs batch inverse: relative gap {gap:.2e}")
 print()
 
-# timing: many small refits is where the low-rank update pays off
-dim, block = 235, 50
-blocks = [(rng.normal(size=(block, dim)) + 1j * rng.normal(size=(block, dim)),
-           rng.normal(size=(block, out_dim)) + 1j * rng.normal(size=(block, out_dim)))
+# timing: many small refits is where the low-rank update pays off; 469 is
+# the forecaster's design dimension at the paper configuration (L=520,
+# alpha=0.9), 50 the per-channel update period of the replay benchmark
+dim, block = 469, 50
+blocks = [(rng.normal(size=(block, dim)), rng.normal(size=(block, out_dim)))
           for _ in range(20)]
 for method in ("woodbury", "direct"):
     m2 = SpectralRidge(dim, out_dim, lam)

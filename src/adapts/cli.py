@@ -174,11 +174,10 @@ def cmd_bench(args) -> int:
     cfg = adio.build_rolling_config(settings)
     probe = OnlineForecaster(cfg.context_length, cfg.horizon, cfg.seasonality,
                              lam=cfg.lam, alpha=cfg.alpha)
-    dim, out_dim = probe.design_dim, probe.filter.target_bins
+    dim, out_dim = probe.design_dim, probe.core.dim_out
     m = cfg.update_period
     rng = np.random.default_rng(0)
-    blocks = [(rng.normal(size=(m, dim)) + 1j * rng.normal(size=(m, dim)),
-               rng.normal(size=(m, out_dim)) + 1j * rng.normal(size=(m, out_dim)))
+    blocks = [(rng.normal(size=(m, dim)), rng.normal(size=(m, out_dim)))
               for _ in range(args.updates)]
 
     timings = {}

@@ -1,35 +1,43 @@
 """Online spectral ridge forecaster.
 
-A single complex weight matrix maps low-pass-filtered context spectra to
-low-pass-filtered target spectra. The matrix is the ridge solution over
-every (context, target) pair absorbed so far and is refreshed
-incrementally: small blocks update the maintained inverse Gram matrix
-through the Woodbury identity, large blocks trigger a direct recompute
-from normalized accumulators.
+A real ridge regression maps the low-pass-filtered spectrum of a context
+window to the low-pass-filtered spectrum of the target that follows it
+(the frequency-domain linear map of FITS, Xu, Zeng and Xu, ICLR 2024).
+Both sides enter as real coefficients of their kept one-sided bins, in
+the order ``[DC, sqrt2*Re bins 1..k, sqrt2*Im bins 1..k, Nyquist if
+kept]``; :func:`_real_coefficients` is the one place that layout is
+decided. For a real signal of length ``n`` these coefficients are an
+orthogonal transform of the signal scaled by ``sqrt(n)`` (Parseval), so
+the ridge spans every real linear map between the kept bands. It gives the
+same forecasts as a complex ridge over conjugate-augmented rows ``[z,
+conj(z)]``: those are a unitary transform of ``sqrt2*[Re z, Im z]``, and
+ridge regression is invariant under unitary transforms of its rows.
 
-Two details keep the numerics stable over long streams. First, the Gram
-and cross-moment matrices are stored divided by the sample count, so their
+Under instance normalization the context is centered and its DC
+coefficient is zero up to rounding. The DC column stays anyway: one basis
+then serves both settings, and a zero column costs one Gram row.
+
+The weight matrix is the ridge solution over every (context, target) pair
+absorbed so far and is refreshed incrementally: small blocks update the
+maintained inverse Gram matrix through the Woodbury identity, large blocks
+trigger a direct recompute from normalized accumulators. The Gram and
+cross-moment matrices are stored divided by the sample count, so their
 entries stay bounded no matter how much history accumulates; the ridge
-term is annealed by the same factor when recomputing directly. Second,
-each context row is conjugate-augmented before entering the design matrix:
-for real signals the one-sided spectrum drops the conjugate half of the
-frequency axis, and restoring it as explicit columns gives the fit the
-full linear function class (without it, a strictly complex-linear map can
-only represent about half of the real linear maps from context to
-target).
+term is annealed by the same factor when recomputing directly.
 
-Fitting embeds a whole block of pairs at once: one batched transform per
-side, the same arithmetic :meth:`OnlineForecaster.embed_pair` applies to
-one pair, which stays as the scalar reference.
+Fitting embeds a whole block of pairs at once: one batched real FFT per
+side followed by the layout, the same arithmetic as
+:meth:`OnlineForecaster.embed_pair` plus the layout on one pair, which
+stays as the scalar reference.
 
-Inference is folded. The chain forward transform -> low-pass ->
-conjugate augmentation -> complex weight -> zero padding -> inverse
-transform is linear in the (centered) context, so after every fit the
-forecaster collapses it into one real ``(L, H)`` matrix ``time_map`` and a
-forecast is ``(ctx - mean) @ time_map + mean``, for one context or a stack
-of them. The fold costs one ``(d, d_t) @ (d_t, H)`` product and a
-length-``L`` FFT of each of the ``H`` output columns; no ``L``-by-``d``
-basis is built.
+Inference is folded. Forward transform -> low-pass -> layout -> weight ->
+inverse layout -> zero padding -> inverse transform is linear in the
+(centered) context, so after every fit the forecaster collapses it into
+one real ``(L, H)`` matrix ``time_map = analysis @ weight @ synthesis``
+and a forecast is ``(ctx - mean) @ time_map + mean``, for one context or a
+stack of them. ``analysis`` is the layout of the unit impulses' spectra;
+``synthesis`` is the target-side one transposed and divided by ``H``,
+because the full target layout is orthogonal up to ``sqrt(H)``.
 
 Channel handling: one weight matrix is shared across channels. Per-channel
 running standard deviations (Welford accumulators) scale pairs before
@@ -66,7 +74,22 @@ from .spectral import (  # noqa: F401
 
 SIGMA_FLOOR = 1e-8
 CONDITION_LIMIT = 1e12
-SNAPSHOT_FORMAT = "adapts-forecaster/1"
+SNAPSHOT_FORMAT = "adapts-forecaster/2"
+
+
+def _real_coefficients(bins: np.ndarray, n: int) -> np.ndarray:
+    """Real coefficients ``(..., d)`` of the kept one-sided bins
+    ``(..., keep)`` of real length-``n`` signals, ordered ``[DC,
+    sqrt2*Re bins 1..k, sqrt2*Im bins 1..k, Nyquist if kept]``.
+
+    DC and Nyquist are real for real signals and enter once; every other
+    bin stands for itself and its conjugate twin, hence the sqrt2.
+    """
+    keep = bins.shape[-1]
+    stop = keep - 1 if n % 2 == 0 and keep == full_bin_count(n) else keep
+    paired = bins[..., 1:stop]
+    return np.concatenate([bins[..., :1].real, np.sqrt(2.0) * paired.real,
+                           np.sqrt(2.0) * paired.imag, bins[..., stop:].real], axis=-1)
 
 
 @dataclass
@@ -127,12 +150,15 @@ class ChannelStats:
 
 
 class SpectralRidge:
-    """Incremental complex ridge regression.
+    """Incremental ridge regression.
 
     Maintains ``a_inv = (X*X + lam*I)^-1`` over all absorbed design rows
     ``X`` together with normalized accumulators ``gram_norm = X*X / N``
-    and ``cross_norm = X*Y / N``. The cached ``weight`` always equals the
-    closed-form ridge solution ``a_inv @ X*Y``.
+    and ``cross_norm = X*Y / N`` (``*`` is the conjugate transpose). The
+    cached ``weight`` always equals the closed-form ridge solution
+    ``a_inv @ X*Y``. The state starts real and follows the rows' dtype by
+    numpy promotion: the forecaster feeds real rows, and complex rows turn
+    the same code into a complex ridge.
     """
 
     def __init__(self, dim_in: int, dim_out: int, lam: float):
@@ -143,10 +169,10 @@ class SpectralRidge:
         self.dim_in = dim_in
         self.dim_out = dim_out
         self.lam = float(lam)
-        self.a_inv = np.eye(dim_in, dtype=np.complex128) / lam
-        self.gram_norm = np.zeros((dim_in, dim_in), dtype=np.complex128)
-        self.cross_norm = np.zeros((dim_in, dim_out), dtype=np.complex128)
-        self.weight = np.zeros((dim_in, dim_out), dtype=np.complex128)
+        self.a_inv = np.eye(dim_in) / lam
+        self.gram_norm = np.zeros((dim_in, dim_in))
+        self.cross_norm = np.zeros((dim_in, dim_out))
+        self.weight = np.zeros((dim_in, dim_out))
         self.n_samples = 0
 
     def _hermitize(self, m: np.ndarray) -> np.ndarray:
@@ -157,7 +183,7 @@ class SpectralRidge:
         update; the inner solve is block-size by block-size."""
         m = rows.shape[0]
         t = self.a_inv @ rows.conj().T                      # (d, m)
-        inner = np.eye(m, dtype=np.complex128) + rows @ t   # (m, m)
+        inner = np.eye(m) + rows @ t                        # (m, m)
         if np.linalg.cond(inner) > CONDITION_LIMIT:
             raise IllConditionedUpdate(
                 f"inner {m}x{m} solve condition exceeds {CONDITION_LIMIT:.0e}"
@@ -179,16 +205,17 @@ class SpectralRidge:
 
         Parameters
         ----------
-        rows_in : (m, dim_in) complex ndarray
-        rows_out : (m, dim_out) complex ndarray
+        rows_in : (m, dim_in) real or complex ndarray
+        rows_out : (m, dim_out) real or complex ndarray
         method : {"auto", "woodbury", "direct"}
             "auto" uses the Woodbury path for blocks smaller than
             ``dim_in`` and falls back to a direct recompute when the inner
             solve is ill-conditioned; "woodbury" raises
             :class:`IllConditionedUpdate` instead of falling back.
         """
-        rows_in = np.asarray(rows_in, dtype=np.complex128)
-        rows_out = np.asarray(rows_out, dtype=np.complex128)
+        rows_in, rows_out = np.asarray(rows_in), np.asarray(rows_out)
+        dtype = np.result_type(rows_in, rows_out, np.float64)
+        rows_in, rows_out = rows_in.astype(dtype, copy=False), rows_out.astype(dtype, copy=False)
         if rows_in.ndim != 2 or rows_in.shape[1] != self.dim_in:
             raise ShapeMismatch(f"design rows must be (m, {self.dim_in}), got {rows_in.shape}")
         if rows_out.shape != (rows_in.shape[0], self.dim_out):
@@ -247,19 +274,16 @@ class OnlineForecaster:
         self.instance_norm = instance_norm
         self.channel_scaling = channel_scaling
         self.filter = FilterSpec.for_lengths(alpha, context_length, horizon)
-        d_c = self.filter.context_bins
-        # conjugate columns restore the negative-frequency half of the
-        # axis; DC has none, nor does Nyquist when it is retained
-        self._nyquist_kept = context_length % 2 == 0 and d_c == full_bin_count(context_length)
-        self._conj_stop = d_c - 1 if self._nyquist_kept else d_c
-        self.design_dim = d_c + max(0, self._conj_stop - 1)
-        self.core = SpectralRidge(self.design_dim, self.filter.target_bins, lam)
+        # _analysis (L, d) maps a context to its real coefficients;
+        # _synthesis maps real target coefficients to the inverse transform
+        # of the zero-padded target bins
+        self._analysis = _real_coefficients(
+            np.fft.rfft(np.eye(context_length))[:, :self.filter.context_bins], context_length)
+        self._synthesis = _real_coefficients(
+            np.fft.rfft(np.eye(horizon))[:, :self.filter.target_bins], horizon).T / horizon
+        self.design_dim = self._analysis.shape[1]
+        self.core = SpectralRidge(self.design_dim, self._synthesis.shape[0], lam)
         self.stats = ChannelStats()
-        # synthesis rows: Re(bins @ synthesis) is the inverse transform of
-        # the zero-padded target bins, DC and Nyquist conventions included
-        unit = np.eye(self.filter.target_bins, full_bin_count(horizon))
-        self._synthesis = (np.fft.irfft(unit, n=horizon)
-                           - 1j * np.fft.irfft(1j * unit, n=horizon))
         # (L, H) real fold of core.weight, rewritten in place by _refold.
         # One block for the forecaster's lifetime, plus adding the mean in
         # place in predict, keeps peak RSS within ~1 % of the unfolded code
@@ -277,9 +301,6 @@ class OnlineForecaster:
         per-channel statistics."""
         self.stats.observe(values)
 
-    def _augment(self, row: np.ndarray) -> np.ndarray:
-        return np.concatenate([row, np.conj(row[1:self._conj_stop])])
-
     def embed_pair(self, pair: SamplePair):
         """Filtered spectra of one normalized pair.
 
@@ -289,8 +310,8 @@ class OnlineForecaster:
 
         Returns
         -------
-        (context_row, target_row) : complex ndarrays of the filtered bin
-        counts.
+        (context_row, target_row) : complex ndarrays of the kept bins;
+        :meth:`fit_block` absorbs their :func:`_real_coefficients`.
         """
         ctx = np.asarray(pair.context, dtype=np.float64)
         tgt = np.asarray(pair.target, dtype=np.float64)
@@ -308,7 +329,7 @@ class OnlineForecaster:
         """Embed a block of pairs and absorb it into the ridge state.
 
         The block is embedded in one batched pass whose rows equal
-        :meth:`embed_pair` followed by :meth:`_augment` on each pair; the
+        :meth:`embed_pair` followed by :func:`_real_coefficients`; the
         folded ``time_map`` is refreshed afterwards. Channel statistics
         must already reflect the observations the pairs were cut from
         (see :meth:`observe_values`).
@@ -336,32 +357,15 @@ class OnlineForecaster:
             sigma = np.array([sigma_of[ch] for ch in channels])[:, None]
             ctx /= sigma
             tgt /= sigma
-        ctx_bins = np.fft.rfft(ctx, axis=1)
-        del ctx
-        rows_in = np.empty((len(pairs), self.design_dim), dtype=np.complex128)
-        rows_in[:, :d_c] = ctx_bins[:, :d_c]
-        np.conjugate(ctx_bins[:, 1:self._conj_stop], out=rows_in[:, d_c:])
-        del ctx_bins
-        rows_out = np.ascontiguousarray(np.fft.rfft(tgt, axis=1)[:, :d_t])
+        rows_in = _real_coefficients(np.fft.rfft(ctx, axis=1)[:, :d_c], L)
+        rows_out = _real_coefficients(np.fft.rfft(tgt, axis=1)[:, :d_t], H)
         self.core.absorb(rows_in, rows_out, method=method)
         self._refold()
 
     def _refold(self) -> None:
         """Collapse the spectral chain around ``core.weight`` into the real
-        ``(L, H)`` matrix ``time_map``, in place.
-
-        ``weight @ synthesis`` maps augmented context bins to the forecast.
-        A conjugate column acts on ``conj(bin k)``; its real-part
-        contribution equals that of ``bin k`` against the conjugated row.
-        Both halves therefore fold into one bin-by-output array, and the
-        forward transform's sum over context bins is one FFT along it.
-        """
-        d_c = self.filter.context_bins
-        m = self.core.weight @ self._synthesis                 # (d, H)
-        per_bin = np.zeros((self.context_length, self.horizon), dtype=np.complex128)
-        per_bin[:d_c] = m[:d_c]
-        per_bin[1:self._conj_stop] += np.conj(m[d_c:])
-        np.copyto(self.time_map, np.fft.fft(per_bin, axis=0).real)
+        ``(L, H)`` matrix ``time_map``, in place."""
+        np.matmul(self._analysis, self.core.weight @ self._synthesis, out=self.time_map)
 
     def _seasonal_tile(self, context: np.ndarray) -> np.ndarray:
         season = context[..., -self.seasonality:]
@@ -426,17 +430,20 @@ def save_forecaster(forecaster: OnlineForecaster, path) -> None:
 def load_forecaster(path) -> OnlineForecaster:
     """Restore a forecaster saved by :func:`save_forecaster`."""
     with np.load(path) as data:
-        if str(data["format"]) != SNAPSHOT_FORMAT:
-            raise InvalidConfig(f"unsupported snapshot format {data['format']!r}")
+        fmt = str(data["format"])
+        if fmt != SNAPSHOT_FORMAT:
+            raise InvalidConfig(f"unsupported snapshot format {fmt!r}, expected {SNAPSHOT_FORMAT!r}")
         f = OnlineForecaster(
             int(data["context_length"]), int(data["horizon"]), int(data["seasonality"]),
             float(data["lam"]), float(data["alpha"]),
             bool(data["instance_norm"]), bool(data["channel_scaling"]),
         )
-        d, d_t = f.design_dim, f.filter.target_bins
+        d, d_t = f.design_dim, f.core.dim_out
         for name, shape in (("a_inv", (d, d)), ("gram_norm", (d, d)),
                             ("cross_norm", (d, d_t)), ("weight", (d, d_t))):
             value = data[name]
+            if value.dtype.kind != "f":
+                raise InvalidConfig(f"snapshot {name} has dtype {value.dtype}, expected real floats")
             if value.shape != shape:
                 raise InvalidConfig(f"snapshot {name} has shape {value.shape}, expected {shape}")
             setattr(f.core, name, value)

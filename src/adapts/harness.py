@@ -292,11 +292,13 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
     def do_update(t_now):
         nonlocal last_fit_origin, last_observed
         origins = collect_completed_pairs(t_now, last_fit_origin, L, H)
+        windows = []  # per channel: the (contexts, targets) scored, then fitted
         if origins:
             for ch in range(n_channels):
                 block = [bundles[ch][t - t0] for t in origins]
                 ctxs = np.stack([dataset[t - L + 1: t + 1, ch] for t in origins])
                 tgts = np.stack([dataset[t + 1: t + 1 + H, ch] for t in origins])
+                windows.append((ctxs, tgts))
                 w = weighters[ch]
                 # streams: base, adaptive, combined, and the two combos at
                 # the fast and slow weights frozen since the previous update
@@ -349,22 +351,12 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
 
         if origins:
             if config.shared_weights:
-                pairs = [
-                    SamplePair(np.asarray(dataset[t - L + 1: t + 1, ch], dtype=np.float64),
-                               np.asarray(dataset[t + 1: t + 1 + H, ch], dtype=np.float64),
-                               ch)
-                    for ch in range(n_channels) for t in origins
-                ]
-                forecasters[0].fit_block(pairs)
+                forecasters[0].fit_block([SamplePair(ctx, tgt, ch)
+                                          for ch, (ctxs, tgts) in enumerate(windows)
+                                          for ctx, tgt in zip(ctxs, tgts)])
             else:
-                for ch in range(n_channels):
-                    pairs = [
-                        SamplePair(np.asarray(dataset[t - L + 1: t + 1, ch], dtype=np.float64),
-                                   np.asarray(dataset[t + 1: t + 1 + H, ch], dtype=np.float64),
-                                   0)
-                        for t in origins
-                    ]
-                    forecasters[ch].fit_block(pairs)
+                for f, (ctxs, tgts) in zip(forecasters, windows):
+                    f.fit_block([SamplePair(ctx, tgt, 0) for ctx, tgt in zip(ctxs, tgts)])
             last_fit_origin = origins[-1]
 
     # values before the first forecast step are revealed up front; they

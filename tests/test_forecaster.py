@@ -2,7 +2,8 @@
 
 Independent oracles: batch inverses built from the accumulated design
 matrix, the Sherman-Morrison rank-1 closed form, a two-pass variance
-computation, and plain time-domain ridge regression.
+computation, plain time-domain ridge regression, a least-squares ridge on
+the stacked design, and a complex ridge over conjugate-augmented spectra.
 """
 
 import numpy as np
@@ -14,11 +15,19 @@ from adapts.forecaster import (
     OnlineForecaster,
     SamplePair,
     SpectralRidge,
+    _real_coefficients,
     load_forecaster,
     new_forecaster,
     save_forecaster,
 )
-from adapts.spectral import Spectrum, forward_rft, inverse_rft, lowpass, pad_spectrum
+from adapts.spectral import (
+    Spectrum,
+    forward_rft,
+    full_bin_count,
+    inverse_rft,
+    lowpass,
+    pad_spectrum,
+)
 
 
 def random_complex(rng, shape):
@@ -35,15 +44,46 @@ def rel_frobenius(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-def spectral_chain_predict(f, context):
+def paired_stop(n, keep):
+    """End of the bins ``1..stop-1`` that have a conjugate twin: all kept
+    bins but DC and a kept Nyquist bin."""
+    return keep - 1 if n % 2 == 0 and keep == full_bin_count(n) else keep
+
+
+def augment(row, n):
+    """Complex oracle design row: the kept bins of a length-``n`` signal
+    followed by the conjugates of those with a negative-frequency twin."""
+    return np.concatenate([row, np.conj(row[1:paired_stop(n, len(row))])])
+
+
+def bins_from_coefficients(coefs, n, keep):
+    """Inverse of the real layout: complex kept bins from real coefficients."""
+    stop = paired_stop(n, keep)
+    k = stop - 1
+    bins = np.empty(keep, dtype=complex)
+    bins[0] = coefs[0]
+    bins[1:stop] = (coefs[1:1 + k] + 1j * coefs[1 + k:1 + 2 * k]) / np.sqrt(2.0)
+    bins[stop:] = coefs[1 + 2 * k:]
+    return bins
+
+
+def spectral_chain_predict(f, context, weight=None):
     """The unfolded inference chain for one context: forward transform,
-    low-pass, conjugate augmentation, complex weight, zero padding and
-    inverse transform, plus the context mean."""
+    low-pass, real layout, weight (``f.core.weight`` by default), inverse
+    layout, zero padding and inverse transform, plus the context mean."""
     ctx = np.asarray(context, dtype=np.float64)
     mu = ctx.mean() if f.instance_norm else 0.0
     row = lowpass(forward_rft(ctx - mu), f.filter.context_bins).bins
-    out_bins = f._augment(row) @ f.core.weight
+    coefs = _real_coefficients(row, f.context_length) @ (f.core.weight if weight is None else weight)
+    out_bins = bins_from_coefficients(coefs, f.horizon, f.filter.target_bins)
     return inverse_rft(pad_spectrum(Spectrum(bins=out_bins, original_length=f.horizon))) + mu
+
+
+def real_rows(f, pairs):
+    """Design and target rows of ``pairs`` through the scalar embedding."""
+    emb = [f.embed_pair(p) for p in pairs]
+    return (np.stack([_real_coefficients(c, f.context_length) for c, _ in emb]),
+            np.stack([_real_coefficients(t, f.horizon) for _, t in emb]))
 
 
 # (context_length, horizon, alpha): even L keeping the Nyquist bin, odd L
@@ -92,6 +132,18 @@ class TestConstruction:
         assert f.design_dim == 4
         np.testing.assert_array_equal(f.core.a_inv, np.eye(4, dtype=complex))
         np.testing.assert_array_equal(f.core.cross_norm, np.zeros((4, 2)))
+
+    def test_real_layout_dimensions(self):
+        # L=128 keeps 59 of 65 bins: DC plus 58 (Re, Im) pairs; H=24 keeps
+        # 12 of 13: DC plus 11 pairs
+        f = new_forecaster(128, 24, 24, lam=20.0, alpha=0.9)
+        assert f.design_dim == 117
+        assert f.core.dim_out == 23
+        # L=520 and H=96 keep 235 and 45 bins, none of them Nyquist
+        assert new_forecaster(520, 96, 24).core.dim_out == 89
+        # H=4 with alpha=1 keeps Nyquist: DC, one pair, Nyquist
+        assert new_forecaster(16, 4, 2, alpha=1.0).core.dim_out == 4
+        assert f.core.a_inv.dtype == np.float64
 
     def test_tiny_alpha_keeps_dc_only(self):
         f = new_forecaster(10, 4, 2, lam=1.0, alpha=0.01)
@@ -310,6 +362,96 @@ class TestSpectralRidge:
             model.absorb(np.zeros((2, 4), dtype=complex), np.zeros((2, 2), dtype=complex))
 
 
+class TestRealSpectralRidge:
+    """The ridge on real rows, as the forecaster feeds it: the state stays
+    float64 and every path agrees with the batch oracles."""
+
+    def test_woodbury_matches_batch_inverse_over_schedules(self):
+        rng = np.random.default_rng(44)
+        for d in (4, 12):
+            for _ in range(10):
+                lam = float(rng.uniform(0.5, 30.0))
+                model = SpectralRidge(d, 3, lam)
+                seen = []
+                for _ in range(rng.integers(2, 12)):
+                    rows = rng.normal(size=(int(rng.integers(1, d)), d))
+                    model.absorb(rows, rng.normal(size=(rows.shape[0], 3)))
+                    seen.append(rows)
+                assert rel_frobenius(model.a_inv, batch_inverse(np.vstack(seen), lam)) < 1e-8
+                assert model.a_inv.dtype == model.weight.dtype == np.float64
+
+    def test_direct_and_mixed_paths_agree_with_batch(self):
+        rng = np.random.default_rng(8)
+        d, lam = 6, 3.0
+        model = SpectralRidge(d, 2, lam)
+        seen_x, seen_y = [], []
+        for m in (2, 9, 1, 6, 14, 3):  # alternates Woodbury and direct
+            seen_x.append(rng.normal(size=(m, d)))
+            seen_y.append(rng.normal(size=(m, 2)))
+            model.absorb(seen_x[-1], seen_y[-1])
+        x, y = np.vstack(seen_x), np.vstack(seen_y)
+        assert rel_frobenius(model.a_inv, batch_inverse(x, lam)) < 1e-10
+        oracle = np.linalg.solve(x.T @ x + lam * np.eye(d), x.T @ y)
+        np.testing.assert_allclose(model.weight, oracle, rtol=1e-9, atol=1e-12)
+        for name in ("a_inv", "gram_norm", "cross_norm", "weight"):
+            assert getattr(model, name).dtype == np.float64, name
+
+    def test_symmetric_over_many_updates(self):
+        rng = np.random.default_rng(14)
+        d = 8
+        model = SpectralRidge(d, 2, 1.0)
+        for _ in range(1000):
+            m = int(rng.integers(1, 4))
+            model.absorb(rng.normal(size=(m, d)), rng.normal(size=(m, 2)))
+        gap = np.linalg.norm(model.a_inv - model.a_inv.T)
+        assert gap / np.linalg.norm(model.a_inv) < 1e-8
+
+    def test_forced_woodbury_raises_on_ill_conditioned_block(self):
+        rows = np.zeros((2, 3))
+        rows[:, 0] = 1.0
+        outs = np.ones((2, 1))
+        with pytest.raises(IllConditionedUpdate):
+            SpectralRidge(3, 1, 1e-13).absorb(rows, outs, method="woodbury")
+        model = SpectralRidge(3, 1, 1e-13)
+        model.absorb(rows, outs, method="auto")
+        assert model.n_samples == 2
+        assert model.a_inv.dtype == np.float64
+
+
+class TestRealCoefficients:
+    # (n, keep): Nyquist kept (even n, all bins), even n without Nyquist,
+    # odd n with all bins, DC alone, and n=2 whose only other bin is Nyquist
+    CASES = [(16, 9), (16, 7), (17, 9), (10, 1), (2, 2)]
+
+    @pytest.mark.parametrize("n, keep", CASES)
+    def test_unitary_transform_of_augmented_row(self, n, keep):
+        rng = np.random.default_rng(n * 100 + keep)
+        bins = np.fft.rfft(rng.normal(size=(5, n)), axis=1)[:, :keep]
+        coefs = _real_coefficients(bins, n)
+        augmented = np.stack([augment(row, n) for row in bins])
+        d = augmented.shape[1]
+        assert coefs.shape == (5, d)
+        # augmented = coefs @ u, with u built from the layout's definition
+        k = paired_stop(n, keep) - 1
+        u = np.zeros((d, d), dtype=complex)
+        u[0, 0] = 1.0
+        for j in range(1, k + 1):
+            u[j, j] = u[j, keep + j - 1] = 1 / np.sqrt(2.0)
+            u[k + j, j], u[k + j, keep + j - 1] = 1j / np.sqrt(2.0), -1j / np.sqrt(2.0)
+        if 2 * k + 1 < d:
+            u[2 * k + 1, k + 1] = 1.0
+        np.testing.assert_allclose(u @ u.conj().T, np.eye(d), atol=1e-15)
+        assert np.linalg.norm(coefs @ u - augmented) <= 1e-14 * np.linalg.norm(augmented)
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_fitted_state_is_real(self, config):
+        (f, _), block, _ = fitted_pair_of_forecasters(config, seed=47)
+        for n in (3, 40):  # both solve paths
+            f.fit_block(block(n))
+            for name in ("a_inv", "gram_norm", "cross_norm", "weight"):
+                assert getattr(f.core, name).dtype == np.float64, name
+
+
 class TestFitBlock:
     def _make_pairs(self, rng, f, n, channels=1):
         pairs = []
@@ -325,8 +467,7 @@ class TestFitBlock:
         all_rows = []
         for n in (3, 5, 2, 8):
             pairs = self._make_pairs(rng, f, n)
-            emb = [f.embed_pair(p) for p in pairs]
-            all_rows.extend(f._augment(c) for c, _ in emb)
+            all_rows.append(real_rows(f, pairs)[0])
             f.fit_block(pairs)
         oracle = batch_inverse(np.vstack(all_rows), 5.0)
         assert rel_frobenius(f.core.a_inv, oracle) < 1e-9
@@ -354,9 +495,7 @@ class TestBatchedEmbedding:
         for n in (3, 40, 1, 12):
             pairs = block(n)
             f.fit_block(pairs)
-            emb = [oracle.embed_pair(p) for p in pairs]
-            oracle.core.absorb(np.stack([oracle._augment(c) for c, _ in emb]),
-                               np.stack([t for _, t in emb]))
+            oracle.core.absorb(*real_rows(oracle, pairs))
             for name in ("a_inv", "gram_norm", "cross_norm", "weight"):
                 got, want = getattr(f.core, name), getattr(oracle.core, name)
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
@@ -375,6 +514,47 @@ class TestFoldedPredict:
             got = np.stack([f.predict(p) for p in probes])
             assert rel_frobenius(got, want) <= 1e-10
             assert rel_frobenius(f.predict(probes), want) <= 1e-10
+
+    @pytest.mark.parametrize("config", [c for c in CONFIGS if c[3]])
+    def test_matches_complex_augmented_ridge(self, config):
+        # without instance norm the first 3-row fit leaves the Gram near
+        # singular, where two float64 solvers legitimately differ by ~1e-9;
+        # those configurations are checked against lstsq below instead
+        (f, oracle), block, rng = fitted_pair_of_forecasters(config, seed=53)
+        L, H = config[:2]
+        complex_core = SpectralRidge(f.design_dim, f.filter.target_bins, f.lam)
+        for n in (3, 40, 1, 12):
+            pairs = block(n)
+            f.fit_block(pairs)
+            emb = [oracle.embed_pair(p) for p in pairs]
+            complex_core.absorb(np.stack([augment(c, L) for c, _ in emb]),
+                                np.stack([t for _, t in emb]))
+            probes = rng.normal(size=(6, L)) * 3.0 + 2.0
+            want = []
+            for p in probes:
+                mu = p.mean()
+                row = lowpass(forward_rft(p - mu), f.filter.context_bins).bins
+                out_bins = augment(row, L) @ complex_core.weight
+                want.append(inverse_rft(pad_spectrum(Spectrum(out_bins, H))) + mu)
+            assert rel_frobenius(f.predict(probes), np.stack(want)) <= 1e-10
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_matches_least_squares_ridge(self, config):
+        (f, oracle), block, rng = fitted_pair_of_forecasters(config, seed=59)
+        seen_x, seen_y = [], []
+        for n in (3, 40, 1, 12):
+            pairs = block(n)
+            f.fit_block(pairs)
+            x, y = real_rows(oracle, pairs)
+            seen_x.append(x)
+            seen_y.append(y)
+            x, y = np.vstack(seen_x), np.vstack(seen_y)
+            d = x.shape[1]
+            weight = np.linalg.lstsq(np.vstack([x, np.sqrt(f.lam) * np.eye(d)]),
+                                     np.vstack([y, np.zeros((d, y.shape[1]))]), rcond=None)[0]
+            probes = rng.normal(size=(6, config[0])) * 3.0 + 2.0
+            want = np.stack([spectral_chain_predict(f, p, weight) for p in probes])
+            assert rel_frobenius(f.predict(probes), want) <= 1e-8
 
     def test_stack_equals_row_by_row(self):
         (f, _), block, rng = fitted_pair_of_forecasters((17, 5, 0.8, True, True), seed=31)
@@ -512,6 +692,33 @@ class TestSnapshot:
         probe = rng.normal(size=16)
         np.testing.assert_array_equal(g.predict(probe, 1), f.predict(probe, 1))
 
+    def _saved_fields(self, tmp_path):
+        rng = np.random.default_rng(61)
+        f = new_forecaster(16, 4, 2, lam=3.0, alpha=0.8)
+        for v in rng.normal(size=(10, 2)):
+            f.observe_values(v)
+        f.fit_block([SamplePair(rng.normal(size=16), rng.normal(size=4), 0)
+                     for _ in range(5)])
+        path = tmp_path / "state.npz"
+        save_forecaster(f, path)
+        with np.load(path) as data:
+            return path, dict(data)
+
+    def test_previous_format_rejected(self, tmp_path):
+        path, fields = self._saved_fields(tmp_path)
+        fields["format"] = np.array("adapts-forecaster/1")
+        np.savez(path, **fields)
+        with pytest.raises(InvalidConfig, match="adapts-forecaster/1.*adapts-forecaster/2"):
+            load_forecaster(path)
+
+    @pytest.mark.parametrize("field", ["a_inv", "gram_norm", "cross_norm", "weight"])
+    def test_complex_fields_rejected(self, tmp_path, field):
+        path, fields = self._saved_fields(tmp_path)
+        fields[field] = fields[field] + 1e-3j
+        np.savez(path, **fields)
+        with pytest.raises(InvalidConfig, match=field):
+            load_forecaster(path)
+
     @pytest.mark.parametrize("field, bad", [
         ("a_inv", lambda a: np.zeros((3, 16), dtype=complex)),
         ("gram_norm", lambda a: a[:-1]),
@@ -528,7 +735,7 @@ class TestSnapshot:
             f.observe_values(v)
         f.fit_block([SamplePair(rng.normal(size=16), rng.normal(size=4), 0)
                      for _ in range(5)])
-        assert f.core.weight.shape == (f.design_dim, 3)
+        assert f.core.weight.shape == (f.design_dim, f.core.dim_out)
         path = tmp_path / "state.npz"
         save_forecaster(f, path)
         with np.load(path) as data:

@@ -183,6 +183,23 @@ class TestDeterminismAndCausality:
         for t, max_read in seen:
             assert max_read <= t
 
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_each_completed_window_is_read_once(self, shared):
+        # per-channel slices are only taken to score and fit completed
+        # windows: one context and one target read per scored window
+        class ChannelSliceCount(TraceArray):
+            channel_reads = 0
+
+            def __getitem__(self, key):
+                self.channel_reads += isinstance(key, tuple)
+                return super().__getitem__(key)
+
+        cfg = small_config(shared_weights=shared)
+        data = ChannelSliceCount(sine_dataset(400, channels=2, noise=0.1, seed=6))
+        report = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
+        assert report.records
+        assert data.channel_reads == 2 * len(report.records)
+
     def test_future_changes_do_not_affect_past_forecasts(self):
         cfg = small_config()
         data_a = sine_dataset(400, channels=1, noise=0.1, seed=7)
