@@ -12,12 +12,17 @@ Three delimited-text formats are supported:
 
 Numbers are written with ``repr`` (shortest round-trip form), so every
 serialization is lossless at double precision and independent of locale.
+Series and forecast files are read in one streaming ``np.loadtxt`` pass;
+a file that pass rejects is reread with ``csv`` only to name the first bad
+line and column.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,47 +54,122 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-# -- series files -------------------------------------------------------------
+# -- delimited records ---------------------------------------------------------
 
-def load_series(path) -> Series:
-    """Read a wide-format series file."""
+# one streaming pass; quotechar makes numpy split cells exactly as csv.reader
+_LOADTXT = dict(delimiter=",", quotechar='"', comments=None, ndmin=1)
+_INT64 = np.iinfo(np.int64)
+
+
+class _BlankLine(Exception):
+    """A blank line, which csv reads as an empty row but loadtxt skips.
+
+    When the csv reread finds no bad row, the blank line sat inside a
+    quoted cell.
+    """
+
+    def __str__(self):
+        return "a quoted cell spans a blank line"
+
+
+def _data_lines(fh):
+    for line in fh:
+        if not line.rstrip("\r\n"):
+            raise _BlankLine
+        yield line
+
+
+def _read_records(path, layout):
+    """Parse a CSV file with a header row into its stripped header cells
+    and a structured array of its rows.
+
+    ``layout(header)`` checks the header cells and returns the
+    record dtype plus ``check(row, line)``, which raises ParseError for a
+    bad data row. The rows are parsed by one ``np.loadtxt`` pass over the
+    file's lines; if that pass fails, the file is reread with csv and
+    ``check`` to name the first bad line and column. The reread never
+    returns data.
+    """
     try:
         with open(path, newline="") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise ParseError("file is empty, header row required", line=1)
+            header = [h.strip() for h in header]
+            dtype, check = layout(header)
+            lines = _data_lines(fh)
+            try:
+                with warnings.catch_warnings():
+                    # older numpy parses "1.5" as the integer 1 with a warning
+                    warnings.simplefilter("error", DeprecationWarning)
+                    first = next(lines, None)
+                    if first is None:
+                        return header, np.empty(0, dtype)
+                    return header, np.loadtxt(itertools.chain([first], lines),
+                                              dtype=dtype, **_LOADTXT)
+            except (ValueError, DeprecationWarning, _BlankLine) as exc:
+                failure = exc
+        with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            rows = list(reader)
+            next(reader)
+            for line_no, row in enumerate(reader, start=2):
+                check(row, line_no)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise ParseError("file is empty, header row required", line=1)
-    header = [h.strip() for h in rows[0]]
+    raise ParseError(f"cannot parse {path}: {failure}")
+
+
+def _row_width(row, width, line):
+    if len(row) != width:
+        raise ParseError(f"expected {width} cells, found {len(row)}", line=line)
+
+
+def _loadtxt_syntax(cell: str) -> str:
+    """The stripped cell if loadtxt could read it as a number: ASCII only
+    and no digit-group underscores, which ``float``/``int`` also accept."""
+    text = cell.strip()
+    return text if text.isascii() and "_" not in text else ""
+
+
+def _check_numbers(cells, line, first_column):
+    for j, cell in enumerate(cells, start=first_column):
+        try:
+            float(_loadtxt_syntax(cell))
+        except ValueError:
+            raise ParseError(f"cell {cell!r} is not a number",
+                             line=line, column=j) from None
+
+
+# -- series files -------------------------------------------------------------
+
+def _series_layout(header):
     has_timestamp = bool(header) and header[0].lower() == "timestamp"
     names = header[1:] if has_timestamp else header
     if not names:
         raise ParseError("header names no channels", line=1)
     if len(set(names)) != len(names):
         raise ParseError("channel names must be unique", line=1)
-    data_rows = rows[1:]
-    if not data_rows:
+    width, first = len(header), int(has_timestamp)
+    fields = [("timestamp", object)] if has_timestamp else []
+    dtype = np.dtype(fields + [("values", np.float64, (len(names),))])
+
+    def check(row, line):
+        _row_width(row, width, line)
+        _check_numbers(row[first:], line, first + 1)
+
+    return dtype, check
+
+
+def load_series(path) -> Series:
+    """Read a wide-format series file."""
+    header, records = _read_records(path, _series_layout)
+    if not len(records):
         raise InsufficientData(f"{path} holds a header but no data rows")
-    width = len(header)
-    values = np.empty((len(data_rows), len(names)))
-    timestamps = [] if has_timestamp else None
-    for i, row in enumerate(data_rows):
-        line_no = i + 2
-        if len(row) != width:
-            raise ParseError(
-                f"expected {width} cells, found {len(row)}", line=line_no)
-        cells = row[1:] if has_timestamp else row
-        if has_timestamp:
-            timestamps.append(row[0])
-        for j, cell in enumerate(cells):
-            try:
-                values[i, j] = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"cell {cell!r} is not a number", line=line_no,
-                    column=j + (2 if has_timestamp else 1)) from None
-    return Series(values=values, channel_names=names, timestamps=timestamps)
+    values = np.ascontiguousarray(records["values"])
+    if "timestamp" in records.dtype.names:
+        return Series(values=values, channel_names=header[1:],
+                      timestamps=records["timestamp"].tolist())
+    return Series(values=values, channel_names=header)
 
 
 def write_series(series: Series, path) -> None:
@@ -128,51 +208,55 @@ def write_forecasts(rows, horizon: int, path) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
+def _forecast_layout(header):
+    if len(header) < 3 or header[0] != "t" or header[1] != "channel":
+        raise ParseError("header must read t,channel,h1,...,hH", line=1)
+    horizon = len(header) - 2
+    if header[2:] != [f"h{i + 1}" for i in range(horizon)]:
+        raise ParseError("horizon columns must be h1..hH in order", line=1)
+    width, seen = len(header), set()
+
+    def check(row, line):
+        _row_width(row, width, line)
+        try:
+            t = int(_loadtxt_syntax(row[0]))
+        except ValueError:
+            t = None
+        if t is None or not _INT64.min <= t <= _INT64.max:
+            raise ParseError(f"time step {row[0]!r} is not an integer",
+                             line=line, column=1)
+        key = (t, row[1])
+        if key in seen:
+            raise _duplicate_forecast(key, line)
+        seen.add(key)
+        _check_numbers(row[2:], line, 3)
+
+    dtype = np.dtype([("t", np.int64), ("channel", object),
+                      ("h", np.float64, (horizon,))])
+    return dtype, check
+
+
+def _duplicate_forecast(key, line):
+    t, name = key
+    return ParseError(f"duplicate forecast for (t={t}, channel={name!r})", line=line)
+
+
 def load_forecasts(path):
     """Read a long-format forecast file.
 
     Returns
     -------
     (table, horizon) where table maps ``(t, channel_name)`` to the
-    forecast vector.
+    forecast vector, in file order. The vectors are rows of one float64
+    block.
     """
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise ParseError("file is empty, header row required", line=1)
-    header = [h.strip() for h in rows[0]]
-    if len(header) < 3 or header[0] != "t" or header[1] != "channel":
-        raise ParseError("header must read t,channel,h1,...,hH", line=1)
-    expected = [f"h{i + 1}" for i in range(len(header) - 2)]
-    if header[2:] != expected:
-        raise ParseError("horizon columns must be h1..hH in order", line=1)
-    horizon = len(expected)
+    header, records = _read_records(path, _forecast_layout)
+    horizon = len(header) - 2
+    keys = zip(records["t"].tolist(), records["channel"].tolist())
     table = {}
-    for i, row in enumerate(rows[1:]):
-        line_no = i + 2
-        if len(row) != len(header):
-            raise ParseError(f"expected {len(header)} cells, found {len(row)}",
-                             line=line_no)
-        try:
-            t = int(row[0])
-        except ValueError:
-            raise ParseError(f"time step {row[0]!r} is not an integer",
-                             line=line_no, column=1) from None
-        name = row[1]
-        key = (t, name)
+    for line, key, vec in zip(itertools.count(2), keys, records["h"]):
         if key in table:
-            raise ParseError(f"duplicate forecast for (t={t}, channel={name!r})",
-                             line=line_no)
-        vec = np.empty(horizon)
-        for j, cell in enumerate(row[2:]):
-            try:
-                vec[j] = float(cell)
-            except ValueError:
-                raise ParseError(f"cell {cell!r} is not a number",
-                                 line=line_no, column=j + 3) from None
+            raise _duplicate_forecast(key, line)
         table[key] = vec
     return table, horizon
 

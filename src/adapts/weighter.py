@@ -54,11 +54,20 @@ def exp_weight_step(prev_weights, losses, eta: float) -> np.ndarray:
         raise InvalidLoss(f"losses must be finite, got {loss}")
     if not (math.isfinite(eta) and eta >= 0):
         raise InvalidLoss(f"learning rate must be finite and >= 0, got {eta}")
-    with np.errstate(divide="ignore"):
-        log_w = np.log(prev) - eta * loss
-    shifted = np.exp(log_w - log_w.max())
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_prev = np.log(prev)
+        log_w = log_prev - eta * loss
+        top = log_w.max()
+        if not math.isfinite(top):
+            # eta * loss overflowed: measure every loss from the least loss
+            # among weighted entries, whose log weight then stays finite
+            support = prev > 0
+            gap = loss - loss[support].min()
+            log_w = np.where(support, log_prev - eta * gap, -np.inf)
+            top = log_w.max()
+        shifted = np.exp(log_w - top)
     total = shifted.sum()
-    if not total > 0:  # unreachable: the max-shifted entry is exactly 1
+    if not total > 0:  # guard: top is finite, so one shifted entry is exactly 1
         raise DegenerateWeights("all weights vanished after the update")
     return shifted / total
 

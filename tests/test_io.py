@@ -1,6 +1,15 @@
-"""Round-trip and error-location tests for the file formats."""
+"""Round-trip and error-location tests for the file formats.
 
+The loader contract (error line and column, blank lines, empty files,
+quoting, line endings) is pinned case by case, and the loaders are
+compared bit for bit with ``oracle_load_forecasts`` /
+``oracle_load_series``, test-only copies of the original cell-by-cell
+parsers.
+"""
+
+import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +121,318 @@ class TestForecastFiles:
     def test_wrong_length_forecast_rejected_on_write(self, tmp_path):
         with pytest.raises(InvalidConfig):
             write_forecasts([(0, "a", np.zeros(3))], 4, tmp_path / "f.csv")
+
+
+def write_bytes(tmp_path, text, name="f.csv"):
+    """Write ``text`` exactly as given (no newline translation)."""
+    p = tmp_path / name
+    p.write_bytes(text.encode())
+    return p
+
+
+def bits(array):
+    """Bit patterns of a float64 array, so -0.0 and NaN payloads compare."""
+    return np.ascontiguousarray(array, dtype=np.float64).view(np.uint64)
+
+
+# -- test-only copies of the original cell-by-cell parsers --------------------
+
+def oracle_load_forecasts(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ParseError("file is empty, header row required", line=1)
+    header = [h.strip() for h in rows[0]]
+    if len(header) < 3 or header[0] != "t" or header[1] != "channel":
+        raise ParseError("header must read t,channel,h1,...,hH", line=1)
+    horizon = len(header) - 2
+    table = {}
+    for i, row in enumerate(rows[1:]):
+        line_no = i + 2
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} cells, found {len(row)}",
+                             line=line_no)
+        try:
+            t = int(row[0])
+        except ValueError:
+            raise ParseError(f"time step {row[0]!r} is not an integer",
+                             line=line_no, column=1) from None
+        key = (t, row[1])
+        if key in table:
+            raise ParseError("duplicate forecast", line=line_no)
+        vec = np.empty(horizon)
+        for j, cell in enumerate(row[2:]):
+            try:
+                vec[j] = float(cell)
+            except ValueError:
+                raise ParseError(f"cell {cell!r} is not a number",
+                                 line=line_no, column=j + 3) from None
+        table[key] = vec
+    return table, horizon
+
+
+def oracle_load_series(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    header = [h.strip() for h in rows[0]]
+    has_timestamp = bool(header) and header[0].lower() == "timestamp"
+    names = header[1:] if has_timestamp else header
+    data_rows = rows[1:]
+    values = np.empty((len(data_rows), len(names)))
+    timestamps = [] if has_timestamp else None
+    for i, row in enumerate(data_rows):
+        if len(row) != len(header):
+            raise ParseError("ragged row", line=i + 2)
+        if has_timestamp:
+            timestamps.append(row[0])
+        for j, cell in enumerate(row[1:] if has_timestamp else row):
+            values[i, j] = float(cell)
+    return Series(values=values, channel_names=names, timestamps=timestamps)
+
+
+def special_doubles(rng, n):
+    """Random normals across magnitudes plus signed zeros, subnormals,
+    the largest finite values, NaN and infinities."""
+    specials = np.array([
+        -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+        1e308, -1e308, 1.7976931348623157e308, np.nan, np.inf, -np.inf,
+        0.1 + 0.2, 1.0 / 3.0])
+    draws = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    return np.concatenate([specials, draws])
+
+
+class TestForecastLoaderContract:
+    HEADER = "t,channel,h1,h2\n"
+
+    @pytest.mark.parametrize("body, line, column", [
+        ("1,a,0.5,0.25\n2,a,0.5\n", 3, None),              # short row
+        ("1,a,0.5,0.25\n2,a,0.5,0.25,9\n", 3, None),       # long row
+        ("1,a,0.5,0.25\n1.5,a,0.5,0.25\n", 3, 1),          # non-integer t
+        ("1,a,0.5,0.25\nx,a,0.5,0.25\n", 3, 1),
+        ("1,a,0.5,0.25\n,a,0.5,0.25\n", 3, 1),
+        ("1,a,0.5,0.25\n2,a,0.5,oops\n", 3, 4),            # non-numeric cell
+        ("1,a,0.5,0.25\n2,a,,0.25\n", 3, 3),
+        ("1,a,0.5,0.25\n2,a,1e3x,0.25\n", 3, 3),
+        ("1,a,0.5,0.25\n\n2,a,0.5,0.25\n", 3, None),      # blank line mid-file
+        ("1,a,0.5,0.25\n2,a,0.5,0.25\n\n", 4, None),      # trailing blank line
+        ("1,a,0.5,0.25\r\n\r\n2,a,0.5,0.25\r\n", 3, None),
+        ("1,a,0.5,0.25\n \n", 3, None),                    # whitespace-only line
+        ("\n1,a,0.5,0.25\n", 2, None),
+        ("1,a,0.5,0.25\n1,a,0.5,0.25\n2,a,x,0\n", 3, None),  # first error wins
+        ("1,a,0.5,0.25\n2,a,x,0\n1,a,0.5,0.25\n", 3, 3),
+        ("1,a,0.5,0.25\n2,a,x,0\n\n", 3, 3),
+        ('1,a,0.5,0.25\n2,"a,0.5,0.25\n', 3, None),       # unterminated quote
+    ])
+    def test_error_location(self, tmp_path, body, line, column):
+        p = write_bytes(tmp_path, self.HEADER + body)
+        with pytest.raises(ParseError) as err:
+            load_forecasts(p)
+        assert (err.value.line, err.value.column) == (line, column)
+
+    def test_empty_file(self, tmp_path):
+        p = write_bytes(tmp_path, "")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError) as err:
+                load_forecasts(p)
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize("text", ["t,channel,h1,h2\n", "t,channel,h1,h2"])
+    def test_header_only_gives_empty_table(self, tmp_path, text):
+        p = write_bytes(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table, horizon = load_forecasts(p)
+        assert (table, horizon) == ({}, 2)
+
+    @pytest.mark.parametrize("header", [
+        "t,channel\n", "channel,t,h1\n", "t,channel,h2\n", "t,channel,h1,h1\n"])
+    def test_bad_header_reports_line_1(self, tmp_path, header):
+        p = write_bytes(tmp_path, header + "1,a,0.5,0.5\n")
+        with pytest.raises(ParseError) as err:
+            load_forecasts(p)
+        assert err.value.line == 1
+
+    def test_header_cells_are_stripped(self, tmp_path):
+        p = write_bytes(tmp_path, " t , channel ,h1 \n3,a,0.5\n")
+        table, horizon = load_forecasts(p)
+        assert horizon == 1
+        assert list(table) == [(3, "a")]
+
+    def test_quoted_names_round_trip(self, tmp_path):
+        names = ["a,b", 'say "hi"', '""', " padded ", "", "two\nlines",
+                 "cr\r\nlf", "tab\tbed", "ünïcode"]
+        rows = [(t, name, np.full(3, t + 0.5)) for t in (0, 1) for name in names]
+        p = tmp_path / "f.csv"
+        write_forecasts(rows, 3, p)
+        table, horizon = load_forecasts(p)
+        assert list(table) == [(t, name) for t, name, _ in rows]
+        for t, name, vec in rows:
+            np.testing.assert_array_equal(table[(t, name)], vec)
+
+    def test_cell_whitespace_and_quotes(self, tmp_path):
+        p = write_bytes(tmp_path, 't,channel,h1,h2\n 7 , a ," 1.5", "2"\n"8",b,+1,-.5\n')
+        with pytest.raises(ParseError):
+            load_forecasts(p)  # ' "2"' is not a number: a quote only opens a cell
+        p = write_bytes(tmp_path, 't,channel,h1,h2\n 7 , a , 1.5 ,"2"\n"8",b,+1,-.5\n')
+        table, _ = load_forecasts(p)
+        assert list(table) == [(7, " a "), (8, "b")]
+        np.testing.assert_array_equal(table[(7, " a ")], [1.5, 2.0])
+        np.testing.assert_array_equal(table[(8, "b")], [1.0, -0.5])
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_other_line_endings(self, tmp_path, newline):
+        text = "t,channel,h1,h2\n1,a,0.5,0.25\n2,a,-1,3e-5\n".replace("\n", newline)
+        table, horizon = load_forecasts(write_bytes(tmp_path, text))
+        assert horizon == 2
+        assert list(table) == [(1, "a"), (2, "a")]
+        np.testing.assert_array_equal(table[(2, "a")], [-1.0, 3e-5])
+
+    def test_no_trailing_newline(self, tmp_path):
+        table, _ = load_forecasts(write_bytes(tmp_path, "t,channel,h1\n1,a,0.5"))
+        np.testing.assert_array_equal(table[(1, "a")], [0.5])
+
+    def test_bit_exact_against_cell_by_cell_parser(self, tmp_path):
+        rng = np.random.default_rng(7)
+        values = special_doubles(rng, 187).reshape(25, 8)
+        rows = [(int(t), name, values[i])
+                for i, (t, name) in enumerate(
+                    (t, name) for t in rng.permutation(5) - 2 for name in "edcba")]
+        p = tmp_path / "f.csv"
+        write_forecasts(rows, 8, p)
+        table, horizon = load_forecasts(p)
+        want, want_horizon = oracle_load_forecasts(p)
+        assert horizon == want_horizon == 8
+        assert list(table) == list(want)
+        assert [type(t) for t, _ in table] == [int] * len(rows)
+        for key, vec in want.items():
+            assert table[key].shape == (8,)
+            np.testing.assert_array_equal(bits(table[key]), bits(vec))
+
+
+class TestSeriesLoaderContract:
+    @pytest.mark.parametrize("text, line, column", [
+        ("a,b\n1,2\n3,4,5\n", 3, None),                    # long row (short: TestSeriesFiles)
+        ("a,b\n1,2\n,4\n", 3, 1),                          # empty cell
+        ("timestamp,a,b\nd1,1,2\nd2,3,x\n", 3, 3),         # timestamp shifts columns
+        ("Timestamp,a\nd1,1\nd2,\n", 3, 2),
+        ("a,b\n1,2\n\n3,4\n", 3, None),                    # blank line mid-file
+        ("a,b\n1,2\n3,4\n\n", 4, None),                    # trailing blank line
+        ("a,b\r\n1,2\r\n\r\n", 3, None),
+        ("a\n1\n \n", 3, 1),                               # whitespace-only cell
+        ("a,b\n1,x\n\n", 2, 2),                            # first error wins
+    ])
+    def test_error_location(self, tmp_path, text, line, column):
+        p = write_bytes(tmp_path, text, "s.csv")
+        with pytest.raises(ParseError) as err:
+            load_series(p)
+        assert (err.value.line, err.value.column) == (line, column)
+
+    def test_empty_file(self, tmp_path):
+        p = write_bytes(tmp_path, "", "s.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError) as err:
+                load_series(p)
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize("text", ["a,b\n", "timestamp,a\n", "a"])
+    def test_header_only_is_insufficient_without_warnings(self, tmp_path, text):
+        p = write_bytes(tmp_path, text, "s.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InsufficientData):
+                load_series(p)
+
+    @pytest.mark.parametrize("header", ["timestamp\n", ",\n", "a,b,a\n"])
+    def test_bad_header_reports_line_1(self, tmp_path, header):
+        p = write_bytes(tmp_path, header + "1,2,3\n", "s.csv")
+        with pytest.raises(ParseError) as err:
+            load_series(p)
+        assert err.value.line == 1
+
+    def test_single_channel(self, tmp_path):
+        s = load_series(write_bytes(tmp_path, "x\n1\n2\n", "s.csv"))
+        assert s.values.shape == (2, 1)
+        np.testing.assert_array_equal(s.values[:, 0], [1.0, 2.0])
+
+    def test_quoted_names_and_timestamps_round_trip(self, tmp_path):
+        series = Series(values=np.arange(6.0).reshape(3, 2) - 2.5,
+                        channel_names=["a,b", 'q"uote'],
+                        timestamps=["2021-01-01, 00:00", 'the "first"', "multi\nline"])
+        p = tmp_path / "s.csv"
+        write_series(series, p)
+        back = load_series(p)
+        assert back.channel_names == series.channel_names
+        assert back.timestamps == series.timestamps
+        np.testing.assert_array_equal(back.values, series.values)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_other_line_endings(self, tmp_path, newline):
+        text = "timestamp,a,b\nd1,1,2\nd2,3,4.5\n".replace("\n", newline)
+        s = load_series(write_bytes(tmp_path, text, "s.csv"))
+        assert s.channel_names == ["a", "b"]
+        assert s.timestamps == ["d1", "d2"]
+        np.testing.assert_array_equal(s.values, [[1.0, 2.0], [3.0, 4.5]])
+
+    @pytest.mark.parametrize("with_timestamps", [False, True])
+    def test_bit_exact_against_cell_by_cell_parser(self, tmp_path, with_timestamps):
+        rng = np.random.default_rng(8)
+        values = special_doubles(rng, 227).reshape(80, 3)
+        stamps = [f"step {i}" for i in range(80)] if with_timestamps else None
+        p = tmp_path / "s.csv"
+        write_series(Series(values=values, channel_names=["x", "y", "z"],
+                            timestamps=stamps), p)
+        got, want = load_series(p), oracle_load_series(p)
+        assert got.channel_names == want.channel_names
+        assert got.timestamps == want.timestamps
+        assert got.values.dtype == np.float64 and got.values.flags.c_contiguous
+        np.testing.assert_array_equal(bits(got.values), bits(want.values))
+
+
+class TestLoaderNumberSyntax:
+    """Inputs that ``int``/``float`` accepted cell by cell but the
+    loaders now reject (or, for the ASCII separator controls, accept),
+    because the number syntax is numpy's."""
+
+    @pytest.mark.parametrize("row, column", [
+        ("1_0,a,0.5", 1),                  # digit-group underscore in t
+        ("١,a,0.5", 1),                    # non-ASCII digit in t
+        ("9223372036854775808,a,0.5", 1),  # t beyond int64
+        ("-9223372036854775809,a,0.5", 1),
+        ("1,a,1_000.5", 3),
+        ("1,a,٣", 3),
+        ("1,a,１", 3),
+    ])
+    def test_forecast_cells_rejected(self, tmp_path, row, column):
+        p = write_bytes(tmp_path, f"t,channel,h1\n0,a,0.5\n{row}\n")
+        with pytest.raises(ParseError) as err:
+            load_forecasts(p)
+        assert (err.value.line, err.value.column) == (3, column)
+
+    def test_int64_bounds_accepted(self, tmp_path):
+        p = write_bytes(tmp_path, "t,channel,h1\n9223372036854775807,a,1\n"
+                                  "-9223372036854775808,a,2\n")
+        table, _ = load_forecasts(p)
+        assert list(table) == [(2**63 - 1, "a"), (-2**63, "a")]
+
+    @pytest.mark.parametrize("cell", ["1_0", "٣", "1e1_0"])
+    def test_series_cells_rejected(self, tmp_path, cell):
+        p = write_bytes(tmp_path, f"a,b\n1,2\n3,{cell}\n", "s.csv")
+        with pytest.raises(ParseError) as err:
+            load_series(p)
+        assert (err.value.line, err.value.column) == (3, 2)
+
+    def test_blank_line_inside_quoted_cell_rejected(self, tmp_path):
+        p = tmp_path / "f.csv"
+        write_forecasts([(0, "a", [1.0]), (1, "two\n\nbreaks", [2.0])], 1, p)
+        with pytest.raises(ParseError, match="blank line"):
+            load_forecasts(p)
+
+    def test_separator_controls_around_numbers_accepted(self, tmp_path):
+        p = write_bytes(tmp_path, "t,channel,h1\n\x1c4\x1f,a,\x1d2.5\x1e\n")
+        table, _ = load_forecasts(p)
+        np.testing.assert_array_equal(table[(4, "a")], [2.5])
 
 
 class TestRunConfigFiles:

@@ -5,6 +5,7 @@ the oracle for the recursive updates.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,22 @@ class TestExpWeightStep:
         assert np.all(out >= 0) and np.all(out <= 1)
         assert out.sum() == pytest.approx(1.0)
         assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("prev, losses, want", [
+        ([0.5, 0.5], [1e308, 1e308], [0.5, 0.5]),
+        ([0.3, 0.7], [1e308, 1e308], [0.3, 0.7]),
+        ([0.5, 0.5], [1e308, 1e307], [0.0, 1.0]),
+        ([0.5, 0.5], [-1e308, 1e308], [1.0, 0.0]),
+        ([0.5, 0.5], [-1e308, 0.0], [1.0, 0.0]),
+        ([0.0, 1.0], [0.0, 1e308], [0.0, 1.0]),
+        ([0.0, 1.0], [-1e308, 1e308], [0.0, 1.0]),
+        ([0.2, 0.0, 0.8], [1e308, -1e308, 1e308], [0.2, 0.0, 0.8]),
+    ])
+    def test_overflowing_scaled_losses(self, prev, losses, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = exp_weight_step(np.array(prev), np.array(losses), 10.0)
+        np.testing.assert_allclose(out, want, rtol=1e-15, atol=0)
 
     def test_zero_weight_stays_zero(self):
         out = exp_weight_step(np.array([1.0, 0.0]), np.array([5.0, 0.0]), 0.5)
