@@ -1,16 +1,17 @@
 """Rolling-window deployment simulator.
 
-The harness steps through a multichannel series one time step at a time.
-At each step it reads the trailing context window of every channel once,
-obtains a base forecast and an adaptive forecast per channel (one
-``predict`` call on the whole stack when the forecaster is shared),
-combines them with the channel's current weight and emits a bundle. Every ``update_period`` steps it scores
-every window whose target has fully materialized, feeds those scores to
-the per-channel weighters, absorbs the newly revealed raw values into the
-running channel statistics and refits the forecaster on the newly
-completed pairs. Nothing ever reads past the current step: pairs enter
-fitting only once their target lies entirely in the past, at the price of
-a horizon-length lag.
+The harness steps through a multichannel series one time step at a time
+with one forecaster, holding one model for all channels or one per channel
+(``shared_weights``). At each step it reads the trailing context window of
+every channel once, obtains a base forecast per channel and all adaptive
+forecasts from one ``predict`` call, combines them with each channel's
+current weight and emits a bundle. Every ``update_period`` steps it reads
+every window whose target has fully materialized into one channel-major
+block, scores it, feeds those scores to the per-channel weighters, absorbs
+the newly revealed raw values into the running channel statistics and
+refits the forecaster on the block. Nothing ever reads past the current
+step: pairs enter fitting only once their target lies entirely in the
+past, at the price of a horizon-length lag.
 
 The dataset is only ever touched through ``__getitem__`` on the object
 passed in, so tests can substitute an index-recording wrapper to audit
@@ -31,7 +32,7 @@ from .errors import (
     MissingForecast,
     ShapeMismatch,
 )
-from .forecaster import OnlineForecaster, SamplePair
+from .forecaster import OnlineForecaster
 from .metrics import score_windows
 from .weighter import ChannelWeighter, combine
 
@@ -259,17 +260,11 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
             f"{len(channel_names)} channel names for {n_channels} channels"
         )
 
-    def new_forecaster():
-        return OnlineForecaster(
-            L, H, config.seasonality, lam=config.lam, alpha=config.alpha,
-            instance_norm=config.instance_norm, channel_scaling=config.channel_scaling,
-        )
-
-    if config.shared_weights:
-        forecasters = [new_forecaster()]
-    else:
-        forecasters = [new_forecaster() for _ in range(n_channels)]
-
+    forecaster = OnlineForecaster(
+        L, H, config.seasonality, lam=config.lam, alpha=config.alpha,
+        instance_norm=config.instance_norm, channel_scaling=config.channel_scaling,
+        models=1 if config.shared_weights else n_channels,
+    )
     weighters = [
         ChannelWeighter(eta=config.eta, fast_window=config.fast_window,
                         warmup_steps=config.warmup)
@@ -292,13 +287,15 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
     def do_update(t_now):
         nonlocal last_fit_origin, last_observed
         origins = collect_completed_pairs(t_now, last_fit_origin, L, H)
-        windows = []  # per channel: the (contexts, targets) scored, then fitted
         if origins:
-            for ch in range(n_channels):
+            # the completed windows, channel-major (C, m, L) and (C, m, H):
+            # scored per channel, then fitted as one block
+            ctx_block = np.array([[dataset[t - L + 1: t + 1, ch] for t in origins]
+                                  for ch in range(n_channels)], dtype=np.float64)
+            tgt_block = np.array([[dataset[t + 1: t + 1 + H, ch] for t in origins]
+                                  for ch in range(n_channels)], dtype=np.float64)
+            for ch, (ctxs, tgts) in enumerate(zip(ctx_block, tgt_block)):
                 block = [bundles[ch][t - t0] for t in origins]
-                ctxs = np.stack([dataset[t - L + 1: t + 1, ch] for t in origins])
-                tgts = np.stack([dataset[t + 1: t + 1 + H, ch] for t in origins])
-                windows.append((ctxs, tgts))
                 w = weighters[ch]
                 # streams: base, adaptive, combined, and the two combos at
                 # the fast and slow weights frozen since the previous update
@@ -341,22 +338,12 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
 
         # absorb the raw values revealed since the previous update
         for idx in range(last_observed + 1, t_now + 1):
-            row = np.asarray(dataset[idx], dtype=np.float64)
-            if config.shared_weights:
-                forecasters[0].observe_values(row)
-            else:
-                for ch in range(n_channels):
-                    forecasters[ch].observe_values(row[ch: ch + 1])
+            forecaster.observe_values(np.asarray(dataset[idx], dtype=np.float64))
         last_observed = t_now
 
         if origins:
-            if config.shared_weights:
-                forecasters[0].fit_block([SamplePair(ctx, tgt, ch)
-                                          for ch, (ctxs, tgts) in enumerate(windows)
-                                          for ctx, tgt in zip(ctxs, tgts)])
-            else:
-                for f, (ctxs, tgts) in zip(forecasters, windows):
-                    f.fit_block([SamplePair(ctx, tgt, 0) for ctx, tgt in zip(ctxs, tgts)])
+            forecaster.fit(ctx_block.reshape(-1, L), tgt_block.reshape(-1, H),
+                           np.repeat(np.arange(n_channels), len(origins)))
             last_fit_origin = origins[-1]
 
     # values before the first forecast step are revealed up front; they
@@ -372,8 +359,7 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
         base.observe(t, np.asarray(dataset[t], dtype=np.float64))
         # the (L, C) window is read once; row ch of ctxs is channel ch's context
         ctxs = np.ascontiguousarray(np.asarray(dataset[t - L + 1: t + 1], dtype=np.float64).T)
-        if config.shared_weights:
-            shared_forecasts = forecasters[0].predict(ctxs)
+        adaptive = forecaster.predict(ctxs)
         for ch in range(n_channels):
             ctx = ctxs[ch]
             bf = np.asarray(base.forecast(t, ch, ctx), dtype=np.float64)
@@ -382,7 +368,7 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
                     f"base forecast at (t={t}, channel={ch}) has shape {bf.shape}, "
                     f"expected ({H},)"
                 )
-            af = shared_forecasts[ch] if config.shared_weights else forecasters[ch].predict(ctx)
+            af = adaptive[ch]
             w = applied[ch]
             bundles[ch].append(ForecastBundle(
                 time_step=t, channel=ch, base_forecast=bf, adaptive_forecast=af,

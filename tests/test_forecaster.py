@@ -744,3 +744,151 @@ class TestSnapshot:
         np.savez(path, **fields)
         with pytest.raises(InvalidConfig, match=field):
             load_forecaster(path)
+
+    def test_untrained_round_trip_loads(self, tmp_path):
+        f = new_forecaster(16, 4, 2)
+        path = tmp_path / "state.npz"
+        save_forecaster(f, path)
+        g = load_forecaster(path)
+        assert g.n_samples == 0 and g.stats.counts is None
+        np.testing.assert_array_equal(g.predict(np.arange(16.0)), f.predict(np.arange(16.0)))
+
+    @pytest.mark.parametrize("field, bad", [
+        ("n_samples", np.array(-5)),
+        ("n_samples", np.array(2.5)),
+        ("stats_counts", np.array([2.5, 7.0])),
+        ("stats_counts", np.array([-1, 10])),
+    ])
+    def test_bad_counters_rejected(self, tmp_path, field, bad):
+        path, fields = self._saved_fields(tmp_path)
+        fields[field] = bad
+        np.savez(path, **fields)
+        with pytest.raises(InvalidConfig, match=field):
+            load_forecaster(path)
+
+    def test_zero_samples_with_fitted_weight_rejected(self, tmp_path):
+        path, fields = self._saved_fields(tmp_path)
+        assert np.any(fields["weight"])
+        fields["n_samples"] = np.array(0)
+        np.savez(path, **fields)
+        with pytest.raises(InvalidConfig, match="n_samples.*weight"):
+            load_forecaster(path)
+
+    def test_multi_model_save_rejected(self, tmp_path):
+        path = tmp_path / "state.npz"
+        with pytest.raises(InvalidConfig, match="one model"):
+            save_forecaster(new_forecaster(16, 4, 2, models=2), path)
+        assert not path.exists()
+
+
+def blocks_per_model(rng, models, m, L, H):
+    """Channel-major rows: ``m`` (context, target) rows for each model."""
+    return rng.normal(size=(models, m, L)) + 4.0, rng.normal(size=(models, m, H)) + 4.0
+
+
+class TestModelAxis:
+    """A G-model forecaster against its oracle, G one-model forecasters,
+    each seeing one channel's statistics and rows."""
+
+    STATE = ("a_inv", "gram_norm", "cross_norm", "weight")
+
+    def _multi_and_singles(self, config, models, seed):
+        L, H, alpha, instance_norm, channel_scaling = config
+        kw = dict(lam=2.0, alpha=alpha, instance_norm=instance_norm,
+                  channel_scaling=channel_scaling)
+        multi = new_forecaster(L, H, 2, models=models, **kw)
+        singles = [new_forecaster(L, H, 2, **kw) for _ in range(models)]
+        rng = np.random.default_rng(seed)
+        for v in rng.normal(size=(25, models)) * [1.0, 6.0, 0.05][:models]:
+            multi.observe_values(v)
+            for g, f in enumerate(singles):
+                f.observe_values(v[g:g + 1])
+        return multi, singles, rng
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_matches_one_forecaster_per_model(self, config):
+        L, H = config[:2]
+        multi, singles, rng = self._multi_and_singles(config, 3, seed=71)
+        probes = rng.normal(size=(3, 2, L)) * 3.0 + 2.0
+
+        def check_predictions():
+            # one window per model (1-D to each oracle) and a stack of two
+            want = np.stack([f.predict(p[0]) for f, p in zip(singles, probes)])
+            np.testing.assert_array_equal(multi.predict(probes[:, 0]), want)
+            want = np.concatenate([f.predict(p) for f, p in zip(singles, probes)])
+            np.testing.assert_array_equal(multi.predict(probes.reshape(-1, L)), want)
+
+        check_predictions()  # cold start: the seasonal tile
+        for m in (3, 40, 1, 12):  # block sizes below and above design_dim
+            ctxs, tgts = blocks_per_model(rng, 3, m, L, H)
+            multi.fit(ctxs.reshape(-1, L), tgts.reshape(-1, H), np.repeat(np.arange(3), m))
+            for g, f in enumerate(singles):
+                f.fit_block([SamplePair(c, t, 0) for c, t in zip(ctxs[g], tgts[g])])
+                for name in self.STATE:
+                    np.testing.assert_array_equal(getattr(multi.cores[g], name),
+                                                  getattr(f.core, name), err_msg=name)
+                np.testing.assert_array_equal(multi.time_map[g], f.time_map[0])
+            check_predictions()
+        assert multi.n_samples == 56 and len(multi.cores) == 3
+
+    @pytest.mark.parametrize("method", ["woodbury", "direct"])
+    def test_forced_solve_paths_match_one_forecaster_per_model(self, method):
+        config = (16, 4, 1.0, True, True)
+        multi, singles, rng = self._multi_and_singles(config, 2, seed=83)
+        for m in (5, 9):
+            ctxs, tgts = blocks_per_model(rng, 2, m, 16, 4)
+            multi.fit(ctxs.reshape(-1, 16), tgts.reshape(-1, 4), np.repeat([0, 1], m), method)
+            for g, f in enumerate(singles):
+                f.fit_block([SamplePair(c, t, 0) for c, t in zip(ctxs[g], tgts[g])], method)
+                for name in self.STATE:
+                    np.testing.assert_array_equal(getattr(multi.cores[g], name),
+                                                  getattr(f.core, name), err_msg=name)
+
+    def test_fit_equals_fit_block(self):
+        (f, g), block, _ = fitted_pair_of_forecasters((17, 5, 0.8, True, True), seed=73)
+        for n in (3, 40):
+            pairs = block(n)
+            f.fit_block(pairs)
+            g.fit(np.stack([p.context for p in pairs]), np.stack([p.target for p in pairs]),
+                  np.array([p.channel for p in pairs]))
+            for name in self.STATE:
+                np.testing.assert_array_equal(getattr(g.core, name), getattr(f.core, name))
+            np.testing.assert_array_equal(g.time_map, f.time_map)
+
+    def test_model_count_below_one_rejected(self):
+        with pytest.raises(InvalidConfig, match="model"):
+            new_forecaster(8, 2, 2, models=0)
+
+    def test_row_count_not_a_multiple_of_models_rejected(self):
+        f = new_forecaster(8, 2, 2, models=3)
+        rng = np.random.default_rng(5)
+        for fitted in (False, True):
+            with pytest.raises(ShapeMismatch, match="multiple of 3"):
+                f.fit(rng.normal(size=(4, 8)), rng.normal(size=(4, 2)), [0, 0, 1, 2])
+            for bad in (rng.normal(size=(4, 8)), rng.normal(size=8)):
+                with pytest.raises(ShapeMismatch, match="multiple of 3"):
+                    f.predict(bad)
+            if not fitted:
+                f.fit(rng.normal(size=(6, 8)), rng.normal(size=(6, 2)), [0, 0, 1, 1, 2, 2])
+        assert f.n_samples == 2
+        assert f.predict(rng.normal(size=(3, 8))).shape == (3, 2)
+
+
+class TestFitChannels:
+    def test_negative_channel_in_pairs_rejected(self):
+        # a negative index would read another channel's statistics
+        (f, _), block, _ = fitted_pair_of_forecasters((16, 4, 1.0, True, True), seed=79)
+        pairs = block(4)
+        pairs[2].channel = -1
+        with pytest.raises(ShapeMismatch, match="non-negative"):
+            f.fit_block(pairs)
+        assert f.n_samples == 0
+
+    @pytest.mark.parametrize("channels", [[0, -1, 2], [0, 1.5, 2], [0.0, 1.0, 2.0],
+                                          [[0, 1, 2]], [0, 1], 0])
+    def test_bad_channel_arrays_rejected(self, channels):
+        f = new_forecaster(16, 4, 2)
+        rng = np.random.default_rng(3)
+        with pytest.raises(ShapeMismatch, match="channels"):
+            f.fit(rng.normal(size=(3, 16)), rng.normal(size=(3, 4)), channels)
+        assert f.n_samples == 0

@@ -13,6 +13,7 @@ from adapts.errors import (
     MissingForecast,
     ShapeMismatch,
 )
+from adapts.forecaster import OnlineForecaster
 from adapts.harness import (
     HistoricalMeanBase,
     NaiveSeasonalBase,
@@ -372,3 +373,43 @@ class TestBaseValidation:
         data = sine_dataset(200, channels=1)
         with pytest.raises(ShapeMismatch):
             run(data, Broken(cfg.seasonality, cfg.horizon), cfg)
+
+
+class TestOneForecasterForBothModes:
+    def test_per_channel_run_equals_one_channel_runs(self):
+        # per-channel mode is the one-channel run repeated per channel
+        data = ar_seasonal_series(seed=4, steps=500, channels=3, period=8)
+        cfg = small_config(shared_weights=False)
+        joint = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
+        for ch in range(3):
+            alone = run(data[:, ch:ch + 1], NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
+            assert len(alone.bundles[0]) == len(joint.bundles[ch])
+            for a, b in zip(alone.bundles[0], joint.bundles[ch]):
+                for attr in ("base_forecast", "adaptive_forecast", "combined_forecast", "target"):
+                    np.testing.assert_array_equal(getattr(a, attr), getattr(b, attr))
+                assert a.weight_used == b.weight_used
+            assert alone.per_channel["ch0"] == joint.per_channel[f"ch{ch}"]
+            assert alone.weights["ch0"] == joint.weights[f"ch{ch}"]
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_one_predict_per_step_and_one_observe_per_row(self, shared, monkeypatch):
+        calls = {"predict": 0, "observe_values": 0}
+
+        def counting(name):
+            original = getattr(OnlineForecaster, name)
+
+            def counted(self, *args, **kwargs):
+                calls[name] += 1
+                return original(self, *args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(OnlineForecaster, name, counting(name))
+        cfg = small_config(shared_weights=shared)
+        steps = []
+        run(sine_dataset(300, channels=3, noise=0.1, seed=2),
+            NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg, step_callback=steps.append)
+        assert calls["predict"] == len(steps)
+        # the last update absorbs every row up to its own step
+        last_update = steps[(len(steps) // cfg.update_period) * cfg.update_period - 1]
+        assert calls["observe_values"] == last_update + 1
