@@ -22,7 +22,7 @@ import numpy as np
 from . import io as adio
 from .config import WEIGHTER_MODES
 from .errors import AdaptsError, InvalidConfig, UsageError
-from .forecaster import OnlineForecaster, SpectralRidge
+from .forecaster import OnlineForecaster, SpectralRidge, woodbury_pays
 from .harness import make_base_forecaster, run
 
 SWEEP_AXES = ("alpha", "update_period", "horizon")
@@ -189,16 +189,16 @@ def cmd_bench(args) -> int:
             model.absorb(rows_in, rows_out, method=method)
         timings[method] = time.perf_counter() - start
         states[method] = model
-    gap = np.linalg.norm(states["woodbury"].a_inv - states["direct"].a_inv)
-    gap /= np.linalg.norm(states["direct"].a_inv)
-    match = gap < 1e-8
+    gaps = {name: np.linalg.norm(getattr(states["woodbury"], name) - getattr(states["direct"], name))
+            / np.linalg.norm(getattr(states["direct"], name)) for name in ("a_inv", "weight")}
+    match = max(gaps.values()) < 1e-8
     print(f"design_dim={dim} block={m} updates={args.updates}")
     print(f"woodbury: {timings['woodbury']:.4f}s")
     print(f"direct:   {timings['direct']:.4f}s")
-    if m >= dim:
-        print(f"note: block size {m} >= design dim {dim}; "
-              "the automatic path selects the direct recompute")
-    print(f"match={'true' if match else 'false'} (rel_gap={gap:.2e})")
+    print(f"auto path: {'woodbury' if woodbury_pays(m, dim) else 'direct'} "
+          f"(block {m}, design dim {dim})")
+    print(f"match={'true' if match else 'false'} "
+          f"(a_inv rel_gap={gaps['a_inv']:.2e}, weight rel_gap={gaps['weight']:.2e})")
     return 0 if match else 3
 
 

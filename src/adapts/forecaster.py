@@ -18,12 +18,16 @@ coefficient is zero up to rounding. The DC column stays anyway: one basis
 then serves both settings, and a zero column costs one Gram row.
 
 The weight matrix is the ridge solution over every (context, target) pair
-absorbed so far and is refreshed incrementally: small blocks update the
-maintained inverse Gram matrix through the Woodbury identity, large blocks
-trigger a direct recompute from normalized accumulators. The Gram and
-cross-moment matrices are stored divided by the sample count, so their
-entries stay bounded no matter how much history accumulates; the ridge
-term is annealed by the same factor when recomputing directly.
+absorbed so far and is refreshed incrementally (:class:`SpectralRidge`).
+Small blocks (:func:`woodbury_pays`) take a block recursive least squares
+step through the Woodbury identity, which updates the weight and the
+inverse Gram matrix in place; larger blocks, and small ones whose inner
+matrix fails a trace or Cholesky test, trigger a direct refit that solves
+for the weight from normalized accumulators and leaves the inverse to be
+computed when something reads it. The Gram and cross-moment matrices are
+stored divided by the sample count, so their entries stay bounded no
+matter how much history accumulates; the ridge term is annealed by the
+same factor in the direct solve.
 
 :meth:`OnlineForecaster.fit` embeds a block of (context, target) arrays
 at once: one batched real FFT per side followed by the layout, the same
@@ -138,30 +142,81 @@ class ChannelStats:
         self.means += delta / self.counts
         self.m2s += delta * (x - self.means)
 
+    def _count(self, channel: int) -> int:
+        if channel < 0:
+            raise ShapeMismatch(f"channel index must be non-negative, got {channel}")
+        return int(self.counts[channel]) if channel < self.n_channels else 0
+
     def variance(self, channel: int) -> float:
-        """Sample variance; zero until a channel has two observations."""
-        if self.counts is None or self.counts[channel] < 2:
+        """Sample variance; zero until a channel has two observations,
+        including a channel beyond the observed ones. A negative channel
+        raises :class:`ShapeMismatch`, as it does in :meth:`std`."""
+        if self._count(channel) < 2:
             return 0.0
         return float(self.m2s[channel] / (self.counts[channel] - 1))
 
     def std(self, channel: int) -> float:
         """Scaling factor for a channel: 1 until two observations exist,
         then the running standard deviation floored at ``SIGMA_FLOOR``."""
-        if self.counts is None or channel >= self.counts.shape[0] or self.counts[channel] < 2:
+        if self._count(channel) < 2:
             return 1.0
         return max(float(np.sqrt(self.variance(channel))), SIGMA_FLOOR)
+
+
+def woodbury_pays(m: int, d: int) -> bool:
+    """Whether ``absorb(method="auto")`` folds a block of ``m`` rows into a
+    ridge of design dimension ``d`` by a Woodbury step rather than a direct
+    refit.
+
+    A Woodbury step grows with the block (three ``d×d×m`` products); a
+    direct refit is dominated by its ``d×d`` solve. With one BLAS thread
+    and real rows the two cross at 0.22-0.28·d, both at d=469 and at d=117.
+    """
+    return m < d // 4
+
+
+def _inner_fault(inner: np.ndarray):
+    """The test that rejects the Woodbury inner matrix ``I + X A X*``:
+    "trace", "cholesky", or None when both pass.
+
+    The matrix has eigenvalues >= 1, so its condition number is at most its
+    largest eigenvalue, which is at most its trace: "trace" fires whenever
+    ``cond(inner) > CONDITION_LIMIT`` would. "cholesky" fires when rounding
+    has left it not positive definite, the one case in which it has no
+    Cholesky factorisation.
+    """
+    if not np.trace(inner).real <= CONDITION_LIMIT:
+        return "trace"
+    try:
+        np.linalg.cholesky(inner)
+    except np.linalg.LinAlgError:
+        return "cholesky"
+    return None
 
 
 class SpectralRidge:
     """Incremental ridge regression.
 
-    Maintains ``a_inv = (X*X + lam*I)^-1`` over all absorbed design rows
-    ``X`` together with normalized accumulators ``gram_norm = X*X / N``
-    and ``cross_norm = X*Y / N`` (``*`` is the conjugate transpose). The
-    cached ``weight`` always equals the closed-form ridge solution
-    ``a_inv @ X*Y``. The state starts real and follows the rows' dtype by
-    numpy promotion: the forecaster feeds real rows, and complex rows turn
-    the same code into a complex ridge.
+    Keeps normalized accumulators ``gram_norm = X*X / N`` and ``cross_norm
+    = X*Y / N`` over all absorbed design rows ``X`` (``*`` is the conjugate
+    transpose) and the ridge solution ``weight = (X*X + lam*I)^-1 X*Y``.
+    A block is folded in one of two ways:
+
+    - a direct refit solves ``(gram_norm + lam/N * I) weight = cross_norm``
+      (the ridge term annealed by ``1/N``, so nothing unbounded is stored);
+    - a Woodbury step is block recursive least squares: with ``A =
+      a_inv``, ``T = A X*`` and ``inner = I + X T``, it sets ``weight +=
+      T inner^-1 (Y - X weight)`` and downdates ``A -= T inner^-1 T*`` in
+      place. It is refused when ``inner`` fails :func:`_inner_fault`.
+
+    ``a_inv = (X*X + lam*I)^-1`` is computed only when read: a direct refit
+    drops it, and the next Woodbury step, snapshot or reader recomputes it
+    from the normalized Gram. ``last_path`` and ``last_fallback`` record
+    how the latest block was absorbed and which test, if any, sent it from
+    the Woodbury step to a direct refit.
+
+    The state starts real and follows the rows' dtype: the forecaster feeds
+    real rows, and complex rows turn the same code into a complex ridge.
     """
 
     def __init__(self, dim_in: int, dim_out: int, lam: float):
@@ -172,52 +227,48 @@ class SpectralRidge:
         self.dim_in = dim_in
         self.dim_out = dim_out
         self.lam = float(lam)
-        self.a_inv = np.eye(dim_in) / lam
+        self._a_inv = None
         self.gram_norm = np.zeros((dim_in, dim_in))
         self.cross_norm = np.zeros((dim_in, dim_out))
         self.weight = np.zeros((dim_in, dim_out))
         self.n_samples = 0
+        self.last_path = None
+        self.last_fallback = None
 
-    def _hermitize(self, m: np.ndarray) -> np.ndarray:
-        return (m + m.conj().T) / 2.0
+    @property
+    def a_inv(self) -> np.ndarray:
+        """``(X*X + lam*I)^-1``, recomputed from the normalized Gram on the
+        first read after a direct refit."""
+        if self._a_inv is None:
+            n = self.n_samples
+            if n == 0:
+                self._a_inv = np.eye(self.dim_in, dtype=self.gram_norm.dtype) / self.lam
+            else:
+                # the direct refit already solved with this very matrix
+                inv = np.linalg.inv(self._regularized(self.gram_norm, n)) / n
+                self._a_inv = (inv + inv.conj().T) / 2.0
+        return self._a_inv
 
-    def _woodbury_step(self, rows: np.ndarray) -> np.ndarray:
-        """Inverse after adding ``rows`` to the Gram, via the low-rank
-        update; the inner solve is block-size by block-size."""
-        m = rows.shape[0]
-        t = self.a_inv @ rows.conj().T                      # (d, m)
-        inner = np.eye(m) + rows @ t                        # (m, m)
-        if np.linalg.cond(inner) > CONDITION_LIMIT:
-            raise IllConditionedUpdate(
-                f"inner {m}x{m} solve condition exceeds {CONDITION_LIMIT:.0e}"
-            )
-        return self._hermitize(self.a_inv - t @ np.linalg.solve(inner, t.conj().T))
+    @a_inv.setter
+    def a_inv(self, value: np.ndarray) -> None:
+        self._a_inv = value
 
-    def _direct_inverse(self, total: int) -> np.ndarray:
-        """Inverse recomputed from the normalized Gram with the ridge term
-        annealed by 1/N, avoiding the unbounded raw accumulation."""
-        reg = self.gram_norm + (self.lam / total) * np.eye(self.dim_in)
-        try:
-            inv = np.linalg.inv(reg)
-        except np.linalg.LinAlgError as exc:
-            raise IllConditionedUpdate(f"regularized Gram is singular: {exc}") from exc
-        return self._hermitize(inv / total)
+    def _regularized(self, gram: np.ndarray, total: int) -> np.ndarray:
+        reg = gram.copy()
+        reg.flat[::self.dim_in + 1] += self.lam / total
+        return reg
 
-    def absorb(self, rows_in: np.ndarray, rows_out: np.ndarray, method: str = "auto") -> None:
-        """Fold a block of design rows into the model and refresh ``weight``.
+    def prepare(self, rows_in: np.ndarray, rows_out: np.ndarray, method: str = "auto"):
+        """Check a block and return the zero-argument function that absorbs
+        it (see :meth:`absorb` for the arguments).
 
-        Parameters
-        ----------
-        rows_in : (m, dim_in) real or complex ndarray
-        rows_out : (m, dim_out) real or complex ndarray
-        method : {"auto", "woodbury", "direct"}
-            "auto" uses the Woodbury path for blocks smaller than
-            ``dim_in`` and falls back to a direct recompute when the inner
-            solve is ill-conditioned; "woodbury" raises
-            :class:`IllConditionedUpdate` instead of falling back.
+        Everything that can raise runs here, before the model changes: the
+        shape checks, the Woodbury test and both solves. The returned
+        function only applies the result; call it before anything else
+        changes the model.
         """
         rows_in, rows_out = np.asarray(rows_in), np.asarray(rows_out)
-        dtype = np.result_type(rows_in, rows_out, np.float64)
+        dtype = np.result_type(rows_in, rows_out, self.gram_norm)
         rows_in, rows_out = rows_in.astype(dtype, copy=False), rows_out.astype(dtype, copy=False)
         if rows_in.ndim != 2 or rows_in.shape[1] != self.dim_in:
             raise ShapeMismatch(f"design rows must be (m, {self.dim_in}), got {rows_in.shape}")
@@ -230,23 +281,78 @@ class SpectralRidge:
             raise ShapeMismatch("cannot absorb an empty block")
         if method not in ("auto", "woodbury", "direct"):
             raise InvalidConfig(f"unknown fit method {method!r}")
-
-        new_a_inv = None
-        if method == "woodbury" or (method == "auto" and m < self.dim_in):
-            try:
-                new_a_inv = self._woodbury_step(rows_in)
-            except IllConditionedUpdate:
-                if method == "woodbury":
-                    raise
-                new_a_inv = None  # auto: fall back to the direct recompute
-
         total = self.n_samples + m
         keep = self.n_samples / total
-        self.gram_norm = keep * self.gram_norm + (rows_in.conj().T @ rows_in) / total
-        self.cross_norm = keep * self.cross_norm + (rows_in.conj().T @ rows_out) / total
+
+        fault = None
+        if method == "woodbury" or (method == "auto" and woodbury_pays(m, self.dim_in)):
+            t = self.a_inv @ rows_in.conj().T                  # (d, m)
+            inner = rows_in @ t                                # (m, m)
+            inner.flat[::m + 1] += 1.0
+            fault = _inner_fault(inner)
+            if fault is None:
+                # one m×m solve gives both the downdate factor and the weight step
+                solved = np.linalg.solve(
+                    inner, np.concatenate([t.conj().T, rows_out - rows_in @ self.weight], axis=1))
+                return lambda: self._woodbury_step(rows_in, rows_out, t, solved, total, keep)
+            if method == "woodbury":
+                raise IllConditionedUpdate(
+                    f"inner {m}x{m} solve failed the {fault} test (limit {CONDITION_LIMIT:.0e})")
+
+        gram = keep * self.gram_norm + (rows_in.conj().T @ rows_in) / total
+        cross = keep * self.cross_norm + (rows_in.conj().T @ rows_out) / total
+        try:
+            weight = np.linalg.solve(self._regularized(gram, total), cross)
+        except np.linalg.LinAlgError as exc:
+            raise IllConditionedUpdate(f"regularized Gram is singular: {exc}") from exc
+
+        def refit():
+            self.gram_norm, self.cross_norm, self.weight = gram, cross, weight
+            self.n_samples = total
+            self._a_inv = None
+            self.last_path, self.last_fallback = "direct", fault
+        return refit
+
+    def _woodbury_step(self, rows_in, rows_out, t, solved, total, keep) -> None:
+        if self.gram_norm.dtype != t.dtype:  # complex rows into a real state
+            self.gram_norm, self.cross_norm, self.weight, self._a_inv = (
+                a.astype(t.dtype) for a in (self.gram_norm, self.cross_norm, self.weight,
+                                            self._a_inv))
+        d = self.dim_in
+        x_h = rows_in.conj().T
+        self.weight += t @ solved[:, d:]
+        a_inv = self._a_inv
+        scratch = t @ solved[:, :d]                            # the one d×d temporary
+        a_inv -= scratch
+        np.add(a_inv, a_inv.conj().T, out=scratch)
+        np.multiply(scratch, 0.5, out=a_inv)
+        # the new Gram takes over the scratch array and the old one is freed;
+        # keeping gram_norm's array and adding into it measured the batched
+        # embedding in fit ~1.6x slower on a per-channel L=520 replay
+        np.matmul(x_h, rows_in, out=scratch)
+        scratch /= total
+        self.gram_norm *= keep
+        scratch += self.gram_norm
+        self.gram_norm = scratch
+        self.cross_norm *= keep
+        self.cross_norm += (x_h @ rows_out) / total
         self.n_samples = total
-        self.a_inv = new_a_inv if new_a_inv is not None else self._direct_inverse(total)
-        self.weight = total * (self.a_inv @ self.cross_norm)
+        self.last_path, self.last_fallback = "woodbury", None
+
+    def absorb(self, rows_in: np.ndarray, rows_out: np.ndarray, method: str = "auto") -> None:
+        """Fold a block of design rows into the model and refresh ``weight``.
+
+        Parameters
+        ----------
+        rows_in : (m, dim_in) real or complex ndarray
+        rows_out : (m, dim_out) real or complex ndarray
+        method : {"auto", "woodbury", "direct"}
+            "auto" takes the Woodbury step when :func:`woodbury_pays` and
+            falls back to a direct refit when the inner matrix fails its
+            test; "woodbury" raises :class:`IllConditionedUpdate` instead
+            of falling back. Either way a raise leaves the model unchanged.
+        """
+        self.prepare(rows_in, rows_out, method)()
 
 
 class OnlineForecaster:
@@ -330,6 +436,8 @@ class OnlineForecaster:
             raise ShapeMismatch(f"context must have length {self.context_length}, got {ctx.shape}")
         if tgt.shape != (self.horizon,):
             raise ShapeMismatch(f"target must have length {self.horizon}, got {tgt.shape}")
+        if pair.channel < 0:
+            raise ShapeMismatch(f"channel index must be non-negative, got {pair.channel}")
         mu = ctx.mean() if self.instance_norm else 0.0
         sigma = self.stats.std(pair.channel) if self.channel_scaling else 1.0
         ctx_row = lowpass(forward_rft((ctx - mu) / sigma), self.filter.context_bins).bins
@@ -343,6 +451,14 @@ class OnlineForecaster:
         ``n / G`` consecutive rows per model and refresh ``time_map``.
         Channel statistics must already reflect the observations the rows
         were cut from (see :meth:`observe_values`).
+
+        Under ``method="woodbury"`` a block that fails the Woodbury test
+        raises, so every model's block is checked before any model changes
+        and the raise leaves the forecaster as it was. Under "auto" such a
+        block takes a direct refit instead, and models absorb one at a time
+        so that one new ``d×d`` Gram is alive at once, not one per model;
+        only a singular regularized Gram, a data error, can then raise
+        after earlier models have absorbed their rows.
         """
         L, H, G = self.context_length, self.horizon, len(self.cores)
         ctx = np.array(contexts, dtype=np.float64)
@@ -366,8 +482,13 @@ class OnlineForecaster:
         d_c, d_t = self.filter.context_bins, self.filter.target_bins
         rows_in = _real_coefficients(np.fft.rfft(ctx, axis=1)[:, :d_c], L)
         rows_out = _real_coefficients(np.fft.rfft(tgt, axis=1)[:, :d_t], H)
-        for core, x, y in zip(self.cores, np.split(rows_in, G), np.split(rows_out, G)):
-            core.absorb(x, y, method=method)
+        blocks = list(zip(self.cores, np.split(rows_in, G), np.split(rows_out, G)))
+        if method == "woodbury":
+            for absorb in [core.prepare(x, y, method) for core, x, y in blocks]:
+                absorb()
+        else:
+            for core, x, y in blocks:
+                core.absorb(x, y, method=method)
         self._refold()
 
     def fit_block(self, pairs, method: str = "auto") -> None:

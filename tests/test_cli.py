@@ -169,7 +169,9 @@ class TestBench:
         assert code == 0
         out = capsys.readouterr().out
         assert "woodbury:" in out and "direct:" in out
-        assert "match=true" in out
+        # block 16 at design dim 59 is past the switch point d // 4
+        assert "auto path: direct (block 16, design dim 59)" in out
+        assert "match=true" in out and "weight rel_gap=" in out
 
     def test_bench_notes_direct_path_for_large_blocks(self, capsys):
         code = main(["bench", "--set", "context_length=16", "--set", "horizon=4",
@@ -177,5 +179,12 @@ class TestBench:
                      "--updates", "2"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "selects the direct recompute" in out
+        assert "auto path: direct" in out
         assert "match=true" in out
+
+    def test_bench_names_the_woodbury_path_for_small_blocks(self, capsys):
+        code = main(["bench", "--set", "context_length=64", "--set", "horizon=8",
+                     "--set", "seasonality=8", "--update-period", "8",
+                     "--updates", "3"])
+        assert code == 0
+        assert "auto path: woodbury (block 8, design dim 59)" in capsys.readouterr().out

@@ -3,7 +3,8 @@
 Independent oracles: batch inverses built from the accumulated design
 matrix, the Sherman-Morrison rank-1 closed form, a two-pass variance
 computation, plain time-domain ridge regression, a least-squares ridge on
-the stacked design, and a complex ridge over conjugate-augmented spectra.
+the stacked design, a complex ridge over conjugate-augmented spectra, and
+the eager-inverse ridge update (:class:`OracleRidge`).
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from adapts.errors import IllConditionedUpdate, InvalidConfig, ShapeMismatch
 from adapts.forecaster import (
+    CONDITION_LIMIT,
     ChannelStats,
     OnlineForecaster,
     SamplePair,
@@ -19,6 +21,7 @@ from adapts.forecaster import (
     load_forecaster,
     new_forecaster,
     save_forecaster,
+    woodbury_pays,
 )
 from adapts.spectral import (
     Spectrum,
@@ -42,6 +45,56 @@ def batch_inverse(all_rows, lam):
 
 def rel_frobenius(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def hermitize(m):
+    return (m + m.conj().T) / 2.0
+
+
+class OracleRidge:
+    """The ridge update without block-RLS weights or the lazy inverse: it
+    keeps ``a_inv`` after every block, tests the Woodbury inner matrix by
+    its condition number and sets ``weight = N * a_inv @ cross_norm``.
+    ``method`` is the path to take, "woodbury" or "direct"."""
+
+    def __init__(self, dim_in, dim_out, lam):
+        self.dim_in, self.lam = dim_in, float(lam)
+        self.a_inv = np.eye(dim_in) / lam
+        self.gram_norm = np.zeros((dim_in, dim_in))
+        self.cross_norm = np.zeros((dim_in, dim_out))
+        self.weight = np.zeros((dim_in, dim_out))
+        self.n_samples = 0
+
+    def absorb(self, rows_in, rows_out, method):
+        m = rows_in.shape[0]
+        new_a_inv = None
+        if method == "woodbury":
+            t = self.a_inv @ rows_in.conj().T
+            inner = np.eye(m) + rows_in @ t
+            if np.linalg.cond(inner) > CONDITION_LIMIT:
+                raise IllConditionedUpdate("inner solve condition exceeds the limit")
+            new_a_inv = hermitize(self.a_inv - t @ np.linalg.solve(inner, t.conj().T))
+        total = self.n_samples + m
+        keep = self.n_samples / total
+        self.gram_norm = keep * self.gram_norm + (rows_in.conj().T @ rows_in) / total
+        self.cross_norm = keep * self.cross_norm + (rows_in.conj().T @ rows_out) / total
+        self.n_samples = total
+        if new_a_inv is None:
+            reg = self.gram_norm + (self.lam / total) * np.eye(self.dim_in)
+            new_a_inv = hermitize(np.linalg.inv(reg) / total)
+        self.a_inv = new_a_inv
+        self.weight = total * (self.a_inv @ self.cross_norm)
+
+
+def exact_weight(model):
+    """The ridge weight solved directly from a model's normalized state."""
+    reg = model.gram_norm + model.lam / model.n_samples * np.eye(model.dim_in)
+    return np.linalg.solve(reg, model.cross_norm)
+
+
+def ridge_state(model):
+    return {name: np.copy(getattr(model, name))
+            for name in ("a_inv", "gram_norm", "cross_norm", "weight", "n_samples")}
 
 
 def paired_stop(n, keep):
@@ -202,6 +255,22 @@ class TestChannelStats:
         st.observe([7.0])
         assert st.std(0) == 1.0
 
+    def test_channel_beyond_the_observed_ones_is_unscaled(self):
+        st = ChannelStats()
+        assert st.variance(0) == 0.0
+        for v in ([1.0, 5.0], [2.0, 9.0], [4.0, 1.0]):
+            st.observe(v)
+        assert st.variance(2) == 0.0 and st.std(2) == 1.0
+
+    def test_negative_channel_rejected(self):
+        # numpy's negative indexing would answer with another channel
+        st = ChannelStats()
+        for v in ([1.0, 5.0], [2.0, 9.0], [4.0, 1.0]):
+            st.observe(v)
+        for query in (st.variance, st.std, ChannelStats().std):
+            with pytest.raises(ShapeMismatch, match="non-negative"):
+                query(-1)
+
 
 class TestEmbed:
     def test_constant_context_embeds_to_zero(self):
@@ -238,6 +307,14 @@ class TestEmbed:
         with pytest.raises(ShapeMismatch):
             f.embed_pair(SamplePair(np.zeros(4), np.zeros(3), 0))
 
+    @pytest.mark.parametrize("channel_scaling", [True, False])
+    def test_negative_channel_rejected(self, channel_scaling):
+        f = new_forecaster(4, 2, 1, channel_scaling=channel_scaling)
+        for v in ([1.0, 5.0], [2.0, 9.0]):
+            f.observe_values(v)
+        with pytest.raises(ShapeMismatch, match="non-negative"):
+            f.embed_pair(SamplePair(np.arange(4.0), np.zeros(2), -1))
+
 
 class TestSpectralRidge:
     def test_woodbury_matches_batch_inverse_over_schedules(self):
@@ -248,10 +325,10 @@ class TestSpectralRidge:
                 model = SpectralRidge(d, 3, lam)
                 seen = []
                 for _ in range(rng.integers(2, 12)):
-                    m = int(rng.integers(1, d))  # keep blocks on the Woodbury path
+                    m = int(rng.integers(1, d))
                     rows = random_complex(rng, (m, d))
                     outs = random_complex(rng, (m, 3))
-                    model.absorb(rows, outs)
+                    model.absorb(rows, outs, method="woodbury")
                     seen.append(rows)
                 oracle = batch_inverse(np.vstack(seen), lam)
                 assert rel_frobenius(model.a_inv, oracle) < 1e-8
@@ -264,7 +341,7 @@ class TestSpectralRidge:
         for m in (2, 9, 1, 6, 14, 3):  # alternates Woodbury and direct
             rows = random_complex(rng, (m, d))
             outs = random_complex(rng, (m, 2))
-            model.absorb(rows, outs)
+            model.absorb(rows, outs, method="woodbury" if m < d else "direct")
             seen.append(rows)
         oracle = batch_inverse(np.vstack(seen), 3.0)
         assert rel_frobenius(model.a_inv, oracle) < 1e-10
@@ -276,7 +353,7 @@ class TestSpectralRidge:
         model.absorb(random_complex(rng, (8, d)), random_complex(rng, (8, 2)))
         a_prev = model.a_inv.copy()
         row = random_complex(rng, (1, d))
-        model.absorb(row, random_complex(rng, (1, 2)))
+        model.absorb(row, random_complex(rng, (1, 2)), method="woodbury")
         u = row[0].conj()
         denom = 1.0 + (row[0] @ a_prev @ u)
         oracle = a_prev - np.outer(a_prev @ u, row[0] @ a_prev) / denom
@@ -291,7 +368,8 @@ class TestSpectralRidge:
         cross_prev = model.cross_norm.copy()
         n_prev = model.n_samples
         m = 3
-        model.absorb(np.zeros((m, d), dtype=complex), random_complex(rng, (m, 2)))
+        model.absorb(np.zeros((m, d), dtype=complex), random_complex(rng, (m, 2)),
+                     method="woodbury")
         np.testing.assert_allclose(model.a_inv, a_prev, atol=1e-14)
         np.testing.assert_allclose(model.cross_norm, cross_prev * n_prev / (n_prev + m),
                                    rtol=1e-12)
@@ -336,7 +414,8 @@ class TestSpectralRidge:
         model = SpectralRidge(d, 2, 1.0)
         for _ in range(1000):
             m = int(rng.integers(1, 4))
-            model.absorb(random_complex(rng, (m, d)), random_complex(rng, (m, 2)))
+            model.absorb(random_complex(rng, (m, d)), random_complex(rng, (m, 2)),
+                         method="woodbury")
         herm_gap = np.linalg.norm(model.a_inv - model.a_inv.conj().T)
         assert herm_gap / np.linalg.norm(model.a_inv) < 1e-8
 
@@ -375,7 +454,7 @@ class TestRealSpectralRidge:
                 seen = []
                 for _ in range(rng.integers(2, 12)):
                     rows = rng.normal(size=(int(rng.integers(1, d)), d))
-                    model.absorb(rows, rng.normal(size=(rows.shape[0], 3)))
+                    model.absorb(rows, rng.normal(size=(rows.shape[0], 3)), method="woodbury")
                     seen.append(rows)
                 assert rel_frobenius(model.a_inv, batch_inverse(np.vstack(seen), lam)) < 1e-8
                 assert model.a_inv.dtype == model.weight.dtype == np.float64
@@ -388,7 +467,7 @@ class TestRealSpectralRidge:
         for m in (2, 9, 1, 6, 14, 3):  # alternates Woodbury and direct
             seen_x.append(rng.normal(size=(m, d)))
             seen_y.append(rng.normal(size=(m, 2)))
-            model.absorb(seen_x[-1], seen_y[-1])
+            model.absorb(seen_x[-1], seen_y[-1], method="woodbury" if m < d else "direct")
         x, y = np.vstack(seen_x), np.vstack(seen_y)
         assert rel_frobenius(model.a_inv, batch_inverse(x, lam)) < 1e-10
         oracle = np.linalg.solve(x.T @ x + lam * np.eye(d), x.T @ y)
@@ -402,7 +481,7 @@ class TestRealSpectralRidge:
         model = SpectralRidge(d, 2, 1.0)
         for _ in range(1000):
             m = int(rng.integers(1, 4))
-            model.absorb(rng.normal(size=(m, d)), rng.normal(size=(m, 2)))
+            model.absorb(rng.normal(size=(m, d)), rng.normal(size=(m, 2)), method="woodbury")
         gap = np.linalg.norm(model.a_inv - model.a_inv.T)
         assert gap / np.linalg.norm(model.a_inv) < 1e-8
 
@@ -416,6 +495,134 @@ class TestRealSpectralRidge:
         model.absorb(rows, outs, method="auto")
         assert model.n_samples == 2
         assert model.a_inv.dtype == np.float64
+
+
+class TestLeanRidge:
+    """The ridge against :class:`OracleRidge`: same accumulators and inverse
+    on the same path, a weight at least as close to the exact solve, the
+    switch rule, the lazy inverse and the fallback tests."""
+
+    D, K = 24, 5
+    # below d/4 (the Woodbury step), in [d/4, d/2), [d/2, d) and >= d
+    SIZES = (2, 5, 8, 11, 14, 20, 24, 37)
+
+    @pytest.mark.parametrize("complex_rows", [False, True])
+    def test_state_matches_oracle_over_mixed_schedules(self, complex_rows):
+        rng = np.random.default_rng(31 + complex_rows)
+        d, k = self.D, self.K
+
+        def draw(shape):
+            return random_complex(rng, shape) if complex_rows else rng.normal(size=shape)
+
+        for _ in range(6):
+            lam = float(rng.uniform(0.5, 30.0))
+            lean, oracle = SpectralRidge(d, k, lam), OracleRidge(d, k, lam)
+            for i, m in enumerate(rng.permutation(np.repeat(self.SIZES, 2))):
+                x, y = draw((m, d)), draw((m, k))
+                lean.absorb(x, y)
+                assert lean.last_path == ("woodbury" if woodbury_pays(m, d) else "direct")
+                assert lean.last_fallback is None
+                oracle.absorb(x, y, lean.last_path)
+                assert lean.n_samples == oracle.n_samples
+                for name in ("gram_norm", "cross_norm"):
+                    assert rel_frobenius(getattr(lean, name), getattr(oracle, name)) <= 1e-12
+                # both weights sit at rounding level here; allow a few ulps
+                exact = exact_weight(lean)
+                assert (rel_frobenius(lean.weight, exact)
+                        <= rel_frobenius(oracle.weight, exact) + 4 * np.finfo(float).eps)
+                if i % 5 == 4:  # reading a_inv fills it; most direct steps leave it unread
+                    assert rel_frobenius(lean.a_inv, oracle.a_inv) <= 1e-12
+            assert rel_frobenius(lean.a_inv, oracle.a_inv) <= 1e-12
+            assert lean.a_inv.dtype == lean.weight.dtype == (complex if complex_rows else float)
+
+    def test_weight_beats_oracle_on_long_ill_conditioned_run(self):
+        # column scales over 3.5 decades give a regularized Gram with
+        # condition ~1e6; the oracle's N * a_inv @ cross_norm then drifts
+        # from the exact solve by ~1e-12, the block-RLS weight by ~1e-13
+        rng = np.random.default_rng(37)
+        d, scales = 60, np.logspace(0, -3.5, 60)
+        truth = rng.normal(size=(d, 4))
+        lean, oracle = SpectralRidge(d, 4, 1e-3), OracleRidge(d, 4, 1e-3)
+        for _ in range(300):
+            x = rng.normal(size=(5, d)) * scales
+            y = x @ truth + 0.1 * rng.normal(size=(5, 4))
+            lean.absorb(x, y)
+            assert lean.last_path == "woodbury"
+            oracle.absorb(x, y, "woodbury")
+        assert rel_frobenius(lean.a_inv, oracle.a_inv) <= 1e-12
+        exact = exact_weight(lean)
+        assert rel_frobenius(lean.weight, exact) < rel_frobenius(oracle.weight, exact) / 5
+
+    def test_switch_rule(self):
+        # the measured crossover is near d/4 at d=469 and at d=117
+        assert woodbury_pays(116, 469) and not woodbury_pays(117, 469)
+        assert woodbury_pays(28, 117) and not woodbury_pays(29, 117)
+        assert not woodbury_pays(1, 3)
+
+    def test_direct_then_woodbury_fills_the_lazy_inverse(self):
+        rng = np.random.default_rng(41)
+        d, lam = self.D, 2.0
+        lean, oracle = SpectralRidge(d, 3, lam), OracleRidge(d, 3, lam)
+        seen = []
+        for m, path in ((30, "direct"), (3, "woodbury"), (2, "woodbury"), (12, "direct"),
+                        (40, "direct"), (1, "woodbury")):
+            x, y = rng.normal(size=(m, d)), rng.normal(size=(m, 3))
+            lean.absorb(x, y)
+            oracle.absorb(x, y, path)
+            seen.append(x)
+            assert lean.last_path == path
+        # the last Woodbury step followed two direct refits whose inverse
+        # nobody read: it recomputed a_inv from the normalized Gram
+        assert rel_frobenius(lean.a_inv, oracle.a_inv) <= 1e-12
+        assert rel_frobenius(lean.a_inv, batch_inverse(np.vstack(seen), lam)) <= 1e-10
+        np.testing.assert_allclose(lean.weight, oracle.weight, rtol=1e-10, atol=1e-13)
+
+    def test_block_over_the_condition_limit_trips_the_trace_test(self):
+        rng = np.random.default_rng(43)
+        d, lam = 16, 1e-6
+        row = rng.normal(size=(1, d)) * 1e3
+        rows = np.vstack([row, row * (1 + 1e-9), rng.normal(size=(1, d))])
+        outs = rng.normal(size=(3, 2))
+        fresh = SpectralRidge(d, 2, lam)
+        inner = np.eye(3) + rows @ fresh.a_inv @ rows.T
+        assert np.linalg.cond(inner) > CONDITION_LIMIT
+        before = ridge_state(fresh)
+        with pytest.raises(IllConditionedUpdate, match="trace"):
+            fresh.absorb(rows, outs, method="woodbury")
+        for name, value in before.items():
+            np.testing.assert_array_equal(getattr(fresh, name), value, err_msg=name)
+        fresh.absorb(rows, outs, method="auto")
+        assert (fresh.last_path, fresh.last_fallback) == ("direct", "trace")
+        np.testing.assert_allclose(fresh.weight, exact_weight(fresh), rtol=1e-12)
+
+    def test_indefinite_inverse_trips_the_cholesky_test(self):
+        # a_inv can only lose positive definiteness through rounding or a
+        # bad snapshot; set one directly to reach the Cholesky branch
+        rng = np.random.default_rng(47)
+        d = 8
+        model = SpectralRidge(d, 2, 1.0)
+        model.absorb(rng.normal(size=(8, d)), rng.normal(size=(8, 2)))
+        model.a_inv = -model.a_inv
+        rows = rng.normal(size=(1, d)) * 10.0
+        assert np.trace(np.eye(1) + rows @ model.a_inv @ rows.T) < CONDITION_LIMIT
+        with pytest.raises(IllConditionedUpdate, match="cholesky"):
+            model.absorb(rows, rng.normal(size=(1, 2)), method="woodbury")
+        assert model.n_samples == 8
+        model.absorb(rows, rng.normal(size=(1, 2)))
+        assert (model.last_path, model.last_fallback) == ("direct", "cholesky")
+        assert model.n_samples == 9
+        # the direct refit recomputes a positive definite inverse on read
+        np.linalg.cholesky(model.a_inv)
+
+    def test_woodbury_step_leaves_inputs_untouched(self):
+        rng = np.random.default_rng(53)
+        model = SpectralRidge(8, 2, 1.0)
+        x, y = rng.normal(size=(1, 8)), rng.normal(size=(1, 2))
+        x0, y0 = x.copy(), y.copy()
+        model.absorb(x, y)
+        assert model.last_path == "woodbury"
+        np.testing.assert_array_equal(x, x0)
+        np.testing.assert_array_equal(y, y0)
 
 
 class TestRealCoefficients:
@@ -446,8 +653,8 @@ class TestRealCoefficients:
     @pytest.mark.parametrize("config", CONFIGS)
     def test_fitted_state_is_real(self, config):
         (f, _), block, _ = fitted_pair_of_forecasters(config, seed=47)
-        for n in (3, 40):  # both solve paths
-            f.fit_block(block(n))
+        for n, method in ((3, "woodbury"), (40, "direct")):
+            f.fit_block(block(n), method)
             for name in ("a_inv", "gram_norm", "cross_norm", "weight"):
                 assert getattr(f.core, name).dtype == np.float64, name
 
@@ -691,6 +898,16 @@ class TestSnapshot:
         np.testing.assert_array_equal(g.stats.means, f.stats.means)
         probe = rng.normal(size=16)
         np.testing.assert_array_equal(g.predict(probe, 1), f.predict(probe, 1))
+        # the block above took a direct refit, so saving computed a_inv; a
+        # Woodbury step from either copy then reads the same inverse
+        assert f.core.last_path == "direct"
+        pairs = [SamplePair(rng.normal(size=16), rng.normal(size=4), 0) for _ in range(2)]
+        f.fit_block(pairs)
+        g.fit_block(pairs)
+        assert f.core.last_path == g.core.last_path == "woodbury"
+        for name in ("a_inv", "gram_norm", "cross_norm", "weight"):
+            np.testing.assert_array_equal(getattr(g.core, name), getattr(f.core, name))
+        np.testing.assert_array_equal(g.predict(probe, 1), f.predict(probe, 1))
 
     def _saved_fields(self, tmp_path):
         rng = np.random.default_rng(61)
@@ -854,6 +1071,31 @@ class TestModelAxis:
             for name in self.STATE:
                 np.testing.assert_array_equal(getattr(g.core, name), getattr(f.core, name))
             np.testing.assert_array_equal(g.time_map, f.time_map)
+
+    def test_failed_woodbury_check_leaves_every_model_unchanged(self):
+        # model 0's rows pass the Woodbury test; model 1's, three copies of
+        # one 1e8-scaled row, fail it after model 0's block was checked
+        rng = np.random.default_rng(89)
+        f = new_forecaster(16, 4, 2, lam=1e-12, instance_norm=False, channel_scaling=False,
+                           models=2)
+        channels = [0, 0, 0, 1, 1, 1]
+        f.fit(rng.normal(size=(6, 16)) * 1e-3, rng.normal(size=(6, 4)) * 1e-3, channels,
+              method="woodbury")
+        before = [ridge_state(core) for core in f.cores]
+        time_map = f.time_map.copy()
+        ctx = np.vstack([rng.normal(size=(3, 16)) * 1e-3, np.tile(rng.normal(size=16) * 1e8, (3, 1))])
+        tgt = rng.normal(size=(6, 4))
+        with pytest.raises(IllConditionedUpdate, match="trace"):
+            f.fit(ctx, tgt, channels, method="woodbury")
+        for core, state in zip(f.cores, before):
+            for name, value in state.items():
+                np.testing.assert_array_equal(getattr(core, name), value, err_msg=name)
+        np.testing.assert_array_equal(f.time_map, time_map)
+        # under "auto" the same block takes the direct refit on model 1
+        f.fit(ctx, tgt, channels)
+        assert [core.last_path for core in f.cores] == ["woodbury", "direct"]
+        assert f.cores[1].last_fallback == "trace"
+        assert [core.n_samples for core in f.cores] == [6, 6]
 
     def test_model_count_below_one_rejected(self):
         with pytest.raises(InvalidConfig, match="model"):
