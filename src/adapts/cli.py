@@ -107,9 +107,10 @@ def _print_summary(report) -> None:
 
 
 def _dump_base_forecasts(report, cfg, path) -> None:
-    rows = [(b.time_step, report.channel_names[ch], b.base_forecast)
-            for ch in range(len(report.channel_names))
-            for b in report.bundles[ch]]
+    t0, base = report.skipped_initial_steps, report.forecasts[:, 0]
+    rows = [(t0 + i, name, vec)
+            for ch, name in enumerate(report.channel_names)
+            for i, vec in enumerate(base[:, ch])]
     adio.write_forecasts(rows, cfg.horizon, path)
 
 

@@ -509,13 +509,12 @@ class OnlineForecaster:
         reps = -(-self.horizon // self.seasonality)
         return np.tile(season, reps)[..., : self.horizon]
 
-    def predict(self, context, channel: int = 0) -> np.ndarray:
+    def predict(self, context) -> np.ndarray:
         """Forecast the next ``horizon`` values.
 
         ``context`` is ``(n, L)``, ``n / G`` consecutive windows per model,
         or ``(L,)`` with one model; the result is ``(n, H)`` or ``(H,)``.
-        ``channel`` is accepted for symmetry with fitting and ignored:
-        inference applies no channel scaling.
+        Inference applies no channel scaling, so it takes no channel.
         """
         ctx = np.asarray(context, dtype=np.float64)
         L, G = self.context_length, len(self.cores)

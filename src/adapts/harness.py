@@ -4,14 +4,23 @@ The harness steps through a multichannel series one time step at a time
 with one forecaster, holding one model for all channels or one per channel
 (``shared_weights``). At each step it reads the trailing context window of
 every channel once, obtains a base forecast per channel and all adaptive
-forecasts from one ``predict`` call, combines them with each channel's
-current weight and emits a bundle. Every ``update_period`` steps it reads
-every window whose target has fully materialized into one channel-major
-block, scores it, feeds those scores to the per-channel weighters, absorbs
-the newly revealed raw values into the running channel statistics and
-refits the forecaster on the block. Nothing ever reads past the current
-step: pairs enter fitting only once their target lies entirely in the
-past, at the price of a horizon-length lag.
+forecasts from one ``predict`` call, and records both with each channel's
+current weight. Every ``update_period`` steps it reads every window whose
+target has fully materialized into one channel-major block, scores it,
+feeds those scores to the per-channel weighters, absorbs the newly
+revealed raw values into the running channel statistics and refits the
+forecaster on the block. Nothing ever reads past the current step: pairs
+enter fitting only once their target lies entirely in the past, at the
+price of a horizon-length lag.
+
+A run keeps its state in a few preallocated arrays on the report: the
+base, adaptive and target forecasts of every step (step-major, so each
+step writes one contiguous slab), the weight each channel used at each
+step, and the MASE/RMSSE and floored flag of every scored window. The
+combined forecast is not stored: it is ``combine(base, adaptive,
+weight_used)``, an elementwise expression that rebuilds it bit for bit
+wherever it is read (block scoring and ``RunReport.bundles``), so storing
+it would only cost memory.
 
 The dataset is only ever touched through ``__getitem__`` on the object
 passed in, so tests can substitute an index-recording wrapper to audit
@@ -142,7 +151,8 @@ def make_base_forecaster(kind: str, *, horizon: int, seasonality: int = None,
 
 @dataclass
 class ForecastBundle:
-    """One emitted forecast for one channel, scored once its target lands."""
+    """One emitted forecast for one channel; ``target`` is None until the
+    window has been scored."""
 
     time_step: int
     channel: int
@@ -151,40 +161,54 @@ class ForecastBundle:
     combined_forecast: np.ndarray
     weight_used: float
     target: np.ndarray = None
-    fully_observed: bool = False
-
-
-@dataclass
-class WindowRecord:
-    """Per-window metric row backing the report aggregates."""
-
-    time_step: int
-    channel: int
-    mase_base: float
-    mase_adaptive: float
-    mase_combined: float
-    rmsse_base: float
-    rmsse_adaptive: float
-    rmsse_combined: float
-    denominator_floored: bool
 
 
 @dataclass
 class RunReport:
-    """Metrics, weight trajectories and bookkeeping for one run."""
+    """Metrics, weight trajectories and the run's forecasts as columns.
+
+    Step ``i`` is forecast origin ``skipped_initial_steps + i``; scored
+    windows are the first ``n_scored`` steps, oldest first.
+
+    - ``forecasts``: ``(n_steps, 3, C, H)``, the base, adaptive and target
+      forecasts of every step (targets are filled once scored);
+    - ``weight_used``: ``(C, n_steps)``, the weight each channel blended with;
+    - ``scores``: ``(2, 3, C, n_scored)``, MASE and RMSSE of the base,
+      adaptive and combined streams per window;
+    - ``floored``: ``(C, n_scored)``, whether a window's denominator was floored.
+    """
 
     config: RollingConfig
     channel_names: list
+    forecasts: np.ndarray
+    weight_used: np.ndarray
+    scores: np.ndarray
+    floored: np.ndarray
     per_channel: dict = field(default_factory=dict)
     aggregate: dict = field(default_factory=dict)
     weights: dict = field(default_factory=dict)
-    records: list = field(default_factory=list)
     windows_evaluated: int = 0
     floored_windows: int = 0
     update_steps: int = 0
     skipped_initial_steps: int = 0
-    bundles: list = field(default_factory=list)
     dataset_name: str = ""
+
+    @property
+    def bundles(self) -> list:
+        """Per channel, one :class:`ForecastBundle` per step, oldest first,
+        whose arrays are views of the columns (the combined one is rebuilt)."""
+        t0, n_scored = self.skipped_initial_steps, self.floored.shape[1]
+        views = []
+        for ch in range(len(self.channel_names)):
+            base, adaptive, target = (self.forecasts[:, k, ch] for k in range(3))
+            w = self.weight_used[ch]
+            combined = combine(base, adaptive, w[:, None])
+            views.append([
+                ForecastBundle(t0 + i, ch, base[i], adaptive[i], combined[i], wi,
+                               target[i] if i < n_scored else None)
+                for i, wi in enumerate(w.tolist())
+            ])
+        return views
 
     def to_dict(self) -> dict:
         """JSON-ready structure: config echo, metrics, weight trajectories."""
@@ -274,77 +298,20 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
     # weight are computed once here and once after each of its updates
     w_fast = [w.fast_weight() for w in weighters]
     applied = [w.current_weight(config.weighter_mode) for w in weighters]
-
-    report = RunReport(config=config, channel_names=list(channel_names),
-                       skipped_initial_steps=L - 1)
-    bundles = [[] for _ in range(n_channels)]  # indexed by (t - t0) per channel
     trajectories = [[] for _ in range(n_channels)]
 
     t0 = L - 1
+    n_steps = total - 1 - t0
+    # the last update comes after n_steps // M * M steps and has scored all
+    # of them but the H whose targets had not yet landed
+    n_scored = max(0, n_steps // M * M - H)
+    forecasts = np.empty((n_steps, 3, n_channels, H))  # base, adaptive, target
+    weight_used = np.empty((n_channels, n_steps))
+    scores = np.empty((2, 3, n_channels, n_scored))  # MASE, RMSSE of STREAMS
+    floored = np.empty((n_channels, n_scored), dtype=bool)
     last_fit_origin = t0 - 1   # newest forecast origin already fitted on
     last_observed = -1         # newest raw index absorbed into channel stats
-
-    def do_update(t_now):
-        nonlocal last_fit_origin, last_observed
-        origins = collect_completed_pairs(t_now, last_fit_origin, L, H)
-        if origins:
-            # the completed windows, channel-major (C, m, L) and (C, m, H):
-            # scored per channel, then fitted as one block
-            ctx_block = np.array([[dataset[t - L + 1: t + 1, ch] for t in origins]
-                                  for ch in range(n_channels)], dtype=np.float64)
-            tgt_block = np.array([[dataset[t + 1: t + 1 + H, ch] for t in origins]
-                                  for ch in range(n_channels)], dtype=np.float64)
-            for ch, (ctxs, tgts) in enumerate(zip(ctx_block, tgt_block)):
-                block = [bundles[ch][t - t0] for t in origins]
-                w = weighters[ch]
-                # streams: base, adaptive, combined, and the two combos at
-                # the fast and slow weights frozen since the previous update
-                forecasts = np.empty((5, len(origins), H))
-                for row, attr in enumerate(("base_forecast", "adaptive_forecast",
-                                            "combined_forecast")):
-                    np.stack([getattr(b, attr) for b in block], out=forecasts[row])
-                forecasts[3] = combine(forecasts[0], forecasts[1], w_fast[ch])
-                forecasts[4] = combine(forecasts[0], forecasts[1], w.w_slow)
-                scores = score_windows(forecasts, tgts, ctxs, config.seasonality)
-                del forecasts
-                for b, tgt, mases, rmsses, floored in zip(
-                        block, tgts, scores.mase[:3].T.tolist(), scores.rmsse[:3].T.tolist(),
-                        scores.floored.tolist()):
-                    b.target = tgt
-                    b.fully_observed = True
-                    report.records.append(WindowRecord(
-                        time_step=b.time_step, channel=ch,
-                        mase_base=mases[0], mase_adaptive=mases[1], mase_combined=mases[2],
-                        rmsse_base=rmsses[0], rmsse_adaptive=rmsses[1],
-                        rmsse_combined=rmsses[2],
-                        denominator_floored=floored,
-                    ))
-                loss_base, loss_adaptive, _, loss_fast, loss_slow = \
-                    scores.mase.mean(axis=1).tolist()
-                w.update(loss_base, loss_adaptive, loss_fast, loss_slow)
-                w_fast[ch] = w.fast_weight()
-                applied[ch] = w.current_weight(config.weighter_mode)
-                trajectories[ch].append({
-                    "update_step": w.update_count,
-                    "time_step": t_now,
-                    "w_slow": w.w_slow,
-                    "w_fast": w_fast[ch],
-                    "beta_merge": w.beta_merge,
-                    "w_combined": applied[ch],
-                    "loss_base": loss_base,
-                    "loss_adaptive": loss_adaptive,
-                })
-            report.update_steps += 1
-
-        # absorb the raw values revealed since the previous update
-        for idx in range(last_observed + 1, t_now + 1):
-            forecaster.observe_values(np.asarray(dataset[idx], dtype=np.float64))
-        last_observed = t_now
-
-        if origins:
-            forecaster.fit(ctx_block.reshape(-1, L), tgt_block.reshape(-1, H),
-                           np.repeat(np.arange(n_channels), len(origins)))
-            last_fit_origin = origins[-1]
+    update_steps = 0
 
     # values before the first forecast step are revealed up front; they
     # are all in the past once the loop starts
@@ -353,67 +320,90 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
         _check_row(row, idx)
         base.observe(idx, row)
 
-    steps_done = 0
-    for t in range(t0, total - 1):
+    for i, t in enumerate(range(t0, total - 1)):
         _check_row(dataset[t], t)
         base.observe(t, np.asarray(dataset[t], dtype=np.float64))
         # the (L, C) window is read once; row ch of ctxs is channel ch's context
         ctxs = np.ascontiguousarray(np.asarray(dataset[t - L + 1: t + 1], dtype=np.float64).T)
-        adaptive = forecaster.predict(ctxs)
-        for ch in range(n_channels):
-            ctx = ctxs[ch]
+        step = forecasts[i]
+        step[1] = forecaster.predict(ctxs)
+        for ch, ctx in enumerate(ctxs):
             bf = np.asarray(base.forecast(t, ch, ctx), dtype=np.float64)
             if bf.shape != (H,):
                 raise ShapeMismatch(
                     f"base forecast at (t={t}, channel={ch}) has shape {bf.shape}, "
                     f"expected ({H},)"
                 )
-            af = adaptive[ch]
-            w = applied[ch]
-            bundles[ch].append(ForecastBundle(
-                time_step=t, channel=ch, base_forecast=bf, adaptive_forecast=af,
-                combined_forecast=combine(bf, af, w), weight_used=w,
-            ))
-        steps_done += 1
-        if steps_done % M == 0:
-            do_update(t)
+            step[0, ch] = bf
+        weight_used[:, i] = applied
+        if (i + 1) % M == 0:
+            origins = collect_completed_pairs(t, last_fit_origin, L, H)
+            if origins:
+                # the completed windows, channel-major (C, m, L) and (C, m, H):
+                # scored per channel, then fitted as one block
+                ctx_block = np.array([[dataset[o - L + 1: o + 1, ch] for o in origins]
+                                      for ch in range(n_channels)], dtype=np.float64)
+                tgt_block = np.array([[dataset[o + 1: o + 1 + H, ch] for o in origins]
+                                      for ch in range(n_channels)], dtype=np.float64)
+                done = slice(origins[0] - t0, origins[-1] + 1 - t0)
+                forecasts[done, 2] = tgt_block.transpose(1, 0, 2)
+                for ch, w in enumerate(weighters):
+                    # streams: base, adaptive, combined, and the two combos at
+                    # the fast and slow weights frozen since the previous update
+                    bfs, afs = forecasts[done, 0, ch], forecasts[done, 1, ch]
+                    block = score_windows(
+                        np.stack([bfs, afs, combine(bfs, afs, weight_used[ch, done, None]),
+                                  combine(bfs, afs, w_fast[ch]), combine(bfs, afs, w.w_slow)]),
+                        tgt_block[ch], ctx_block[ch], config.seasonality)
+                    scores[:, :, ch, done] = block.mase[:3], block.rmsse[:3]
+                    floored[ch, done] = block.floored
+                    loss_base, loss_adaptive, _, loss_fast, loss_slow = \
+                        block.mase.mean(axis=1).tolist()
+                    w.update(loss_base, loss_adaptive, loss_fast, loss_slow)
+                    w_fast[ch] = w.fast_weight()
+                    applied[ch] = w.current_weight(config.weighter_mode)
+                    trajectories[ch].append({
+                        "update_step": w.update_count,
+                        "time_step": t,
+                        "w_slow": w.w_slow,
+                        "w_fast": w_fast[ch],
+                        "beta_merge": w.beta_merge,
+                        "w_combined": applied[ch],
+                        "loss_base": loss_base,
+                        "loss_adaptive": loss_adaptive,
+                    })
+                update_steps += 1
+
+            # absorb the raw values revealed since the previous update
+            for idx in range(last_observed + 1, t + 1):
+                forecaster.observe_values(np.asarray(dataset[idx], dtype=np.float64))
+            last_observed = t
+
+            if origins:
+                forecaster.fit(ctx_block.reshape(-1, L), tgt_block.reshape(-1, H),
+                               np.repeat(np.arange(n_channels), len(origins)))
+                last_fit_origin = origins[-1]
         if step_callback is not None:
             step_callback(t)
 
-    _summarize(report, bundles, trajectories)
-    return report
+    if n_scored:
+        means = scores.mean(axis=-1)  # (2, 3, C): MASE and RMSSE per stream and channel
+        by_channel, overall = means.transpose(2, 0, 1).tolist(), means.mean(axis=-1).tolist()
+    else:
+        overall = [[None] * 3] * 2
+        by_channel = [overall] * n_channels
 
+    def streams(m):
+        return {s: {"mase": m[0][k], "rmsse": m[1][k]} for k, s in enumerate(STREAMS)}
 
-def _summarize(report: RunReport, bundles, trajectories) -> None:
-    n_channels = len(report.channel_names)
-    by_channel = [[] for _ in range(n_channels)]
-    for rec in report.records:
-        by_channel[rec.channel].append(rec)
-    stream_fields = {
-        "base": ("mase_base", "rmsse_base"),
-        "adaptive": ("mase_adaptive", "rmsse_adaptive"),
-        "combined": ("mase_combined", "rmsse_combined"),
-    }
-    for ch, name in enumerate(report.channel_names):
-        recs = by_channel[ch]
-        entry = {"windows": len(recs),
-                 "floored_windows": sum(r.denominator_floored for r in recs)}
-        for stream, (mf, rf) in stream_fields.items():
-            entry[stream] = {
-                "mase": float(np.mean([getattr(r, mf) for r in recs])) if recs else None,
-                "rmsse": float(np.mean([getattr(r, rf) for r in recs])) if recs else None,
-            }
-        report.per_channel[name] = entry
-        report.weights[name] = trajectories[ch]
-    scored = [report.per_channel[n] for n in report.channel_names
-              if report.per_channel[n]["windows"] > 0]
-    report.aggregate = {
-        stream: {
-            "mase": float(np.mean([e[stream]["mase"] for e in scored])) if scored else None,
-            "rmsse": float(np.mean([e[stream]["rmsse"] for e in scored])) if scored else None,
-        }
-        for stream in STREAMS
-    }
-    report.windows_evaluated = len(report.records)
-    report.floored_windows = sum(r.denominator_floored for r in report.records)
-    report.bundles = bundles
+    names = list(channel_names)
+    return RunReport(
+        config=config, channel_names=names, forecasts=forecasts,
+        weight_used=weight_used, scores=scores, floored=floored,
+        per_channel={name: {"windows": n_scored, "floored_windows": int(floored[ch].sum()),
+                            **streams(by_channel[ch])}
+                     for ch, name in enumerate(names)},
+        aggregate=streams(overall), weights=dict(zip(names, trajectories)),
+        windows_evaluated=floored.size, floored_windows=int(floored.sum()),
+        update_steps=update_steps, skipped_initial_steps=t0,
+    )

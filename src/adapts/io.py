@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import WEIGHTER_MODES, RollingConfig
+from .config import RollingConfig
 from .errors import InsufficientData, InvalidConfig, IoError, ParseError
 
 
@@ -343,10 +343,7 @@ def build_rolling_config(settings: dict) -> RollingConfig:
     for file_key, (attr, _) in _CONFIG_KEYS.items():
         if file_key in settings:
             kwargs[attr] = settings[file_key]
-    cfg = RollingConfig(**kwargs).validate()
-    if cfg.weighter_mode not in WEIGHTER_MODES:
-        raise InvalidConfig(f"weighter must be one of {WEIGHTER_MODES}")
-    return cfg
+    return RollingConfig(**kwargs).validate()
 
 
 # -- reports ------------------------------------------------------------------

@@ -897,7 +897,7 @@ class TestSnapshot:
         np.testing.assert_array_equal(g.stats.counts, f.stats.counts)
         np.testing.assert_array_equal(g.stats.means, f.stats.means)
         probe = rng.normal(size=16)
-        np.testing.assert_array_equal(g.predict(probe, 1), f.predict(probe, 1))
+        np.testing.assert_array_equal(g.predict(probe), f.predict(probe))
         # the block above took a direct refit, so saving computed a_inv; a
         # Woodbury step from either copy then reads the same inverse
         assert f.core.last_path == "direct"
@@ -907,7 +907,7 @@ class TestSnapshot:
         assert f.core.last_path == g.core.last_path == "woodbury"
         for name in ("a_inv", "gram_norm", "cross_norm", "weight"):
             np.testing.assert_array_equal(getattr(g.core, name), getattr(f.core, name))
-        np.testing.assert_array_equal(g.predict(probe, 1), f.predict(probe, 1))
+        np.testing.assert_array_equal(g.predict(probe), f.predict(probe))
 
     def _saved_fields(self, tmp_path):
         rng = np.random.default_rng(61)

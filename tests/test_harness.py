@@ -1,5 +1,8 @@
 """Tests for the rolling-window simulator and the base forecasters."""
 
+import gc
+import types
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from adapts.harness import (
     make_base_forecaster,
     run,
 )
+from adapts.weighter import combine
 
 
 def small_config(**overrides):
@@ -112,7 +116,7 @@ class TestRunBasics:
         data = sine_dataset(300, channels=2, noise=0.05)
         report = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
         assert set(report.per_channel) == {"ch0", "ch1"}
-        assert report.windows_evaluated == len(report.records)
+        assert report.windows_evaluated == report.floored.size == report.scores[0, 0].size
         assert report.skipped_initial_steps == cfg.context_length - 1
         for ch_bundles in report.bundles:
             for b in ch_bundles:
@@ -137,16 +141,15 @@ class TestRunBasics:
         for b in tail:
             np.testing.assert_allclose(b.combined_forecast, b.base_forecast, atol=1e-6)
 
-    def test_aggregate_recomputes_from_records(self):
+    def test_aggregate_recomputes_from_scores(self):
         cfg = small_config()
         data = sine_dataset(500, channels=3, noise=0.1, seed=3)
         report = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
         for ch, name in enumerate(report.channel_names):
-            recs = [r for r in report.records if r.channel == ch]
             assert report.per_channel[name]["base"]["mase"] == pytest.approx(
-                np.mean([r.mase_base for r in recs]), rel=1e-12)
+                np.mean(report.scores[0, 0, ch]), rel=1e-12)
             assert report.per_channel[name]["combined"]["rmsse"] == pytest.approx(
-                np.mean([r.rmsse_combined for r in recs]), rel=1e-12)
+                np.mean(report.scores[1, 2, ch]), rel=1e-12)
         assert report.aggregate["adaptive"]["mase"] == pytest.approx(
             np.mean([report.per_channel[n]["adaptive"]["mase"]
                      for n in report.channel_names]), rel=1e-12)
@@ -198,8 +201,8 @@ class TestDeterminismAndCausality:
         cfg = small_config(shared_weights=shared)
         data = ChannelSliceCount(sine_dataset(400, channels=2, noise=0.1, seed=6))
         report = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
-        assert report.records
-        assert data.channel_reads == 2 * len(report.records)
+        assert report.floored.size
+        assert data.channel_reads == 2 * report.floored.size
 
     def test_future_changes_do_not_affect_past_forecasts(self):
         cfg = small_config()
@@ -413,3 +416,77 @@ class TestOneForecasterForBothModes:
         # the last update absorbs every row up to its own step
         last_update = steps[(len(steps) // cfg.update_period) * cfg.update_period - 1]
         assert calls["observe_values"] == last_update + 1
+
+
+def tracked_objects(root):
+    """Garbage-collector-tracked objects reachable from ``root``, not
+    counting classes, modules and functions (shared by every instance)."""
+    skip = (type, types.ModuleType, types.FunctionType)
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        stack.extend(o for o in gc.get_referents(obj)
+                     if gc.is_tracked(o) and not isinstance(o, skip))
+    return len(seen)
+
+
+class TestColumnarRunState:
+    def test_report_holds_per_update_not_per_step_objects(self):
+        # forecasts, weights and scores live in arrays; the only objects
+        # that grow with the run are the per-update weight trajectory rows
+        cfg = small_config(update_period=100)
+        counts = {}
+        for steps in (1000, 4000):
+            report = run(sine_dataset(steps, channels=2, noise=0.1, seed=3),
+                         NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
+            gc.collect()
+            counts[steps] = tracked_objects(report)
+            assert counts[steps] <= 2 * report.update_steps + 50
+        assert counts[4000] - counts[1000] < 100
+
+    def test_column_shapes(self):
+        cfg = small_config()
+        report = run(sine_dataset(300, channels=3, noise=0.1),
+                     NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
+        n_steps = 300 - cfg.context_length
+        n_scored = n_steps // cfg.update_period * cfg.update_period - cfg.horizon
+        assert report.forecasts.shape == (n_steps, 3, 3, cfg.horizon)
+        assert report.weight_used.shape == (3, n_steps)
+        assert report.scores.shape == (2, 3, 3, n_scored)
+        assert report.floored.shape == (3, n_scored)
+        assert report.windows_evaluated == 3 * n_scored
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_bundle_view_reads_columns_not_the_dataset(self, shared):
+        class Sealed(TraceArray):
+            sealed = False
+
+            def __getitem__(self, key):
+                assert not self.sealed, "bundle view read the dataset"
+                return super().__getitem__(key)
+
+        cfg = small_config(shared_weights=shared)
+        values = sine_dataset(300, channels=2, noise=0.1, seed=4)
+        data = Sealed(values)
+        report = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
+        data.sealed = True
+        n_scored = report.floored.shape[1]
+        for ch, bundles in enumerate(report.bundles):
+            assert len(bundles) == report.forecasts.shape[0]
+            for i, b in enumerate(bundles):
+                t = cfg.context_length - 1 + i
+                assert (b.time_step, b.channel) == (t, ch)
+                assert b.weight_used == report.weight_used[ch, i]
+                np.testing.assert_array_equal(b.base_forecast, report.forecasts[i, 0, ch])
+                np.testing.assert_array_equal(b.adaptive_forecast, report.forecasts[i, 1, ch])
+                want = combine(b.base_forecast, b.adaptive_forecast, b.weight_used)
+                assert b.combined_forecast.tobytes() == want.tobytes()
+                if i < n_scored:
+                    np.testing.assert_array_equal(b.target, values[t + 1: t + 1 + cfg.horizon, ch])
+                else:
+                    assert b.target is None
+        with pytest.raises(AttributeError):
+            report.bundles = []

@@ -478,6 +478,8 @@ class TestRunConfigFiles:
             build_rolling_config({"lambda": -1.0})
         with pytest.raises(InvalidConfig):
             build_rolling_config({"seasonality": 600})  # >= context_length
+        with pytest.raises(InvalidConfig, match="weighter_mode"):
+            build_rolling_config({"weighter": "bogus"})
 
 
 class TestReports:
