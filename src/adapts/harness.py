@@ -2,16 +2,17 @@
 
 The harness steps through a multichannel series one time step at a time
 with one forecaster, holding one model for all channels or one per channel
-(``shared_weights``). At each step it reads the trailing context window of
-every channel once, obtains a base forecast per channel and all adaptive
-forecasts from one ``predict`` call, and records both with each channel's
-current weight. Every ``update_period`` steps it reads every window whose
-target has fully materialized into one channel-major block, scores it,
-feeds those scores to the per-channel weighters, absorbs the newly
-revealed raw values into the running channel statistics and refits the
-forecaster on the block. Nothing ever reads past the current step: pairs
-enter fitting only once their target lies entirely in the past, at the
-price of a horizon-length lag.
+(``shared_weights``). At each step it reads the trailing ``(L, C)`` window
+once (its last row is the newly revealed row, which is checked and shown
+to the base), obtains all base forecasts from one ``forecast_all`` call
+and all adaptive forecasts from one ``predict`` call, and records both
+with each channel's current weight. Every ``update_period`` steps it
+reads every window whose target has fully materialized into one
+channel-major block, scores it, feeds those scores to the per-channel
+weighters, absorbs the newly revealed raw values into the running channel
+statistics and refits the forecaster on the block. Nothing ever reads past
+the current step: pairs enter fitting only once their target lies
+entirely in the past, at the price of a horizon-length lag.
 
 A run keeps its state in a few preallocated arrays on the report: the
 base, adaptive and target forecasts of every step (step-major, so each
@@ -29,6 +30,7 @@ that no operation looks ahead.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,14 +58,49 @@ class BaseForecaster:
     Implementations must be deterministic functions of what they have been
     shown and must never peek beyond the current time step. ``observe`` is
     called once per step with the newly revealed values (index order), in
-    particular before the first ``forecast`` call of that step.
+    particular before the step's forecasts are requested.
+
+    The harness asks for all channels at once through ``forecast_all``,
+    whose default calls ``forecast`` once per channel. A subclass that
+    redefines ``forecast`` but not ``forecast_all`` gets that default back
+    even where a parent overrides ``forecast_all``, so its own
+    ``forecast`` is the one that runs.
     """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "forecast" in vars(cls) and "forecast_all" not in vars(cls):
+            cls.forecast_all = BaseForecaster.forecast_all
 
     def observe(self, t: int, values: np.ndarray) -> None:
         pass
 
     def forecast(self, t: int, channel: int, context: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def forecast_all(self, t: int, contexts: np.ndarray) -> np.ndarray:
+        """The ``(C, H)`` forecasts of all channels; row ``ch`` of
+        ``contexts`` is channel ``ch``'s ``(L,)`` context."""
+        rows = []
+        for ch, ctx in enumerate(contexts):
+            row = np.asarray(self.forecast(t, ch, ctx), dtype=np.float64)
+            if row.ndim != 1 or (rows and row.shape != rows[0].shape):
+                raise ShapeMismatch(
+                    f"base forecasts at t={t} are not vectors of one length: "
+                    f"channel {ch} has shape {row.shape}"
+                )
+            rows.append(row)
+        return np.stack(rows)
+
+
+@functools.lru_cache(maxsize=16)
+def _season_index(context_length: int, seasonality: int, horizon: int) -> np.ndarray:
+    """Context positions that ``NaiveSeasonalBase.forecast`` tiles: the
+    last ``s = min(seasonality, L)`` values, repeated across the horizon."""
+    s = min(seasonality, context_length)
+    index = context_length - s + np.arange(horizon) % s
+    index.flags.writeable = False
+    return index
 
 
 class NaiveSeasonalBase(BaseForecaster):
@@ -79,6 +116,11 @@ class NaiveSeasonalBase(BaseForecaster):
         season = np.asarray(context, dtype=np.float64)[-self.seasonality:]
         reps = -(-self.horizon // season.shape[0])
         return np.tile(season, reps)[: self.horizon]
+
+    def forecast_all(self, t, contexts):
+        contexts = np.asarray(contexts, dtype=np.float64)
+        return contexts.take(_season_index(contexts.shape[-1], self.seasonality, self.horizon),
+                             axis=-1)
 
 
 class HistoricalMeanBase(BaseForecaster):
@@ -100,6 +142,14 @@ class HistoricalMeanBase(BaseForecaster):
         if self._count == 0:
             return np.full(self.horizon, float(np.mean(context)))
         return np.full(self.horizon, self._sums[channel] / self._count)
+
+    def forecast_all(self, t, contexts):
+        contexts = np.asarray(contexts, dtype=np.float64)
+        if self._count == 0:
+            means = contexts.mean(axis=-1)
+        else:
+            means = self._sums[: contexts.shape[0]] / self._count
+        return np.repeat(means[:, None], self.horizon, axis=1)
 
 
 class PrecomputedBase(BaseForecaster):
@@ -124,6 +174,18 @@ class PrecomputedBase(BaseForecaster):
                 f"expected {self.horizon}"
             )
         return vec
+
+    def forecast_all(self, t, contexts):
+        n = len(contexts)
+        try:
+            out = np.array([self.table[(t, name)] for name in self.channel_names[:n]],
+                           dtype=np.float64)
+        except (KeyError, ValueError):
+            out = None
+        if out is None or out.shape != (n, self.horizon):
+            # the per-channel path raises the error naming the first bad channel
+            return BaseForecaster.forecast_all(self, t, contexts)
+        return out
 
 
 def make_base_forecaster(kind: str, *, horizon: int, seasonality: int = None,
@@ -243,8 +305,9 @@ def collect_completed_pairs(t_now: int, last_collected: int, context_length: int
 
 
 def _check_row(row, t: int):
-    bad = np.nonzero(~np.isfinite(np.asarray(row, dtype=np.float64)))[0]
-    if bad.size:
+    row = np.asarray(row, dtype=np.float64)
+    if not np.isfinite(row).all():
+        bad = np.flatnonzero(~np.isfinite(row))
         raise CorruptSeries(f"non-finite value at time step {t}, channel {int(bad[0])}")
 
 
@@ -283,6 +346,8 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
         raise InvalidConfig(
             f"{len(channel_names)} channel names for {n_channels} channels"
         )
+    if len(set(channel_names)) != n_channels:
+        raise InvalidConfig(f"channel names must be unique, got {list(channel_names)}")
 
     forecaster = OnlineForecaster(
         L, H, config.seasonality, lam=config.lam, alpha=config.alpha,
@@ -321,20 +386,20 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
         base.observe(idx, row)
 
     for i, t in enumerate(range(t0, total - 1)):
-        _check_row(dataset[t], t)
-        base.observe(t, np.asarray(dataset[t], dtype=np.float64))
-        # the (L, C) window is read once; row ch of ctxs is channel ch's context
-        ctxs = np.ascontiguousarray(np.asarray(dataset[t - L + 1: t + 1], dtype=np.float64).T)
+        # the (L, C) window is the step's only read: its last row is the
+        # newly revealed row t, and row ch of ctxs is channel ch's context
+        window = np.asarray(dataset[t - L + 1: t + 1], dtype=np.float64)
+        _check_row(window[-1], t)
+        base.observe(t, window[-1])
+        ctxs = np.ascontiguousarray(window.T)
         step = forecasts[i]
         step[1] = forecaster.predict(ctxs)
-        for ch, ctx in enumerate(ctxs):
-            bf = np.asarray(base.forecast(t, ch, ctx), dtype=np.float64)
-            if bf.shape != (H,):
-                raise ShapeMismatch(
-                    f"base forecast at (t={t}, channel={ch}) has shape {bf.shape}, "
-                    f"expected ({H},)"
-                )
-            step[0, ch] = bf
+        bf = np.asarray(base.forecast_all(t, ctxs), dtype=np.float64)
+        if bf.shape != (n_channels, H):
+            raise ShapeMismatch(
+                f"base forecasts at t={t} have shape {bf.shape}, expected ({n_channels}, {H})"
+            )
+        step[0] = bf
         weight_used[:, i] = applied
         if (i + 1) % M == 0:
             origins = collect_completed_pairs(t, last_fit_origin, L, H)

@@ -18,6 +18,7 @@ from adapts.errors import (
 )
 from adapts.forecaster import OnlineForecaster
 from adapts.harness import (
+    BaseForecaster,
     HistoricalMeanBase,
     NaiveSeasonalBase,
     PrecomputedBase,
@@ -110,6 +111,29 @@ class TestRunBasics:
         data[57, 1] = np.nan
         with pytest.raises(CorruptSeries, match="time step 57, channel 1"):
             run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("cells", [
+        [(57, 1)],            # a forecast step
+        [(5, 0)],             # a row revealed before the first forecast (t < L - 1)
+        [(90, 2)],            # only a later channel than the first
+        [(90, 2), (90, 1)],   # two bad channels: the first is named
+    ])
+    def test_non_finite_rejected_with_first_location(self, value, cells):
+        cfg = small_config()
+        data = sine_dataset(200, channels=3)
+        for t, ch in cells:
+            data[t, ch] = value
+        t, ch = min(cells)
+        with pytest.raises(CorruptSeries, match=f"time step {t}, channel {ch}$"):
+            run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
+
+    def test_duplicate_channel_names_rejected(self):
+        cfg = small_config()
+        data = sine_dataset(200, channels=2)
+        with pytest.raises(InvalidConfig, match="unique"):
+            run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg,
+                channel_names=["a", "a"])
 
     def test_report_structure_and_bundle_invariant(self):
         cfg = small_config()
@@ -490,3 +514,166 @@ class TestColumnarRunState:
                     assert b.target is None
         with pytest.raises(AttributeError):
             report.bundles = []
+
+
+class ForecastOnly(BaseForecaster):
+    """Serves a bundled base through ``forecast`` alone, so ``run`` takes
+    the per-channel path: the oracle for the ``forecast_all`` overrides."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def observe(self, t, values):
+        self.inner.observe(t, values)
+
+    def forecast(self, t, channel, context):
+        return self.inner.forecast(t, channel, context)
+
+
+def per_channel(base, t, contexts):
+    return np.stack([np.asarray(base.forecast(t, ch, ctx), dtype=np.float64)
+                     for ch, ctx in enumerate(contexts)])
+
+
+class TestForecastAll:
+    @pytest.mark.parametrize("seasonality, horizon", [
+        (8, 16),    # divides the horizon
+        (5, 16),    # does not
+        (100, 8),   # longer than the context
+        (12, 8),    # longer than the horizon
+    ])
+    def test_naive_seasonal_equals_per_channel(self, seasonality, horizon):
+        base = NaiveSeasonalBase(seasonality, horizon)
+        contexts = np.random.default_rng(0).normal(size=(3, 64))
+        got = base.forecast_all(10, contexts)
+        assert got.shape == (3, horizon)
+        assert got.tobytes() == per_channel(base, 10, contexts).tobytes()
+
+    def test_historical_mean_before_and_after_observe(self):
+        rng = np.random.default_rng(1)
+        base = HistoricalMeanBase(horizon=6)
+        contexts = rng.normal(size=(3, 40))
+        assert base.forecast_all(0, contexts).tobytes() == \
+            per_channel(base, 0, contexts).tobytes()
+        for t in range(7):
+            base.observe(t, rng.normal(size=3))
+        assert base.forecast_all(6, contexts).tobytes() == \
+            per_channel(base, 6, contexts).tobytes()
+
+    def test_precomputed_equals_per_channel(self):
+        rng = np.random.default_rng(2)
+        table = {(t, name): rng.normal(size=4) for t in range(3) for name in "abc"}
+        base = PrecomputedBase(table, horizon=4, channel_names=["a", "b", "c"])
+        contexts = np.zeros((3, 8))
+        assert base.forecast_all(1, contexts).tobytes() == \
+            per_channel(base, 1, contexts).tobytes()
+
+    @pytest.mark.parametrize("error, broken", [
+        (MissingForecast, {"b": None, "c": None}),
+        (MissingForecast, {"c": None}),
+        (ShapeMismatch, {"b": 3, "c": 5}),
+        (ShapeMismatch, {"c": 3}),
+        (ShapeMismatch, {"a": 3, "b": 3, "c": 3}),
+    ])
+    def test_precomputed_raises_like_per_channel(self, error, broken):
+        table = {}
+        for name in "abc":
+            length = broken.get(name, 4)
+            if length is not None:
+                table[(7, name)] = np.ones(length)
+        base = PrecomputedBase(table, horizon=4, channel_names=["a", "b", "c"])
+        contexts = np.zeros((3, 8))
+        first = min(broken)
+        with pytest.raises(error) as per_ch:
+            base.forecast(7, "abc".index(first), contexts[0])
+        with pytest.raises(error) as batched:
+            base.forecast_all(7, contexts)
+        assert str(batched.value) == str(per_ch.value)
+        assert repr(first) in str(batched.value)
+
+    def test_forecast_only_subclass_is_what_run_calls(self):
+        calls = []
+
+        class Shifted(NaiveSeasonalBase):
+            def forecast(self, t, channel, context):
+                calls.append((t, channel))
+                return super().forecast(t, channel, context) + 1.0
+
+        assert Shifted.forecast_all is BaseForecaster.forecast_all
+        cfg = small_config()
+        data = sine_dataset(200, channels=2, noise=0.1)
+        plain = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
+        shifted = run(data, Shifted(cfg.seasonality, cfg.horizon), cfg)
+        n_steps = plain.forecasts.shape[0]
+        assert calls == [(t, ch) for t in range(cfg.context_length - 1,
+                                                cfg.context_length - 1 + n_steps)
+                         for ch in range(2)]
+        np.testing.assert_array_equal(shifted.forecasts[:, 0], plain.forecasts[:, 0] + 1.0)
+
+    def test_dispatch_rule_keeps_explicit_overrides(self):
+        class Both(NaiveSeasonalBase):
+            def forecast(self, t, channel, context):
+                return np.zeros(self.horizon)
+
+            def forecast_all(self, t, contexts):
+                return np.ones((len(contexts), self.horizon))
+
+        class Child(Both):
+            pass
+
+        class ObserveOnly(NaiveSeasonalBase):
+            def observe(self, t, values):
+                pass
+
+        assert Child.forecast_all is Both.forecast_all
+        assert ObserveOnly.forecast_all is NaiveSeasonalBase.forecast_all
+        np.testing.assert_array_equal(Child(4, 3).forecast_all(0, np.zeros((2, 8))),
+                                      np.ones((2, 3)))
+
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 8), (8,)])
+    def test_wrong_forecast_all_shape_rejected(self, shape):
+        class Broken(NaiveSeasonalBase):
+            def forecast_all(self, t, contexts):
+                return np.zeros(shape)
+
+        cfg = small_config()
+        with pytest.raises(ShapeMismatch, match="expected \\(1, 8\\)"):
+            run(sine_dataset(200, channels=1), Broken(cfg.seasonality, cfg.horizon), cfg)
+
+    def test_ragged_per_channel_forecasts_rejected(self):
+        class Ragged(BaseForecaster):
+            def forecast(self, t, channel, context):
+                return np.zeros(8 + channel)
+
+        cfg = small_config()
+        with pytest.raises(ShapeMismatch, match="channel 1 has shape \\(9,\\)"):
+            run(sine_dataset(200, channels=2), Ragged(), cfg)
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("kind", ["naive_seasonal", "long_season", "historical_mean",
+                                      "precomputed"])
+    def test_run_matches_forecast_only_oracle(self, kind, shared, tmp_path):
+        cfg = small_config(shared_weights=shared)
+        data = sine_dataset(300, channels=3, noise=0.1, seed=12)
+        names = ["ch0", "ch1", "ch2"]
+
+        def make():
+            if kind == "naive_seasonal":
+                return NaiveSeasonalBase(cfg.seasonality, cfg.horizon)
+            if kind == "long_season":
+                return NaiveSeasonalBase(100, cfg.horizon)
+            if kind == "historical_mean":
+                return HistoricalMeanBase(cfg.horizon)
+            rng = np.random.default_rng(3)
+            table = {(t, name): rng.normal(size=cfg.horizon)
+                     for t in range(cfg.context_length - 1, 300) for name in names}
+            return PrecomputedBase(table, cfg.horizon, names)
+
+        fast = run(data, make(), cfg)
+        oracle = run(data, ForecastOnly(make()), cfg)
+        assert fast.forecasts[:, :2].tobytes() == oracle.forecasts[:, :2].tobytes()
+        n_scored = fast.floored.shape[1]
+        assert fast.forecasts[:n_scored, 2].tobytes() == oracle.forecasts[:n_scored, 2].tobytes()
+        for attr in ("weight_used", "scores", "floored"):
+            assert getattr(fast, attr).tobytes() == getattr(oracle, attr).tobytes()
+        assert fast.to_dict() == oracle.to_dict()
