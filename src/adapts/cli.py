@@ -51,13 +51,9 @@ def _apply_overrides(settings: dict, args) -> dict:
             raise UsageError(f"--set expects key=value, got {pair!r}")
         key, raw = (part.strip() for part in pair.split("=", 1))
         merged[key] = adio.parse_config_value(key, raw)
-    flag_map = {
-        "weighter": "weighter", "alpha": "alpha", "update_period": "update_period",
-        "horizon": "horizon", "base": "base", "forecasts": "forecasts",
-        "out": "out", "format": "format", "dump_forecasts": "dump_forecasts",
-    }
-    for attr, key in flag_map.items():
-        value = getattr(args, attr, None)
+    for key in ("weighter", "alpha", "update_period", "horizon", "base", "forecasts",
+                "out", "format", "dump_forecasts"):
+        value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
     return merged
@@ -70,6 +66,7 @@ def _execute(settings: dict):
     cfg = adio.build_rolling_config(settings)
     series = adio.load_series(settings["dataset"])
     kind = settings.get("base", "naive_seasonal")
+    table = None
     if kind == "precomputed":
         if "forecasts" not in settings:
             raise InvalidConfig("base=precomputed needs a forecasts file (key 'forecasts')")
@@ -77,14 +74,8 @@ def _execute(settings: dict):
         if horizon != cfg.horizon:
             raise InvalidConfig(
                 f"forecast file horizon {horizon} differs from configured {cfg.horizon}")
-        base = make_base_forecaster("precomputed", horizon=cfg.horizon, forecasts=table,
-                                    channel_names=series.channel_names)
-    elif kind == "naive_seasonal":
-        base = make_base_forecaster(kind, horizon=cfg.horizon, seasonality=cfg.seasonality)
-    elif kind == "historical_mean":
-        base = make_base_forecaster(kind, horizon=cfg.horizon)
-    else:
-        raise InvalidConfig(f"unknown base forecaster kind {kind!r}")
+    base = make_base_forecaster(kind, horizon=cfg.horizon, seasonality=cfg.seasonality,
+                                forecasts=table, channel_names=series.channel_names)
     report = run(series, base, cfg)
     report.dataset_name = str(settings["dataset"])
     return report, cfg

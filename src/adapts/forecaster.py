@@ -62,6 +62,7 @@ are exclusive writers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,6 +162,16 @@ class ChannelStats:
         if self._count(channel) < 2:
             return 1.0
         return max(float(np.sqrt(self.variance(channel))), SIGMA_FLOOR)
+
+
+@functools.lru_cache(maxsize=16)
+def _season_index(context_length: int, seasonality: int, horizon: int) -> np.ndarray:
+    """Context positions of a seasonal-naive forecast: the last ``s =
+    min(seasonality, L)`` values, repeated across the horizon."""
+    s = min(seasonality, context_length)
+    index = context_length - s + np.arange(horizon) % s
+    index.flags.writeable = False
+    return index
 
 
 def woodbury_pays(m: int, d: int) -> bool:
@@ -401,8 +412,12 @@ class OnlineForecaster:
         # place in predict, keeps peak RSS within ~1 % of the unfolded code
         # on a per-channel L=520 replay; fresh arrays in those two places
         # fragmented the heap around the ridge update's 3.5 MB temporaries
-        # and cost +4 %
-        self.time_map = np.zeros((models, context_length, horizon))
+        # and cost +4 %. It starts on a 64-byte cache line: wherever else the
+        # heap put it, predict's matmul measured 1.6x slower
+        n = models * context_length * horizon
+        buf = np.zeros(n + 8)
+        start = (-buf.ctypes.data % 64) // 8
+        self.time_map = buf[start: start + n].reshape(models, context_length, horizon)
 
     @property
     def core(self) -> SpectralRidge:
@@ -461,8 +476,9 @@ class OnlineForecaster:
         after earlier models have absorbed their rows.
         """
         L, H, G = self.context_length, self.horizon, len(self.cores)
-        ctx = np.array(contexts, dtype=np.float64)
-        tgt = np.array(targets, dtype=np.float64)
+        # C order whatever the input's, so the means and FFTs sum alike
+        ctx = np.array(contexts, dtype=np.float64, order="C")
+        tgt = np.array(targets, dtype=np.float64, order="C")
         channels = np.asarray(channels)
         n = len(ctx) if ctx.ndim else 0
         if ctx.shape != (n, L) or tgt.shape != (n, H) or n == 0 or n % G:
@@ -504,25 +520,21 @@ class OnlineForecaster:
         for core, fold in zip(self.cores, self.time_map):
             np.matmul(self._analysis, core.weight @ self._synthesis, out=fold)
 
-    def _seasonal_tile(self, context: np.ndarray) -> np.ndarray:
-        season = context[..., -self.seasonality:]
-        reps = -(-self.horizon // self.seasonality)
-        return np.tile(season, reps)[..., : self.horizon]
-
     def predict(self, context) -> np.ndarray:
         """Forecast the next ``horizon`` values.
 
         ``context`` is ``(n, L)``, ``n / G`` consecutive windows per model,
         or ``(L,)`` with one model; the result is ``(n, H)`` or ``(H,)``.
-        Inference applies no channel scaling, so it takes no channel.
+        Inference applies no channel scaling, so it takes no channel. The
+        result does not depend on the input's memory order.
         """
-        ctx = np.asarray(context, dtype=np.float64)
+        ctx = np.asarray(context, dtype=np.float64, order="C")
         L, G = self.context_length, len(self.cores)
         if ctx.ndim not in (1, 2) or ctx.shape[-1] != L or (ctx.size // L) % G:
             raise ShapeMismatch(f"context must be (n, {L}) with n a multiple of {G} models, "
                                 f"or ({L},) for one model, got {ctx.shape}")
         if self.core.n_samples == 0:
-            return self._seasonal_tile(ctx)
+            return ctx.take(_season_index(L, self.seasonality, self.horizon), axis=-1)
         # np.mean's own sum-then-divide, without its wrapper's per-call cost
         mu = ctx.sum(axis=-1, keepdims=True) / L if self.instance_norm else 0.0
         x = ctx - mu

@@ -2,17 +2,25 @@
 
 The harness steps through a multichannel series one time step at a time
 with one forecaster, holding one model for all channels or one per channel
-(``shared_weights``). At each step it reads the trailing ``(L, C)`` window
-once (its last row is the newly revealed row, which is checked and shown
-to the base), obtains all base forecasts from one ``forecast_all`` call
-and all adaptive forecasts from one ``predict`` call, and records both
-with each channel's current weight. Every ``update_period`` steps it
-reads every window whose target has fully materialized into one
-channel-major block, scores it, feeds those scores to the per-channel
-weighters, absorbs the newly revealed raw values into the running channel
-statistics and refits the forecaster on the block. Nothing ever reads past
-the current step: pairs enter fitting only once their target lies
-entirely in the past, at the price of a horizon-length lag.
+(``shared_weights``). It reads the series in three places, one slab each:
+
+- before the loop, the rows before the first forecast step, each checked
+  and shown to the base and to the channel statistics;
+- at every step, the trailing ``(L, C)`` window. Its last row, the newly
+  revealed one, is checked and shown to the base; one ``forecast_all``
+  and one ``predict`` call give every channel's base and adaptive
+  forecasts, recorded with each channel's current weight;
+- every ``update_period`` steps, the rows from the first context of the
+  windows whose targets have fully materialized (or the ``update_period``
+  newest rows if none has) up to the current step. Its newest
+  ``update_period`` rows go to the channel statistics; the completed
+  windows are cut from it as one channel-major block, scored per channel
+  for the weighters and fitted.
+
+So each row reaches the base once, and the channel statistics once if an
+update follows it, in time order. Nothing ever reads past the current
+step: pairs enter fitting only once their target lies entirely in the
+past, at the price of a horizon-length lag.
 
 A run keeps its state in a few preallocated arrays on the report: the
 base, adaptive and target forecasts of every step (step-major, so each
@@ -23,17 +31,17 @@ weight_used)``, an elementwise expression that rebuilds it bit for bit
 wherever it is read (block scoring and ``RunReport.bundles``), so storing
 it would only cost memory.
 
-The dataset is only ever touched through ``__getitem__`` on the object
-passed in, so tests can substitute an index-recording wrapper to audit
-that no operation looks ahead.
+The dataset is only ever touched through ``__getitem__`` with a slice of
+rows on the object passed in, so tests can substitute an index-recording
+wrapper to audit that no operation looks ahead.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import RollingConfig
 from .errors import (
@@ -43,7 +51,7 @@ from .errors import (
     MissingForecast,
     ShapeMismatch,
 )
-from .forecaster import OnlineForecaster
+from .forecaster import OnlineForecaster, _season_index
 from .metrics import score_windows
 from .weighter import ChannelWeighter, combine
 
@@ -91,16 +99,6 @@ class BaseForecaster:
                 )
             rows.append(row)
         return np.stack(rows)
-
-
-@functools.lru_cache(maxsize=16)
-def _season_index(context_length: int, seasonality: int, horizon: int) -> np.ndarray:
-    """Context positions that ``NaiveSeasonalBase.forecast`` tiles: the
-    last ``s = min(seasonality, L)`` values, repeated across the horizon."""
-    s = min(seasonality, context_length)
-    index = context_length - s + np.arange(horizon) % s
-    index.flags.writeable = False
-    return index
 
 
 class NaiveSeasonalBase(BaseForecaster):
@@ -233,7 +231,8 @@ class RunReport:
     windows are the first ``n_scored`` steps, oldest first.
 
     - ``forecasts``: ``(n_steps, 3, C, H)``, the base, adaptive and target
-      forecasts of every step (targets are filled once scored);
+      forecasts of every step (targets are filled once scored; the target
+      rows of the last ``n_steps - n_scored`` steps, never scored, are NaN);
     - ``weight_used``: ``(C, n_steps)``, the weight each channel blended with;
     - ``scores``: ``(2, 3, C, n_scored)``, MASE and RMSSE of the base,
       adaptive and combined streams per window;
@@ -371,19 +370,18 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
     # of them but the H whose targets had not yet landed
     n_scored = max(0, n_steps // M * M - H)
     forecasts = np.empty((n_steps, 3, n_channels, H))  # base, adaptive, target
+    forecasts[n_scored:, 2] = np.nan  # the target rows no update scores
     weight_used = np.empty((n_channels, n_steps))
     scores = np.empty((2, 3, n_channels, n_scored))  # MASE, RMSSE of STREAMS
     floored = np.empty((n_channels, n_scored), dtype=bool)
     last_fit_origin = t0 - 1   # newest forecast origin already fitted on
-    last_observed = -1         # newest raw index absorbed into channel stats
     update_steps = 0
 
-    # values before the first forecast step are revealed up front; they
-    # are all in the past once the loop starts
-    for idx in range(0, t0):
-        row = np.asarray(dataset[idx], dtype=np.float64)
+    # the rows before the first forecast step are revealed up front, in one read
+    for idx, row in enumerate(np.asarray(dataset[0:t0], dtype=np.float64)):
         _check_row(row, idx)
         base.observe(idx, row)
+        forecaster.observe_values(row)
 
     for i, t in enumerate(range(t0, total - 1)):
         # the (L, C) window is the step's only read: its last row is the
@@ -403,13 +401,19 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
         weight_used[:, i] = applied
         if (i + 1) % M == 0:
             origins = collect_completed_pairs(t, last_fit_origin, L, H)
+            # the update's one read: the M rows revealed since the previous
+            # update and, when windows completed, every row they span
+            lo = origins[0] - L + 1 if origins else t - M + 1
+            rows = np.asarray(dataset[lo: t + 1], dtype=np.float64)
+            for row in rows[-M:]:
+                forecaster.observe_values(row)
             if origins:
                 # the completed windows, channel-major (C, m, L) and (C, m, H):
                 # scored per channel, then fitted as one block
-                ctx_block = np.array([[dataset[o - L + 1: o + 1, ch] for o in origins]
-                                      for ch in range(n_channels)], dtype=np.float64)
-                tgt_block = np.array([[dataset[o + 1: o + 1 + H, ch] for o in origins]
-                                      for ch in range(n_channels)], dtype=np.float64)
+                m, cols = len(origins), rows.T
+                ctx_block = np.ascontiguousarray(sliding_window_view(cols, L, axis=1)[:, :m])
+                tgt_block = np.ascontiguousarray(
+                    sliding_window_view(cols[:, L:], H, axis=1)[:, :m])
                 done = slice(origins[0] - t0, origins[-1] + 1 - t0)
                 forecasts[done, 2] = tgt_block.transpose(1, 0, 2)
                 for ch, w in enumerate(weighters):
@@ -438,15 +442,8 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
                         "loss_adaptive": loss_adaptive,
                     })
                 update_steps += 1
-
-            # absorb the raw values revealed since the previous update
-            for idx in range(last_observed + 1, t + 1):
-                forecaster.observe_values(np.asarray(dataset[idx], dtype=np.float64))
-            last_observed = t
-
-            if origins:
                 forecaster.fit(ctx_block.reshape(-1, L), tgt_block.reshape(-1, H),
-                               np.repeat(np.arange(n_channels), len(origins)))
+                               np.repeat(np.arange(n_channels), m))
                 last_fit_origin = origins[-1]
         if step_callback is not None:
             step_callback(t)

@@ -82,6 +82,23 @@ class TestRun:
         assert code == 0
         assert read_report_json(out)["config"]["horizon"] == 6
 
+    def test_historical_mean_base(self, workspace, capsys):
+        tmp_path, config_path = workspace
+        assert main(["run", "--config", str(config_path), "--base", "historical_mean"]) == 0
+        report = read_report_json(tmp_path / "report.json")
+        assert report["aggregate"]["base"]["mase"] > 0
+        assert "aggregate:" in capsys.readouterr().out
+
+    def test_unknown_base_exits_one(self, workspace, capsys):
+        _, config_path = workspace
+        assert main(["run", "--config", str(config_path), "--set", "base=bogus"]) == 1
+        assert "InvalidConfig: unknown base forecaster kind 'bogus'" in capsys.readouterr().err
+
+    def test_precomputed_base_without_forecasts_exits_one(self, workspace, capsys):
+        _, config_path = workspace
+        assert main(["run", "--config", str(config_path), "--base", "precomputed"]) == 1
+        assert "base=precomputed needs a forecasts file" in capsys.readouterr().err
+
 
 class TestPrecomputedRoundTrip:
     def test_dump_then_rerun_reproduces_combined(self, workspace):

@@ -1134,3 +1134,42 @@ class TestFitChannels:
         with pytest.raises(ShapeMismatch, match="channels"):
             f.fit(rng.normal(size=(3, 16)), rng.normal(size=(3, 4)), channels)
         assert f.n_samples == 0
+
+
+class TestMemoryLayout:
+    @pytest.mark.parametrize("models", [1, 4])
+    def test_time_map_starts_on_a_cache_line(self, models, tmp_path):
+        # a matmul against a time_map off a 64-byte boundary is ~1.6x slower
+        f = new_forecaster(520, 96, 24, models=models)
+        assert f.time_map.ctypes.data % 64 == 0
+        rng = np.random.default_rng(7)
+        f.observe_values(rng.normal(size=models))
+        f.observe_values(rng.normal(size=models))
+        f.fit(rng.normal(size=(2 * models, 520)), rng.normal(size=(2 * models, 96)),
+              np.repeat(np.arange(models), 2))
+        assert f.time_map.ctypes.data % 64 == 0
+        if models == 1:
+            save_forecaster(f, tmp_path / "state.npz")
+            g = load_forecaster(tmp_path / "state.npz")
+            assert g.time_map.ctypes.data % 64 == 0
+            np.testing.assert_array_equal(g.time_map, f.time_map)
+
+    def test_fit_and_predict_ignore_memory_order(self):
+        rng = np.random.default_rng(11)
+        L, H = 32, 8
+        ctx, tgt = rng.normal(size=(40, L)) * 3.0 + 1.0, rng.normal(size=(40, H))
+        channels, observed = np.repeat([0, 1], 20), rng.normal(size=(5, 2))
+        fitted = []
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            f = new_forecaster(L, H, 8, lam=2.0)
+            for row in observed:
+                f.observe_values(row)
+            f.fit(layout(ctx), layout(tgt), channels)
+            fitted.append(f)
+        c, fo = fitted
+        assert c.time_map.tobytes() == fo.time_map.tobytes()
+        for name, value in ridge_state(c.core).items():
+            np.testing.assert_array_equal(getattr(fo.core, name), value, err_msg=name)
+        probes = rng.normal(size=(7, L)) * 5.0 + 2.0
+        want = c.predict(probes)
+        assert c.predict(np.asfortranarray(probes)).tobytes() == want.tobytes()

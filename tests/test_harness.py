@@ -211,22 +211,39 @@ class TestDeterminismAndCausality:
         for t, max_read in seen:
             assert max_read <= t
 
+    @pytest.mark.parametrize("update_period", [16, 4, 1])
     @pytest.mark.parametrize("shared", [True, False])
-    def test_each_completed_window_is_read_once(self, shared):
-        # per-channel slices are only taken to score and fit completed
-        # windows: one context and one target read per scored window
-        class ChannelSliceCount(TraceArray):
-            channel_reads = 0
+    def test_one_read_before_the_loop_per_step_and_per_update(self, shared, update_period):
+        # the rows before the first step, each step's (L, C) window and
+        # each update's slab of rows are one read apiece; no read is
+        # per channel
+        class ReadCount(TraceArray):
+            reads = channel_reads = 0
 
             def __getitem__(self, key):
+                self.reads += 1
                 self.channel_reads += isinstance(key, tuple)
                 return super().__getitem__(key)
 
-        cfg = small_config(shared_weights=shared)
-        data = ChannelSliceCount(sine_dataset(400, channels=2, noise=0.1, seed=6))
+        cfg = small_config(shared_weights=shared, update_period=update_period)
+        data = ReadCount(sine_dataset(400, channels=2, noise=0.1, seed=6))
         report = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
+        n_steps = report.forecasts.shape[0]
         assert report.floored.size
-        assert data.channel_reads == 2 * report.floored.size
+        assert data.reads == 1 + n_steps + n_steps // update_period
+        assert data.channel_reads == 0
+
+    @pytest.mark.parametrize("update_period", [16, 100])
+    def test_unscored_targets_are_nan_and_runs_repeat_byte_for_byte(self, update_period):
+        cfg = small_config(update_period=update_period)
+        data = sine_dataset(350, channels=2, noise=0.1, seed=5)
+        r1, r2 = (run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
+                  for _ in range(2))
+        assert r1.forecasts.tobytes() == r2.forecasts.tobytes()
+        n_scored = r1.floored.shape[1]
+        assert np.isnan(r1.forecasts[n_scored:, 2]).all()
+        assert np.isfinite(r1.forecasts[:n_scored]).all()
+        assert np.isfinite(r1.forecasts[:, :2]).all()
 
     def test_future_changes_do_not_affect_past_forecasts(self):
         cfg = small_config()
