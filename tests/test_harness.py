@@ -211,6 +211,37 @@ class TestDeterminismAndCausality:
         for t, max_read in seen:
             assert max_read <= t
 
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_each_completed_window_is_read_once(self, shared):
+        # a step reads its (L, C) window; an update that follows it reads
+        # one more slab, and the windows cut from that slab (origins lo +
+        # L - 1 through hi - H) must tile the scored origins exactly once
+        class SlabLog(TraceArray):
+            def __init__(self, values):
+                super().__init__(values)
+                self.reads = []
+
+            def __getitem__(self, key):
+                self.reads.append(key)
+                return super().__getitem__(key)
+
+        cfg = small_config(shared_weights=shared)
+        L, H = cfg.context_length, cfg.horizon
+        data = SlabLog(sine_dataset(400, channels=2, noise=0.1, seed=6))
+        cut = []
+
+        def after_step(t):
+            window = data.reads.index(slice(t - L + 1, t + 1))
+            for slab in data.reads[window + 1:]:
+                cut.extend(range(slab.start + L - 1, slab.stop - H))
+            data.reads.clear()
+
+        report = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg,
+                     step_callback=after_step)
+        t0 = L - 1
+        assert report.floored.size
+        assert cut == list(range(t0, t0 + report.floored.shape[1]))
+
     @pytest.mark.parametrize("update_period", [16, 4, 1])
     @pytest.mark.parametrize("shared", [True, False])
     def test_one_read_before_the_loop_per_step_and_per_update(self, shared, update_period):
