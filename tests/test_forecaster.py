@@ -9,6 +9,7 @@ the eager-inverse ridge update (:class:`OracleRidge`).
 
 import numpy as np
 import pytest
+from oracle import paired_stop, spectral_chain_predict
 
 from adapts.errors import IllConditionedUpdate, InvalidConfig, ShapeMismatch
 from adapts.forecaster import (
@@ -26,7 +27,6 @@ from adapts.forecaster import (
 from adapts.spectral import (
     Spectrum,
     forward_rft,
-    full_bin_count,
     inverse_rft,
     lowpass,
     pad_spectrum,
@@ -97,39 +97,10 @@ def ridge_state(model):
             for name in ("a_inv", "gram_norm", "cross_norm", "weight", "n_samples")}
 
 
-def paired_stop(n, keep):
-    """End of the bins ``1..stop-1`` that have a conjugate twin: all kept
-    bins but DC and a kept Nyquist bin."""
-    return keep - 1 if n % 2 == 0 and keep == full_bin_count(n) else keep
-
-
 def augment(row, n):
     """Complex oracle design row: the kept bins of a length-``n`` signal
     followed by the conjugates of those with a negative-frequency twin."""
     return np.concatenate([row, np.conj(row[1:paired_stop(n, len(row))])])
-
-
-def bins_from_coefficients(coefs, n, keep):
-    """Inverse of the real layout: complex kept bins from real coefficients."""
-    stop = paired_stop(n, keep)
-    k = stop - 1
-    bins = np.empty(keep, dtype=complex)
-    bins[0] = coefs[0]
-    bins[1:stop] = (coefs[1:1 + k] + 1j * coefs[1 + k:1 + 2 * k]) / np.sqrt(2.0)
-    bins[stop:] = coefs[1 + 2 * k:]
-    return bins
-
-
-def spectral_chain_predict(f, context, weight=None):
-    """The unfolded inference chain for one context: forward transform,
-    low-pass, real layout, weight (``f.core.weight`` by default), inverse
-    layout, zero padding and inverse transform, plus the context mean."""
-    ctx = np.asarray(context, dtype=np.float64)
-    mu = ctx.mean() if f.instance_norm else 0.0
-    row = lowpass(forward_rft(ctx - mu), f.filter.context_bins).bins
-    coefs = _real_coefficients(row, f.context_length) @ (f.core.weight if weight is None else weight)
-    out_bins = bins_from_coefficients(coefs, f.horizon, f.filter.target_bins)
-    return inverse_rft(pad_spectrum(Spectrum(bins=out_bins, original_length=f.horizon))) + mu
 
 
 def real_rows(f, pairs):
