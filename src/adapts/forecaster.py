@@ -20,14 +20,17 @@ then serves both settings, and a zero column costs one Gram row.
 The weight matrix is the ridge solution over every (context, target) pair
 absorbed so far and is refreshed incrementally (:class:`SpectralRidge`).
 Small blocks (:func:`woodbury_pays`) take a block recursive least squares
-step through the Woodbury identity, which updates the weight and the
-inverse Gram matrix in place; larger blocks, and small ones whose inner
-matrix fails a trace or Cholesky test, trigger a direct refit that solves
-for the weight from normalized accumulators and leaves the inverse to be
-computed when something reads it. The Gram and cross-moment matrices are
-stored divided by the sample count, so their entries stay bounded no
-matter how much history accumulates; the ridge term is annealed by the
-same factor in the direct solve.
+step through the Woodbury identity in square-root form: the Cholesky
+factor ``F`` of the small inner matrix whitens the block once, ``[V | Z]
+= F^-1 [T* | R]``, and the step adds ``V* Z`` to the weight and subtracts
+``V* V`` from the inverse Gram matrix in place, which keeps that inverse
+symmetric without re-symmetrising it. Larger blocks, and small ones whose
+inner matrix fails a trace or Cholesky test, trigger a direct refit that
+solves for the weight from normalized accumulators and leaves the inverse
+to be computed when something reads it. The Gram and cross-moment
+matrices are stored divided by the sample count, so their entries stay
+bounded no matter how much history accumulates; the ridge term is
+annealed by the same factor in the direct solve.
 
 :meth:`OnlineForecaster.fit` embeds a block of (context, target) arrays
 at once: one batched real FFT per side followed by the layout, the same
@@ -181,28 +184,31 @@ def woodbury_pays(m: int, d: int) -> bool:
 
     A Woodbury step grows with the block (three ``d×d×m`` products); a
     direct refit is dominated by its ``d×d`` solve. With one BLAS thread
-    and real rows the two cross at 0.22-0.28·d, both at d=469 and at d=117.
+    and real rows the two cross between 0.30·d and 0.36·d, both at d=469
+    and at d=117.
     """
-    return m < d // 4
+    return m < d // 3
 
 
 def _inner_fault(inner: np.ndarray):
-    """The test that rejects the Woodbury inner matrix ``I + X A X*``:
-    "trace", "cholesky", or None when both pass.
+    """The test that rejects the Woodbury inner matrix ``I + X A X*``, and
+    its factor: ``("trace", None)``, ``("cholesky", None)``, or ``(None,
+    F)`` with ``F`` the lower Cholesky factor, ``inner = F F*``, when both
+    tests pass.
 
     The matrix has eigenvalues >= 1, so its condition number is at most its
     largest eigenvalue, which is at most its trace: "trace" fires whenever
-    ``cond(inner) > CONDITION_LIMIT`` would. "cholesky" fires when rounding
+    ``cond(inner) > CONDITION_LIMIT`` would, and otherwise ``cond(F) =
+    sqrt(cond(inner))`` stays below 1e6. "cholesky" fires when rounding
     has left it not positive definite, the one case in which it has no
     Cholesky factorisation.
     """
     if not np.trace(inner).real <= CONDITION_LIMIT:
-        return "trace"
+        return "trace", None
     try:
-        np.linalg.cholesky(inner)
+        return None, np.linalg.cholesky(inner)
     except np.linalg.LinAlgError:
-        return "cholesky"
-    return None
+        return "cholesky", None
 
 
 class SpectralRidge:
@@ -215,10 +221,14 @@ class SpectralRidge:
 
     - a direct refit solves ``(gram_norm + lam/N * I) weight = cross_norm``
       (the ridge term annealed by ``1/N``, so nothing unbounded is stored);
-    - a Woodbury step is block recursive least squares: with ``A =
-      a_inv``, ``T = A X*`` and ``inner = I + X T``, it sets ``weight +=
-      T inner^-1 (Y - X weight)`` and downdates ``A -= T inner^-1 T*`` in
-      place. It is refused when ``inner`` fails :func:`_inner_fault`.
+    - a Woodbury step is block recursive least squares in square-root
+      form: with ``A = a_inv``, ``T = A X*``, ``inner = I + X T = F F*``
+      (``F`` the lower Cholesky factor from :func:`_inner_fault`) and the
+      residual ``R = Y - X weight``, it whitens the block once, ``[V | Z]
+      = F^-1 [T* | R]``, then sets ``weight += V* Z`` and downdates ``A -=
+      V* V`` in place. These are ``T inner^-1 R`` and ``T inner^-1 T*``,
+      and for real rows ``V* V`` is exactly symmetric, so ``A`` stays so.
+      The step is refused when ``inner`` fails :func:`_inner_fault`.
 
     ``a_inv = (X*X + lam*I)^-1`` is computed only when read: a direct refit
     drops it, and the next Woodbury step, snapshot or reader recomputes it
@@ -300,12 +310,14 @@ class SpectralRidge:
             t = self.a_inv @ rows_in.conj().T                  # (d, m)
             inner = rows_in @ t                                # (m, m)
             inner.flat[::m + 1] += 1.0
-            fault = _inner_fault(inner)
+            fault, factor = _inner_fault(inner)
             if fault is None:
-                # one m×m solve gives both the downdate factor and the weight step
-                solved = np.linalg.solve(
-                    inner, np.concatenate([t.conj().T, rows_out - rows_in @ self.weight], axis=1))
-                return lambda: self._woodbury_step(rows_in, rows_out, t, solved, total, keep)
+                # whiten once: with inner = F F*, [V | Z] = F^-1 [T* | Y - X weight]
+                # gives the weight step V* Z and the downdate V* V
+                whiten = np.linalg.inv(factor)
+                v = whiten @ t.conj().T                        # (m, d)
+                z = whiten @ (rows_out - rows_in @ self.weight)
+                return lambda: self._woodbury_step(rows_in, rows_out, v, z, total, keep)
             if method == "woodbury":
                 raise IllConditionedUpdate(
                     f"inner {m}x{m} solve failed the {fault} test (limit {CONDITION_LIMIT:.0e})")
@@ -324,24 +336,21 @@ class SpectralRidge:
             self.last_path, self.last_fallback = "direct", fault
         return refit
 
-    def _woodbury_step(self, rows_in, rows_out, t, solved, total, keep) -> None:
-        if self.gram_norm.dtype != t.dtype:  # complex rows into a real state
+    def _woodbury_step(self, rows_in, rows_out, v, z, total, keep) -> None:
+        if self.gram_norm.dtype != v.dtype:  # complex rows into a real state
             self.gram_norm, self.cross_norm, self.weight, self._a_inv = (
-                a.astype(t.dtype) for a in (self.gram_norm, self.cross_norm, self.weight,
+                a.astype(v.dtype) for a in (self.gram_norm, self.cross_norm, self.weight,
                                             self._a_inv))
-        d = self.dim_in
-        x_h = rows_in.conj().T
-        self.weight += t @ solved[:, d:]
-        a_inv = self._a_inv
-        scratch = t @ solved[:, :d]                            # the one d×d temporary
-        a_inv -= scratch
-        np.add(a_inv, a_inv.conj().T, out=scratch)
-        np.multiply(scratch, 0.5, out=a_inv)
+        v_h, x_h = v.conj().T, rows_in.conj().T
+        self.weight += v_h @ z
+        # for real rows v_h is v's own transpose, so numpy takes syrk, which
+        # fills one triangle from the other: a_inv stays exactly symmetric
+        scratch = v_h @ v                                      # (d, d)
+        self._a_inv -= scratch
         # the new Gram takes over the scratch array and the old one is freed;
         # keeping gram_norm's array and adding into it measured the batched
         # embedding in fit ~1.6x slower on a per-channel L=520 replay
-        np.matmul(x_h, rows_in, out=scratch)
-        scratch /= total
+        np.matmul(x_h, rows_in / total, out=scratch)
         self.gram_norm *= keep
         scratch += self.gram_norm
         self.gram_norm = scratch

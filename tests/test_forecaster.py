@@ -474,7 +474,7 @@ class TestLeanRidge:
     switch rule, the lazy inverse and the fallback tests."""
 
     D, K = 24, 5
-    # below d/4 (the Woodbury step), in [d/4, d/2), [d/2, d) and >= d
+    # below d/3 (the Woodbury step), in [d/3, d/2), [d/2, d) and >= d
     SIZES = (2, 5, 8, 11, 14, 20, 24, 37)
 
     @pytest.mark.parametrize("complex_rows", [False, True])
@@ -524,10 +524,34 @@ class TestLeanRidge:
         exact = exact_weight(lean)
         assert rel_frobenius(lean.weight, exact) < rel_frobenius(oracle.weight, exact) / 5
 
+    def test_factored_step_at_the_forecaster_shape(self):
+        # 50-row Woodbury steps at the paper shape (d=469, k=89) on rows
+        # like the forecaster's: coefficients of a unit-variance context of
+        # length 520 (std sqrt(520)) with column scales over three decades,
+        # so the regularized Gram's condition number grows to ~5e4. The
+        # downdate V* V must reach numpy's syrk, which a copied or non-BLAS
+        # view of V would lose, to keep a_inv exactly symmetric
+        rng = np.random.default_rng(59)
+        d, k, lam = 469, 89, 20.0
+        scales = np.logspace(0, -3, d) * np.sqrt(520)
+        truth = rng.normal(size=(d, k))
+        lean, oracle = SpectralRidge(d, k, lam), OracleRidge(d, k, lam)
+        for _ in range(40):
+            x = rng.normal(size=(50, d)) * scales
+            y = x @ truth + rng.normal(size=(50, k))
+            lean.absorb(x, y)
+            assert lean.last_path == "woodbury"
+            assert np.array_equal(lean.a_inv, lean.a_inv.T)
+            oracle.absorb(x, y, "woodbury")
+        for name in ("a_inv", "gram_norm", "cross_norm"):
+            assert rel_frobenius(getattr(lean, name), getattr(oracle, name)) <= 1e-12, name
+        exact = exact_weight(lean)
+        assert rel_frobenius(lean.weight, exact) <= rel_frobenius(oracle.weight, exact)
+
     def test_switch_rule(self):
-        # the measured crossover is near d/4 at d=469 and at d=117
-        assert woodbury_pays(116, 469) and not woodbury_pays(117, 469)
-        assert woodbury_pays(28, 117) and not woodbury_pays(29, 117)
+        # the measured crossover is near d/3 at d=469 and at d=117
+        assert woodbury_pays(155, 469) and not woodbury_pays(156, 469)
+        assert woodbury_pays(38, 117) and not woodbury_pays(39, 117)
         assert not woodbury_pays(1, 3)
 
     def test_direct_then_woodbury_fills_the_lazy_inverse(self):

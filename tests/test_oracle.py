@@ -5,7 +5,7 @@ Every setting of the grid below replays a three-channel series through
 the forecasts, applied weights, per-window scores and aggregates at 1e-9
 relative, the tolerance ``perfbench/reference.json`` pins aggregates to.
 At L=32 the design dimension is 31, so per-channel runs with M of 1 and 4
-and shared runs with M=1 take the Woodbury step, and the rest refit
+and shared runs with M=1 take Woodbury steps, and the others mostly refit
 directly.
 """
 
