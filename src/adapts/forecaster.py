@@ -184,8 +184,9 @@ def woodbury_pays(m: int, d: int) -> bool:
 
     A Woodbury step grows with the block (three ``d×d×m`` products); a
     direct refit is dominated by its ``d×d`` solve. With one BLAS thread
-    and real rows the two cross between 0.30·d and 0.36·d, both at d=469
-    and at d=117.
+    and real rows the two cross at 0.30-0.33·d at d=469 and at 0.38-0.44·d
+    at d=117, so a third of ``d`` sits near the crossover at the one and on
+    the Woodbury-paying side at the other.
     """
     return m < d // 3
 

@@ -181,13 +181,13 @@ class TestSweep:
 class TestBench:
     def test_bench_reports_match(self, capsys):
         code = main(["bench", "--set", "context_length=64", "--set", "horizon=8",
-                     "--set", "seasonality=8", "--update-period", "16",
+                     "--set", "seasonality=8", "--update-period", "20",
                      "--updates", "3"])
         assert code == 0
         out = capsys.readouterr().out
         assert "woodbury:" in out and "direct:" in out
-        # block 16 at design dim 59 is under the switch point d // 3
-        assert "auto path: woodbury (block 16, design dim 59)" in out
+        # block 20 at design dim 59 is past the switch point d // 3
+        assert "auto path: direct (block 20, design dim 59)" in out
         assert "match=true" in out and "weight rel_gap=" in out
 
     def test_bench_notes_direct_path_for_large_blocks(self, capsys):

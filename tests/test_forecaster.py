@@ -549,7 +549,7 @@ class TestLeanRidge:
         assert rel_frobenius(lean.weight, exact) <= rel_frobenius(oracle.weight, exact)
 
     def test_switch_rule(self):
-        # the measured crossover is near d/3 at d=469 and at d=117
+        # the measured crossovers: 0.30-0.33·d at d=469, 0.38-0.44·d at d=117
         assert woodbury_pays(155, 469) and not woodbury_pays(156, 469)
         assert woodbury_pays(38, 117) and not woodbury_pays(39, 117)
         assert not woodbury_pays(1, 3)
