@@ -12,10 +12,12 @@
 - the scalar :func:`~adapts.metrics.mase` and :func:`~adapts.metrics.rmsse`
   of one window at a time, each window cut from the series as it
   completes;
-- one :class:`~adapts.weighter.ChannelWeighter` per channel.
+- one :class:`~adapts.weighter.ChannelWeighter` per channel, whose state
+  after each update is recorded as one trajectory entry.
 
-Its result holds the run's columns in :class:`~adapts.harness.RunReport`
-layout, and :func:`gaps` measures how far a report lies from it.
+Its result holds the run's columns and weight trajectories in
+:class:`~adapts.harness.RunReport` layout, and :func:`gaps` measures how
+far a report lies from it.
 """
 
 import numpy as np
@@ -32,6 +34,10 @@ from adapts.spectral import (
     pad_spectrum,
 )
 from adapts.weighter import ChannelWeighter, combine
+
+
+TRAJECTORY_KEYS = ("update_step", "time_step", "w_slow", "w_fast", "beta_merge", "w_combined",
+                   "loss_base", "loss_adaptive")
 
 
 def paired_stop(n, keep):
@@ -73,8 +79,8 @@ def replay(series, base, config):
     """Replay ``series`` ``(T, C)`` with ``base`` under ``config``.
 
     Returns a dict with the report's ``forecasts``, ``weight_used``,
-    ``scores`` and ``floored`` columns and its ``aggregate`` MASE/RMSSE
-    per stream.
+    ``scores`` and ``floored`` columns, its ``aggregate`` MASE/RMSSE per
+    stream and its ``weights`` trajectories, one list per channel.
     """
     series = np.asarray(series, dtype=np.float64)
     L, H, M, s = config.context_length, config.horizon, config.update_period, config.seasonality
@@ -93,6 +99,7 @@ def replay(series, base, config):
     forecasts, weight_used = [], []
     scores = [[] for _ in range(n_channels)]     # per channel: one (2, 3) array per window
     floored = [[] for _ in range(n_channels)]
+    trajectories = [[] for _ in range(n_channels)]
     last_fit = t0 - 1
     for t in range(total - 1):
         base.observe(t, series[t])
@@ -131,6 +138,12 @@ def replay(series, base, config):
                 floored[ch].append(seasonal_naive_mae(ctx, s) < DENOMINATOR_FLOOR)
             loss_base, loss_adaptive, _, loss_fast, loss_slow = np.mean(losses, axis=0)
             w.update(loss_base, loss_adaptive, loss_fast, loss_slow)
+            trajectories[ch].append({
+                "update_step": w.update_count, "time_step": t,
+                "w_slow": w.w_slow, "w_fast": w.fast_weight(), "beta_merge": w.beta_merge,
+                "w_combined": w.current_weight(config.weighter_mode),
+                "loss_base": loss_base, "loss_adaptive": loss_adaptive,
+            })
         for ch in range(n_channels):
             rows_in, rows_out = seen[0 if config.shared_weights else ch]
             for o in origins:
@@ -150,6 +163,7 @@ def replay(series, base, config):
         "floored": np.array(floored, dtype=bool),
         "aggregate": {stream: {"mase": means[0, k], "rmsse": means[1, k]}
                       for k, stream in enumerate(STREAMS)},
+        "weights": trajectories,
     }
 
 
@@ -167,8 +181,9 @@ def _gap(a, b):
 def gaps(report, oracle):
     """Relative gaps of a :class:`~adapts.harness.RunReport` from
     :func:`replay`'s result, each the largest over channels: forecasts per
-    stream, applied weights, per-window scores per metric and stream, and
-    aggregates. Floored flags must match exactly."""
+    stream, applied weights, per-window scores per metric and stream,
+    aggregates, and each key of the weight trajectories. Floored flags and
+    the trajectories' keys and lengths must match exactly."""
     assert np.array_equal(report.floored, oracle["floored"])
     channels = range(report.floored.shape[0])
     out = {}
@@ -182,4 +197,11 @@ def gaps(report, oracle):
                 _gap(report.scores[i, k, ch], oracle["scores"][i, k, ch]) for ch in channels)
             out[f"aggregate.{metric}.{stream}"] = _gap(report.aggregate[stream][metric],
                                                        oracle["aggregate"][stream][metric])
+    trajectories = [report.weights[name] for name in report.channel_names]
+    assert [len(entries) for entries in trajectories] == [len(e) for e in oracle["weights"]]
+    assert all(set(e) == set(TRAJECTORY_KEYS) for entries in trajectories for e in entries)
+    for key in TRAJECTORY_KEYS:
+        out[f"weights.{key}"] = max(
+            _gap([e[key] for e in got], [e[key] for e in want])
+            for got, want in zip(trajectories, oracle["weights"]))
     return out

@@ -2,11 +2,12 @@
 
 Every setting of the grid below replays a three-channel series through
 :func:`adapts.harness.run` and through :func:`oracle.replay`, and compares
-the forecasts, applied weights, per-window scores and aggregates at 1e-9
-relative, the tolerance ``perfbench/reference.json`` pins aggregates to.
+the forecasts, applied weights, per-window scores, aggregates and weight
+trajectories at 1e-9 relative, the tolerance ``perfbench/reference.json``
+pins aggregates to.
 At L=32 the design dimension is 31, so per-channel runs with M of 1 and 4
 and shared runs with M=1 take Woodbury steps, and the others mostly refit
-directly.
+directly. A second grid varies the weighter's settings at M=4.
 """
 
 import numpy as np
@@ -39,6 +40,14 @@ def make_base(kind, table):
                                 channel_names=NAMES)
 
 
+def assert_matches_replay(data, kind, table, config):
+    report = run(data, make_base(kind, table), config, channel_names=NAMES)
+    expected = replay(data, make_base(kind, table), config)
+    assert report.floored.shape[1] > 5 * config.update_period  # several scored updates
+    worst = {name: gap for name, gap in gaps(report, expected).items() if not gap <= TOLERANCE}
+    assert not worst, worst
+
+
 # (M, shared, base, instance_norm, channel_scaling): every value of each
 # setting meets every value of every other setting in some case
 CASES = [
@@ -65,8 +74,26 @@ def test_run_matches_scalar_replay(update_period, shared, kind, instance_norm, c
     config = RollingConfig(context_length=L, horizon=H, update_period=update_period,
                            seasonality=S, warmup=2, fast_window=3, instance_norm=instance_norm,
                            channel_scaling=channel_scaling, shared_weights=shared)
-    report = run(data, make_base(kind, table), config, channel_names=NAMES)
-    expected = replay(data, make_base(kind, table), config)
-    assert report.floored.shape[1] > 5 * update_period  # several scored updates
-    worst = {name: gap for name, gap in gaps(report, expected).items() if not gap <= TOLERANCE}
-    assert not worst, worst
+    assert_matches_replay(data, kind, table, config)
+
+
+# (weighter_mode, eta, fast_window, warmup): every mode meets every eta,
+# and every pair of values of any two settings meets in some case
+WEIGHTER_CASES = [
+    ("full", 0.0, 1, 0), ("full", 0.5, 1, 0), ("full", 5.0, 5, 2),
+    ("slow_only", 0.0, 1, 0), ("slow_only", 0.5, 1, 0), ("slow_only", 5.0, 5, 2),
+    ("fast_only", 0.0, 1, 0), ("fast_only", 0.5, 1, 2), ("fast_only", 5.0, 5, 0),
+    ("unweighted", 0.0, 5, 2), ("unweighted", 0.5, 5, 0), ("unweighted", 5.0, 1, 0),
+]
+
+
+@pytest.mark.parametrize("case", range(len(WEIGHTER_CASES)))
+def test_weighter_settings_match_scalar_replay(case):
+    mode, eta, fast_window, warmup = WEIGHTER_CASES[case]
+    shared, kind = case % 2 == 0, ("naive_seasonal", "historical_mean", "precomputed")[case % 3]
+    data = series(100 + case)
+    table = precomputed_table(data, case)
+    config = RollingConfig(context_length=L, horizon=H, update_period=4, seasonality=S,
+                           eta=eta, fast_window=fast_window, warmup=warmup,
+                           weighter_mode=mode, shared_weights=shared)
+    assert_matches_replay(data, kind, table, config)
