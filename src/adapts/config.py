@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InvalidConfig
 
@@ -64,6 +64,3 @@ class RollingConfig:
                 f"weighter_mode must be one of {WEIGHTER_MODES}, got {self.weighter_mode!r}"
             )
         return self
-
-    def with_overrides(self, **kwargs) -> "RollingConfig":
-        return replace(self, **kwargs).validate()

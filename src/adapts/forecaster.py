@@ -235,7 +235,8 @@ class SpectralRidge:
     drops it, and the next Woodbury step, snapshot or reader recomputes it
     from the normalized Gram. ``last_path`` and ``last_fallback`` record
     how the latest block was absorbed and which test, if any, sent it from
-    the Woodbury step to a direct refit.
+    the Woodbury step to a direct refit. A block that raises leaves the
+    model as it was.
 
     The state starts real and follows the rows' dtype: the forecaster feeds
     real rows, and complex rows turn the same code into a complex ridge.
@@ -280,14 +281,22 @@ class SpectralRidge:
         reg.flat[::self.dim_in + 1] += self.lam / total
         return reg
 
-    def prepare(self, rows_in: np.ndarray, rows_out: np.ndarray, method: str = "auto"):
-        """Check a block and return the zero-argument function that absorbs
-        it (see :meth:`absorb` for the arguments).
+    def absorb(self, rows_in: np.ndarray, rows_out: np.ndarray, method: str = "auto") -> None:
+        """Fold a block of design rows into the model and refresh ``weight``.
 
-        Everything that can raise runs here, before the model changes: the
-        shape checks, the Woodbury test and both solves. The returned
-        function only applies the result; call it before anything else
-        changes the model.
+        Parameters
+        ----------
+        rows_in : (m, dim_in) real or complex ndarray
+        rows_out : (m, dim_out) real or complex ndarray
+        method : {"auto", "woodbury", "direct"}
+            "auto" takes the Woodbury step when :func:`woodbury_pays` and
+            falls back to a direct refit when the inner matrix fails its
+            test; "woodbury" raises :class:`IllConditionedUpdate` instead
+            of falling back.
+
+        Everything that can raise (the shape checks, the Woodbury test and
+        both solves) runs before the model changes, so a raise leaves it
+        unchanged.
         """
         rows_in, rows_out = np.asarray(rows_in), np.asarray(rows_out)
         dtype = np.result_type(rows_in, rows_out, self.gram_norm)
@@ -318,7 +327,8 @@ class SpectralRidge:
                 whiten = np.linalg.inv(factor)
                 v = whiten @ t.conj().T                        # (m, d)
                 z = whiten @ (rows_out - rows_in @ self.weight)
-                return lambda: self._woodbury_step(rows_in, rows_out, v, z, total, keep)
+                self._woodbury_step(rows_in, rows_out, v, z, total, keep)
+                return
             if method == "woodbury":
                 raise IllConditionedUpdate(
                     f"inner {m}x{m} solve failed the {fault} test (limit {CONDITION_LIMIT:.0e})")
@@ -329,13 +339,10 @@ class SpectralRidge:
             weight = np.linalg.solve(self._regularized(gram, total), cross)
         except np.linalg.LinAlgError as exc:
             raise IllConditionedUpdate(f"regularized Gram is singular: {exc}") from exc
-
-        def refit():
-            self.gram_norm, self.cross_norm, self.weight = gram, cross, weight
-            self.n_samples = total
-            self._a_inv = None
-            self.last_path, self.last_fallback = "direct", fault
-        return refit
+        self.gram_norm, self.cross_norm, self.weight = gram, cross, weight
+        self.n_samples = total
+        self._a_inv = None
+        self.last_path, self.last_fallback = "direct", fault
 
     def _woodbury_step(self, rows_in, rows_out, v, z, total, keep) -> None:
         if self.gram_norm.dtype != v.dtype:  # complex rows into a real state
@@ -359,21 +366,6 @@ class SpectralRidge:
         self.cross_norm += (x_h @ rows_out) / total
         self.n_samples = total
         self.last_path, self.last_fallback = "woodbury", None
-
-    def absorb(self, rows_in: np.ndarray, rows_out: np.ndarray, method: str = "auto") -> None:
-        """Fold a block of design rows into the model and refresh ``weight``.
-
-        Parameters
-        ----------
-        rows_in : (m, dim_in) real or complex ndarray
-        rows_out : (m, dim_out) real or complex ndarray
-        method : {"auto", "woodbury", "direct"}
-            "auto" takes the Woodbury step when :func:`woodbury_pays` and
-            falls back to a direct refit when the inner matrix fails its
-            test; "woodbury" raises :class:`IllConditionedUpdate` instead
-            of falling back. Either way a raise leaves the model unchanged.
-        """
-        self.prepare(rows_in, rows_out, method)()
 
 
 class OnlineForecaster:
@@ -469,21 +461,19 @@ class OnlineForecaster:
         tgt_row = lowpass(forward_rft((tgt - mu) / sigma), self.filter.target_bins).bins
         return ctx_row, tgt_row
 
-    def fit(self, contexts, targets, channels, method: str = "auto") -> None:
+    def fit(self, contexts, targets, channels) -> None:
         """Embed ``(n, L)`` contexts and ``(n, H)`` targets, row ``i`` cut
         from channel ``channels[i]`` and scaled by its running std, in one
         batched pass equal to :meth:`embed_pair` plus the layout, absorb
-        ``n / G`` consecutive rows per model and refresh ``time_map``.
-        Channel statistics must already reflect the observations the rows
-        were cut from (see :meth:`observe_values`).
+        ``n / G`` consecutive rows per model under the ``"auto"`` rule of
+        :meth:`SpectralRidge.absorb` and refresh ``time_map``. Channel
+        statistics must already reflect the observations the rows were cut
+        from (see :meth:`observe_values`).
 
-        Under ``method="woodbury"`` a block that fails the Woodbury test
-        raises, so every model's block is checked before any model changes
-        and the raise leaves the forecaster as it was. Under "auto" such a
-        block takes a direct refit instead, and models absorb one at a time
-        so that one new ``d×d`` Gram is alive at once, not one per model;
-        only a singular regularized Gram, a data error, can then raise
-        after earlier models have absorbed their rows.
+        Models absorb one at a time, so that one new ``d×d`` Gram is alive
+        at once, not one per model. A block that fails the Woodbury test
+        takes a direct refit, so only a singular regularized Gram, a data
+        error, can raise after earlier models have absorbed their rows.
         """
         L, H, G = self.context_length, self.horizon, len(self.cores)
         # C order whatever the input's, so the means and FFTs sum alike
@@ -508,21 +498,16 @@ class OnlineForecaster:
         d_c, d_t = self.filter.context_bins, self.filter.target_bins
         rows_in = _real_coefficients(np.fft.rfft(ctx, axis=1)[:, :d_c], L)
         rows_out = _real_coefficients(np.fft.rfft(tgt, axis=1)[:, :d_t], H)
-        blocks = list(zip(self.cores, np.split(rows_in, G), np.split(rows_out, G)))
-        if method == "woodbury":
-            for absorb in [core.prepare(x, y, method) for core, x, y in blocks]:
-                absorb()
-        else:
-            for core, x, y in blocks:
-                core.absorb(x, y, method=method)
+        for core, x, y in zip(self.cores, np.split(rows_in, G), np.split(rows_out, G)):
+            core.absorb(x, y)
         self._refold()
 
-    def fit_block(self, pairs, method: str = "auto") -> None:
+    def fit_block(self, pairs) -> None:
         """:meth:`fit` on a list of :class:`SamplePair`."""
         if len({(np.shape(p.context), np.shape(p.target)) for p in pairs}) > 1:
             raise ShapeMismatch("pairs in one block differ in context or target length")
         self.fit([p.context for p in pairs], [p.target for p in pairs],
-                 [p.channel for p in pairs], method)
+                 [p.channel for p in pairs])
 
     def _refold(self) -> None:
         """Collapse the spectral chain around each model's weight into its

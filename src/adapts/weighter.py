@@ -82,33 +82,37 @@ def combine(base_forecast, adaptive_forecast, w: float) -> np.ndarray:
 
 
 class _LossSums:
-    """Kahan-compensated running sums of a pair of loss streams."""
+    """Kahan-compensated running sums of a pair of loss streams.
+
+    Held as Python floats, whose additions round exactly as numpy's do but
+    overflow to inf without a warning. A sum that overflows saturates at
+    inf: its compensation is reset to 0, so later additions cannot turn it
+    into NaN.
+    """
 
     __slots__ = ("totals", "_comp")
 
     def __init__(self):
-        self.totals = np.zeros(2)
-        self._comp = np.zeros(2)
+        self.totals = [0.0, 0.0]
+        self._comp = [0.0, 0.0]
 
-    def add(self, pair) -> None:
-        y = np.asarray(pair, dtype=np.float64) - self._comp
-        t = self.totals + y
-        self._comp = (t - self.totals) - y
-        self.totals = t
-
-    def set_gap(self, gap: float) -> None:
-        """Reset so that ``totals[0] - totals[1] == gap``."""
-        self.totals = np.array([max(gap, 0.0), max(-gap, 0.0)])
-        self._comp = np.zeros(2)
+    def add(self, first: float, second: float) -> None:
+        for i, loss in enumerate((first, second)):
+            total = self.totals[i]
+            y = loss - self._comp[i]
+            t = total + y
+            self._comp[i] = 0.0 if t == math.inf else (t - total) - y
+            self.totals[i] = t
 
 
-def _softmax_pair_first(sums: _LossSums, eta: float) -> float:
+def _softmax_pair_first(totals, eta: float) -> float:
     """First component of the two-way softmax of -eta * totals.
 
-    Evaluated as a stable sigmoid so that corner states (one total pinned
-    at infinity by the weight setters) behave like true zero weights.
+    Evaluated as a stable sigmoid, so that a total that overflowed to inf
+    acts as a true zero weight: inf against a finite total gives 0 or 1,
+    and two infinite totals give 0.5.
     """
-    s1, s2 = float(sums.totals[0]), float(sums.totals[1])
+    s1, s2 = float(totals[0]), float(totals[1])
     if eta == 0.0 or (math.isinf(s1) and math.isinf(s2)):
         return 0.5
     x = eta * (s1 - s2)
@@ -116,20 +120,6 @@ def _softmax_pair_first(sums: _LossSums, eta: float) -> float:
         z = math.exp(-x)
         return z / (1.0 + z)
     return 1.0 / (1.0 + math.exp(x))
-
-
-def _gap_for_weight(value: float, eta: float) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise InvalidLoss(f"weight must lie in [0, 1], got {value}")
-    if value == 0.0:
-        return math.inf
-    if value == 1.0:
-        return -math.inf
-    if eta == 0.0:
-        if value != 0.5:
-            raise InvalidLoss("with eta == 0 only the uniform weight is representable")
-        return 0.0
-    return -math.log(value / (1.0 - value)) / eta
 
 
 class ChannelWeighter:
@@ -161,30 +151,26 @@ class ChannelWeighter:
     @property
     def w_slow(self) -> float:
         """Base-forecast weight from all post-warm-up losses."""
-        return _softmax_pair_first(self._slow, self.eta)
-
-    @w_slow.setter
-    def w_slow(self, value: float) -> None:
-        self._slow.set_gap(_gap_for_weight(value, self.eta))
+        return _softmax_pair_first(self._slow.totals, self.eta)
 
     @property
     def beta_merge(self) -> float:
         """Mixing weight between the fast and slow weighters."""
-        return _softmax_pair_first(self._merge, self.eta)
-
-    @beta_merge.setter
-    def beta_merge(self, value: float) -> None:
-        self._merge.set_gap(_gap_for_weight(value, self.eta))
+        return _softmax_pair_first(self._merge.totals, self.eta)
 
     def fast_weight(self) -> float:
         """Base-forecast weight from the buffered recent losses.
 
         Softmax of the windowed cumulative losses; 0.5 while the buffer is
-        empty.
+        empty. A windowed sum that overflows to inf weighs as the slow and
+        merge totals do.
         """
         if not self.fast_losses:
             return 0.5
-        sums = np.sum(np.asarray(self.fast_losses, dtype=np.float64), axis=0)
+        with np.errstate(over="ignore"):
+            sums = np.sum(np.asarray(self.fast_losses, dtype=np.float64), axis=0)
+        if np.isinf(sums).any():
+            return _softmax_pair_first(sums, self.eta)
         return float(exp_weight_step(np.array([0.5, 0.5]), sums, self.eta)[0])
 
     def current_weight(self, mode: str = "full") -> float:
@@ -221,7 +207,7 @@ class ChannelWeighter:
         if self.update_count < self.warmup_steps:
             self.update_count += 1
             return
-        self._slow.add(losses[:2])
+        self._slow.add(float(loss_base), float(loss_adaptive))
         self.fast_losses.append((float(loss_base), float(loss_adaptive)))
-        self._merge.add(losses[2:])
+        self._merge.add(float(loss_fast_combo), float(loss_slow_combo))
         self.update_count += 1

@@ -1,5 +1,6 @@
 """Tests for the rolling-window simulator and the base forecasters."""
 
+import dataclasses
 import gc
 import types
 
@@ -421,7 +422,7 @@ class TestSharedVersusPerChannel:
         data = ar_seasonal_series(seed=2, steps=2500, channels=2, period=24)
         cfg_shared = RollingConfig(context_length=64, horizon=8, update_period=50,
                                    seasonality=24, shared_weights=True).validate()
-        cfg_split = cfg_shared.with_overrides(shared_weights=False)
+        cfg_split = dataclasses.replace(cfg_shared, shared_weights=False).validate()
         r_shared = run(data, NaiveSeasonalBase(24, 8), cfg_shared)
         r_split = run(data, NaiveSeasonalBase(24, 8), cfg_split)
         assert r_shared.windows_evaluated == r_split.windows_evaluated

@@ -108,17 +108,21 @@ class TestCurrentWeight:
         assert w.current_weight() == 1.0
 
     def test_merge_weight_one_returns_fast(self):
-        w = ChannelWeighter(warmup_steps=0)
-        w.update(0.3, 0.6, 0.5, 0.5)
-        w.beta_merge = 1.0
-        assert w.current_weight() == pytest.approx(w.fast_weight(), rel=1e-14)
+        # eta * (merge-loss gap) = 750 > 745: the slow side's share underflows to 0
+        w = ChannelWeighter(eta=0.5, warmup_steps=0)
+        w.update(0.3, 0.6, 0.0, 1500.0)
+        assert w.beta_merge == 1.0
+        assert w.current_weight() == w.fast_weight()
 
     def test_blend_arithmetic(self):
-        w = ChannelWeighter(eta=0.5, warmup_steps=0)
-        w.beta_merge = 0.5
-        w.w_slow = 0.4
-        # one buffered pair with loss gap 2*ln(4)/1 puts the fast weight at 0.8
-        w.fast_losses.append((0.0, 2 * math.log(4.0)))
+        w = ChannelWeighter(eta=0.5, fast_window=1, warmup_steps=0)
+        # the slow totals differ by 2*ln(1.5), which puts the slow weight at
+        # 0.4; the buffered pair differs by -2*ln(4), which puts the fast
+        # weight at 0.8; equal merge losses keep the merge weight at 0.5
+        w.update(2 * math.log(6.0), 0.0, 1.0, 1.0)
+        w.update(0.0, 2 * math.log(4.0), 1.0, 1.0)
+        assert w.beta_merge == 0.5
+        assert w.w_slow == pytest.approx(0.4, rel=1e-12)
         assert w.fast_weight() == pytest.approx(0.8, rel=1e-12)
         assert w.current_weight() == pytest.approx(0.5 * 0.8 + 0.5 * 0.4, rel=1e-12)
 
@@ -230,6 +234,45 @@ class TestUpdate:
             assert 0.0 <= w.w_slow <= 1.0
             assert 0.0 <= w.beta_merge <= 1.0
             assert 0.0 <= w.fast_weight() <= 1.0
+
+    def test_overflowed_sums_saturate_at_inf(self):
+        # the suite turns numpy's overflow warnings into errors
+        w = ChannelWeighter(warmup_steps=0)
+        for _ in range(2):
+            w.update(1e308, 1.0, 1.0, 1.0)
+        # inf against a finite sum weighs 0, in the fast window and the slow sums
+        assert w.fast_weight() == 0.0 and w.w_slow == 0.0
+        assert w.beta_merge == 0.5 and w.current_weight() == 0.0
+
+        w = ChannelWeighter(fast_window=1, warmup_steps=0)
+        for _ in range(3):
+            w.update(1e308, 1.0, 1e308, 1.0)
+        assert w.w_slow == 0.0 and w.beta_merge == 0.0
+        assert w.fast_weight() == 0.0 and w.current_weight() == 0.0
+
+        w = ChannelWeighter(warmup_steps=0)
+        for _ in range(3):
+            w.update(1e308, 1e308, 1e308, 1e308)
+        # both sums infinite: the uniform weight
+        assert w.fast_weight() == w.w_slow == w.beta_merge == w.current_weight() == 0.5
+
+    def test_finite_sums_match_numpy_kahan_bit_for_bit(self):
+        # the running sums as numpy pairs, the form they had before they
+        # were held as Python floats
+        totals = {"slow": np.zeros(2), "merge": np.zeros(2)}
+        comps = {"slow": np.zeros(2), "merge": np.zeros(2)}
+        w = ChannelWeighter(eta=0.7, warmup_steps=0)
+        rng = np.random.default_rng(12)
+        for scale in rng.uniform(0.0, 1.0, size=300) * 10.0 ** rng.integers(-3, 6, size=300):
+            losses = rng.uniform(0.0, 1.0, size=4) * scale
+            w.update(*losses.tolist())
+            for key, pair in (("slow", losses[:2]), ("merge", losses[2:])):
+                y = pair - comps[key]
+                t = totals[key] + y
+                comps[key] = (t - totals[key]) - y
+                totals[key] = t
+            assert w._slow.totals == totals["slow"].tolist()
+            assert w._merge.totals == totals["merge"].tolist()
 
 
 class TestRoleFlip:
