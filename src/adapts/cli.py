@@ -164,6 +164,8 @@ def cmd_bench(args) -> int:
         settings = adio.load_run_config(args.config)
     settings = _apply_overrides(settings, args)
     cfg = adio.build_rolling_config(settings)
+    if args.updates < 1:
+        raise UsageError(f"--updates must be at least 1, got {args.updates}")
     probe = OnlineForecaster(cfg.context_length, cfg.horizon, cfg.seasonality,
                              lam=cfg.lam, alpha=cfg.alpha)
     dim, out_dim = probe.design_dim, probe.core.dim_out
@@ -183,7 +185,8 @@ def cmd_bench(args) -> int:
         states[method] = model
     gaps = {name: np.linalg.norm(getattr(states["woodbury"], name) - getattr(states["direct"], name))
             / np.linalg.norm(getattr(states["direct"], name)) for name in ("a_inv", "weight")}
-    match = max(gaps.values()) < 1e-8
+    # a NaN or infinite gap fails the comparison, so it counts as a mismatch
+    match = all(gap < 1e-8 for gap in gaps.values())
     print(f"design_dim={dim} block={m} updates={args.updates}")
     print(f"woodbury: {timings['woodbury']:.4f}s")
     print(f"direct:   {timings['direct']:.4f}s")

@@ -351,12 +351,7 @@ def build_rolling_config(settings: dict) -> RollingConfig:
 def write_report(report, path, fmt: str = "json") -> None:
     """Serialize a RunReport as JSON (full structure) or CSV (flat table)."""
     if fmt == "json":
-        payload = json.dumps(report.to_dict(), sort_keys=True, indent=2)
-        try:
-            with open(path, "w") as fh:
-                fh.write(payload + "\n")
-        except OSError as exc:
-            raise IoError(f"cannot write {path}: {exc}") from exc
+        write_json(report.to_dict(), path)
     elif fmt == "csv":
         try:
             with open(path, "w", newline="") as fh:
@@ -381,10 +376,13 @@ def write_report(report, path, fmt: str = "json") -> None:
 
 
 def write_json(payload, path) -> None:
-    """Write any JSON-serializable payload with sorted keys."""
+    """Write any JSON-serializable payload with sorted keys. The payload is
+    serialized before the file is opened, so a payload that cannot be
+    serialized leaves an existing file untouched."""
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     try:
         with open(path, "w") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            fh.write(text)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

@@ -8,6 +8,7 @@ import pytest
 from helpers import ar_seasonal_series
 
 from adapts.cli import main
+from adapts.forecaster import SpectralRidge
 from adapts.io import Series, load_forecasts, read_report_json, write_series
 
 
@@ -205,3 +206,25 @@ class TestBench:
                      "--updates", "3"])
         assert code == 0
         assert "auto path: woodbury (block 8, design dim 59)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("updates", ["0", "-2"])
+    def test_bench_rejects_fewer_than_one_update(self, updates, capsys):
+        # with no update both models are untrained and every gap is 0/0
+        assert main(["bench", "--updates", updates]) == 1
+        assert "--updates must be at least 1" in capsys.readouterr().err
+
+    def test_bench_counts_a_non_finite_gap_as_a_mismatch(self, monkeypatch, capsys):
+        absorb = SpectralRidge.absorb
+
+        def nan_after_direct(model, rows_in, rows_out, method="auto"):
+            absorb(model, rows_in, rows_out, method)
+            if method == "direct":
+                model.weight[0, 0] = np.nan
+
+        monkeypatch.setattr(SpectralRidge, "absorb", nan_after_direct)
+        code = main(["bench", "--set", "context_length=16", "--set", "horizon=4",
+                     "--set", "seasonality=4", "--update-period", "4", "--updates", "2"])
+        out = capsys.readouterr().out
+        # the weight gap, the NaN, comes after a finite a_inv gap
+        assert "a_inv rel_gap=" in out and "weight rel_gap=nan" in out
+        assert code == 3 and "match=false" in out

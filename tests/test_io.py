@@ -26,6 +26,7 @@ from adapts.io import (
     parse_config_value,
     read_report_json,
     write_forecasts,
+    write_json,
     write_report,
     write_series,
 )
@@ -534,3 +535,10 @@ class TestReports:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(InvalidConfig):
             write_report(self._small_report(), tmp_path / "r.x", fmt="xml")
+
+    def test_unserializable_payload_leaves_the_file_untouched(self, tmp_path):
+        p = tmp_path / "table.json"
+        p.write_text("kept\n")
+        with pytest.raises(TypeError):
+            write_json({"value": object()}, p)
+        assert p.read_text() == "kept\n"
