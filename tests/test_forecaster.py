@@ -609,6 +609,23 @@ class TestLeanRidge:
         # the direct refit recomputes a positive definite inverse on read
         np.linalg.cholesky(model.a_inv)
 
+    def test_rejected_block_leaves_the_model_unchanged(self):
+        rng = np.random.default_rng(59)
+        model = SpectralRidge(8, 2, 1.0)
+        model.absorb(rng.normal(size=(12, 8)), rng.normal(size=(12, 2)))
+        before = ridge_state(model)
+        for error, rows_in, rows_out, method in [
+            (ShapeMismatch, rng.normal(size=(2, 7)), rng.normal(size=(2, 2)), "auto"),
+            (ShapeMismatch, rng.normal(size=(2, 8)), rng.normal(size=(3, 2)), "woodbury"),
+            (ShapeMismatch, np.zeros((0, 8)), np.zeros((0, 2)), "direct"),
+            (InvalidConfig, rng.normal(size=(2, 8)), rng.normal(size=(2, 2)), "cholesky"),
+        ]:
+            with pytest.raises(error):
+                model.absorb(rows_in, rows_out, method=method)
+            for name, value in before.items():
+                np.testing.assert_array_equal(getattr(model, name), value, err_msg=name)
+        assert (model.last_path, model.last_fallback) == ("direct", None)
+
     def test_woodbury_step_leaves_inputs_untouched(self):
         rng = np.random.default_rng(53)
         model = SpectralRidge(8, 2, 1.0)

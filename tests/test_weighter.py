@@ -257,8 +257,7 @@ class TestUpdate:
         assert w.fast_weight() == w.w_slow == w.beta_merge == w.current_weight() == 0.5
 
     def test_finite_sums_match_numpy_kahan_bit_for_bit(self):
-        # the running sums as numpy pairs, the form they had before they
-        # were held as Python floats
+        # reference: the same Kahan recursion on numpy pairs
         totals = {"slow": np.zeros(2), "merge": np.zeros(2)}
         comps = {"slow": np.zeros(2), "merge": np.zeros(2)}
         w = ChannelWeighter(eta=0.7, warmup_steps=0)
