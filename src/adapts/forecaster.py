@@ -26,11 +26,8 @@ factor ``F`` of the small inner matrix whitens the block once, ``[V | Z]
 ``V* V`` from the inverse Gram matrix in place, which keeps that inverse
 symmetric without re-symmetrising it. Larger blocks, and small ones whose
 inner matrix fails a trace or Cholesky test, trigger a direct refit that
-solves for the weight from normalized accumulators and leaves the inverse
-to be computed when something reads it. The Gram and cross-moment
-matrices are stored divided by the sample count, so their entries stay
-bounded no matter how much history accumulates; the ridge term is
-annealed by the same factor in the direct solve.
+solves for the weight from the Gram and cross-moment sums and leaves the
+inverse to be computed when something reads it.
 
 :meth:`OnlineForecaster.fit` embeds a block of (context, target) arrays
 at once: one batched real FFT per side followed by the layout, the same
@@ -85,7 +82,7 @@ from .spectral import (  # noqa: F401
 
 SIGMA_FLOOR = 1e-8
 CONDITION_LIMIT = 1e12
-SNAPSHOT_FORMAT = "adapts-forecaster/2"
+SNAPSHOT_FORMAT = "adapts-forecaster/3"
 
 
 def _real_coefficients(bins: np.ndarray, n: int) -> np.ndarray:
@@ -215,13 +212,12 @@ def _inner_fault(inner: np.ndarray):
 class SpectralRidge:
     """Incremental ridge regression.
 
-    Keeps normalized accumulators ``gram_norm = X*X / N`` and ``cross_norm
-    = X*Y / N`` over all absorbed design rows ``X`` (``*`` is the conjugate
-    transpose) and the ridge solution ``weight = (X*X + lam*I)^-1 X*Y``.
-    A block is folded in one of two ways:
+    Keeps the sums ``gram = X*X`` and ``cross = X*Y`` over all absorbed
+    design rows ``X`` (``*`` is the conjugate transpose) and the ridge
+    solution ``weight = (gram + lam*I)^-1 cross``. A block is folded in
+    one of two ways:
 
-    - a direct refit solves ``(gram_norm + lam/N * I) weight = cross_norm``
-      (the ridge term annealed by ``1/N``, so nothing unbounded is stored);
+    - a direct refit solves ``(gram + lam*I) weight = cross``;
     - a Woodbury step is block recursive least squares in square-root
       form: with ``A = a_inv``, ``T = A X*``, ``inner = I + X T = F F*``
       (``F`` the lower Cholesky factor from :func:`_inner_fault`) and the
@@ -231,12 +227,12 @@ class SpectralRidge:
       and for real rows ``V* V`` is exactly symmetric, so ``A`` stays so.
       The step is refused when ``inner`` fails :func:`_inner_fault`.
 
-    ``a_inv = (X*X + lam*I)^-1`` is computed only when read: a direct refit
-    drops it, and the next Woodbury step, snapshot or reader recomputes it
-    from the normalized Gram. ``last_path`` and ``last_fallback`` record
-    how the latest block was absorbed and which test, if any, sent it from
-    the Woodbury step to a direct refit. A block that raises leaves the
-    model as it was.
+    ``a_inv = (gram + lam*I)^-1`` is computed only when read: a direct
+    refit drops it, and the next Woodbury step, snapshot or reader
+    recomputes it. ``last_path`` and ``last_fallback`` record how the
+    latest block was absorbed and which test, if any, sent it from the
+    Woodbury step to a direct refit. A block that raises leaves the model
+    as it was.
 
     The state starts real and follows the rows' dtype: the forecaster feeds
     real rows, and complex rows turn the same code into a complex ridge.
@@ -251,8 +247,8 @@ class SpectralRidge:
         self.dim_out = dim_out
         self.lam = float(lam)
         self._a_inv = None
-        self.gram_norm = np.zeros((dim_in, dim_in))
-        self.cross_norm = np.zeros((dim_in, dim_out))
+        self.gram = np.zeros((dim_in, dim_in))
+        self.cross = np.zeros((dim_in, dim_out))
         self.weight = np.zeros((dim_in, dim_out))
         self.n_samples = 0
         self.last_path = None
@@ -260,25 +256,21 @@ class SpectralRidge:
 
     @property
     def a_inv(self) -> np.ndarray:
-        """``(X*X + lam*I)^-1``, recomputed from the normalized Gram on the
-        first read after a direct refit."""
+        """``(gram + lam*I)^-1``, recomputed on the first read after a
+        direct refit."""
         if self._a_inv is None:
-            n = self.n_samples
-            if n == 0:
-                self._a_inv = np.eye(self.dim_in, dtype=self.gram_norm.dtype) / self.lam
-            else:
-                # the direct refit already solved with this very matrix
-                inv = np.linalg.inv(self._regularized(self.gram_norm, n)) / n
-                self._a_inv = (inv + inv.conj().T) / 2.0
+            # the direct refit already solved with this very matrix
+            inv = np.linalg.inv(self._regularized(self.gram))
+            self._a_inv = (inv + inv.conj().T) / 2.0
         return self._a_inv
 
     @a_inv.setter
     def a_inv(self, value: np.ndarray) -> None:
         self._a_inv = value
 
-    def _regularized(self, gram: np.ndarray, total: int) -> np.ndarray:
+    def _regularized(self, gram: np.ndarray) -> np.ndarray:
         reg = gram.copy()
-        reg.flat[::self.dim_in + 1] += self.lam / total
+        reg.flat[::self.dim_in + 1] += self.lam
         return reg
 
     def absorb(self, rows_in: np.ndarray, rows_out: np.ndarray, method: str = "auto") -> None:
@@ -299,7 +291,7 @@ class SpectralRidge:
         unchanged.
         """
         rows_in, rows_out = np.asarray(rows_in), np.asarray(rows_out)
-        dtype = np.result_type(rows_in, rows_out, self.gram_norm)
+        dtype = np.result_type(rows_in, rows_out, self.gram)
         rows_in, rows_out = rows_in.astype(dtype, copy=False), rows_out.astype(dtype, copy=False)
         if rows_in.ndim != 2 or rows_in.shape[1] != self.dim_in:
             raise ShapeMismatch(f"design rows must be (m, {self.dim_in}), got {rows_in.shape}")
@@ -312,8 +304,6 @@ class SpectralRidge:
             raise ShapeMismatch("cannot absorb an empty block")
         if method not in ("auto", "woodbury", "direct"):
             raise InvalidConfig(f"unknown fit method {method!r}")
-        total = self.n_samples + m
-        keep = self.n_samples / total
 
         fault = None
         if method == "woodbury" or (method == "auto" and woodbury_pays(m, self.dim_in)):
@@ -327,28 +317,27 @@ class SpectralRidge:
                 whiten = np.linalg.inv(factor)
                 v = whiten @ t.conj().T                        # (m, d)
                 z = whiten @ (rows_out - rows_in @ self.weight)
-                self._woodbury_step(rows_in, rows_out, v, z, total, keep)
+                self._woodbury_step(rows_in, rows_out, v, z)
                 return
             if method == "woodbury":
                 raise IllConditionedUpdate(
                     f"inner {m}x{m} solve failed the {fault} test (limit {CONDITION_LIMIT:.0e})")
 
-        gram = keep * self.gram_norm + (rows_in.conj().T @ rows_in) / total
-        cross = keep * self.cross_norm + (rows_in.conj().T @ rows_out) / total
+        gram = self.gram + rows_in.conj().T @ rows_in
+        cross = self.cross + rows_in.conj().T @ rows_out
         try:
-            weight = np.linalg.solve(self._regularized(gram, total), cross)
+            weight = np.linalg.solve(self._regularized(gram), cross)
         except np.linalg.LinAlgError as exc:
             raise IllConditionedUpdate(f"regularized Gram is singular: {exc}") from exc
-        self.gram_norm, self.cross_norm, self.weight = gram, cross, weight
-        self.n_samples = total
+        self.gram, self.cross, self.weight = gram, cross, weight
+        self.n_samples += m
         self._a_inv = None
         self.last_path, self.last_fallback = "direct", fault
 
-    def _woodbury_step(self, rows_in, rows_out, v, z, total, keep) -> None:
-        if self.gram_norm.dtype != v.dtype:  # complex rows into a real state
-            self.gram_norm, self.cross_norm, self.weight, self._a_inv = (
-                a.astype(v.dtype) for a in (self.gram_norm, self.cross_norm, self.weight,
-                                            self._a_inv))
+    def _woodbury_step(self, rows_in, rows_out, v, z) -> None:
+        if self.gram.dtype != v.dtype:  # complex rows into a real state
+            self.gram, self.cross, self.weight, self._a_inv = (
+                a.astype(v.dtype) for a in (self.gram, self.cross, self.weight, self._a_inv))
         v_h, x_h = v.conj().T, rows_in.conj().T
         self.weight += v_h @ z
         # for real rows v_h is v's own transpose, so numpy takes syrk, which
@@ -356,15 +345,13 @@ class SpectralRidge:
         scratch = v_h @ v                                      # (d, d)
         self._a_inv -= scratch
         # the new Gram takes over the scratch array and the old one is freed;
-        # keeping gram_norm's array and adding into it measured the batched
+        # keeping gram's array and adding into it measured the batched
         # embedding in fit ~1.6x slower on a per-channel L=520 replay
-        np.matmul(x_h, rows_in / total, out=scratch)
-        self.gram_norm *= keep
-        scratch += self.gram_norm
-        self.gram_norm = scratch
-        self.cross_norm *= keep
-        self.cross_norm += (x_h @ rows_out) / total
-        self.n_samples = total
+        np.matmul(x_h, rows_in, out=scratch)
+        scratch += self.gram
+        self.gram = scratch
+        self.cross += x_h @ rows_out
+        self.n_samples += rows_in.shape[0]
         self.last_path, self.last_fallback = "woodbury", None
 
 
@@ -566,8 +553,8 @@ def save_forecaster(forecaster: OnlineForecaster, path) -> None:
         channel_scaling=forecaster.channel_scaling,
         n_samples=forecaster.core.n_samples,
         a_inv=forecaster.core.a_inv,
-        gram_norm=forecaster.core.gram_norm,
-        cross_norm=forecaster.core.cross_norm,
+        gram=forecaster.core.gram,
+        cross=forecaster.core.cross,
         weight=forecaster.core.weight,
         stats_counts=st.counts if st.counts is not None else empty_i,
         stats_means=st.means if st.means is not None else empty_f,
@@ -587,8 +574,8 @@ def load_forecaster(path) -> OnlineForecaster:
             bool(data["instance_norm"]), bool(data["channel_scaling"]),
         )
         d, d_t = f.design_dim, f.core.dim_out
-        for name, shape in (("a_inv", (d, d)), ("gram_norm", (d, d)),
-                            ("cross_norm", (d, d_t)), ("weight", (d, d_t))):
+        for name, shape in (("a_inv", (d, d)), ("gram", (d, d)),
+                            ("cross", (d, d_t)), ("weight", (d, d_t))):
             value = data[name]
             if value.dtype.kind != "f":
                 raise InvalidConfig(f"snapshot {name} has dtype {value.dtype}, expected real floats")

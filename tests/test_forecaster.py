@@ -54,14 +54,14 @@ def hermitize(m):
 class OracleRidge:
     """The ridge update without block-RLS weights or the lazy inverse: it
     keeps ``a_inv`` after every block, tests the Woodbury inner matrix by
-    its condition number and sets ``weight = N * a_inv @ cross_norm``.
-    ``method`` is the path to take, "woodbury" or "direct"."""
+    its condition number and sets ``weight = a_inv @ cross``. ``method`` is
+    the path to take, "woodbury" or "direct"."""
 
     def __init__(self, dim_in, dim_out, lam):
         self.dim_in, self.lam = dim_in, float(lam)
         self.a_inv = np.eye(dim_in) / lam
-        self.gram_norm = np.zeros((dim_in, dim_in))
-        self.cross_norm = np.zeros((dim_in, dim_out))
+        self.gram = np.zeros((dim_in, dim_in))
+        self.cross = np.zeros((dim_in, dim_out))
         self.weight = np.zeros((dim_in, dim_out))
         self.n_samples = 0
 
@@ -74,27 +74,23 @@ class OracleRidge:
             if np.linalg.cond(inner) > CONDITION_LIMIT:
                 raise IllConditionedUpdate("inner solve condition exceeds the limit")
             new_a_inv = hermitize(self.a_inv - t @ np.linalg.solve(inner, t.conj().T))
-        total = self.n_samples + m
-        keep = self.n_samples / total
-        self.gram_norm = keep * self.gram_norm + (rows_in.conj().T @ rows_in) / total
-        self.cross_norm = keep * self.cross_norm + (rows_in.conj().T @ rows_out) / total
-        self.n_samples = total
+        self.gram = self.gram + rows_in.conj().T @ rows_in
+        self.cross = self.cross + rows_in.conj().T @ rows_out
+        self.n_samples += m
         if new_a_inv is None:
-            reg = self.gram_norm + (self.lam / total) * np.eye(self.dim_in)
-            new_a_inv = hermitize(np.linalg.inv(reg) / total)
+            new_a_inv = hermitize(np.linalg.inv(self.gram + self.lam * np.eye(self.dim_in)))
         self.a_inv = new_a_inv
-        self.weight = total * (self.a_inv @ self.cross_norm)
+        self.weight = self.a_inv @ self.cross
 
 
 def exact_weight(model):
-    """The ridge weight solved directly from a model's normalized state."""
-    reg = model.gram_norm + model.lam / model.n_samples * np.eye(model.dim_in)
-    return np.linalg.solve(reg, model.cross_norm)
+    """The ridge weight solved directly from a model's Gram and cross sums."""
+    return np.linalg.solve(model.gram + model.lam * np.eye(model.dim_in), model.cross)
 
 
 def ridge_state(model):
     return {name: np.copy(getattr(model, name))
-            for name in ("a_inv", "gram_norm", "cross_norm", "weight", "n_samples")}
+            for name in ("a_inv", "gram", "cross", "weight", "n_samples")}
 
 
 def augment(row, n):
@@ -155,7 +151,7 @@ class TestConstruction:
         # bins 0 and 2 (Nyquist) are self-conjugate, bin 1 gets a twin
         assert f.design_dim == 4
         np.testing.assert_array_equal(f.core.a_inv, np.eye(4, dtype=complex))
-        np.testing.assert_array_equal(f.core.cross_norm, np.zeros((4, 2)))
+        np.testing.assert_array_equal(f.core.cross, np.zeros((4, 2)))
 
     def test_real_layout_dimensions(self):
         # L=128 keeps 59 of 65 bins: DC plus 58 (Re, Im) pairs; H=24 keeps
@@ -336,15 +332,25 @@ class TestSpectralRidge:
         model = SpectralRidge(d, 2, 1.0)
         model.absorb(random_complex(rng, (6, d)), random_complex(rng, (6, 2)))
         a_prev = model.a_inv.copy()
-        cross_prev = model.cross_norm.copy()
+        cross_prev = model.cross.copy()
         n_prev = model.n_samples
         m = 3
         model.absorb(np.zeros((m, d), dtype=complex), random_complex(rng, (m, 2)),
                      method="woodbury")
         np.testing.assert_allclose(model.a_inv, a_prev, atol=1e-14)
-        np.testing.assert_allclose(model.cross_norm, cross_prev * n_prev / (n_prev + m),
-                                   rtol=1e-12)
+        np.testing.assert_array_equal(model.cross, cross_prev)
         assert model.n_samples == n_prev + m
+
+    @pytest.mark.parametrize("lam", [20.0, 3.7, 1e-13])
+    def test_inverse_of_an_empty_gram_is_identity_over_lam(self, lam):
+        # bit for bit, so the first Woodbury step starts from I / lam;
+        # complex zero rows make the Gram complex but leave it zero
+        for d in (1, 6, 117):
+            fresh = SpectralRidge(d, 2, lam)
+            assert fresh.a_inv.tobytes() == (np.eye(d) / lam).tobytes()
+            fresh.absorb(np.zeros((d, d), dtype=complex), np.ones((d, 2), dtype=complex),
+                         method="direct")
+            assert fresh.a_inv.tobytes() == (np.eye(d, dtype=complex) / lam).tobytes()
 
     def test_weight_equals_closed_form_ridge_solution(self):
         rng = np.random.default_rng(9)
@@ -443,7 +449,7 @@ class TestRealSpectralRidge:
         assert rel_frobenius(model.a_inv, batch_inverse(x, lam)) < 1e-10
         oracle = np.linalg.solve(x.T @ x + lam * np.eye(d), x.T @ y)
         np.testing.assert_allclose(model.weight, oracle, rtol=1e-9, atol=1e-12)
-        for name in ("a_inv", "gram_norm", "cross_norm", "weight"):
+        for name in ("a_inv", "gram", "cross", "weight"):
             assert getattr(model, name).dtype == np.float64, name
 
     def test_symmetric_over_many_updates(self):
@@ -495,7 +501,7 @@ class TestLeanRidge:
                 assert lean.last_fallback is None
                 oracle.absorb(x, y, lean.last_path)
                 assert lean.n_samples == oracle.n_samples
-                for name in ("gram_norm", "cross_norm"):
+                for name in ("gram", "cross"):
                     assert rel_frobenius(getattr(lean, name), getattr(oracle, name)) <= 1e-12
                 # both weights sit at rounding level here; allow a few ulps
                 exact = exact_weight(lean)
@@ -508,7 +514,7 @@ class TestLeanRidge:
 
     def test_weight_beats_oracle_on_long_ill_conditioned_run(self):
         # column scales over 3.5 decades give a regularized Gram with
-        # condition ~1e6; the oracle's N * a_inv @ cross_norm then drifts
+        # condition ~1e6; the oracle's a_inv @ cross then drifts
         # from the exact solve by ~1e-12, the block-RLS weight by ~1e-13
         rng = np.random.default_rng(37)
         d, scales = 60, np.logspace(0, -3.5, 60)
@@ -543,7 +549,7 @@ class TestLeanRidge:
             assert lean.last_path == "woodbury"
             assert np.array_equal(lean.a_inv, lean.a_inv.T)
             oracle.absorb(x, y, "woodbury")
-        for name in ("a_inv", "gram_norm", "cross_norm"):
+        for name in ("a_inv", "gram", "cross"):
             assert rel_frobenius(getattr(lean, name), getattr(oracle, name)) <= 1e-12, name
         exact = exact_weight(lean)
         assert rel_frobenius(lean.weight, exact) <= rel_frobenius(oracle.weight, exact)
@@ -567,7 +573,7 @@ class TestLeanRidge:
             seen.append(x)
             assert lean.last_path == path
         # the last Woodbury step followed two direct refits whose inverse
-        # nobody read: it recomputed a_inv from the normalized Gram
+        # nobody read: it recomputed a_inv from the Gram
         assert rel_frobenius(lean.a_inv, oracle.a_inv) <= 1e-12
         assert rel_frobenius(lean.a_inv, batch_inverse(np.vstack(seen), lam)) <= 1e-10
         np.testing.assert_allclose(lean.weight, oracle.weight, rtol=1e-10, atol=1e-13)
@@ -668,7 +674,7 @@ class TestRealCoefficients:
         for n in (1, 40):  # a Woodbury step where one pays, then a direct refit
             f.fit_block(block(n))
             assert f.core.last_path == ("woodbury" if woodbury_pays(n, f.design_dim) else "direct")
-            for name in ("a_inv", "gram_norm", "cross_norm", "weight"):
+            for name in ("a_inv", "gram", "cross", "weight"):
                 assert getattr(f.core, name).dtype == np.float64, name
 
 
@@ -716,7 +722,7 @@ class TestBatchedEmbedding:
             pairs = block(n)
             f.fit_block(pairs)
             oracle.core.absorb(*real_rows(oracle, pairs))
-            for name in ("a_inv", "gram_norm", "cross_norm", "weight"):
+            for name in ("a_inv", "gram", "cross", "weight"):
                 got, want = getattr(f.core, name), getattr(oracle.core, name)
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
         assert f.n_samples == oracle.n_samples == 56
@@ -905,8 +911,8 @@ class TestSnapshot:
         assert g.context_length == f.context_length
         np.testing.assert_array_equal(g.core.a_inv, f.core.a_inv)
         np.testing.assert_array_equal(g.core.weight, f.core.weight)
-        np.testing.assert_array_equal(g.core.gram_norm, f.core.gram_norm)
-        np.testing.assert_array_equal(g.core.cross_norm, f.core.cross_norm)
+        np.testing.assert_array_equal(g.core.gram, f.core.gram)
+        np.testing.assert_array_equal(g.core.cross, f.core.cross)
         np.testing.assert_array_equal(g.stats.counts, f.stats.counts)
         np.testing.assert_array_equal(g.stats.means, f.stats.means)
         probe = rng.normal(size=16)
@@ -918,7 +924,7 @@ class TestSnapshot:
         f.fit_block(pairs)
         g.fit_block(pairs)
         assert f.core.last_path == g.core.last_path == "woodbury"
-        for name in ("a_inv", "gram_norm", "cross_norm", "weight"):
+        for name in ("a_inv", "gram", "cross", "weight"):
             np.testing.assert_array_equal(getattr(g.core, name), getattr(f.core, name))
         np.testing.assert_array_equal(g.predict(probe), f.predict(probe))
 
@@ -936,12 +942,12 @@ class TestSnapshot:
 
     def test_previous_format_rejected(self, tmp_path):
         path, fields = self._saved_fields(tmp_path)
-        fields["format"] = np.array("adapts-forecaster/1")
+        fields["format"] = np.array("adapts-forecaster/2")
         np.savez(path, **fields)
-        with pytest.raises(InvalidConfig, match="adapts-forecaster/1.*adapts-forecaster/2"):
+        with pytest.raises(InvalidConfig, match="adapts-forecaster/2.*adapts-forecaster/3"):
             load_forecaster(path)
 
-    @pytest.mark.parametrize("field", ["a_inv", "gram_norm", "cross_norm", "weight"])
+    @pytest.mark.parametrize("field", ["a_inv", "gram", "cross", "weight"])
     def test_complex_fields_rejected(self, tmp_path, field):
         path, fields = self._saved_fields(tmp_path)
         fields[field] = fields[field] + 1e-3j
@@ -951,8 +957,8 @@ class TestSnapshot:
 
     @pytest.mark.parametrize("field, bad", [
         ("a_inv", lambda a: np.zeros((3, 16), dtype=complex)),
-        ("gram_norm", lambda a: a[:-1]),
-        ("cross_norm", lambda a: a[:, :-1]),
+        ("gram", lambda a: a[:-1]),
+        ("cross", lambda a: a[:, :-1]),
         ("weight", lambda a: a[:, :2]),
         ("stats_means", lambda a: a[:1]),
         ("stats_m2s", lambda a: np.zeros(0)),
@@ -1020,7 +1026,7 @@ class TestModelAxis:
     """A G-model forecaster against its oracle, G one-model forecasters,
     each seeing one channel's statistics and rows."""
 
-    STATE = ("a_inv", "gram_norm", "cross_norm", "weight")
+    STATE = ("a_inv", "gram", "cross", "weight")
 
     def _multi_and_singles(self, config, models, seed):
         L, H, alpha, instance_norm, channel_scaling = config
