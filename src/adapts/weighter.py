@@ -161,17 +161,12 @@ class ChannelWeighter:
     def fast_weight(self) -> float:
         """Base-forecast weight from the buffered recent losses.
 
-        Softmax of the windowed cumulative losses; 0.5 while the buffer is
-        empty. A windowed sum that overflows to inf weighs as the slow and
-        merge totals do.
+        The two-way softmax of the windowed loss sums, as for the slow and
+        merge totals; 0.5 while the buffer is empty.
         """
         if not self.fast_losses:
             return 0.5
-        with np.errstate(over="ignore"):
-            sums = np.sum(np.asarray(self.fast_losses, dtype=np.float64), axis=0)
-        if np.isinf(sums).any():
-            return _softmax_pair_first(sums, self.eta)
-        return float(exp_weight_step(np.array([0.5, 0.5]), sums, self.eta)[0])
+        return _softmax_pair_first([sum(col) for col in zip(*self.fast_losses)], self.eta)
 
     def current_weight(self, mode: str = "full") -> float:
         """Weight applied to the base forecast at this moment.
