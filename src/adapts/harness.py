@@ -332,6 +332,8 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
     config.validate()
     L, H, M = config.context_length, config.horizon, config.update_period
     total, n_channels = dataset.shape
+    if n_channels == 0:
+        raise ShapeMismatch(f"series of shape {dataset.shape} has no channels")
     if total < L + H + 1:
         raise InsufficientData(
             f"series length {total} cannot produce an evaluable update; "

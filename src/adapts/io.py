@@ -20,10 +20,10 @@ line and column.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import itertools
 import json
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .config import RollingConfig
 from .errors import InsufficientData, InvalidConfig, IoError, ParseError
 
 
-@dataclass
+@dataclasses.dataclass
 class Series:
     """In-memory multichannel series."""
 
@@ -263,22 +263,11 @@ def load_forecasts(path):
 
 # -- run config files ---------------------------------------------------------
 
-# keys that belong to RollingConfig, by their file spelling
-_CONFIG_KEYS = {
-    "context_length": ("context_length", int),
-    "horizon": ("horizon", int),
-    "update_period": ("update_period", int),
-    "seasonality": ("seasonality", int),
-    "lambda": ("lam", float),
-    "alpha": ("alpha", float),
-    "eta": ("eta", float),
-    "fast_window": ("fast_window", int),
-    "warmup": ("warmup", int),
-    "weighter": ("weighter_mode", str),
-    "instance_norm": ("instance_norm", bool),
-    "channel_scaling": ("channel_scaling", bool),
-    "shared_weights": ("shared_weights", bool),
-}
+# keys that belong to RollingConfig: one per field, typed by its default;
+# files spell two fields differently
+_FILE_SPELLING = {"lam": "lambda", "weighter_mode": "weighter"}
+_CONFIG_KEYS = {_FILE_SPELLING.get(f.name, f.name): (f.name, type(f.default))
+                for f in dataclasses.fields(RollingConfig)}
 
 # run-level keys outside RollingConfig
 _RUN_KEYS = {

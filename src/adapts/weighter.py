@@ -48,7 +48,7 @@ def exp_weight_step(prev_weights, losses, eta: float) -> np.ndarray:
     loss = np.asarray(losses, dtype=np.float64)
     if prev.shape != loss.shape or prev.ndim != 1:
         raise ShapeMismatch(f"weights {prev.shape} and losses {loss.shape} must match")
-    if np.any(prev < 0) or abs(prev.sum() - 1.0) > 1e-12:
+    if not (np.all(prev >= 0) and abs(prev.sum() - 1.0) <= 1e-12):  # NaN fails both
         raise InvalidLoss(f"prior weights must form a simplex, got {prev}")
     if not np.all(np.isfinite(loss)):
         raise InvalidLoss(f"losses must be finite, got {loss}")

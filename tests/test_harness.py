@@ -106,6 +106,14 @@ class TestRunBasics:
         with pytest.raises(InsufficientData):
             run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
 
+    def test_series_without_channels_rejected(self):
+        # it used to step through a whole update period and then fail in
+        # the fit with a message about fit shapes
+        cfg = small_config()
+        with pytest.raises(ShapeMismatch, match="no channels"):
+            run(np.zeros((200, 0)), NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg,
+                step_callback=lambda t: pytest.fail(f"stepped to {t}"))
+
     def test_nan_rejected_with_location(self):
         cfg = small_config()
         data = sine_dataset(200, channels=2)

@@ -468,6 +468,20 @@ class TestRunConfigFiles:
         with pytest.raises(InvalidConfig, match="unknown config key"):
             load_run_config(p)
 
+    def test_known_keys_and_their_types(self):
+        typed = {"context_length": int, "horizon": int, "update_period": int,
+                 "seasonality": int, "lambda": float, "alpha": float, "eta": float,
+                 "fast_window": int, "warmup": int, "weighter": str,
+                 "instance_norm": bool, "channel_scaling": bool, "shared_weights": bool}
+        for key, typ in typed.items():
+            raw = {int: "7", float: "7", str: "full", bool: "yes"}[typ]
+            assert type(parse_config_value(key, raw)) is typ, key
+        run_keys = ["base", "dataset", "dump_forecasts", "format", "forecasts", "out"]
+        with pytest.raises(InvalidConfig) as info:
+            parse_config_value("wibble", "3")
+        assert str(info.value) == ("unknown config key 'wibble'; known keys: "
+                                   + ", ".join(sorted([*typed, *run_keys])))
+
     def test_invalid_values_rejected(self):
         with pytest.raises(InvalidConfig):
             parse_config_value("lambda", "soup")

@@ -67,6 +67,14 @@ class TestExpWeightStep:
         with pytest.raises(ShapeMismatch):
             exp_weight_step(np.array([0.5, 0.5]), np.array([1.0, 1.0, 1.0]), 0.5)
 
+    @pytest.mark.parametrize("prev", [[np.nan, 0.5], [np.nan, np.nan], [0.5, np.nan],
+                                      [np.inf, -np.inf]])
+    def test_non_finite_prior_weights_rejected(self, prev):
+        # a NaN compares false against every bound, so it slipped past the
+        # simplex check: [nan, 0.5] came back as [0, 1]
+        with pytest.raises(InvalidLoss, match="simplex"):
+            exp_weight_step(np.array(prev), np.array([1.0, 2.0]), 0.5)
+
     @pytest.mark.parametrize("eta", [float("nan"), float("inf")])
     def test_non_finite_learning_rate_rejected(self, eta):
         with pytest.raises(InvalidLoss, match="finite"):
