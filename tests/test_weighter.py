@@ -58,22 +58,17 @@ class TestExpWeightStep:
         np.testing.assert_allclose(out, [1.0, 0.0])
 
     def test_validation(self):
-        with pytest.raises(InvalidLoss):
-            exp_weight_step(np.array([0.7, 0.7]), np.array([1.0, 1.0]), 0.5)
+        # a NaN compares false against every bound: [nan, 0.5] once passed
+        # the simplex check and came back as [0, 1]
+        for prev in ([0.7, 0.7], [np.nan, 0.5], [0.5, np.nan], [np.nan, np.nan]):
+            with pytest.raises(InvalidLoss, match="simplex"):
+                exp_weight_step(np.array(prev), np.array([1.0, 1.0]), 0.5)
         with pytest.raises(InvalidLoss):
             exp_weight_step(np.array([0.5, 0.5]), np.array([np.nan, 1.0]), 0.5)
         with pytest.raises(InvalidLoss):
             exp_weight_step(np.array([0.5, 0.5]), np.array([1.0, 1.0]), -0.1)
         with pytest.raises(ShapeMismatch):
             exp_weight_step(np.array([0.5, 0.5]), np.array([1.0, 1.0, 1.0]), 0.5)
-
-    @pytest.mark.parametrize("prev", [[np.nan, 0.5], [np.nan, np.nan], [0.5, np.nan],
-                                      [np.inf, -np.inf]])
-    def test_non_finite_prior_weights_rejected(self, prev):
-        # a NaN compares false against every bound, so it slipped past the
-        # simplex check: [nan, 0.5] came back as [0, 1]
-        with pytest.raises(InvalidLoss, match="simplex"):
-            exp_weight_step(np.array(prev), np.array([1.0, 2.0]), 0.5)
 
     @pytest.mark.parametrize("eta", [float("nan"), float("inf")])
     def test_non_finite_learning_rate_rejected(self, eta):
