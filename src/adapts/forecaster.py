@@ -29,10 +29,15 @@ inner matrix fails a trace or Cholesky test, trigger a direct refit that
 solves for the weight from the Gram and cross-moment sums and leaves the
 inverse to be computed when something reads it.
 
-:meth:`OnlineForecaster.fit` embeds a block of (context, target) arrays
-at once: one batched real FFT per side followed by the layout, the same
-arithmetic as :meth:`OnlineForecaster.embed_pair` plus the layout on one
-:class:`SamplePair`, which stay as the scalar reference.
+:meth:`OnlineForecaster.fit_windows` embeds an update's channel-major
+windows, which may be views of one series slab, one channel at a time:
+each channel's windows are copied once, centred, scaled and transformed,
+and the layout writes their coefficients straight into the preallocated
+design rows, so no copy of the whole block exists. :meth:`OnlineForecaster.fit`
+takes (context, target) rows of any channels through the same routine in
+one pass. Both do the arithmetic of :meth:`OnlineForecaster.embed_pair`
+plus the layout on one :class:`SamplePair`, which stay as the scalar
+reference.
 
 Inference is folded. Forward transform -> low-pass -> layout -> weight ->
 inverse layout -> zero padding -> inverse transform is linear in the
@@ -85,10 +90,11 @@ CONDITION_LIMIT = 1e12
 SNAPSHOT_FORMAT = "adapts-forecaster/3"
 
 
-def _real_coefficients(bins: np.ndarray, n: int) -> np.ndarray:
+def _real_coefficients(bins: np.ndarray, n: int, out: np.ndarray = None) -> np.ndarray:
     """Real coefficients ``(..., d)`` of the kept one-sided bins
     ``(..., keep)`` of real length-``n`` signals, ordered ``[DC,
-    sqrt2*Re bins 1..k, sqrt2*Im bins 1..k, Nyquist if kept]``.
+    sqrt2*Re bins 1..k, sqrt2*Im bins 1..k, Nyquist if kept]``, written
+    into ``out`` when given.
 
     DC and Nyquist are real for real signals and enter once; every other
     bin stands for itself and its conjugate twin, hence the sqrt2.
@@ -96,8 +102,14 @@ def _real_coefficients(bins: np.ndarray, n: int) -> np.ndarray:
     keep = bins.shape[-1]
     stop = keep - 1 if n % 2 == 0 and keep == full_bin_count(n) else keep
     paired = bins[..., 1:stop]
-    return np.concatenate([bins[..., :1].real, np.sqrt(2.0) * paired.real,
-                           np.sqrt(2.0) * paired.imag, bins[..., stop:].real], axis=-1)
+    k = stop - 1
+    if out is None:
+        out = np.empty(bins.shape[:-1] + (keep + k,))
+    out[..., :1] = bins[..., :1].real
+    np.multiply(paired.real, np.sqrt(2.0), out=out[..., 1:1 + k])
+    np.multiply(paired.imag, np.sqrt(2.0), out=out[..., 1 + k:1 + 2 * k])
+    out[..., 1 + 2 * k:] = bins[..., stop:].real
+    return out
 
 
 @dataclass
@@ -256,12 +268,17 @@ class SpectralRidge:
 
     @property
     def a_inv(self) -> np.ndarray:
-        """``(gram + lam*I)^-1``, recomputed on the first read after a
-        direct refit."""
+        """``(gram + lam*I)^-1``, set on the first read of a fresh ridge
+        and recomputed on the first read after a direct refit."""
         if self._a_inv is None:
-            # the direct refit already solved with this very matrix
-            inv = np.linalg.inv(self._regularized(self.gram))
-            self._a_inv = (inv + inv.conj().T) / 2.0
+            if self.n_samples == 0:
+                # the Gram is zero: no factorisation needed. Set here, not in
+                # __init__, so an unread inverse costs no d×d array
+                self._a_inv = np.eye(self.dim_in, dtype=self.gram.dtype) / self.lam
+            else:
+                # the direct refit already solved with this very matrix
+                inv = np.linalg.inv(self._regularized(self.gram))
+                self._a_inv = (inv + inv.conj().T) / 2.0
         return self._a_inv
 
     @a_inv.setter
@@ -450,17 +467,18 @@ class OnlineForecaster:
 
     def fit(self, contexts, targets, channels) -> None:
         """Embed ``(n, L)`` contexts and ``(n, H)`` targets, row ``i`` cut
-        from channel ``channels[i]`` and scaled by its running std, in one
-        batched pass equal to :meth:`embed_pair` plus the layout, absorb
-        ``n / G`` consecutive rows per model under the ``"auto"`` rule of
+        from channel ``channels[i]`` and scaled by its running std, by the
+        arithmetic of :meth:`embed_pair` plus the layout, absorb ``n / G``
+        consecutive rows per model under the ``"auto"`` rule of
         :meth:`SpectralRidge.absorb` and refresh ``time_map``. Channel
         statistics must already reflect the observations the rows were cut
         from (see :meth:`observe_values`).
 
-        Models absorb one at a time, so that one new ``d×d`` Gram is alive
-        at once, not one per model. A block that fails the Woodbury test
-        takes a direct refit, so only a singular regularized Gram, a data
-        error, can raise after earlier models have absorbed their rows.
+        Every row is embedded before the first model absorbs. Models absorb
+        one at a time, so that one new ``d×d`` Gram is alive at once, not
+        one per model. A block that fails the Woodbury test takes a direct
+        refit, so only a singular regularized Gram, a data error, can raise
+        after earlier models have absorbed their rows.
         """
         L, H, G = self.context_length, self.horizon, len(self.cores)
         # C order whatever the input's, so the means and FFTs sum alike
@@ -473,18 +491,67 @@ class OnlineForecaster:
                                 f"a multiple of {G} models, got {ctx.shape} and {tgt.shape}")
         if channels.shape != (n,) or channels.dtype.kind not in "iu" or channels.min() < 0:
             raise ShapeMismatch(f"channels must be {n} non-negative integers, got {channels!r}")
+        sigma = None
+        if self.channel_scaling:
+            present, row_of = np.unique(channels, return_inverse=True)
+            sigma = np.array([self.stats.std(ch) for ch in present.tolist()])[row_of, None]
+        rows_in, rows_out = self._design_rows(n)
+        self._embed(ctx, tgt, sigma, rows_in, rows_out)
+        self._absorb(rows_in, rows_out)
+
+    def fit_windows(self, contexts, targets) -> None:
+        """:meth:`fit` on channel-major windows: ``contexts`` ``(C, m, L)``
+        and ``targets`` ``(C, m, H)``, window ``j`` of channel ``ch``
+        becoming row ``ch·m + j``.
+
+        The windows may be sliding-window views of one series slab: each
+        channel's ``m`` windows are copied, centred, scaled and transformed
+        on their own, straight into the design rows, so the block is never
+        copied whole. The rows, and so the models' state, equal those of
+        :meth:`fit` on the same windows bit for bit.
+        """
+        L, H, G = self.context_length, self.horizon, len(self.cores)
+        contexts, targets = np.asarray(contexts), np.asarray(targets)
+        C, m = contexts.shape[:2] if contexts.ndim == 3 else (0, 0)
+        if (contexts.shape != (C, m, L) or targets.shape != (C, m, H) or C * m == 0
+                or C * m % G):
+            raise ShapeMismatch(f"fit_windows needs (C, m, {L}) contexts and (C, m, {H}) targets "
+                                f"with C·m > 0 a multiple of {G} models, got {contexts.shape} "
+                                f"and {targets.shape}")
+        rows_in, rows_out = self._design_rows(C * m)
+        for ch in range(C):
+            rows = slice(ch * m, (ch + 1) * m)
+            self._embed(np.array(contexts[ch], dtype=np.float64, order="C"),
+                        np.array(targets[ch], dtype=np.float64, order="C"),
+                        self.stats.std(ch) if self.channel_scaling else None,
+                        rows_in[rows], rows_out[rows])
+        self._absorb(rows_in, rows_out)
+
+    def _design_rows(self, n: int):
+        """Uninitialised ``(n, d)`` design and ``(n, d_t)`` target rows."""
+        return np.empty((n, self.design_dim)), np.empty((n, self._synthesis.shape[0]))
+
+    def _embed(self, ctx, tgt, sigma, rows_in, rows_out) -> None:
+        """Centre the C-ordered float64 rows ``ctx`` ``(k, L)`` and ``tgt``
+        ``(k, H)`` in place on each context's mean (under instance
+        normalization), divide them by ``sigma`` (a scalar, a ``(k, 1)``
+        column, or None for no scaling) and write their real coefficients
+        into ``rows_in`` ``(k, d)`` and ``rows_out`` ``(k, d_t)``."""
         if self.instance_norm:
             mu = ctx.mean(axis=1, keepdims=True)
             ctx -= mu
             tgt -= mu
-        if self.channel_scaling:
-            present, row_of = np.unique(channels, return_inverse=True)
-            sigma = np.array([self.stats.std(ch) for ch in present.tolist()])[row_of, None]
+        if sigma is not None:
             ctx /= sigma
             tgt /= sigma
-        d_c, d_t = self.filter.context_bins, self.filter.target_bins
-        rows_in = _real_coefficients(np.fft.rfft(ctx, axis=1)[:, :d_c], L)
-        rows_out = _real_coefficients(np.fft.rfft(tgt, axis=1)[:, :d_t], H)
+        _real_coefficients(np.fft.rfft(ctx, axis=1)[:, :self.filter.context_bins],
+                           self.context_length, out=rows_in)
+        _real_coefficients(np.fft.rfft(tgt, axis=1)[:, :self.filter.target_bins],
+                           self.horizon, out=rows_out)
+
+    def _absorb(self, rows_in, rows_out) -> None:
+        """Absorb ``n / G`` consecutive rows per model, then refold."""
+        G = len(self.cores)
         for core, x, y in zip(self.cores, np.split(rows_in, G), np.split(rows_out, G)):
             core.absorb(x, y)
         self._refold()

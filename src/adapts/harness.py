@@ -13,9 +13,12 @@ with one forecaster, holding one model for all channels or one per channel
 - every ``update_period`` steps, the rows from the first context of the
   windows whose targets have fully materialized (or the ``update_period``
   newest rows if none has) up to the current step. Its newest
-  ``update_period`` rows go to the channel statistics; the completed
-  windows are cut from it as one channel-major block, scored per channel
-  for the weighters and fitted.
+  ``update_period`` rows go to the channel statistics. The slab is copied
+  once, channel-major, and the completed windows are sliding views of that
+  copy, never copied as a block: each window's seasonal-naive
+  denominators come from one pass over the copy, each channel's windows
+  are scored for the weighters, and the forecaster embeds the windows one
+  channel at a time (``OnlineForecaster.fit_windows``).
 
 So each row reaches the base once, and the channel statistics once if an
 update follows it, in time order. Nothing ever reads past the current
@@ -52,7 +55,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .forecaster import OnlineForecaster, _season_index
-from .metrics import score_windows
+from .metrics import scaled_scores, seasonal_naive_denominators
 from .weighter import ChannelWeighter, combine
 
 STREAMS = ("base", "adaptive", "combined")
@@ -411,21 +414,24 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
                 forecaster.observe_values(row)
             if origins:
                 # the completed windows, channel-major (C, m, L) and (C, m, H):
-                # scored per channel, then fitted as one block
-                m, cols = len(origins), rows.T
-                ctx_block = np.ascontiguousarray(sliding_window_view(cols, L, axis=1)[:, :m])
-                tgt_block = np.ascontiguousarray(
-                    sliding_window_view(cols[:, L:], H, axis=1)[:, :m])
+                # sliding views of one channel-major copy of the slab, scored
+                # per channel against denominators taken from the slab in one
+                # pass, then fitted as one block
+                m, cols = len(origins), np.ascontiguousarray(rows.T)
+                ctx_view = sliding_window_view(cols, L, axis=1)[:, :m]
+                tgt_view = sliding_window_view(cols[:, L:], H, axis=1)[:, :m]
+                naive_mae, naive_mse = seasonal_naive_denominators(
+                    cols[:, :m + L - 1], config.seasonality, L)
                 done = slice(origins[0] - t0, origins[-1] + 1 - t0)
-                forecasts[done, 2] = tgt_block.transpose(1, 0, 2)
+                forecasts[done, 2] = tgt_view.transpose(1, 0, 2)
                 for ch, w in enumerate(weighters):
                     # streams: base, adaptive, combined, and the two combos at
                     # the fast and slow weights frozen since the previous update
                     bfs, afs = forecasts[done, 0, ch], forecasts[done, 1, ch]
-                    block = score_windows(
+                    block = scaled_scores(
                         np.stack([bfs, afs, combine(bfs, afs, weight_used[ch, done, None]),
                                   combine(bfs, afs, w_fast[ch]), combine(bfs, afs, w.w_slow)]),
-                        tgt_block[ch], ctx_block[ch], config.seasonality)
+                        tgt_view[ch], naive_mae[ch], naive_mse[ch])
                     scores[:, :, ch, done] = block.mase[:3], block.rmsse[:3]
                     floored[ch, done] = block.floored
                     loss_base, loss_adaptive, _, loss_fast, loss_slow = \
@@ -444,8 +450,7 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
                         "loss_adaptive": loss_adaptive,
                     })
                 update_steps += 1
-                forecaster.fit(ctx_block.reshape(-1, L), tgt_block.reshape(-1, H),
-                               np.repeat(np.arange(n_channels), m))
+                forecaster.fit_windows(ctx_view, tgt_view)
                 last_fit_origin = origins[-1]
         if step_callback is not None:
             step_callback(t)

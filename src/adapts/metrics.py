@@ -9,6 +9,9 @@ The denominator is floored at ``DENOMINATOR_FLOOR`` so block averages stay
 defined on locally constant or perfectly periodic contexts; callers that
 care can test :func:`seasonal_naive_mae` against the floor and flag the
 window, as :func:`score_windows` does for a whole block.
+:func:`seasonal_naive_denominators` gives both denominators of every
+window of a series in one pass, and :func:`scaled_scores` scores a block
+against them.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import EmptyBlock, InvalidSeasonality, ShapeMismatch
 
@@ -109,12 +113,56 @@ class WindowScores(NamedTuple):
     floored: np.ndarray
 
 
+def seasonal_naive_denominators(series, s: int, window: int):
+    """Seasonal-naive MAE and MSE (unfloored) of every length-``window``
+    window of ``series`` along its last axis: two ``(..., n - window + 1)``
+    arrays whose entry ``j`` belongs to ``series[..., j:j + window]``.
+
+    The seasonal differences are taken once over the whole series, and each
+    window's means run over a length-``(window - s)`` sliding view of their
+    absolute values and squares, so overlapping windows share one pass. Each
+    value equals :func:`seasonal_naive_mae` or :func:`seasonal_naive_mse`
+    of its window bit for bit: a view's windows are summed in the order of
+    a contiguous copy's.
+    """
+    x = np.asarray(series, dtype=np.float64)
+    if not isinstance(s, (int, np.integer)) or not 1 <= s < window:
+        raise InvalidSeasonality(f"need 1 <= s < {window}, got {s!r}")
+    if x.ndim == 0 or x.shape[-1] < window:
+        raise ShapeMismatch(f"series of shape {x.shape} holds no window of length {window}")
+    diff = x[..., s:] - x[..., :-s]
+    return tuple(np.mean(sliding_window_view(f(diff), window - s, axis=-1), axis=-1)
+                 for f in (np.abs, np.square))
+
+
+def scaled_scores(forecasts, targets, naive_mae, naive_mse) -> WindowScores:
+    """Scores of a ``(k, m, H)`` stack of forecast streams against ``(m,
+    H)`` targets, given each window's unfloored seasonal-naive MAE and MSE
+    as ``(m,)`` arrays (see :func:`seasonal_naive_denominators`). The
+    denominators are floored here, and ``floored`` flags the MAE's floor.
+    """
+    forecasts, targets, naive_mae, naive_mse = (
+        np.asarray(a, dtype=np.float64) for a in (forecasts, targets, naive_mae, naive_mse))
+    if forecasts.ndim != 3 or forecasts.shape[1] == 0:
+        raise EmptyBlock("block must contain at least one window")
+    m = forecasts.shape[1]
+    if targets.shape != forecasts.shape[1:] or naive_mae.shape != (m,) or naive_mse.shape != (m,):
+        raise ShapeMismatch(f"inconsistent block shapes: {forecasts.shape}, {targets.shape}, "
+                            f"denominators {naive_mae.shape} and {naive_mse.shape}")
+    errors = forecasts - targets
+    mase_rows = np.mean(np.abs(errors), axis=-1) / np.maximum(naive_mae, DENOMINATOR_FLOOR)
+    rmsse_rows = np.sqrt(np.mean(np.square(errors), axis=-1)
+                         / np.maximum(naive_mse, DENOMINATOR_FLOOR))
+    return WindowScores(mase_rows, rmsse_rows, naive_mae < DENOMINATOR_FLOOR)
+
+
 def score_windows(forecasts, targets, contexts, s: int) -> WindowScores:
     """Array form of :func:`mase` and :func:`rmsse` over a block of windows.
 
-    Each window's seasonal-naive denominators are computed once and shared
-    by every stream. Row by row the values equal the scalar functions
-    exactly: every mean runs over a contiguous last axis, as it does there.
+    Each window's seasonal-naive denominators are computed once, by
+    :func:`seasonal_naive_denominators`, and shared by every stream. Row by
+    row the values equal the scalar functions exactly: every mean runs over
+    a contiguous last axis, as it does there.
 
     Parameters
     ----------
@@ -122,27 +170,11 @@ def score_windows(forecasts, targets, contexts, s: int) -> WindowScores:
     targets : (m, H) array
     contexts : (m, L) array of the matching context windows
     """
-    forecasts = np.asarray(forecasts, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
     contexts = np.asarray(contexts, dtype=np.float64)
-    if forecasts.ndim != 3 or forecasts.shape[1] == 0:
-        raise EmptyBlock("block must contain at least one window")
-    k, m, _ = forecasts.shape
-    if (targets.shape != forecasts.shape[1:] or contexts.ndim != 2
-            or contexts.shape[0] != m):
-        raise ShapeMismatch(
-            f"inconsistent block shapes: {forecasts.shape}, {targets.shape}, {contexts.shape}"
-        )
-    if not isinstance(s, (int, np.integer)) or not 1 <= s < contexts.shape[1]:
-        raise InvalidSeasonality(f"need 1 <= s < {contexts.shape[1]}, got {s!r}")
-    diff = contexts[:, s:] - contexts[:, :-s]
-    naive_mae = np.mean(np.abs(diff), axis=-1)
-    naive_mse = np.mean(np.square(diff), axis=-1)
-    errors = forecasts - targets
-    mase_rows = np.mean(np.abs(errors), axis=-1) / np.maximum(naive_mae, DENOMINATOR_FLOOR)
-    rmsse_rows = np.sqrt(np.mean(np.square(errors), axis=-1)
-                         / np.maximum(naive_mse, DENOMINATOR_FLOOR))
-    return WindowScores(mase_rows, rmsse_rows, naive_mae < DENOMINATOR_FLOOR)
+    if contexts.ndim != 2:
+        raise ShapeMismatch(f"contexts must be (m, L), got shape {contexts.shape}")
+    naive_mae, naive_mse = seasonal_naive_denominators(contexts, s, contexts.shape[1])
+    return scaled_scores(forecasts, targets, naive_mae[:, 0], naive_mse[:, 0])
 
 
 def block_average_mase(forecasts, targets, contexts, s: int) -> float:

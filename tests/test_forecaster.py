@@ -7,8 +7,11 @@ the stacked design, a complex ridge over conjugate-augmented spectra, and
 the eager-inverse ridge update (:class:`OracleRidge`).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from oracle import paired_stop, spectral_chain_predict
 
 from adapts.errors import IllConditionedUpdate, InvalidConfig, ShapeMismatch
@@ -326,7 +329,7 @@ class TestSpectralRidge:
         oracle = a_prev - np.outer(a_prev @ u, row[0] @ a_prev) / denom
         assert rel_frobenius(model.a_inv, oracle) < 1e-12
 
-    def test_zero_rows_leave_inverse_and_rescale_cross(self):
+    def test_zero_rows_leave_inverse_and_cross_unchanged(self):
         rng = np.random.default_rng(5)
         d = 4
         model = SpectralRidge(d, 2, 1.0)
@@ -558,6 +561,21 @@ class TestLeanRidge:
         assert woodbury_pays(155, 469) and not woodbury_pays(156, 469)
         assert woodbury_pays(38, 117) and not woodbury_pays(39, 117)
         assert not woodbury_pays(1, 3)
+
+    def test_first_woodbury_step_on_a_fresh_ridge_inverts_no_gram(self, monkeypatch):
+        # a fresh ridge's inverse is I / lam, set without factorising lam·I
+        shapes, inv = [], np.linalg.inv
+
+        def recording_inv(a):
+            shapes.append(np.shape(a))
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", recording_inv)
+        rng = np.random.default_rng(43)
+        model = SpectralRidge(self.D, self.K, 2.0)
+        model.absorb(rng.normal(size=(3, self.D)), rng.normal(size=(3, self.K)))
+        assert model.last_path == "woodbury"
+        assert shapes == [(3, 3)]  # the whitening factor's inverse alone
 
     def test_direct_then_woodbury_fills_the_lazy_inverse(self):
         rng = np.random.default_rng(41)
@@ -1111,6 +1129,46 @@ class TestModelAxis:
         assert f.predict(rng.normal(size=(3, 8))).shape == (3, 2)
 
 
+class TestFitWindows:
+    """``fit_windows`` on sliding views of a random slab against ``fit`` on
+    copies of the same windows, bit for bit."""
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_equals_fit_on_copied_windows(self, config, shared):
+        L, H, alpha, instance_norm, channel_scaling = config
+        C = 3
+        rng = np.random.default_rng(97)
+        views, copies = (new_forecaster(L, H, 2, lam=2.0, alpha=alpha,
+                                        instance_norm=instance_norm,
+                                        channel_scaling=channel_scaling,
+                                        models=1 if shared else C) for _ in range(2))
+        for v in rng.normal(size=(25, C)) * [1.0, 6.0, 0.05]:
+            views.observe_values(v)
+            copies.observe_values(v)
+        for m in (1, 40, 3):  # one window, and blocks above and below design_dim
+            slab = rng.normal(size=(C, m + L + H - 1)) * 3.0 + 4.0
+            ctx = sliding_window_view(slab, L, axis=1)[:, :m]
+            tgt = sliding_window_view(slab[:, L:], H, axis=1)[:, :m]
+            views.fit_windows(ctx, tgt)
+            copies.fit(ctx.reshape(-1, L), tgt.reshape(-1, H), np.repeat(np.arange(C), m))
+            for got, want in zip(views.cores, copies.cores):
+                for name in ("weight", "gram", "cross", "a_inv"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert views.time_map.tobytes() == copies.time_map.tobytes()
+        assert views.n_samples == copies.n_samples == (44 * C if shared else 44)
+
+    @pytest.mark.parametrize("ctx_shape, tgt_shape", [
+        ((2, 3, 8), (2, 3, 3)), ((2, 3, 7), (2, 3, 2)), ((2, 3, 8), (2, 4, 2)),
+        ((6, 8), (6, 2)), ((2, 0, 8), (2, 0, 2)), ((3, 1, 8), (3, 1, 2))])
+    def test_bad_shapes_rejected(self, ctx_shape, tgt_shape):
+        # the last case holds 3 windows for 2 models
+        f = new_forecaster(8, 2, 2, models=2)
+        with pytest.raises(ShapeMismatch, match="fit_windows"):
+            f.fit_windows(np.ones(ctx_shape), np.ones(tgt_shape))
+        assert f.n_samples == 0
+
+
 class TestFitChannels:
     def test_negative_channel_in_pairs_rejected(self):
         # a negative index would read another channel's statistics
@@ -1168,3 +1226,30 @@ class TestMemoryLayout:
         probes = rng.normal(size=(7, L)) * 5.0 + 2.0
         want = c.predict(probes)
         assert c.predict(np.asfortranarray(probes)).tobytes() == want.tobytes()
+
+    def test_update_fit_at_the_paper_shape_copies_no_block(self):
+        # one update's fit at the paper shape (C=7, m=200, L=520, H=96) from
+        # views of its slab. numpy reports its buffers to tracemalloc, so the
+        # traced peak holds every array the fit allocates; it must fit in
+        # the design rows, four d×d arrays and one channel's windows with
+        # their spectrum, 14.4 MiB; it measured 10.0 MiB. Cutting the windows
+        # as a (C, m, L) block copy and fitting that through fit() peaked at
+        # 28.8 MiB
+        C, m, L, H = 7, 200, 520, 96
+        rng = np.random.default_rng(101)
+        slab = rng.normal(size=(m + L + H - 1, C))
+        f = new_forecaster(L, H, 24)
+        for row in slab:
+            f.observe_values(row)
+        d, d_t = f.design_dim, f.core.dim_out
+        bound = 8 * (C * m * (d + d_t) + 4 * d * d + m * (L + H)) + 16 * m * (L // 2 + 1)
+        tracemalloc.start()
+        try:
+            cols = np.ascontiguousarray(slab.T)
+            f.fit_windows(sliding_window_view(cols, L, axis=1)[:, :m],
+                          sliding_window_view(cols[:, L:], H, axis=1)[:, :m])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.core.last_path == "direct" and f.n_samples == C * m
+        assert peak <= bound, f"traced peak {peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from adapts.errors import EmptyBlock, InvalidSeasonality, ShapeMismatch
 from adapts.metrics import (
@@ -11,8 +12,11 @@ from adapts.metrics import (
     default_seasonality,
     mase,
     rmsse,
+    scaled_scores,
     score_windows,
+    seasonal_naive_denominators,
     seasonal_naive_mae,
+    seasonal_naive_mse,
 )
 
 
@@ -205,6 +209,41 @@ class TestScoreWindows:
             score_windows(np.zeros((3, 4, 2)), np.zeros((4, 2)), np.zeros((5, 8)), 2)
         with pytest.raises(InvalidSeasonality):
             score_windows(np.zeros((3, 4, 2)), np.zeros((4, 2)), np.zeros((4, 8)), 8)
+
+
+class TestSlabDenominators:
+    """Denominators of every window of a slab against the scalar functions
+    and ``score_windows`` on copied windows, bit for bit."""
+
+    @pytest.mark.parametrize("s", [1, 5, 19])  # 19 = L - 1
+    def test_every_window_equals_its_scalars_and_copy(self, s):
+        rng = np.random.default_rng(s)
+        C, m, L, H = 3, 30, 20, 4
+        slab = rng.normal(size=(C, m + L - 1)) * rng.uniform(0.1, 100.0, size=(C, 1))
+        slab[1, 5:5 + L + 3] = 2.5  # channel 1's windows 5..8 are constant
+        mae, mse = seasonal_naive_denominators(slab, s, L)
+        assert mae.shape == mse.shape == (C, m)
+        windows = sliding_window_view(slab, L, axis=1)
+        for ch in range(C):
+            contexts = np.ascontiguousarray(windows[ch])
+            for j in range(m):
+                assert mae[ch, j] == seasonal_naive_mae(contexts[j], s)
+                assert mse[ch, j] == seasonal_naive_mse(contexts[j], s)
+            targets = rng.normal(size=(m, H))
+            forecasts = targets + rng.normal(size=(3, m, H))
+            want = score_windows(forecasts, targets, contexts, s)
+            got = scaled_scores(forecasts, targets, mae[ch], mse[ch])
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+        assert np.flatnonzero(mae < DENOMINATOR_FLOOR).tolist() == [m + 5, m + 6, m + 7, m + 8]
+
+    def test_invalid_arguments_rejected(self):
+        for s, window in ((0, 8), (8, 8), (2.0, 8)):
+            with pytest.raises(InvalidSeasonality):
+                seasonal_naive_denominators(np.zeros((2, 10)), s, window)
+        for series in (np.zeros((2, 7)), np.float64(1.0)):
+            with pytest.raises(ShapeMismatch):
+                seasonal_naive_denominators(series, 2, 8)
 
 
 class TestSeasonalityTable:
