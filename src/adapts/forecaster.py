@@ -14,30 +14,42 @@ conj(z)]``: those are a unitary transform of ``sqrt2*[Re z, Im z]``, and
 ridge regression is invariant under unitary transforms of its rows.
 
 Under instance normalization the context is centered and its DC
-coefficient is zero up to rounding. The DC column stays anyway: one basis
+coefficient is zero, up to rounding when embedded and exactly from
+moments. The DC column stays anyway: one basis
 then serves both settings, and a zero column costs one Gram row.
 
 The weight matrix is the ridge solution over every (context, target) pair
-absorbed so far and is refreshed incrementally (:class:`SpectralRidge`).
-Small blocks (:func:`woodbury_pays`) take a block recursive least squares
-step through the Woodbury identity in square-root form: the Cholesky
-factor ``F`` of the small inner matrix whitens the block once, ``[V | Z]
-= F^-1 [T* | R]``, and the step adds ``V* Z`` to the weight and subtracts
-``V* V`` from the inverse Gram matrix in place, which keeps that inverse
-symmetric without re-symmetrising it. Larger blocks, and small ones whose
-inner matrix fails a trace or Cholesky test, trigger a direct refit that
-solves for the weight from the Gram and cross-moment sums and leaves the
-inverse to be computed when something reads it.
+absorbed so far and is refreshed incrementally (:class:`SpectralRidge`),
+by one of three paths:
 
-:meth:`OnlineForecaster.fit_windows` embeds an update's channel-major
-windows, which may be views of one series slab, one channel at a time:
-each channel's windows are copied once, centred, scaled and transformed,
-and the layout writes their coefficients straight into the preallocated
-design rows, so no copy of the whole block exists. :meth:`OnlineForecaster.fit`
-takes (context, target) rows of any channels through the same routine in
-one pass. Both do the arithmetic of :meth:`OnlineForecaster.embed_pair`
-plus the layout on one :class:`SamplePair`, which stay as the scalar
-reference.
+- small blocks (:func:`woodbury_pays`) take a block recursive least
+  squares step through the Woodbury identity in square-root form: the
+  Cholesky factor ``F`` of the small inner matrix whitens the block once,
+  ``[V | Z] = F^-1 [T* | R]``, and the step adds ``V* Z`` to the weight
+  and subtracts ``V* V`` from the inverse Gram matrix in place, which
+  keeps that inverse symmetric without re-symmetrising it;
+- larger blocks, and small ones whose inner matrix fails a trace or
+  Cholesky test, trigger a direct refit that solves for the weight from
+  the Gram and cross-moment sums and leaves the inverse to be computed
+  when something reads it;
+- a refit from moments is the same solve, given the block's Gram and
+  cross-moment instead of its rows.
+
+:meth:`OnlineForecaster.fit_slab` fits an update from the channel-major
+slab its windows are cut from and picks a path per model. Below
+:func:`moments_pay` it embeds the windows, sliding views of the slab, one
+channel at a time: each channel's windows are copied once, centred,
+scaled and transformed, and the layout writes their coefficients straight
+into the preallocated design rows. From :func:`moments_pay` on, and
+unless the block is small enough for a Woodbury step, it builds the
+block's Gram and cross-moment from the slab's ``(L+H)``-lag second
+moments (the covariance method of linear prediction, Makhoul 1975) and
+embeds no window: the rows are a fixed linear map of each window, so
+their sums are that map applied to the windows' second-moment matrix.
+:meth:`OnlineForecaster.fit` takes (context, target) rows of any channels
+through the embedding in one pass. Both embeddings do the arithmetic of
+:meth:`OnlineForecaster.embed_pair` plus the layout on one
+:class:`SamplePair`, which stay as the scalar reference.
 
 Inference is folded. Forward transform -> low-pass -> layout -> weight ->
 inverse layout -> zero padding -> inverse transform is linear in the
@@ -61,8 +73,8 @@ by its own mean, which is added back onto the forecast.
 
 Concurrency contract: ``predict`` is read-only (the fold is computed
 eagerly by the writers) and may run concurrently with other ``predict``
-calls; ``fit``, which rewrites the fold in place, and ``observe_values``
-are exclusive writers.
+calls; ``fit`` and ``fit_slab``, which rewrite the fold in place, and
+``observe_values`` are exclusive writers.
 """
 
 from __future__ import annotations
@@ -71,6 +83,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import IllConditionedUpdate, InvalidConfig, ShapeMismatch
 # pad_spectrum and inverse_rft are not called here; the whole spectral chain
@@ -200,6 +213,21 @@ def woodbury_pays(m: int, d: int) -> bool:
     return m < d // 3
 
 
+def moments_pay(rows: int, width: int) -> bool:
+    """Whether a refit of ``rows`` windows of width ``K = L + H`` builds
+    its Gram and cross-moment from the slab's lagged moments rather than by
+    embedding every window.
+
+    Embedding grows with the rows (one FFT per window and a ``rows×d×d``
+    Gram product); the moments cost a few ``K×K`` passes and about ``2L``
+    FFTs of length ``L``, plus lag products that grow with the slab. With
+    one BLAS thread and alpha = 0.9, whole fits crossed at 1.5-2·K rows for
+    one channel per model and at 1-1.5·K for three or seven, at L = 128,
+    336 and 520, so from 2·K on the moments pay for every model.
+    """
+    return rows >= 2 * width
+
+
 def _inner_fault(inner: np.ndarray):
     """The test that rejects the Woodbury inner matrix ``I + X A X*``, and
     its factor: ``("trace", None)``, ``("cholesky", None)``, or ``(None,
@@ -227,24 +255,29 @@ class SpectralRidge:
     Keeps the sums ``gram = X*X`` and ``cross = X*Y`` over all absorbed
     design rows ``X`` (``*`` is the conjugate transpose) and the ridge
     solution ``weight = (gram + lam*I)^-1 cross``. A block is folded in
-    one of two ways:
+    one of three ways:
 
-    - a direct refit solves ``(gram + lam*I) weight = cross``;
-    - a Woodbury step is block recursive least squares in square-root
-      form: with ``A = a_inv``, ``T = A X*``, ``inner = I + X T = F F*``
-      (``F`` the lower Cholesky factor from :func:`_inner_fault`) and the
-      residual ``R = Y - X weight``, it whitens the block once, ``[V | Z]
-      = F^-1 [T* | R]``, then sets ``weight += V* Z`` and downdates ``A -=
-      V* V`` in place. These are ``T inner^-1 R`` and ``T inner^-1 T*``,
-      and for real rows ``V* V`` is exactly symmetric, so ``A`` stays so.
-      The step is refused when ``inner`` fails :func:`_inner_fault`.
+    - a direct refit (:meth:`absorb`) adds the block's ``X*X`` and ``X*Y``
+      to the sums and solves ``(gram + lam*I) weight = cross``;
+    - a refit from moments (:meth:`absorb_moments`) is the same solve,
+      given those two block sums instead of the rows; the direct refit
+      ends in it;
+    - a Woodbury step (:meth:`absorb`) is block recursive least squares in
+      square-root form: with ``A = a_inv``, ``T = A X*``, ``inner = I + X
+      T = F F*`` (``F`` the lower Cholesky factor from
+      :func:`_inner_fault`) and the residual ``R = Y - X weight``, it
+      whitens the block once, ``[V | Z] = F^-1 [T* | R]``, then sets
+      ``weight += V* Z`` and downdates ``A -= V* V`` in place. These are
+      ``T inner^-1 R`` and ``T inner^-1 T*``, and for real rows ``V* V``
+      is exactly symmetric, so ``A`` stays so. The step is refused when
+      ``inner`` fails :func:`_inner_fault`.
 
     ``a_inv = (gram + lam*I)^-1`` is computed only when read: a direct
     refit drops it, and the next Woodbury step, snapshot or reader
-    recomputes it. ``last_path`` and ``last_fallback`` record how the
-    latest block was absorbed and which test, if any, sent it from the
-    Woodbury step to a direct refit. A block that raises leaves the model
-    as it was.
+    recomputes it. ``last_path`` (``"woodbury"``, ``"direct"`` or
+    ``"moments"``) and ``last_fallback`` record how the latest block was
+    absorbed and which test, if any, sent it from the Woodbury step to a
+    direct refit. A block that raises leaves the model as it was.
 
     The state starts real and follows the rows' dtype: the forecaster feeds
     real rows, and complex rows turn the same code into a complex ridge.
@@ -340,16 +373,32 @@ class SpectralRidge:
                 raise IllConditionedUpdate(
                     f"inner {m}x{m} solve failed the {fault} test (limit {CONDITION_LIMIT:.0e})")
 
-        gram = self.gram + rows_in.conj().T @ rows_in
-        cross = self.cross + rows_in.conj().T @ rows_out
+        self.absorb_moments(rows_in.conj().T @ rows_in, rows_in.conj().T @ rows_out, m)
+        self.last_path, self.last_fallback = "direct", fault
+
+    def absorb_moments(self, xtx: np.ndarray, xty: np.ndarray, n_rows: int) -> None:
+        """Refit from a block given by its sums ``xtx = X*X`` ``(dim_in,
+        dim_in)`` and ``xty = X*Y`` ``(dim_in, dim_out)`` over ``n_rows``
+        rows: solve ``(gram + xtx + lam*I) weight = cross + xty``. The
+        direct refit of :meth:`absorb` ends here too. A raise leaves the
+        model unchanged.
+        """
+        if np.shape(xtx) != (self.dim_in, self.dim_in) or \
+                np.shape(xty) != (self.dim_in, self.dim_out):
+            raise ShapeMismatch(f"block sums must be ({self.dim_in}, {self.dim_in}) and "
+                                f"({self.dim_in}, {self.dim_out}), got {np.shape(xtx)} "
+                                f"and {np.shape(xty)}")
+        if n_rows < 1:
+            raise ShapeMismatch(f"a block needs at least one row, got {n_rows}")
+        gram, cross = self.gram + xtx, self.cross + xty
         try:
             weight = np.linalg.solve(self._regularized(gram), cross)
         except np.linalg.LinAlgError as exc:
             raise IllConditionedUpdate(f"regularized Gram is singular: {exc}") from exc
         self.gram, self.cross, self.weight = gram, cross, weight
-        self.n_samples += m
+        self.n_samples += n_rows
         self._a_inv = None
-        self.last_path, self.last_fallback = "direct", fault
+        self.last_path, self.last_fallback = "moments", None
 
     def _woodbury_step(self, rows_in, rows_out, v, z) -> None:
         if self.gram.dtype != v.dtype:  # complex rows into a real state
@@ -499,33 +548,132 @@ class OnlineForecaster:
         self._embed(ctx, tgt, sigma, rows_in, rows_out)
         self._absorb(rows_in, rows_out)
 
-    def fit_windows(self, contexts, targets) -> None:
-        """:meth:`fit` on channel-major windows: ``contexts`` ``(C, m, L)``
-        and ``targets`` ``(C, m, H)``, window ``j`` of channel ``ch``
-        becoming row ``ch·m + j``.
+    def fit_slab(self, series, m: int) -> None:
+        """Fit on the ``m`` windows of a channel-major slab ``series`` ``(C,
+        m+L+H-1)``: window ``j`` of channel ``ch`` has its context at
+        ``series[ch, j:j+L]`` and its target at ``series[ch, j+L:j+L+H]``,
+        and is row ``ch·m + j`` of :meth:`fit`. Model ``g`` takes the ``C /
+        G`` channels from ``g·C/G`` on: all channels when G = 1, channel
+        ``g`` alone when G = C.
 
-        The windows may be sliding-window views of one series slab: each
-        channel's ``m`` windows are copied, centred, scaled and transformed
-        on their own, straight into the design rows, so the block is never
-        copied whole. The rows, and so the models' state, equal those of
-        :meth:`fit` on the same windows bit for bit.
+        Every model gets ``C/G · m`` rows, so all take the same path. When
+        :func:`woodbury_pays`, or unless :func:`moments_pay`, the windows,
+        sliding views of the slab, are copied and embedded one channel at a
+        time straight into the design rows and absorbed as in :meth:`fit`,
+        so the models' state equals that of :meth:`fit` on the same windows
+        bit for bit. Otherwise each model builds its block's Gram and
+        cross-moment from its channels' lagged moments (:meth:`_moments`)
+        without embedding a window, and refits from them
+        (:meth:`SpectralRidge.absorb_moments`).
         """
         L, H, G = self.context_length, self.horizon, len(self.cores)
-        contexts, targets = np.asarray(contexts), np.asarray(targets)
-        C, m = contexts.shape[:2] if contexts.ndim == 3 else (0, 0)
-        if (contexts.shape != (C, m, L) or targets.shape != (C, m, H) or C * m == 0
-                or C * m % G):
-            raise ShapeMismatch(f"fit_windows needs (C, m, {L}) contexts and (C, m, {H}) targets "
-                                f"with C·m > 0 a multiple of {G} models, got {contexts.shape} "
-                                f"and {targets.shape}")
-        rows_in, rows_out = self._design_rows(C * m)
-        for ch in range(C):
-            rows = slice(ch * m, (ch + 1) * m)
-            self._embed(np.array(contexts[ch], dtype=np.float64, order="C"),
-                        np.array(targets[ch], dtype=np.float64, order="C"),
-                        self.stats.std(ch) if self.channel_scaling else None,
-                        rows_in[rows], rows_out[rows])
-        self._absorb(rows_in, rows_out)
+        series = np.asarray(series, dtype=np.float64)
+        C = series.shape[0] if series.ndim == 2 else 0
+        if series.shape != (C, m + L + H - 1) or m < 1 or C == 0 or C % G:
+            raise ShapeMismatch(f"fit_slab needs a (C, m + {L + H - 1}) slab with m >= 1 and "
+                                f"C > 0 a multiple of {G} models, got {series.shape} and m={m}")
+        per = C // G
+        sigma = [self.stats.std(ch) if self.channel_scaling else 1.0 for ch in range(C)]
+        if not woodbury_pays(per * m, self.design_dim) and moments_pay(per * m, L + H):
+            for g, core in enumerate(self.cores):
+                chans = slice(g * per, (g + 1) * per)
+                core.absorb_moments(*self._moments(series[chans], sigma[chans], m), per * m)
+            self._refold()
+        else:
+            windows = sliding_window_view(series, L + H, axis=1)[:, :m]
+            rows_in, rows_out = self._design_rows(C * m)
+            for ch in range(C):
+                rows = slice(ch * m, (ch + 1) * m)
+                self._embed(np.array(windows[ch, :, :L]), np.array(windows[ch, :, L:]),
+                            sigma[ch], rows_in[rows], rows_out[rows])
+            self._absorb(rows_in, rows_out)
+
+    def _moments(self, block, scales, m):
+        """Gram ``(d, d)`` and cross-moment ``(d, d_t)`` of the design rows
+        of the ``m`` windows of each row of ``block`` ``(c, m+L+H-1)``, row
+        ``i`` divided by ``scales[i]``, built from the block's lagged second
+        moments instead of the rows.
+
+        A window ``z`` of length ``K = L + H`` becomes the rows ``z[:L] @
+        Ax`` and ``z[L:] @ Ay`` (``Ax`` the context layout ``_analysis``,
+        ``Ay`` the target one), so the block's Gram is ``Axᵀ S_cc Ax`` and
+        its cross-moment ``Axᵀ S_ct Ay``, where ``S = Σ z zᵀ`` over all
+        windows is ``K×K``; only its ``L`` context rows are needed.
+
+        - Each row is centred on its own mean and scaled, giving ``y``.
+        - One batched matmul gives the lag products ``q[s, k] = Σ_i y[i, s]
+          y[i, s+k]``, and their prefix sums over ``s`` every ``m``-window
+          sum ``S[a, a+k] = prefix[a+m, k] - prefix[a, k]`` (the covariance
+          method of linear prediction). One strided view writes those
+          diagonals of the first ``L`` rows.
+        - ``S_cc`` enters as its upper triangle ``U`` with the diagonal
+          halved, so the Gram is ``T + Tᵀ`` with ``T = Axᵀ U Ax``, exactly
+          symmetric. Batched rffts and :func:`_real_coefficients` apply the
+          layouts, first along the rows of ``S``, then along the columns.
+
+        Centring a window on its context mean changes only DC coefficients:
+        the context DC becomes 0, and the target DC loses ``H/L`` times the
+        context DC. Without instance normalization the row means are put
+        back instead, through the windows' first moments, again in the DC
+        row and column alone. Taking them out first keeps an offset series
+        from cancelling in ``S``.
+        """
+        L, H = self.context_length, self.horizon
+        K, c = L + H, block.shape[0]
+        d, cb, tb = self.design_dim, self.filter.context_bins, self.filter.target_bins
+        n = m + L - 1                  # the positions s that rows a < L sum over
+        mean = block.mean(axis=1, keepdims=True)
+        scale = np.array(scales)[:, None]
+        # padded with zeros so every position has K lags; padded lags only
+        # reach entries past the last window, which are dropped
+        y = np.zeros((c, n + K - 1))
+        np.subtract(block, mean, out=y[:, :block.shape[1]])
+        y /= scale
+        prefix = np.empty((n + 1, K))
+        prefix[0] = 0.0
+        np.matmul(y[:, :n].T[:, None, :],
+                  sliding_window_view(y, K, axis=1)[:, :n].transpose(1, 0, 2),
+                  out=prefix[1:, None, :])
+        np.cumsum(prefix, axis=0, out=prefix)
+        # row a of the skewed view is S[a, a:a+K]: its tail past column K
+        # wraps into the strict lower triangle of row a+1, zeroed next, and
+        # the spare last row takes the wrap of row L-1
+        s = np.empty((L + 1, K))
+        np.subtract(prefix[m:m + L], prefix[:L],
+                    out=as_strided(s, shape=(L, K), strides=((K + 1) * 8, 8)))
+        del prefix  # free each buffer once read: the peak stays below the embedding's
+        upper = s[:L, :L]
+        np.copyto(upper, 0.0, where=np.tri(L, k=-1, dtype=bool))
+        s.reshape(-1)[:L * (K + 1):K + 1] *= 0.5   # the diagonal
+        half = np.empty((L, d + self._synthesis.shape[0]))   # [U Ax | S_ct Ay]
+        _real_coefficients(np.fft.rfft(upper, axis=1)[:, :cb], L, out=half[:, :d])
+        _real_coefficients(np.fft.rfft(s[:L, L:], axis=1)[:, :tb], H, out=half[:, d:])
+        del s, upper
+        sums = _real_coefficients(np.fft.rfft(half, axis=0)[:cb].T, L)   # [Tᵀ; crossᵀ]
+        del half
+        gram, cross = sums[:d] + sums[:d].T, sums[d:].T
+        if self.instance_norm:
+            cross[:, 0] -= H / L * gram[:, 0]
+            gram[0] = 0.0
+            gram[:, 0] = 0.0
+            cross[0] = 0.0
+        else:
+            # y = (x - mean) / scale: add back w = mean / scale on each row,
+            # (L, H)·w on the (context, target) DC of each of its windows
+            w = (mean / scale)[:, 0]
+            run = np.zeros((c, m + K))
+            np.cumsum(y[:, :m + K - 1], axis=1, out=run[:, 1:])
+            first = w @ (run[:, m:] - run[:, :K])     # Σ_i w_i Σ_j y[i, j:j+K]
+            first_in = _real_coefficients(np.fft.rfft(first[:L])[:cb], L)
+            first_out = _real_coefficients(np.fft.rfft(first[L:])[:tb], H)
+            w2 = m * float(w @ w)
+            gram[:, 0] += L * first_in
+            gram[0] += L * first_in
+            gram[0, 0] += L * L * w2
+            cross[:, 0] += H * first_in
+            cross[0] += L * first_out
+            cross[0, 0] += L * H * w2
+        return gram, cross
 
     def _design_rows(self, n: int):
         """Uninitialised ``(n, d)`` design and ``(n, d_t)`` target rows."""

@@ -14,11 +14,12 @@ with one forecaster, holding one model for all channels or one per channel
   windows whose targets have fully materialized (or the ``update_period``
   newest rows if none has) up to the current step. Its newest
   ``update_period`` rows go to the channel statistics. The slab is copied
-  once, channel-major, and the completed windows are sliding views of that
-  copy, never copied as a block: each window's seasonal-naive
-  denominators come from one pass over the copy, each channel's windows
-  are scored for the weighters, and the forecaster embeds the windows one
-  channel at a time (``OnlineForecaster.fit_windows``).
+  once, channel-major, and the completed windows' targets are sliding
+  views of that copy, never copied as a block: each window's
+  seasonal-naive denominators come from one pass over the copy, each
+  channel's windows are scored for the weighters, and the forecaster fits
+  on the copy itself (``OnlineForecaster.fit_slab``), which holds exactly
+  the completed windows.
 
 So each row reaches the base once, and the channel statistics once if an
 update follows it, in time order. Nothing ever reads past the current
@@ -413,12 +414,11 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
             for row in rows[-M:]:
                 forecaster.observe_values(row)
             if origins:
-                # the completed windows, channel-major (C, m, L) and (C, m, H):
+                # the completed windows' targets, channel-major (C, m, H):
                 # sliding views of one channel-major copy of the slab, scored
                 # per channel against denominators taken from the slab in one
-                # pass, then fitted as one block
+                # pass; the copy, m + L + H - 1 rows, is then fitted as one block
                 m, cols = len(origins), np.ascontiguousarray(rows.T)
-                ctx_view = sliding_window_view(cols, L, axis=1)[:, :m]
                 tgt_view = sliding_window_view(cols[:, L:], H, axis=1)[:, :m]
                 naive_mae, naive_mse = seasonal_naive_denominators(
                     cols[:, :m + L - 1], config.seasonality, L)
@@ -450,7 +450,7 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
                         "loss_adaptive": loss_adaptive,
                     })
                 update_steps += 1
-                forecaster.fit_windows(ctx_view, tgt_view)
+                forecaster.fit_slab(cols, m)
                 last_fit_origin = origins[-1]
         if step_callback is not None:
             step_callback(t)

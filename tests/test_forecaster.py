@@ -8,6 +8,7 @@ the eager-inverse ridge update (:class:`OracleRidge`).
 """
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from adapts.forecaster import (
     SpectralRidge,
     _real_coefficients,
     load_forecaster,
+    moments_pay,
     new_forecaster,
     save_forecaster,
     woodbury_pays,
@@ -1129,9 +1131,88 @@ class TestModelAxis:
         assert f.predict(rng.normal(size=(3, 8))).shape == (3, 2)
 
 
+def extended_sums(f, slab, m, channels):
+    """Gram and cross-moment of the design rows of the ``m`` windows of each
+    row of ``slab``, row ``i`` cut from channel ``channels[i]``, computed in
+    ``np.longdouble``: the windows are centred and scaled without rounding
+    to doubles, then mapped by the layouts as explicit matrices."""
+    L, H = f.context_length, f.horizon
+    layout_out = _real_coefficients(np.fft.rfft(np.eye(H))[:, :f.filter.target_bins], H)
+    rows_in, rows_out = [], []
+    for x, ch in zip(np.asarray(slab, dtype=np.longdouble), channels):
+        ctx, tgt = sliding_window_view(x, L)[:m], sliding_window_view(x[L:], H)[:m]
+        mu = ctx.mean(axis=1, keepdims=True) if f.instance_norm else 0
+        sigma = np.longdouble(f.stats.std(ch) if f.channel_scaling else 1.0)
+        rows_in.append((ctx - mu) / sigma @ f._analysis)
+        rows_out.append((tgt - mu) / sigma @ layout_out)
+    x, y = np.concatenate(rows_in), np.concatenate(rows_out)
+    return x.T @ x, x.T @ y
+
+
+def assert_within(got, want, rtol, scale, name):
+    if want.size:
+        gap = np.abs(np.asarray(got, dtype=np.longdouble) - want).max()
+        assert gap <= rtol * scale, f"{name}: {float(gap):.2e} > {rtol:.0e} x {float(scale):.2e}"
+
+
+def assert_moments_match(got, want, instance_norm, names=("gram", "cross", "weight")):
+    """A ridge refitted from moments, ``got``, against a reference
+    ``want``: the Gram and cross-moment at 1e-13, the weight at 1e-10. The
+    entries off the DC row and column are held to their own max, the DC
+    row and column to the whole matrix's max (without instance
+    normalization an offset series makes them far larger than the rest).
+    Under instance normalization the context DC coefficient of every
+    design row is zero: an embedding leaves rounding in the DC row, and in
+    the Gram's DC column, where the moments hold zeros, so those are not
+    compared."""
+    for name in names:
+        rtol = 1e-10 if name == "weight" else 1e-13
+        g, w = getattr(got, name), np.asarray(getattr(want, name))
+        inner = w[1:, 1:]
+        assert_within(g[1:, 1:], inner, rtol, np.abs(inner).max() if inner.size else 0, name)
+        if not (instance_norm and name == "gram"):
+            assert_within(g[1:, 0], w[1:, 0], rtol, np.abs(w).max(), name)
+        if not instance_norm:
+            assert_within(g[0], w[0], rtol, np.abs(w).max(), name)
+
+
+def assert_time_maps_match(got, want, instance_norm):
+    """``time_map`` at 1e-10 of the reference's max. Under instance
+    normalization a forecast reads only its part that is centred over the
+    context axis, since the context is centred: the rest is the DC row of
+    the weight, zero from moments and rounding from an embedding."""
+    scale = np.abs(want.time_map).max()
+    got, want = got.time_map, want.time_map
+    if instance_norm:
+        got, want = (a - a.mean(axis=1, keepdims=True) for a in (got, want))
+    assert_within(got, want, 1e-10, scale, "time_map")
+
+
 class TestFitWindows:
-    """``fit_windows`` on sliding views of a random slab against ``fit`` on
-    copies of the same windows, bit for bit."""
+    """``fit_slab`` on a random slab against ``fit`` on copies of its
+    windows: bit for bit while every model embeds, at the moments
+    tolerance (:func:`assert_moments_match`) once one has refitted from
+    moments."""
+
+    @staticmethod
+    def _twins(config, C, shared, rng):
+        L, H, alpha, instance_norm, channel_scaling = config
+        twins = [new_forecaster(L, H, 2, lam=2.0, alpha=alpha, instance_norm=instance_norm,
+                                channel_scaling=channel_scaling, models=1 if shared else C)
+                 for _ in range(2)]
+        for v in rng.normal(size=(25, C)) * [1.0, 6.0, 0.05]:
+            for f in twins:
+                f.observe_values(v)
+        return twins
+
+    @staticmethod
+    def _fit_both(views, copies, slab, m):
+        L, H = views.context_length, views.horizon
+        C = slab.shape[0]
+        views.fit_slab(slab, m)
+        copies.fit(sliding_window_view(slab, L, axis=1)[:, :m].reshape(-1, L),
+                   sliding_window_view(slab[:, L:], H, axis=1)[:, :m].reshape(-1, H),
+                   np.repeat(np.arange(C), m))
 
     @pytest.mark.parametrize("shared", [True, False])
     @pytest.mark.parametrize("config", CONFIGS)
@@ -1139,34 +1220,103 @@ class TestFitWindows:
         L, H, alpha, instance_norm, channel_scaling = config
         C = 3
         rng = np.random.default_rng(97)
-        views, copies = (new_forecaster(L, H, 2, lam=2.0, alpha=alpha,
-                                        instance_norm=instance_norm,
-                                        channel_scaling=channel_scaling,
-                                        models=1 if shared else C) for _ in range(2))
-        for v in rng.normal(size=(25, C)) * [1.0, 6.0, 0.05]:
-            views.observe_values(v)
-            copies.observe_values(v)
+        views, copies = self._twins(config, C, shared, rng)
+        moved = False
         for m in (1, 40, 3):  # one window, and blocks above and below design_dim
             slab = rng.normal(size=(C, m + L + H - 1)) * 3.0 + 4.0
-            ctx = sliding_window_view(slab, L, axis=1)[:, :m]
-            tgt = sliding_window_view(slab[:, L:], H, axis=1)[:, :m]
-            views.fit_windows(ctx, tgt)
-            copies.fit(ctx.reshape(-1, L), tgt.reshape(-1, H), np.repeat(np.arange(C), m))
+            self._fit_both(views, copies, slab, m)
+            moved = moved or views.core.last_path == "moments"
             for got, want in zip(views.cores, copies.cores):
+                if moved:
+                    assert_moments_match(got, want, instance_norm)
+                    continue
                 for name in ("weight", "gram", "cross", "a_inv"):
                     assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-            assert views.time_map.tobytes() == copies.time_map.tobytes()
+            if moved:
+                assert_time_maps_match(views, copies, instance_norm)
+            else:
+                assert views.time_map.tobytes() == copies.time_map.tobytes()
+        # 40 windows of each of 3 channels always reach 2·(L + H) rows; 40
+        # windows of one channel do for L + H <= 20
+        assert moved == (40 * (C if shared else 1) >= 2 * (L + H))
         assert views.n_samples == copies.n_samples == (44 * C if shared else 44)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("config", [c for c in CONFIGS if c[2] > 0.5])
+    def test_moments_equal_fit_on_copied_windows(self, config, shared, offset):
+        # alpha = 1 keeping the Nyquist bin, odd L and H, both normalizations;
+        # each model's windows are enough for moments, and the offset slab
+        # checks that the block means leave S before the lag products
+        L, H, alpha, instance_norm, channel_scaling = config
+        if offset and np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
+            pytest.skip("the oracle needs a long double wider than a double")
+        C = 3
+        rng = np.random.default_rng(103)
+        views, copies = self._twins(config, C, shared, rng)
+        m = 2 * (L + H) + 5
+        slab = rng.normal(size=(C, m + L + H - 1)) * 3.0 + 4.0 + offset
+        self._fit_both(views, copies, slab, m)
+        per = C // len(views.cores)
+        for g, core in enumerate(views.cores):
+            assert core.last_path == "moments" and core.n_samples == per * m
+            if instance_norm:  # every design row's DC coefficient is exactly zero
+                assert not (core.gram[0].any() or core.gram[:, 0].any() or core.cross[0].any()
+                            or core.weight[0].any())
+            channels = range(g * per, (g + 1) * per)
+            gram, cross = extended_sums(views, slab[g * per:(g + 1) * per], m, channels)
+            assert_moments_match(core, SimpleNamespace(gram=gram, cross=cross), instance_norm,
+                                 names=("gram", "cross"))
+            if not offset:
+                # offset by 1e4, the embedded sums themselves lie ~1e-12 off the
+                # extended ones (centring rounds at 1e4 * eps); the moments do not
+                assert_moments_match(core, copies.cores[g], instance_norm)
+        assert_time_maps_match(views, copies, instance_norm)
 
     @pytest.mark.parametrize("ctx_shape, tgt_shape", [
         ((2, 3, 8), (2, 3, 3)), ((2, 3, 7), (2, 3, 2)), ((2, 3, 8), (2, 4, 2)),
         ((6, 8), (6, 2)), ((2, 0, 8), (2, 0, 2)), ((3, 1, 8), (3, 1, 2))])
     def test_bad_shapes_rejected(self, ctx_shape, tgt_shape):
-        # the last case holds 3 windows for 2 models
+        # the slab these windows would be cut from, for L = 8 and H = 2: the
+        # first two hold the wrong L or H, the third a count of windows that
+        # disagrees with its width, the fourth no channel axis, the fifth no
+        # window, and the last 3 channels for 2 models
         f = new_forecaster(8, 2, 2, models=2)
-        with pytest.raises(ShapeMismatch, match="fit_windows"):
-            f.fit_windows(np.ones(ctx_shape), np.ones(tgt_shape))
+        m = tgt_shape[-2]
+        slab = np.ones(ctx_shape[:-2] + (ctx_shape[-2] + ctx_shape[-1] + tgt_shape[-1] - 1,))
+        with pytest.raises(ShapeMismatch, match="fit_slab"):
+            f.fit_slab(slab, m)
         assert f.n_samples == 0
+
+    def test_path_rule(self):
+        # the paper shape (C = 7, m = 200, L = 520, H = 96, d = 469) takes
+        # moments; shared-l128's (C = 3, m = 100, L = 128, H = 24) embeds, and
+        # so does a per-channel block of m = 200 at the paper shape; per-channel
+        # blocks of m = 50 take the Woodbury step
+        assert moments_pay(1400, 616) and not woodbury_pays(1400, 469)
+        assert not moments_pay(300, 152) and not woodbury_pays(300, 117)
+        assert not moments_pay(200, 616) and woodbury_pays(50, 469)
+        assert moments_pay(1232, 616) and not moments_pay(1231, 616)
+        rng = np.random.default_rng(107)
+        L, H, m = 520, 96, 50
+        f = new_forecaster(L, H, 24, models=2)
+        for row in rng.normal(size=(30, 2)):
+            f.observe_values(row)
+        f.fit_slab(rng.normal(size=(2, m + L + H - 1)), m)
+        assert [core.last_path for core in f.cores] == ["woodbury", "woodbury"]
+
+    def test_fit_never_takes_moments(self):
+        # fit() embeds every row, even for a block that fit_slab would take
+        # from moments
+        L, H, m = 16, 4, 60
+        rng = np.random.default_rng(109)
+        f, g = (new_forecaster(L, H, 2) for _ in range(2))
+        slab = rng.normal(size=(2, m + L + H - 1))
+        g.fit_slab(slab, m)
+        f.fit(sliding_window_view(slab, L, axis=1)[:, :m].reshape(-1, L),
+              sliding_window_view(slab[:, L:], H, axis=1)[:, :m].reshape(-1, H),
+              np.repeat([0, 1], m))
+        assert (f.core.last_path, g.core.last_path) == ("direct", "moments")
 
 
 class TestFitChannels:
@@ -1229,12 +1379,12 @@ class TestMemoryLayout:
 
     def test_update_fit_at_the_paper_shape_copies_no_block(self):
         # one update's fit at the paper shape (C=7, m=200, L=520, H=96) from
-        # views of its slab. numpy reports its buffers to tracemalloc, so the
-        # traced peak holds every array the fit allocates; it must fit in
-        # the design rows, four d×d arrays and one channel's windows with
-        # their spectrum, 14.4 MiB; it measured 10.0 MiB. Cutting the windows
-        # as a (C, m, L) block copy and fitting that through fit() peaked at
-        # 28.8 MiB
+        # its slab. numpy reports its buffers to tracemalloc, so the traced
+        # peak holds every array the fit allocates; it must fit in the
+        # design rows, four d×d arrays and one channel's windows with their
+        # spectrum, 14.4 MiB. Embedding views of the slab measured 10.0 MiB,
+        # the refit from moments 7.7 MiB. Cutting the windows as a (C, m, L)
+        # block copy and fitting that through fit() peaked at 28.8 MiB
         C, m, L, H = 7, 200, 520, 96
         rng = np.random.default_rng(101)
         slab = rng.normal(size=(m + L + H - 1, C))
@@ -1246,10 +1396,9 @@ class TestMemoryLayout:
         tracemalloc.start()
         try:
             cols = np.ascontiguousarray(slab.T)
-            f.fit_windows(sliding_window_view(cols, L, axis=1)[:, :m],
-                          sliding_window_view(cols[:, L:], H, axis=1)[:, :m])
+            f.fit_slab(cols, m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert f.core.last_path == "direct" and f.n_samples == C * m
+        assert f.core.last_path == "moments" and f.n_samples == C * m
         assert peak <= bound, f"traced peak {peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
