@@ -221,11 +221,14 @@ def moments_pay(rows: int, width: int) -> bool:
     Embedding grows with the rows (one FFT per window and a ``rows×d×d``
     Gram product); the moments cost a few ``K×K`` passes and about ``2L``
     FFTs of length ``L``, plus lag products that grow with the slab. With
-    one BLAS thread and alpha = 0.9, whole fits crossed at 1.5-2·K rows for
-    one channel per model and at 1-1.5·K for three or seven, at L = 128,
-    336 and 520, so from 2·K on the moments pay for every model.
+    one BLAS thread and alpha = 0.9, whole fits crossed at about K rows for
+    three or seven channels per model and at 1.25-1.5·K for one, at L =
+    128, 336 and 520. From K on the moments pay for several channels and
+    cost one channel at most a quarter more; well below K they cost
+    1.2-1.5x, as in per-channel blocks of 100 windows at L = 128 or of 200
+    at L = 520.
     """
-    return rows >= 2 * width
+    return rows >= width
 
 
 def _inner_fault(inner: np.ndarray):
@@ -585,7 +588,8 @@ class OnlineForecaster:
             for ch in range(C):
                 rows = slice(ch * m, (ch + 1) * m)
                 self._embed(np.array(windows[ch, :, :L]), np.array(windows[ch, :, L:]),
-                            sigma[ch], rows_in[rows], rows_out[rows])
+                            sigma[ch] if self.channel_scaling else None,
+                            rows_in[rows], rows_out[rows])
             self._absorb(rows_in, rows_out)
 
     def _moments(self, block, scales, m):

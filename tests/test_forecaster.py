@@ -1222,10 +1222,16 @@ class TestFitWindows:
         rng = np.random.default_rng(97)
         views, copies = self._twins(config, C, shared, rng)
         moved = False
-        for m in (1, 40, 3):  # one window, and blocks above and below design_dim
+        per = C if shared else 1
+        # one window, blocks below and above design_dim, and then one above
+        # L + H: every case embeds a block for a Woodbury step or a direct
+        # refit, bit for bit, before any model takes moments
+        for m in (1, 3, 8, 40):
             slab = rng.normal(size=(C, m + L + H - 1)) * 3.0 + 4.0
             self._fit_both(views, copies, slab, m)
             moved = moved or views.core.last_path == "moments"
+            assert (views.core.last_path == "moments") == (
+                not woodbury_pays(per * m, views.design_dim) and moments_pay(per * m, L + H))
             for got, want in zip(views.cores, copies.cores):
                 if moved:
                     assert_moments_match(got, want, instance_norm)
@@ -1236,10 +1242,8 @@ class TestFitWindows:
                 assert_time_maps_match(views, copies, instance_norm)
             else:
                 assert views.time_map.tobytes() == copies.time_map.tobytes()
-        # 40 windows of each of 3 channels always reach 2·(L + H) rows; 40
-        # windows of one channel do for L + H <= 20
-        assert moved == (40 * (C if shared else 1) >= 2 * (L + H))
-        assert views.n_samples == copies.n_samples == (44 * C if shared else 44)
+        assert moved  # 40 windows always reach L + H rows
+        assert views.n_samples == copies.n_samples == (52 * C if shared else 52)
 
     @pytest.mark.parametrize("offset", [0.0, 1e4])
     @pytest.mark.parametrize("shared", [True, False])
@@ -1289,14 +1293,17 @@ class TestFitWindows:
         assert f.n_samples == 0
 
     def test_path_rule(self):
-        # the paper shape (C = 7, m = 200, L = 520, H = 96, d = 469) takes
-        # moments; shared-l128's (C = 3, m = 100, L = 128, H = 24) embeds, and
-        # so does a per-channel block of m = 200 at the paper shape; per-channel
-        # blocks of m = 50 take the Woodbury step
+        # the paper shape (C = 7, m = 200, L = 520, H = 96, d = 469) and
+        # shared-l128's (C = 3, m = 100, L = 128, H = 24) take moments; a
+        # per-channel block of m = 200 at the paper shape, or of m = 100 at
+        # shared-l128's, embeds; per-channel blocks of m = 50 take the
+        # Woodbury step
         assert moments_pay(1400, 616) and not woodbury_pays(1400, 469)
-        assert not moments_pay(300, 152) and not woodbury_pays(300, 117)
-        assert not moments_pay(200, 616) and woodbury_pays(50, 469)
-        assert moments_pay(1232, 616) and not moments_pay(1231, 616)
+        assert moments_pay(300, 152) and not woodbury_pays(300, 117)
+        assert not moments_pay(200, 616) and not woodbury_pays(200, 469)
+        assert not moments_pay(100, 152) and not woodbury_pays(100, 117)
+        assert woodbury_pays(50, 469)
+        assert moments_pay(616, 616) and not moments_pay(615, 616)
         rng = np.random.default_rng(107)
         L, H, m = 520, 96, 50
         f = new_forecaster(L, H, 24, models=2)

@@ -461,19 +461,24 @@ class TestBaseValidation:
 
 class TestOneForecasterForBothModes:
     def test_per_channel_run_equals_one_channel_runs(self):
-        # per-channel mode is the one-channel run repeated per channel
+        # per-channel mode is the one-channel run repeated per channel; at
+        # M=16 each model refits from embedded windows, at M=48 (at least
+        # L+H = 40 windows) from its own channel's lagged moments
         data = ar_seasonal_series(seed=4, steps=500, channels=3, period=8)
-        cfg = small_config(shared_weights=False)
-        joint = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
-        for ch in range(3):
-            alone = run(data[:, ch:ch + 1], NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
-            assert len(alone.bundles[0]) == len(joint.bundles[ch])
-            for a, b in zip(alone.bundles[0], joint.bundles[ch]):
-                for attr in ("base_forecast", "adaptive_forecast", "combined_forecast", "target"):
-                    np.testing.assert_array_equal(getattr(a, attr), getattr(b, attr))
-                assert a.weight_used == b.weight_used
-            assert alone.per_channel["ch0"] == joint.per_channel[f"ch{ch}"]
-            assert alone.weights["ch0"] == joint.weights[f"ch{ch}"]
+        for cfg in (small_config(shared_weights=False),
+                    small_config(shared_weights=False, update_period=48)):
+            joint = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
+            for ch in range(3):
+                alone = run(data[:, ch:ch + 1], NaiveSeasonalBase(cfg.seasonality, cfg.horizon),
+                            cfg)
+                assert len(alone.bundles[0]) == len(joint.bundles[ch])
+                for a, b in zip(alone.bundles[0], joint.bundles[ch]):
+                    for attr in ("base_forecast", "adaptive_forecast", "combined_forecast",
+                                 "target"):
+                        np.testing.assert_array_equal(getattr(a, attr), getattr(b, attr))
+                    assert a.weight_used == b.weight_used
+                assert alone.per_channel["ch0"] == joint.per_channel[f"ch{ch}"]
+                assert alone.weights["ch0"] == joint.weights[f"ch{ch}"]
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_one_predict_per_step_and_one_observe_per_row(self, shared, monkeypatch):

@@ -6,8 +6,10 @@ the forecasts, applied weights, per-window scores, aggregates and weight
 trajectories at 1e-9 relative, the tolerance ``perfbench/reference.json``
 pins aggregates to.
 At L=32 the design dimension is 31, so per-channel runs with M of 1 and 4
-and shared runs with M=1 take Woodbury steps, and the others mostly refit
-directly. A second grid varies the weighter's settings at M=4.
+and shared runs with M=1 take Woodbury steps. From L+H = 40 rows per model
+(shared runs with M of 16 and 48, per-channel runs with M=48) the updates
+refit from the slab's lagged moments, and the others mostly refit directly
+from embedded windows. A second grid varies the weighter's settings at M=4.
 """
 
 import numpy as np
@@ -23,9 +25,9 @@ NAMES = ["a", "b", "c"]
 TOLERANCE = 1e-9
 
 
-def series(seed):
+def series(seed, steps=160):
     # channel scales five decades apart, so channel scaling matters
-    return ar_seasonal_series(seed, steps=160, period=S) * [1.0, 6.0, 0.05] + [3.0, -20.0, 0.5]
+    return ar_seasonal_series(seed, steps=steps, period=S) * [1.0, 6.0, 0.05] + [3.0, -20.0, 0.5]
 
 
 def precomputed_table(data, seed):
@@ -49,7 +51,9 @@ def assert_matches_replay(data, kind, table, config):
 
 
 # (M, shared, base, instance_norm, channel_scaling): every value of each
-# setting meets every value of every other setting in some case
+# setting meets every value of every other setting in the first twelve
+# cases; the last three reach the moments refit with and without instance
+# normalization
 CASES = [
     (1, True, "naive_seasonal", True, True),
     (1, False, "historical_mean", True, False),
@@ -63,13 +67,16 @@ CASES = [
     (16, False, "naive_seasonal", False, False),
     (16, True, "historical_mean", True, True),
     (16, False, "precomputed", False, True),
+    (48, True, "historical_mean", False, True),
+    (48, False, "naive_seasonal", True, False),
+    (48, False, "precomputed", False, True),
 ]
 
 
 @pytest.mark.parametrize("update_period,shared,kind,instance_norm,channel_scaling", CASES)
 def test_run_matches_scalar_replay(update_period, shared, kind, instance_norm, channel_scaling):
     seed = update_period + 2 * shared
-    data = series(seed)
+    data = series(seed, steps=max(160, 7 * update_period + L + H))
     table = precomputed_table(data, seed)
     config = RollingConfig(context_length=L, horizon=H, update_period=update_period,
                            seasonality=S, warmup=2, fast_window=3, instance_norm=instance_norm,
