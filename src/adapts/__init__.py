@@ -24,7 +24,6 @@ from .harness import (
     NaiveSeasonalBase,
     PrecomputedBase,
     RunReport,
-    collect_completed_pairs,
     make_base_forecaster,
     run,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "Spectrum",
     "WEIGHTER_MODES",
     "block_average_mase",
-    "collect_completed_pairs",
     "combine",
     "default_seasonality",
     "exp_weight_step",

@@ -36,19 +36,19 @@ by one of three paths:
   cross-moment instead of its rows.
 
 :meth:`OnlineForecaster.fit_slab` fits an update from the channel-major
-slab its windows are cut from and picks a path per model. Below
-:func:`moments_pay` it embeds the windows, sliding views of the slab, one
-channel at a time: each channel's windows are copied once, centred,
-scaled and transformed, and the layout writes their coefficients straight
-into the preallocated design rows. From :func:`moments_pay` on, and
-unless the block is small enough for a Woodbury step, it builds the
-block's Gram and cross-moment from the slab's ``(L+H)``-lag second
-moments (the covariance method of linear prediction, Makhoul 1975) and
-embeds no window: the rows are a fixed linear map of each window, so
-their sums are that map applied to the windows' second-moment matrix.
+slab its windows are cut from, and works out the window count from the
+slab's width. It picks one path for every model, then fits the models
+one at a time. Below :func:`moments_pay` each model's windows, sliding
+views of the slab, are copied once, centred, scaled and transformed into
+that model's design rows. From :func:`moments_pay` on, and unless the
+block is small enough for a Woodbury step, it builds the block's Gram and
+cross-moment from the slab's ``(L+H)``-lag second moments (the
+covariance method of linear prediction, Makhoul 1975) and embeds no
+window: the rows are a fixed linear map of each window, so their sums
+are that map applied to the windows' second-moment matrix.
 :meth:`OnlineForecaster.fit` takes (context, target) rows of any channels
-through the embedding in one pass. Both embeddings do the arithmetic of
-:meth:`OnlineForecaster.embed_pair` plus the layout on one
+through the same embedding, model by model. The embedding does the
+arithmetic of :meth:`OnlineForecaster.embed_pair` plus the layout on one
 :class:`SamplePair`, which stay as the scalar reference.
 
 Inference is folded. Forward transform -> low-pass -> layout -> weight ->
@@ -526,11 +526,11 @@ class OnlineForecaster:
         statistics must already reflect the observations the rows were cut
         from (see :meth:`observe_values`).
 
-        Every row is embedded before the first model absorbs. Models absorb
-        one at a time, so that one new ``d×d`` Gram is alive at once, not
-        one per model. A block that fails the Woodbury test takes a direct
-        refit, so only a singular regularized Gram, a data error, can raise
-        after earlier models have absorbed their rows.
+        Each model embeds its rows and absorbs them before the next model
+        starts, so that one model's design rows and one new ``d×d`` Gram are
+        alive at once, not one per model. A block that fails the Woodbury
+        test takes a direct refit, so only a singular regularized Gram, a
+        data error, can raise after earlier models have absorbed their rows.
         """
         L, H, G = self.context_length, self.horizon, len(self.cores)
         # C order whatever the input's, so the means and FFTs sum alike
@@ -547,56 +547,60 @@ class OnlineForecaster:
         if self.channel_scaling:
             present, row_of = np.unique(channels, return_inverse=True)
             sigma = np.array([self.stats.std(ch) for ch in present.tolist()])[row_of, None]
-        rows_in, rows_out = self._design_rows(n)
-        self._embed(ctx, tgt, sigma, rows_in, rows_out)
-        self._absorb(rows_in, rows_out)
+        per = n // G
+        for g, core in enumerate(self.cores):
+            rows = slice(g * per, (g + 1) * per)
+            core.absorb(*self._embed(ctx[rows], tgt[rows], None if sigma is None else sigma[rows]))
+        self._refold()
 
-    def fit_slab(self, series, m: int) -> None:
-        """Fit on the ``m`` windows of a channel-major slab ``series`` ``(C,
-        m+L+H-1)``: window ``j`` of channel ``ch`` has its context at
-        ``series[ch, j:j+L]`` and its target at ``series[ch, j+L:j+L+H]``,
-        and is row ``ch·m + j`` of :meth:`fit`. Model ``g`` takes the ``C /
-        G`` channels from ``g·C/G`` on: all channels when G = 1, channel
-        ``g`` alone when G = C.
+    def fit_slab(self, series) -> None:
+        """Fit on the ``m = width - L - H + 1`` windows of a channel-major
+        slab ``series`` ``(C, width)``: window ``j`` of channel ``ch`` has
+        its context at ``series[ch, j:j+L]`` and its target at ``series[ch,
+        j+L:j+L+H]``, and is row ``ch·m + j`` of :meth:`fit`. Model ``g``
+        takes the ``C / G`` channels from ``g·C/G`` on: all channels when G
+        = 1, channel ``g`` alone when G = C.
 
         Every model gets ``C/G · m`` rows, so all take the same path. When
-        :func:`woodbury_pays`, or unless :func:`moments_pay`, the windows,
-        sliding views of the slab, are copied and embedded one channel at a
-        time straight into the design rows and absorbed as in :meth:`fit`,
-        so the models' state equals that of :meth:`fit` on the same windows
-        bit for bit. Otherwise each model builds its block's Gram and
-        cross-moment from its channels' lagged moments (:meth:`_moments`)
-        without embedding a window, and refits from them
-        (:meth:`SpectralRidge.absorb_moments`).
+        :func:`woodbury_pays`, or unless :func:`moments_pay`, each model's
+        windows, sliding views of the slab, are copied once, embedded and
+        absorbed as in :meth:`fit`, so the models' state equals that of
+        :meth:`fit` on the same windows bit for bit. Otherwise each model
+        builds its block's Gram and cross-moment from its channels' lagged
+        moments (:meth:`_moments`) without embedding a window, and refits
+        from them (:meth:`SpectralRidge.absorb_moments`).
         """
         L, H, G = self.context_length, self.horizon, len(self.cores)
         series = np.asarray(series, dtype=np.float64)
-        C = series.shape[0] if series.ndim == 2 else 0
-        if series.shape != (C, m + L + H - 1) or m < 1 or C == 0 or C % G:
-            raise ShapeMismatch(f"fit_slab needs a (C, m + {L + H - 1}) slab with m >= 1 and "
-                                f"C > 0 a multiple of {G} models, got {series.shape} and m={m}")
+        C, width = series.shape if series.ndim == 2 else (0, 0)
+        m = width - L - H + 1
+        if m < 1 or C == 0 or C % G:
+            raise ShapeMismatch(f"fit_slab needs a (C, width) slab with width >= {L + H} and "
+                                f"C > 0 a multiple of {G} models, got {series.shape}")
         per = C // G
-        sigma = [self.stats.std(ch) if self.channel_scaling else 1.0 for ch in range(C)]
-        if not woodbury_pays(per * m, self.design_dim) and moments_pay(per * m, L + H):
-            for g, core in enumerate(self.cores):
-                chans = slice(g * per, (g + 1) * per)
-                core.absorb_moments(*self._moments(series[chans], sigma[chans], m), per * m)
-            self._refold()
-        else:
-            windows = sliding_window_view(series, L + H, axis=1)[:, :m]
-            rows_in, rows_out = self._design_rows(C * m)
-            for ch in range(C):
-                rows = slice(ch * m, (ch + 1) * m)
-                self._embed(np.array(windows[ch, :, :L]), np.array(windows[ch, :, L:]),
-                            sigma[ch] if self.channel_scaling else None,
-                            rows_in[rows], rows_out[rows])
-            self._absorb(rows_in, rows_out)
+        sigma = np.array([self.stats.std(ch) for ch in range(C)]) if self.channel_scaling else None
+        moments = not woodbury_pays(per * m, self.design_dim) and moments_pay(per * m, L + H)
+        windows = sliding_window_view(series, L + H, axis=1)[:, :m]
+        for g, core in enumerate(self.cores):
+            chans = slice(g * per, (g + 1) * per)
+            scales = None if sigma is None else sigma[chans]
+            if moments:
+                core.absorb_moments(*self._moments(series[chans], scales, m), per * m)
+            else:
+                # an embedded block stays under L+H rows (moments_pay), or
+                # under d/3 for a Woodbury step: one model's copy is small
+                core.absorb(*self._embed(
+                    np.array(windows[chans, :, :L]).reshape(-1, L),
+                    np.array(windows[chans, :, L:]).reshape(-1, H),
+                    None if scales is None else np.repeat(scales, m)[:, None]))
+        self._refold()
 
     def _moments(self, block, scales, m):
         """Gram ``(d, d)`` and cross-moment ``(d, d_t)`` of the design rows
         of the ``m`` windows of each row of ``block`` ``(c, m+L+H-1)``, row
-        ``i`` divided by ``scales[i]``, built from the block's lagged second
-        moments instead of the rows.
+        ``i`` divided by ``scales[i]`` (``scales`` a ``(c,)`` array, or None
+        for no scaling), built from the block's lagged second moments
+        instead of the rows.
 
         A window ``z`` of length ``K = L + H`` becomes the rows ``z[:L] @
         Ax`` and ``z[L:] @ Ay`` (``Ax`` the context layout ``_analysis``,
@@ -627,12 +631,13 @@ class OnlineForecaster:
         d, cb, tb = self.design_dim, self.filter.context_bins, self.filter.target_bins
         n = m + L - 1                  # the positions s that rows a < L sum over
         mean = block.mean(axis=1, keepdims=True)
-        scale = np.array(scales)[:, None]
+        scale = None if scales is None else scales[:, None]
         # padded with zeros so every position has K lags; padded lags only
         # reach entries past the last window, which are dropped
         y = np.zeros((c, n + K - 1))
         np.subtract(block, mean, out=y[:, :block.shape[1]])
-        y /= scale
+        if scale is not None:
+            y /= scale
         prefix = np.empty((n + 1, K))
         prefix[0] = 0.0
         np.matmul(y[:, :n].T[:, None, :],
@@ -664,7 +669,7 @@ class OnlineForecaster:
         else:
             # y = (x - mean) / scale: add back w = mean / scale on each row,
             # (L, H)·w on the (context, target) DC of each of its windows
-            w = (mean / scale)[:, 0]
+            w = (mean if scale is None else mean / scale)[:, 0]
             run = np.zeros((c, m + K))
             np.cumsum(y[:, :m + K - 1], axis=1, out=run[:, 1:])
             first = w @ (run[:, m:] - run[:, :K])     # Σ_i w_i Σ_j y[i, j:j+K]
@@ -679,16 +684,12 @@ class OnlineForecaster:
             cross[0, 0] += L * H * w2
         return gram, cross
 
-    def _design_rows(self, n: int):
-        """Uninitialised ``(n, d)`` design and ``(n, d_t)`` target rows."""
-        return np.empty((n, self.design_dim)), np.empty((n, self._synthesis.shape[0]))
-
-    def _embed(self, ctx, tgt, sigma, rows_in, rows_out) -> None:
+    def _embed(self, ctx, tgt, sigma):
         """Centre the C-ordered float64 rows ``ctx`` ``(k, L)`` and ``tgt``
         ``(k, H)`` in place on each context's mean (under instance
-        normalization), divide them by ``sigma`` (a scalar, a ``(k, 1)``
-        column, or None for no scaling) and write their real coefficients
-        into ``rows_in`` ``(k, d)`` and ``rows_out`` ``(k, d_t)``."""
+        normalization), divide them by ``sigma`` (a ``(k, 1)`` column, or
+        None for no scaling) and return their real coefficients, the design
+        rows ``(k, d)`` and target rows ``(k, d_t)``."""
         if self.instance_norm:
             mu = ctx.mean(axis=1, keepdims=True)
             ctx -= mu
@@ -696,17 +697,10 @@ class OnlineForecaster:
         if sigma is not None:
             ctx /= sigma
             tgt /= sigma
-        _real_coefficients(np.fft.rfft(ctx, axis=1)[:, :self.filter.context_bins],
-                           self.context_length, out=rows_in)
-        _real_coefficients(np.fft.rfft(tgt, axis=1)[:, :self.filter.target_bins],
-                           self.horizon, out=rows_out)
-
-    def _absorb(self, rows_in, rows_out) -> None:
-        """Absorb ``n / G`` consecutive rows per model, then refold."""
-        G = len(self.cores)
-        for core, x, y in zip(self.cores, np.split(rows_in, G), np.split(rows_out, G)):
-            core.absorb(x, y)
-        self._refold()
+        return (_real_coefficients(np.fft.rfft(ctx, axis=1)[:, :self.filter.context_bins],
+                                   self.context_length),
+                _real_coefficients(np.fft.rfft(tgt, axis=1)[:, :self.filter.target_bins],
+                                   self.horizon))
 
     def fit_block(self, pairs) -> None:
         """:meth:`fit` on a list of :class:`SamplePair`."""

@@ -11,8 +11,10 @@ with one forecaster, holding one model for all channels or one per channel
   and one ``predict`` call give every channel's base and adaptive
   forecasts, recorded with each channel's current weight;
 - every ``update_period`` steps, the rows from the first context of the
-  windows whose targets have fully materialized (or the ``update_period``
-  newest rows if none has) up to the current step. Its newest
+  windows whose targets have landed since the previous update (or the
+  ``update_period`` newest rows if none has) up to the current step. One
+  cursor, the number of steps already scored, says where those windows
+  start, because step k's context starts at row k. The slab's newest
   ``update_period`` rows go to the channel statistics. The slab is copied
   once, channel-major, and the completed windows' targets are sliding
   views of that copy, never copied as a block: each window's
@@ -292,21 +294,6 @@ class RunReport:
         }
 
 
-def collect_completed_pairs(t_now: int, last_collected: int, context_length: int,
-                            horizon: int) -> list:
-    """Forecast origins whose targets completed in (last_collected, t_now].
-
-    An origin ``t`` is eligible once a full context ends at ``t`` and the
-    last target index ``t + horizon`` has been observed. Returned origins
-    are new since the previous call, oldest first.
-    """
-    first = max(context_length - 1, last_collected + 1)
-    last = t_now - horizon
-    origins = list(range(first, last + 1))
-    assert all(t + horizon <= t_now for t in origins)
-    return origins
-
-
 def _check_row(row, t: int):
     row = np.asarray(row, dtype=np.float64)
     if not np.isfinite(row).all():
@@ -380,7 +367,7 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
     weight_used = np.empty((n_channels, n_steps))
     scores = np.empty((2, 3, n_channels, n_scored))  # MASE, RMSSE of STREAMS
     floored = np.empty((n_channels, n_scored), dtype=bool)
-    last_fit_origin = t0 - 1   # newest forecast origin already fitted on
+    scored = 0   # steps already scored and fitted on; step k's context starts at row k
     update_steps = 0
 
     # the rows before the first forecast step are revealed up front, in one read
@@ -406,23 +393,24 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
         step[0] = bf
         weight_used[:, i] = applied
         if (i + 1) % M == 0:
-            origins = collect_completed_pairs(t, last_fit_origin, L, H)
+            # the steps whose targets have landed since the previous update
+            done = slice(scored, max(scored, i + 1 - H))
+            m = done.stop - done.start
             # the update's one read: the M rows revealed since the previous
             # update and, when windows completed, every row they span
-            lo = origins[0] - L + 1 if origins else t - M + 1
+            lo = done.start if m else t - M + 1
             rows = np.asarray(dataset[lo: t + 1], dtype=np.float64)
             for row in rows[-M:]:
                 forecaster.observe_values(row)
-            if origins:
+            if m:
                 # the completed windows' targets, channel-major (C, m, H):
                 # sliding views of one channel-major copy of the slab, scored
                 # per channel against denominators taken from the slab in one
                 # pass; the copy, m + L + H - 1 rows, is then fitted as one block
-                m, cols = len(origins), np.ascontiguousarray(rows.T)
+                cols = np.ascontiguousarray(rows.T)
                 tgt_view = sliding_window_view(cols[:, L:], H, axis=1)[:, :m]
                 naive_mae, naive_mse = seasonal_naive_denominators(
                     cols[:, :m + L - 1], config.seasonality, L)
-                done = slice(origins[0] - t0, origins[-1] + 1 - t0)
                 forecasts[done, 2] = tgt_view.transpose(1, 0, 2)
                 for ch, w in enumerate(weighters):
                     # streams: base, adaptive, combined, and the two combos at
@@ -450,8 +438,8 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
                         "loss_adaptive": loss_adaptive,
                     })
                 update_steps += 1
-                forecaster.fit_slab(cols, m)
-                last_fit_origin = origins[-1]
+                forecaster.fit_slab(cols)
+                scored = done.stop
         if step_callback is not None:
             step_callback(t)
 

@@ -1209,7 +1209,7 @@ class TestFitWindows:
     def _fit_both(views, copies, slab, m):
         L, H = views.context_length, views.horizon
         C = slab.shape[0]
-        views.fit_slab(slab, m)
+        views.fit_slab(slab)
         copies.fit(sliding_window_view(slab, L, axis=1)[:, :m].reshape(-1, L),
                    sliding_window_view(slab[:, L:], H, axis=1)[:, :m].reshape(-1, H),
                    np.repeat(np.arange(C), m))
@@ -1277,19 +1277,14 @@ class TestFitWindows:
                 assert_moments_match(core, copies.cores[g], instance_norm)
         assert_time_maps_match(views, copies, instance_norm)
 
-    @pytest.mark.parametrize("ctx_shape, tgt_shape", [
-        ((2, 3, 8), (2, 3, 3)), ((2, 3, 7), (2, 3, 2)), ((2, 3, 8), (2, 4, 2)),
-        ((6, 8), (6, 2)), ((2, 0, 8), (2, 0, 2)), ((3, 1, 8), (3, 1, 2))])
-    def test_bad_shapes_rejected(self, ctx_shape, tgt_shape):
-        # the slab these windows would be cut from, for L = 8 and H = 2: the
-        # first two hold the wrong L or H, the third a count of windows that
-        # disagrees with its width, the fourth no channel axis, the fifth no
-        # window, and the last 3 channels for 2 models
+    @pytest.mark.parametrize("shape", [(15,), (2, 9), (3, 10)],
+                             ids=["no-channel-axis", "no-window", "channels-not-a-multiple"])
+    def test_bad_shapes_rejected(self, shape):
+        # for L = 8 and H = 2: a slab with no channel axis, one a row too
+        # narrow for a window, and 3 channels for 2 models
         f = new_forecaster(8, 2, 2, models=2)
-        m = tgt_shape[-2]
-        slab = np.ones(ctx_shape[:-2] + (ctx_shape[-2] + ctx_shape[-1] + tgt_shape[-1] - 1,))
         with pytest.raises(ShapeMismatch, match="fit_slab"):
-            f.fit_slab(slab, m)
+            f.fit_slab(np.ones(shape))
         assert f.n_samples == 0
 
     def test_path_rule(self):
@@ -1309,7 +1304,7 @@ class TestFitWindows:
         f = new_forecaster(L, H, 24, models=2)
         for row in rng.normal(size=(30, 2)):
             f.observe_values(row)
-        f.fit_slab(rng.normal(size=(2, m + L + H - 1)), m)
+        f.fit_slab(rng.normal(size=(2, m + L + H - 1)))
         assert [core.last_path for core in f.cores] == ["woodbury", "woodbury"]
 
     def test_fit_never_takes_moments(self):
@@ -1319,7 +1314,7 @@ class TestFitWindows:
         rng = np.random.default_rng(109)
         f, g = (new_forecaster(L, H, 2) for _ in range(2))
         slab = rng.normal(size=(2, m + L + H - 1))
-        g.fit_slab(slab, m)
+        g.fit_slab(slab)
         f.fit(sliding_window_view(slab, L, axis=1)[:, :m].reshape(-1, L),
               sliding_window_view(slab[:, L:], H, axis=1)[:, :m].reshape(-1, H),
               np.repeat([0, 1], m))
@@ -1384,6 +1379,33 @@ class TestMemoryLayout:
         want = c.predict(probes)
         assert c.predict(np.asfortranarray(probes)).tobytes() == want.tobytes()
 
+    def test_per_channel_fit_slab_holds_one_models_rows(self, monkeypatch):
+        # a per-channel fit embeds model by model: when model 0 starts to
+        # absorb, the traced heap holds its design rows and its windows'
+        # copy, about two blocks of m·(d + d_t) doubles, not one per model
+        G, L, H, m = 16, 64, 16, 20
+        rng = np.random.default_rng(113)
+        slab = rng.normal(size=(G, m + L + H - 1))
+        f = new_forecaster(L, H, 8, models=G)
+        for row in slab.T[:5]:
+            f.observe_values(row)
+        block = 8 * m * (f.design_dim + f.core.dim_out)
+        held, absorb = [], SpectralRidge.absorb
+
+        def spy(core, rows_in, rows_out, method="auto"):
+            if not held:
+                held.append(tracemalloc.get_traced_memory()[0])
+            absorb(core, rows_in, rows_out, method)
+
+        monkeypatch.setattr(SpectralRidge, "absorb", spy)
+        tracemalloc.start()
+        try:
+            f.fit_slab(slab)
+        finally:
+            tracemalloc.stop()
+        assert [core.last_path for core in f.cores] == ["direct"] * G
+        assert held[0] <= 4 * block, f"{held[0]} bytes traced > 4 blocks of {block}"
+
     def test_update_fit_at_the_paper_shape_copies_no_block(self):
         # one update's fit at the paper shape (C=7, m=200, L=520, H=96) from
         # its slab. numpy reports its buffers to tracemalloc, so the traced
@@ -1403,7 +1425,7 @@ class TestMemoryLayout:
         tracemalloc.start()
         try:
             cols = np.ascontiguousarray(slab.T)
-            f.fit_slab(cols, m)
+            f.fit_slab(cols)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

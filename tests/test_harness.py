@@ -23,7 +23,6 @@ from adapts.harness import (
     HistoricalMeanBase,
     NaiveSeasonalBase,
     PrecomputedBase,
-    collect_completed_pairs,
     make_base_forecaster,
     run,
 )
@@ -43,26 +42,6 @@ def sine_dataset(steps=600, channels=2, period=8, noise=0.0, seed=0):
     cols = [np.sin(2 * np.pi * t / period + ch) + noise * rng.normal(size=steps)
             for ch in range(channels)]
     return np.stack(cols, axis=1)
-
-
-class TestCollectCompletedPairs:
-    def test_steady_state_count_matches_update_period(self):
-        L, H, M = 520, 96, 200
-        last = L - 2  # nothing collected yet
-        t = L - 1 + M
-        first = collect_completed_pairs(t, last, L, H)
-        t2 = t + M
-        second = collect_completed_pairs(t2, first[-1], L, H)
-        assert len(second) == M
-        assert second[0] == first[-1] + 1
-
-    def test_nothing_completed_before_horizon_elapses(self):
-        assert collect_completed_pairs(40, 31, 32, 20) == []
-
-    def test_origins_never_reference_the_future(self):
-        for t_now in (40, 55, 200):
-            for origin in collect_completed_pairs(t_now, 30, 32, 8):
-                assert origin + 8 <= t_now
 
 
 class TestBaseForecasters:
@@ -220,11 +199,15 @@ class TestDeterminismAndCausality:
         for t, max_read in seen:
             assert max_read <= t
 
-    @pytest.mark.parametrize("shared", [True, False])
-    def test_each_completed_window_is_read_once(self, shared):
+    @pytest.mark.parametrize("shared, update_period", [
+        pytest.param(shared, M, id=str(shared) if M == 16 else f"{shared}-M{M}")
+        for M in (16, 4, 1) for shared in (True, False)])
+    def test_each_completed_window_is_read_once(self, shared, update_period):
         # a step reads its (L, C) window; an update that follows it reads
         # one more slab, and the windows cut from that slab (origins lo +
-        # L - 1 through hi - H) must tile the scored origins exactly once
+        # L - 1 through hi - H) must tile the scored origins exactly once.
+        # With M < H the first updates complete no window and read only the
+        # M newest rows
         class SlabLog(TraceArray):
             def __init__(self, values):
                 super().__init__(values)
@@ -234,7 +217,7 @@ class TestDeterminismAndCausality:
                 self.reads.append(key)
                 return super().__getitem__(key)
 
-        cfg = small_config(shared_weights=shared)
+        cfg = small_config(shared_weights=shared, update_period=update_period)
         L, H = cfg.context_length, cfg.horizon
         data = SlabLog(sine_dataset(400, channels=2, noise=0.1, seed=6))
         cut = []
