@@ -1277,14 +1277,16 @@ class TestFitWindows:
                 assert_moments_match(core, copies.cores[g], instance_norm)
         assert_time_maps_match(views, copies, instance_norm)
 
-    @pytest.mark.parametrize("shape", [(15,), (2, 9), (3, 10)],
-                             ids=["no-channel-axis", "no-window", "channels-not-a-multiple"])
-    def test_bad_shapes_rejected(self, shape):
-        # for L = 8 and H = 2: a slab with no channel axis, one a row too
-        # narrow for a window, and 3 channels for 2 models
+    @pytest.mark.parametrize("ctx_shape, tgt_shape", [
+        ((6, 8), (6, 2)), ((2, 0, 8), (2, 0, 2)), ((3, 1, 8), (3, 1, 2))])
+    def test_bad_shapes_rejected(self, ctx_shape, tgt_shape):
+        # the slab these windows would be cut from, for L = 8 and H = 2: the
+        # first has no channel axis, the second no window, and the last 3
+        # channels for 2 models
         f = new_forecaster(8, 2, 2, models=2)
+        slab = np.ones(ctx_shape[:-2] + (ctx_shape[-2] + ctx_shape[-1] + tgt_shape[-1] - 1,))
         with pytest.raises(ShapeMismatch, match="fit_slab"):
-            f.fit_slab(np.ones(shape))
+            f.fit_slab(slab)
         assert f.n_samples == 0
 
     def test_path_rule(self):
