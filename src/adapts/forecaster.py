@@ -64,12 +64,12 @@ orthogonal up to ``sqrt(H)``.
 Channel handling: a forecaster holds G independent models, and the rows
 it fits or predicts split into G equal consecutive groups, group g going
 to model g: G = 1 shares one map across channels, G = C fits one per
-channel. Per-channel running standard deviations (Welford accumulators)
-scale rows before fitting so channels with wildly different magnitudes
-contribute comparably. At inference no scaling is applied; because
-context and target are divided by the same factor, the learned map is
-scale-consistent and rescaling would be a no-op. Each context is centered
-by its own mean, which is added back onto the forecast.
+channel. Per-channel running standard deviations, merged a block of rows
+at a time, scale rows before fitting so channels with wildly different
+magnitudes contribute comparably. At inference no scaling is applied;
+because context and target are divided by the same factor, the learned
+map is scale-consistent and rescaling would be a no-op. Each context is
+centered by its own mean, which is added back onto the forecast.
 
 Concurrency contract: ``predict`` is read-only (the fold is computed
 eagerly by the writers) and may run concurrently with other ``predict``
@@ -100,7 +100,7 @@ from .spectral import (  # noqa: F401
 
 SIGMA_FLOOR = 1e-8
 CONDITION_LIMIT = 1e12
-SNAPSHOT_FORMAT = "adapts-forecaster/3"
+SNAPSHOT_FORMAT = "adapts-forecaster/4"
 
 
 def _real_coefficients(bins: np.ndarray, n: int, out: np.ndarray = None) -> np.ndarray:
@@ -135,43 +135,42 @@ class SamplePair:
 
 
 class ChannelStats:
-    """Per-channel running mean and variance (Welford accumulators).
-
-    The accumulator arrays are sized on the first call to
-    :meth:`observe`; every later call must carry the same channel count.
-    """
+    """Running mean and variance of every channel, one ``count`` for all,
+    merged a block of rows at a time (the pairwise update of Chan, Golub &
+    LeVeque). ``means`` and ``m2s`` are empty until the first
+    :meth:`observe` sizes them; every later call must keep their length."""
 
     def __init__(self):
-        self.counts = None
-        self.means = None
-        self.m2s = None
+        self.count = 0
+        self.means = np.zeros(0)
+        self.m2s = np.zeros(0)
 
-    @property
-    def n_channels(self):
-        return 0 if self.counts is None else self.counts.shape[0]
-
-    def observe(self, values) -> None:
-        """Absorb one scalar per channel."""
-        x = np.asarray(values, dtype=np.float64)
-        if x.ndim != 1:
-            raise ShapeMismatch(f"expected one scalar per channel, got shape {x.shape}")
-        if self.counts is None:
-            self.counts = np.zeros(x.shape[0], dtype=np.int64)
-            self.means = np.zeros(x.shape[0])
-            self.m2s = np.zeros(x.shape[0])
-        elif x.shape[0] != self.counts.shape[0]:
-            raise ShapeMismatch(
-                f"channel count changed from {self.counts.shape[0]} to {x.shape[0]}"
-            )
-        self.counts += 1
-        delta = x - self.means
-        self.means += delta / self.counts
-        self.m2s += delta * (x - self.means)
+    def observe(self, rows) -> None:
+        """Merge one row ``(C,)`` or a block ``(k, C)``, oldest first, in one
+        pass: the block's mean and squared deviations join the totals."""
+        x = np.asarray(rows, dtype=np.float64)
+        x = x[None] if x.ndim == 1 else x
+        if x.ndim != 2 or not x.size:
+            raise ShapeMismatch(f"expected a row (C,) or a non-empty block (k, C), got {x.shape}")
+        if not self.count:
+            self.means, self.m2s = np.zeros(x.shape[1]), np.zeros(x.shape[1])
+        elif x.shape[1] != len(self.means):
+            raise ShapeMismatch(f"channel count changed from {len(self.means)} to {x.shape[1]}")
+        # reduce a channel-major copy along its rows, so each channel's sums
+        # run in one order however many channels share the block
+        cols = np.ascontiguousarray(x.T)
+        block_mean = cols.mean(axis=1)
+        block_m2 = np.square(cols - block_mean[:, None]).sum(axis=1)
+        n, k = self.count, len(x)
+        self.count = n + k
+        delta = block_mean - self.means
+        self.m2s += block_m2 + delta * delta * (n * k / self.count)
+        self.means += delta * (k / self.count)
 
     def _count(self, channel: int) -> int:
         if channel < 0:
             raise ShapeMismatch(f"channel index must be non-negative, got {channel}")
-        return int(self.counts[channel]) if channel < self.n_channels else 0
+        return self.count if channel < len(self.means) else 0
 
     def variance(self, channel: int) -> float:
         """Sample variance; zero until a channel has two observations,
@@ -179,7 +178,7 @@ class ChannelStats:
         raises :class:`ShapeMismatch`, as it does in :meth:`std`."""
         if self._count(channel) < 2:
             return 0.0
-        return float(self.m2s[channel] / (self.counts[channel] - 1))
+        return float(self.m2s[channel] / (self.count - 1))
 
     def std(self, channel: int) -> float:
         """Scaling factor for a channel: 1 until two observations exist,
@@ -487,8 +486,8 @@ class OnlineForecaster:
         return self.core.n_samples
 
     def observe_values(self, values) -> None:
-        """Feed one newly observed scalar per channel into the running
-        per-channel statistics."""
+        """Merge newly observed rows, one ``(C,)`` row or a ``(k, C)``
+        block oldest first, into the running per-channel statistics."""
         self.stats.observe(values)
 
     def embed_pair(self, pair: SamplePair):
@@ -751,9 +750,6 @@ def save_forecaster(forecaster: OnlineForecaster, path) -> None:
     """Snapshot a one-model forecaster to an ``.npz`` file (lossless round trip)."""
     if len(forecaster.cores) > 1:
         raise InvalidConfig(f"{SNAPSHOT_FORMAT} holds one model, not {len(forecaster.cores)}")
-    st = forecaster.stats
-    empty_i = np.zeros(0, dtype=np.int64)
-    empty_f = np.zeros(0)
     np.savez(
         path,
         format=SNAPSHOT_FORMAT,
@@ -769,9 +765,9 @@ def save_forecaster(forecaster: OnlineForecaster, path) -> None:
         gram=forecaster.core.gram,
         cross=forecaster.core.cross,
         weight=forecaster.core.weight,
-        stats_counts=st.counts if st.counts is not None else empty_i,
-        stats_means=st.means if st.means is not None else empty_f,
-        stats_m2s=st.m2s if st.m2s is not None else empty_f,
+        stats_count=forecaster.stats.count,
+        stats_means=forecaster.stats.means,
+        stats_m2s=forecaster.stats.m2s,
     )
 
 
@@ -795,19 +791,18 @@ def load_forecaster(path) -> OnlineForecaster:
             if value.shape != shape:
                 raise InvalidConfig(f"snapshot {name} has shape {value.shape}, expected {shape}")
             setattr(f.core, name, value)
-        stats = [data[name] for name in ("stats_counts", "stats_means", "stats_m2s")]
-        if any(a.ndim != 1 or a.shape != stats[0].shape for a in stats):
-            raise InvalidConfig(
-                f"snapshot stats_counts, stats_means and stats_m2s have shapes "
-                f"{[a.shape for a in stats]}, expected three equal-length vectors"
-            )
-        for name, value in (("n_samples", data["n_samples"]), ("stats_counts", stats[0])):
-            if value.dtype.kind not in "iu" or np.any(value < 0):
-                raise InvalidConfig(f"snapshot {name} must be non-negative integers, got {value}")
+        for name in ("n_samples", "stats_count"):
+            value = data[name]
+            if value.shape != () or value.dtype.kind not in "iu" or value < 0:
+                raise InvalidConfig(f"snapshot {name} must be a non-negative integer, got {value}")
+        means, m2s, count = data["stats_means"], data["stats_m2s"], int(data["stats_count"])
+        if means.ndim != 1 or m2s.shape != means.shape or (count == 0) != (means.size == 0):
+            raise InvalidConfig(f"snapshot stats_means and stats_m2s have shapes {means.shape} "
+                                f"and {m2s.shape} for stats_count {count}, expected two "
+                                f"equal-length vectors, empty exactly when the count is 0")
         f.core.n_samples = int(data["n_samples"])
         if f.core.n_samples == 0 and np.any(f.core.weight):
             raise InvalidConfig("snapshot n_samples is 0 but its weight is nonzero")
-        if stats[0].shape[0]:
-            f.stats.counts, f.stats.means, f.stats.m2s = stats
+        f.stats.count, f.stats.means, f.stats.m2s = count, means, m2s
     f._refold()
     return f

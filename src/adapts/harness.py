@@ -5,7 +5,7 @@ with one forecaster, holding one model for all channels or one per channel
 (``shared_weights``). It reads the series in three places, one slab each:
 
 - before the loop, the rows before the first forecast step, each checked
-  and shown to the base and to the channel statistics;
+  and shown to the base, then merged into the channel statistics at once;
 - at every step, the trailing ``(L, C)`` window. Its last row, the newly
   revealed one, is checked and shown to the base; one ``forecast_all``
   and one ``predict`` call give every channel's base and adaptive
@@ -15,13 +15,13 @@ with one forecaster, holding one model for all channels or one per channel
   ``update_period`` newest rows if none has) up to the current step. One
   cursor, the number of steps already scored, says where those windows
   start, because step k's context starts at row k. The slab's newest
-  ``update_period`` rows go to the channel statistics. The slab is copied
-  once, channel-major, and the completed windows' targets are sliding
-  views of that copy, never copied as a block: each window's
-  seasonal-naive denominators come from one pass over the copy, each
-  channel's windows are scored for the weighters, and the forecaster fits
-  on the copy itself (``OnlineForecaster.fit_slab``), which holds exactly
-  the completed windows.
+  ``update_period`` rows are merged into the channel statistics at once.
+  The slab is copied once, channel-major, and the completed windows'
+  targets are sliding views of that copy, never copied as a block: each
+  window's seasonal-naive denominators come from one pass over the copy,
+  each channel's windows are scored for the weighters, and the
+  forecaster fits on the copy itself (``OnlineForecaster.fit_slab``),
+  which holds exactly the completed windows.
 
 So each row reaches the base once, and the channel statistics once if an
 update follows it, in time order. Nothing ever reads past the current
@@ -165,6 +165,9 @@ class PrecomputedBase(BaseForecaster):
         self.channel_names = list(channel_names)
 
     def forecast(self, t, channel, context):
+        if not 0 <= channel < len(self.channel_names):
+            raise MissingForecast(f"no precomputed forecast for channel index {channel}: the "
+                                  f"base holds {len(self.channel_names)} channel names")
         name = self.channel_names[channel]
         try:
             vec = self.table[(t, name)]
@@ -295,7 +298,6 @@ class RunReport:
 
 
 def _check_row(row, t: int):
-    row = np.asarray(row, dtype=np.float64)
     if not np.isfinite(row).all():
         bad = np.flatnonzero(~np.isfinite(row))
         raise CorruptSeries(f"non-finite value at time step {t}, channel {int(bad[0])}")
@@ -371,10 +373,11 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
     update_steps = 0
 
     # the rows before the first forecast step are revealed up front, in one read
-    for idx, row in enumerate(np.asarray(dataset[0:t0], dtype=np.float64)):
+    head = np.asarray(dataset[0:t0], dtype=np.float64)
+    for idx, row in enumerate(head):
         _check_row(row, idx)
         base.observe(idx, row)
-        forecaster.observe_values(row)
+    forecaster.observe_values(head)
 
     for i, t in enumerate(range(t0, total - 1)):
         # the (L, C) window is the step's only read: its last row is the
@@ -400,8 +403,7 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
             # update and, when windows completed, every row they span
             lo = done.start if m else t - M + 1
             rows = np.asarray(dataset[lo: t + 1], dtype=np.float64)
-            for row in rows[-M:]:
-                forecaster.observe_values(row)
+            forecaster.observe_values(rows[-M:])
             if m:
                 # the completed windows' targets, channel-major (C, m, H):
                 # sliding views of one channel-major copy of the slab, scored

@@ -7,6 +7,7 @@ the stacked design, a complex ridge over conjugate-augmented spectra, and
 the eager-inverse ridge update (:class:`OracleRidge`).
 """
 
+import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -242,6 +243,51 @@ class TestChannelStats:
         for query in (st.variance, st.std, ChannelStats().std):
             with pytest.raises(ShapeMismatch, match="non-negative"):
                 query(-1)
+
+    def test_block_matches_row_by_row(self):
+        rng = np.random.default_rng(5)
+        rows = rng.normal([3.0, -40.0, 1e4], [2.5, 0.1, 300.0], size=(237, 3))
+        by_row, by_block = ChannelStats(), ChannelStats()
+        for row in rows:
+            by_row.observe(row)
+        for lo, hi in ((0, 1), (1, 2), (2, 101), (101, 237)):
+            by_block.observe(rows[lo:hi])
+        assert by_block.count == by_row.count == len(rows)
+        np.testing.assert_allclose(by_block.means, by_row.means, rtol=1e-12)
+        for ch in range(3):
+            assert by_block.variance(ch) == pytest.approx(by_row.variance(ch), rel=1e-12)
+            assert by_block.variance(ch) == pytest.approx(np.var(rows[:, ch], ddof=1),
+                                                          rel=1e-12)
+
+    def test_channel_bits_do_not_depend_on_block_width(self):
+        # the per-channel run's equality with one-channel runs rests on this
+        rng = np.random.default_rng(6)
+        rows = rng.normal(7.0, 3.0, size=(300, 4))
+        for ch in range(4):
+            wide, alone = ChannelStats(), ChannelStats()
+            for lo, hi in ((0, 31), (31, 32), (32, 160), (160, 300)):
+                wide.observe(rows[lo:hi])
+                alone.observe(rows[lo:hi, ch:ch + 1])
+            assert wide.means[ch] == alone.means[0]
+            assert wide.m2s[ch] == alone.m2s[0]
+
+    def test_large_offset_stream_keeps_its_variance(self):
+        rng = np.random.default_rng(7)
+        xs = 1e8 + rng.normal(0.0, 1.0, size=10_000)
+        st = ChannelStats()
+        for block in xs.reshape(100, 100, 1):
+            st.observe(block)
+        mean = math.fsum(xs) / len(xs)
+        expected = math.fsum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
+        assert st.variance(0) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("rows", [np.zeros((0, 2)), np.zeros((2, 0)), np.zeros(0),
+                                      np.zeros((2, 3, 2)), 5.0])
+    def test_empty_block_or_other_rank_rejected(self, rows):
+        st = ChannelStats()
+        with pytest.raises(ShapeMismatch, match="non-empty block"):
+            st.observe(rows)
+        assert st.count == 0 and st.means.size == 0
 
 
 class TestEmbed:
@@ -932,7 +978,7 @@ class TestSnapshot:
         np.testing.assert_array_equal(g.core.weight, f.core.weight)
         np.testing.assert_array_equal(g.core.gram, f.core.gram)
         np.testing.assert_array_equal(g.core.cross, f.core.cross)
-        np.testing.assert_array_equal(g.stats.counts, f.stats.counts)
+        assert g.stats.count == f.stats.count == 30
         np.testing.assert_array_equal(g.stats.means, f.stats.means)
         probe = rng.normal(size=16)
         np.testing.assert_array_equal(g.predict(probe), f.predict(probe))
@@ -961,9 +1007,9 @@ class TestSnapshot:
 
     def test_previous_format_rejected(self, tmp_path):
         path, fields = self._saved_fields(tmp_path)
-        fields["format"] = np.array("adapts-forecaster/2")
+        fields["format"] = np.array("adapts-forecaster/3")
         np.savez(path, **fields)
-        with pytest.raises(InvalidConfig, match="adapts-forecaster/2.*adapts-forecaster/3"):
+        with pytest.raises(InvalidConfig, match="adapts-forecaster/3.*adapts-forecaster/4"):
             load_forecaster(path)
 
     @pytest.mark.parametrize("field", ["a_inv", "gram", "cross", "weight"])
@@ -981,7 +1027,7 @@ class TestSnapshot:
         ("weight", lambda a: a[:, :2]),
         ("stats_means", lambda a: a[:1]),
         ("stats_m2s", lambda a: np.zeros(0)),
-        ("stats_counts", lambda a: a[None, :]),
+        ("stats_count", lambda a: np.array([a, a])),
     ])
     def test_mis_shaped_fields_rejected(self, tmp_path, field, bad):
         rng = np.random.default_rng(43)
@@ -1005,14 +1051,14 @@ class TestSnapshot:
         path = tmp_path / "state.npz"
         save_forecaster(f, path)
         g = load_forecaster(path)
-        assert g.n_samples == 0 and g.stats.counts is None
+        assert g.n_samples == 0 and g.stats.count == 0 and g.stats.means.size == 0
         np.testing.assert_array_equal(g.predict(np.arange(16.0)), f.predict(np.arange(16.0)))
 
     @pytest.mark.parametrize("field, bad", [
         ("n_samples", np.array(-5)),
         ("n_samples", np.array(2.5)),
-        ("stats_counts", np.array([2.5, 7.0])),
-        ("stats_counts", np.array([-1, 10])),
+        ("stats_count", np.array(2.5)),
+        ("stats_count", np.array(-1)),
     ])
     def test_bad_counters_rejected(self, tmp_path, field, bad):
         path, fields = self._saved_fields(tmp_path)
@@ -1020,6 +1066,18 @@ class TestSnapshot:
         np.savez(path, **fields)
         with pytest.raises(InvalidConfig, match=field):
             load_forecaster(path)
+
+    def test_stats_count_disagreeing_with_vectors_rejected(self, tmp_path):
+        # a count of 0 with channel vectors, or channel-less vectors with a count
+        path, fields = self._saved_fields(tmp_path)
+        empty = tmp_path / "empty.npz"
+        save_forecaster(new_forecaster(16, 4, 2, lam=3.0, alpha=0.8), empty)
+        with np.load(empty) as data:
+            untrained = dict(data)
+        for saved, target, count in ((fields, path, 0), (untrained, empty, 3)):
+            np.savez(target, **{**saved, "stats_count": np.array(count)})
+            with pytest.raises(InvalidConfig, match=f"stats_count {count}"):
+                load_forecaster(target)
 
     def test_zero_samples_with_fitted_weight_rejected(self, tmp_path):
         path, fields = self._saved_fields(tmp_path)

@@ -464,27 +464,30 @@ class TestOneForecasterForBothModes:
                 assert alone.weights["ch0"] == joint.weights[f"ch{ch}"]
 
     @pytest.mark.parametrize("shared", [True, False])
-    def test_one_predict_per_step_and_one_observe_per_row(self, shared, monkeypatch):
-        calls = {"predict": 0, "observe_values": 0}
+    def test_one_predict_per_step_and_one_observe_per_read(self, shared, monkeypatch):
+        predicts, observed = [], []
+        predict, observe_values = OnlineForecaster.predict, OnlineForecaster.observe_values
 
-        def counting(name):
-            original = getattr(OnlineForecaster, name)
+        def counted_predict(self, contexts):
+            predicts.append(None)
+            return predict(self, contexts)
 
-            def counted(self, *args, **kwargs):
-                calls[name] += 1
-                return original(self, *args, **kwargs)
-            return counted
+        def recorded_observe(self, values):
+            observed.append(np.array(values))
+            return observe_values(self, values)
 
-        for name in calls:
-            monkeypatch.setattr(OnlineForecaster, name, counting(name))
+        monkeypatch.setattr(OnlineForecaster, "predict", counted_predict)
+        monkeypatch.setattr(OnlineForecaster, "observe_values", recorded_observe)
         cfg = small_config(shared_weights=shared)
+        data = sine_dataset(300, channels=3, noise=0.1, seed=2)
         steps = []
-        run(sine_dataset(300, channels=3, noise=0.1, seed=2),
-            NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg, step_callback=steps.append)
-        assert calls["predict"] == len(steps)
-        # the last update absorbs every row up to its own step
+        run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg, step_callback=steps.append)
+        assert len(predicts) == len(steps)
+        # every row up to the last update's own step is observed once, in
+        # order: the head in one call before the loop, then one call per update
         last_update = steps[(len(steps) // cfg.update_period) * cfg.update_period - 1]
-        assert calls["observe_values"] == last_update + 1
+        np.testing.assert_array_equal(np.concatenate(observed), data[:last_update + 1])
+        assert len(observed) == 1 + len(steps) // cfg.update_period
 
 
 def tracked_objects(root):
@@ -635,6 +638,19 @@ class TestForecastAll:
             base.forecast_all(7, contexts)
         assert str(batched.value) == str(per_ch.value)
         assert repr(first) in str(batched.value)
+
+    def test_precomputed_with_too_few_names_raises_missing_forecast(self):
+        table = {(t, "a"): np.ones(2) for t in range(40)}
+        base = PrecomputedBase(table, horizon=2, channel_names=["a"])
+        contexts = np.zeros((2, 8))
+        with pytest.raises(MissingForecast, match="channel index 1.*1 channel names") as per_ch:
+            base.forecast(7, 1, contexts[1])
+        with pytest.raises(MissingForecast) as batched:
+            base.forecast_all(7, contexts)
+        assert str(batched.value) == str(per_ch.value)
+        cfg = small_config(context_length=8, horizon=2, seasonality=2, update_period=4)
+        with pytest.raises(MissingForecast, match="channel index 1"):
+            run(sine_dataset(40, channels=2), base, cfg)
 
     def test_forecast_only_subclass_is_what_run_calls(self):
         calls = []
