@@ -26,6 +26,16 @@ from .forecaster import OnlineForecaster, SpectralRidge, woodbury_pays
 from .harness import make_base_forecaster, run
 
 SWEEP_AXES = ("alpha", "update_period", "horizon")
+# the dedicated flags, by config key: each is ``--key`` with dashes for
+# underscores, and overrides its key after every --set pair
+_FLAGS = dict(
+    weighter=dict(choices=WEIGHTER_MODES), alpha=dict(type=float),
+    update_period=dict(type=int), horizon=dict(type=int),
+    base=dict(choices=("naive_seasonal", "historical_mean", "precomputed")),
+    forecasts=dict(help="precomputed forecast file"), out=dict(help="report path"),
+    format=dict(choices=("json", "csv")),
+    dump_forecasts=dict(help="write the base forecast stream to this path"),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,11 +61,8 @@ def _apply_overrides(settings: dict, args) -> dict:
             raise UsageError(f"--set expects key=value, got {pair!r}")
         key, raw = (part.strip() for part in pair.split("=", 1))
         merged[key] = adio.parse_config_value(key, raw)
-    for key in ("weighter", "alpha", "update_period", "horizon", "base", "forecasts",
-                "out", "format", "dump_forecasts"):
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
+    merged.update({key: value for key, value in vars(args).items()
+                   if key in _FLAGS and value is not None})
     return merged
 
 
@@ -205,16 +212,8 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key (repeatable, applied in order)")
-        p.add_argument("--weighter", choices=WEIGHTER_MODES)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--update-period", dest="update_period", type=int)
-        p.add_argument("--horizon", type=int)
-        p.add_argument("--base", choices=("naive_seasonal", "historical_mean", "precomputed"))
-        p.add_argument("--forecasts", help="precomputed forecast file")
-        p.add_argument("--out", help="report path")
-        p.add_argument("--format", choices=("json", "csv"))
-        p.add_argument("--dump-forecasts", dest="dump_forecasts",
-                       help="write the base forecast stream to this path")
+        for key, options in _FLAGS.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **options)
 
     p_run = sub.add_parser("run", help="evaluate one configuration")
     p_run.add_argument("--config", required=True)

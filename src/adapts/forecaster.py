@@ -100,7 +100,8 @@ from .spectral import (  # noqa: F401
 
 SIGMA_FLOOR = 1e-8
 CONDITION_LIMIT = 1e12
-SNAPSHOT_FORMAT = "adapts-forecaster/4"
+SNAPSHOT_FORMAT = "adapts-forecaster/5"
+_RIDGE_FIELDS = ("a_inv", "gram", "cross", "weight")  # per model, stacked in a snapshot
 
 
 def _real_coefficients(bins: np.ndarray, n: int, out: np.ndarray = None) -> np.ndarray:
@@ -315,10 +316,6 @@ class SpectralRidge:
                 inv = np.linalg.inv(self._regularized(self.gram))
                 self._a_inv = (inv + inv.conj().T) / 2.0
         return self._a_inv
-
-    @a_inv.setter
-    def a_inv(self, value: np.ndarray) -> None:
-        self._a_inv = value
 
     def _regularized(self, gram: np.ndarray) -> np.ndarray:
         reg = gram.copy()
@@ -747,62 +744,63 @@ def new_forecaster(context_length, horizon, seasonality, lam=20.0, alpha=0.9,
 
 
 def save_forecaster(forecaster: OnlineForecaster, path) -> None:
-    """Snapshot a one-model forecaster to an ``.npz`` file (lossless round trip)."""
-    if len(forecaster.cores) > 1:
-        raise InvalidConfig(f"{SNAPSHOT_FORMAT} holds one model, not {len(forecaster.cores)}")
-    np.savez(
-        path,
-        format=SNAPSHOT_FORMAT,
-        context_length=forecaster.context_length,
-        horizon=forecaster.horizon,
-        seasonality=forecaster.seasonality,
-        lam=forecaster.lam,
-        alpha=forecaster.alpha,
-        instance_norm=forecaster.instance_norm,
-        channel_scaling=forecaster.channel_scaling,
-        n_samples=forecaster.core.n_samples,
-        a_inv=forecaster.core.a_inv,
-        gram=forecaster.core.gram,
-        cross=forecaster.core.cross,
-        weight=forecaster.core.weight,
-        stats_count=forecaster.stats.count,
-        stats_means=forecaster.stats.means,
-        stats_m2s=forecaster.stats.m2s,
-    )
+    """Snapshot a forecaster to an ``.npz`` file (lossless round trip), its
+    models' ridge arrays stacked along a leading model axis. A model whose
+    refit dropped its inverse computes it here, so a reloaded model's next
+    Woodbury step reads the same inverse as the original's."""
+    f = forecaster
+    np.savez(path, format=SNAPSHOT_FORMAT, context_length=f.context_length, horizon=f.horizon,
+             seasonality=f.seasonality, lam=f.lam, alpha=f.alpha, instance_norm=f.instance_norm,
+             channel_scaling=f.channel_scaling, models=len(f.cores),
+             n_samples=f.n_samples,  # every fit gives every model the same number of rows
+             stats_count=f.stats.count, stats_means=f.stats.means, stats_m2s=f.stats.m2s,
+             **{name: np.stack([getattr(core, name) for core in f.cores]) for name in _RIDGE_FIELDS})
 
 
 def load_forecaster(path) -> OnlineForecaster:
-    """Restore a forecaster saved by :func:`save_forecaster`."""
+    """Restore a forecaster saved by :func:`save_forecaster`. Each array
+    field must hold finite real floats of its exact shape; an error names
+    the field at fault."""
     with np.load(path) as data:
         fmt = str(data["format"])
         if fmt != SNAPSHOT_FORMAT:
             raise InvalidConfig(f"unsupported snapshot format {fmt!r}, expected {SNAPSHOT_FORMAT!r}")
+        for name, least in (("models", 1), ("n_samples", 0), ("stats_count", 0)):
+            value = data[name]
+            if value.shape != () or value.dtype.kind not in "iu" or value < least:
+                raise InvalidConfig(f"snapshot {name} must be an integer >= {least}, got {value}")
         f = OnlineForecaster(
             int(data["context_length"]), int(data["horizon"]), int(data["seasonality"]),
             float(data["lam"]), float(data["alpha"]),
-            bool(data["instance_norm"]), bool(data["channel_scaling"]),
+            bool(data["instance_norm"]), bool(data["channel_scaling"]), int(data["models"]),
         )
-        d, d_t = f.design_dim, f.core.dim_out
-        for name, shape in (("a_inv", (d, d)), ("gram", (d, d)),
-                            ("cross", (d, d_t)), ("weight", (d, d_t))):
+        G, d, d_t = len(f.cores), f.design_dim, f.core.dim_out
+        C = data["stats_means"].size   # stats_means is checked first, against its own size
+        fields = {}
+        for name, shape in zip(("stats_means", "stats_m2s", *_RIDGE_FIELDS),
+                               ((C,), (C,), (G, d, d), (G, d, d), (G, d, d_t), (G, d, d_t))):
             value = data[name]
             if value.dtype.kind != "f":
                 raise InvalidConfig(f"snapshot {name} has dtype {value.dtype}, expected real floats")
             if value.shape != shape:
-                raise InvalidConfig(f"snapshot {name} has shape {value.shape}, expected {shape}")
-            setattr(f.core, name, value)
-        for name in ("n_samples", "stats_count"):
-            value = data[name]
-            if value.shape != () or value.dtype.kind not in "iu" or value < 0:
-                raise InvalidConfig(f"snapshot {name} must be a non-negative integer, got {value}")
-        means, m2s, count = data["stats_means"], data["stats_m2s"], int(data["stats_count"])
-        if means.ndim != 1 or m2s.shape != means.shape or (count == 0) != (means.size == 0):
-            raise InvalidConfig(f"snapshot stats_means and stats_m2s have shapes {means.shape} "
-                                f"and {m2s.shape} for stats_count {count}, expected two "
-                                f"equal-length vectors, empty exactly when the count is 0")
-        f.core.n_samples = int(data["n_samples"])
-        if f.core.n_samples == 0 and np.any(f.core.weight):
-            raise InvalidConfig("snapshot n_samples is 0 but its weight is nonzero")
-        f.stats.count, f.stats.means, f.stats.m2s = count, means, m2s
+                raise InvalidConfig(f"snapshot {name} has shape {value.shape}, expected {shape}"
+                                    + (" like stats_means" if name == "stats_m2s" else ""))
+            if not np.isfinite(value).all():
+                raise InvalidConfig(f"snapshot {name} holds non-finite values")
+            fields[name] = value
+        count, n_samples = int(data["stats_count"]), int(data["n_samples"])
+    if (fields["stats_m2s"] < 0).any():
+        raise InvalidConfig("snapshot stats_m2s holds negative squared deviations")
+    if (count == 0) != (C == 0):
+        raise InvalidConfig(f"snapshot stats_means and stats_m2s hold {C} channels for "
+                            f"stats_count {count}, expected none exactly when the count is 0")
+    if C % G:
+        raise InvalidConfig(f"snapshot stats_means holds {C} channels, not a multiple of {G} models")
+    if n_samples == 0 and fields["weight"].any():
+        raise InvalidConfig("snapshot n_samples is 0 but its weight is nonzero")
+    f.stats.count, f.stats.means, f.stats.m2s = count, fields["stats_means"], fields["stats_m2s"]
+    for g, core in enumerate(f.cores):
+        core.n_samples = n_samples
+        core._a_inv, core.gram, core.cross, core.weight = (fields[name][g] for name in _RIDGE_FIELDS)
     f._refold()
     return f

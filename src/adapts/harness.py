@@ -324,6 +324,8 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
     """
     config.validate()
     L, H, M = config.context_length, config.horizon, config.update_period
+    if len(dataset.shape) != 2:
+        raise ShapeMismatch(f"series must be (T, C), got shape {dataset.shape}")
     total, n_channels = dataset.shape
     if n_channels == 0:
         raise ShapeMismatch(f"series of shape {dataset.shape} has no channels")

@@ -322,6 +322,8 @@ def load_run_config(path) -> dict:
         if "=" not in text:
             raise ParseError(f"expected 'key = value', got {text!r}", line=i + 1)
         key, raw = (part.strip() for part in text.split("=", 1))
+        if key in settings:
+            raise ParseError(f"key {key!r} is set again; each key takes one line", line=i + 1)
         settings[key] = parse_config_value(key, raw)
     return settings
 

@@ -51,6 +51,12 @@ def default_seasonality(dataset_name: str) -> int:
         ) from None
 
 
+def _check_seasonality(s, n: int) -> None:
+    """Reject all but an integer season ``1 <= s < n``, ``n`` the window length."""
+    if not isinstance(s, (int, np.integer)) or not 1 <= s < n:
+        raise InvalidSeasonality(f"seasonality must be an integer in [1, {n}), got {s!r}")
+
+
 def _check_inputs(forecast, target, context, s):
     forecast = np.asarray(forecast, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -61,28 +67,21 @@ def _check_inputs(forecast, target, context, s):
         )
     if context.ndim != 1:
         raise ShapeMismatch(f"context must be a vector, got shape {context.shape}")
-    if not isinstance(s, (int, np.integer)) or s < 1:
-        raise InvalidSeasonality(f"seasonality must be a positive integer, got {s!r}")
-    if s >= context.shape[0]:
-        raise InvalidSeasonality(
-            f"seasonality {s} must be smaller than the context length {context.shape[0]}"
-        )
+    _check_seasonality(s, context.shape[0])
     return forecast, target, context
 
 
 def seasonal_naive_mae(context, s: int) -> float:
     """Mean absolute seasonal difference of the context (unfloored)."""
     context = np.asarray(context, dtype=np.float64)
-    if not isinstance(s, (int, np.integer)) or not 1 <= s < context.shape[0]:
-        raise InvalidSeasonality(f"need 1 <= s < {context.shape[0]}, got {s!r}")
+    _check_seasonality(s, context.shape[0])
     return float(np.mean(np.abs(context[s:] - context[:-s])))
 
 
 def seasonal_naive_mse(context, s: int) -> float:
     """Mean squared seasonal difference of the context (unfloored)."""
     context = np.asarray(context, dtype=np.float64)
-    if not isinstance(s, (int, np.integer)) or not 1 <= s < context.shape[0]:
-        raise InvalidSeasonality(f"need 1 <= s < {context.shape[0]}, got {s!r}")
+    _check_seasonality(s, context.shape[0])
     return float(np.mean(np.square(context[s:] - context[:-s])))
 
 
@@ -126,8 +125,7 @@ def seasonal_naive_denominators(series, s: int, window: int):
     a contiguous copy's.
     """
     x = np.asarray(series, dtype=np.float64)
-    if not isinstance(s, (int, np.integer)) or not 1 <= s < window:
-        raise InvalidSeasonality(f"need 1 <= s < {window}, got {s!r}")
+    _check_seasonality(s, window)
     if x.ndim == 0 or x.shape[-1] < window:
         raise ShapeMismatch(f"series of shape {x.shape} holds no window of length {window}")
     diff = x[..., s:] - x[..., :-s]

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import ar_seasonal_series
 
-from adapts.cli import main
+from adapts.cli import _apply_overrides, build_parser, main
 from adapts.forecaster import SpectralRidge
 from adapts.io import Series, load_forecasts, read_report_json, write_series
 
@@ -82,6 +82,24 @@ class TestRun:
                      "--out", str(out)])
         assert code == 0
         assert read_report_json(out)["config"]["horizon"] == 6
+
+    @pytest.mark.parametrize("key, set_raw, flag_raw, want", [
+        ("weighter", "full", "slow_only", "slow_only"),
+        ("alpha", "0.5", "0.7", 0.7),
+        ("update_period", "16", "8", 8),
+        ("horizon", "4", "6", 6),
+        ("base", "historical_mean", "precomputed", "precomputed"),
+        ("forecasts", "a.csv", "b.csv", "b.csv"),
+        ("out", "a.json", "b.json", "b.json"),
+        ("format", "json", "csv", "csv"),
+        ("dump_forecasts", "a.csv", "b.csv", "b.csv"),
+    ])
+    def test_each_flag_beats_a_conflicting_set(self, key, set_raw, flag_raw, want):
+        flag, pair = "--" + key.replace("_", "-"), f"{key}={set_raw}"
+        for command in (["run", "--config", "run.cfg"], ["bench"]):
+            parse = build_parser().parse_args
+            assert _apply_overrides({}, parse([*command, "--set", pair]))[key] != want
+            assert _apply_overrides({}, parse([*command, flag, flag_raw, "--set", pair]))[key] == want
 
     def test_historical_mean_base(self, workspace, capsys):
         tmp_path, config_path = workspace

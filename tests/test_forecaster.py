@@ -668,7 +668,7 @@ class TestLeanRidge:
         d = 8
         model = SpectralRidge(d, 2, 1.0)
         model.absorb(rng.normal(size=(8, d)), rng.normal(size=(8, 2)))
-        model.a_inv = -model.a_inv
+        model._a_inv = -model.a_inv
         rows = rng.normal(size=(1, d)) * 10.0
         assert np.trace(np.eye(1) + rows @ model.a_inv @ rows.T) < CONDITION_LIMIT
         with pytest.raises(IllConditionedUpdate, match="cholesky"):
@@ -1007,9 +1007,9 @@ class TestSnapshot:
 
     def test_previous_format_rejected(self, tmp_path):
         path, fields = self._saved_fields(tmp_path)
-        fields["format"] = np.array("adapts-forecaster/3")
+        fields["format"] = np.array("adapts-forecaster/4")
         np.savez(path, **fields)
-        with pytest.raises(InvalidConfig, match="adapts-forecaster/3.*adapts-forecaster/4"):
+        with pytest.raises(InvalidConfig, match="adapts-forecaster/4.*adapts-forecaster/5"):
             load_forecaster(path)
 
     @pytest.mark.parametrize("field", ["a_inv", "gram", "cross", "weight"])
@@ -1087,11 +1087,158 @@ class TestSnapshot:
         with pytest.raises(InvalidConfig, match="n_samples.*weight"):
             load_forecaster(path)
 
-    def test_multi_model_save_rejected(self, tmp_path):
+    def test_multi_model_round_trip_is_exact(self, tmp_path):
+        # one model per channel; the direct refit drops every inverse and
+        # the save computes it, so both copies then take the same Woodbury step
+        rng = np.random.default_rng(67)
+        L, H, C = 16, 4, 3
+        f = new_forecaster(L, H, 2, lam=3.0, alpha=0.8, models=C)
+        f.observe_values(rng.normal(size=(30, C)) * [1.0, 6.0, 0.05])
+        f.fit_slab(rng.normal(size=(C, 8 + L + H - 1)))
+        assert f.core.last_path == "direct"
+        save_forecaster(f, tmp_path / "state.npz")
+        g = load_forecaster(tmp_path / "state.npz")
+        probe = rng.normal(size=(C, L))
+
+        def assert_same():
+            assert len(g.cores) == len(f.cores) == C
+            for got, want in zip(g.cores, f.cores):
+                assert got.n_samples == want.n_samples
+                for name in ("a_inv", "gram", "cross", "weight"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert g.time_map.tobytes() == f.time_map.tobytes()
+            assert g.stats.count == f.stats.count == 30
+            assert g.stats.means.tobytes() == f.stats.means.tobytes()
+            assert g.stats.m2s.tobytes() == f.stats.m2s.tobytes()
+            assert g.predict(probe).tobytes() == f.predict(probe).tobytes()
+
+        assert_same()
+        slab = rng.normal(size=(C, 2 + L + H - 1))
+        f.fit_slab(slab)
+        g.fit_slab(slab)
+        assert f.core.last_path == g.core.last_path == "woodbury"
+        assert_same()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["stats_means", "stats_m2s", "a_inv", "gram", "cross",
+                                       "weight"])
+    def test_non_finite_fields_rejected(self, tmp_path, field, value):
+        path, fields = self._saved_fields(tmp_path)
+        fields[field].flat[-1] = value
+        np.savez(path, **fields)
+        with pytest.raises(InvalidConfig, match=f"{field} holds non-finite"):
+            load_forecaster(path)
+
+    def test_negative_squared_deviations_rejected(self, tmp_path):
+        # a negative variance would scale every fitted row of its channel by NaN
+        path, fields = self._saved_fields(tmp_path)
+        fields["stats_m2s"][0] = -1.0
+        np.savez(path, **fields)
+        with pytest.raises(InvalidConfig, match="stats_m2s holds negative"):
+            load_forecaster(path)
+
+    @pytest.mark.parametrize("field", ["stats_means", "stats_m2s"])
+    def test_complex_statistics_rejected(self, tmp_path, field):
+        path, fields = self._saved_fields(tmp_path)
+        fields[field] = fields[field] + 1e-3j
+        np.savez(path, **fields)
+        with pytest.raises(InvalidConfig, match=f"{field} has dtype complex"):
+            load_forecaster(path)
+
+    @pytest.mark.parametrize("bad", [np.array(0), np.array(-2), np.array(2.0), np.array([1])])
+    def test_bad_model_count_rejected(self, tmp_path, bad):
+        path, fields = self._saved_fields(tmp_path)
+        fields["models"] = bad
+        np.savez(path, **fields)
+        with pytest.raises(InvalidConfig, match="snapshot models"):
+            load_forecaster(path)
+
+    def test_channels_not_a_multiple_of_models_rejected(self, tmp_path):
+        # two models over three channels: no fit could split the channels
+        f = new_forecaster(16, 4, 2, models=2)
+        f.observe_values(np.random.default_rng(5).normal(size=(10, 4)))
         path = tmp_path / "state.npz"
-        with pytest.raises(InvalidConfig, match="one model"):
-            save_forecaster(new_forecaster(16, 4, 2, models=2), path)
-        assert not path.exists()
+        save_forecaster(f, path)
+        with np.load(path) as data:
+            fields = dict(data)
+        for name in ("stats_means", "stats_m2s"):
+            fields[name] = fields[name][:3]
+        np.savez(path, **fields)
+        with pytest.raises(InvalidConfig, match="stats_means holds 3 channels.*2 models"):
+            load_forecaster(path)
+
+
+def harness_updates(series, L, H, M):
+    """The schedule ``harness.run`` feeds a forecaster after observing the
+    first ``L - 1`` rows of ``series`` ``(T, C)``: for each update, the
+    ``M`` newest rows it observes and the channel-major slab it then fits,
+    or None when no window has completed since the previous fit."""
+    scored, updates = 0, []
+    for i in range(M - 1, len(series) - L, M):   # step i forecasts from row t = L - 1 + i
+        t, stop = L - 1 + i, max(scored, i + 1 - H)
+        rows = series[scored if stop > scored else t - M + 1: t + 1]
+        updates.append((rows[-M:], np.ascontiguousarray(rows.T) if stop > scored else None))
+        scored = stop
+    return updates
+
+
+class TestResume:
+    """A forecaster saved after any update, reloaded and driven on through
+    the harness's schedule ends in the uninterrupted one's state, bit for
+    bit."""
+
+    @pytest.mark.parametrize("shared, M, instance_norm, paths", [
+        # 8 windows, then 16, of 3 channels
+        pytest.param(True, 16, True, {"direct", "moments"}, id="shared"),
+        # per channel, 4 and then 6 windows a model: below d // 3
+        pytest.param(False, 6, True, {"woodbury"}, id="per-channel-woodbury"),
+        # 12, then 20: embedded, below L + H
+        pytest.param(False, 20, False, {"direct"}, id="per-channel-direct"),
+        # 40, then 48: from L + H on
+        pytest.param(False, 48, False, {"moments"}, id="per-channel-moments"),
+    ])
+    def test_resumed_forecaster_matches_uninterrupted(self, tmp_path, shared, M, instance_norm,
+                                                      paths):
+        L, H, C = 32, 8, 3
+        rng = np.random.default_rng(M)
+        series = rng.normal(size=(L + 5 * M, C)) * [1.0, 6.0, 0.05] + [0.0, 3.0, -1.0]
+        updates = harness_updates(series, L, H, M)
+        probe = np.ascontiguousarray(series[-L:].T)
+
+        def drive(f, todo):
+            taken = set()
+            for rows, slab in todo:
+                f.observe_values(rows)
+                if slab is not None:
+                    f.fit_slab(slab)
+                    taken.add(f.core.last_path)
+            return taken
+
+        def started():
+            f = new_forecaster(L, H, 4, lam=2.0, alpha=0.8, instance_norm=instance_norm,
+                               models=1 if shared else C)
+            f.observe_values(series[:L - 1])
+            return f
+
+        whole = started()
+        assert drive(whole, updates) == paths
+        assert whole.design_dim == 27 and len(updates) == 5
+        for j in range(len(updates)):
+            f = started()
+            drive(f, updates[:j + 1])
+            save_forecaster(f, tmp_path / "state.npz")
+            resumed = load_forecaster(tmp_path / "state.npz")
+            drive(resumed, updates[j + 1:])
+            assert len(resumed.cores) == len(whole.cores)
+            for got, want in zip(resumed.cores, whole.cores):
+                assert got.n_samples == want.n_samples
+                for name in ("gram", "cross", "weight", "a_inv"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (j, name)
+            assert resumed.time_map.tobytes() == whole.time_map.tobytes(), j
+            assert resumed.stats.count == whole.stats.count
+            assert resumed.stats.means.tobytes() == whole.stats.means.tobytes(), j
+            assert resumed.stats.m2s.tobytes() == whole.stats.m2s.tobytes(), j
+            assert resumed.predict(probe).tobytes() == whole.predict(probe).tobytes(), j
 
 
 def blocks_per_model(rng, models, m, L, H):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import re
 import types
 
 import numpy as np
@@ -91,6 +92,13 @@ class TestRunBasics:
         cfg = small_config()
         with pytest.raises(ShapeMismatch, match="no channels"):
             run(np.zeros((200, 0)), NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg,
+                step_callback=lambda t: pytest.fail(f"stepped to {t}"))
+
+    @pytest.mark.parametrize("shape", [(100,), (100, 2, 1)])
+    def test_series_not_two_dimensional_rejected(self, shape):
+        cfg = small_config()
+        with pytest.raises(ShapeMismatch, match=re.escape(f"(T, C), got shape {shape}")):
+            run(np.zeros(shape), NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg,
                 step_callback=lambda t: pytest.fail(f"stepped to {t}"))
 
     def test_nan_rejected_with_location(self):

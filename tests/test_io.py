@@ -462,6 +462,14 @@ class TestRunConfigFiles:
         assert cfg.instance_norm is False
         assert cfg.weighter_mode == "slow_only"
 
+    def test_repeated_key_rejected_at_the_repeat(self, tmp_path):
+        # a second line for a key used to override the first silently
+        p = tmp_path / "run.cfg"
+        p.write_text("horizon = 24\n# comment\ncontext_length = 64\nhorizon = 8\n")
+        with pytest.raises(ParseError, match="'horizon' is set again") as err:
+            load_run_config(p)
+        assert err.value.line == 4
+
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("wibble = 3\n")
