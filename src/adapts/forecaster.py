@@ -40,8 +40,8 @@ slab its windows are cut from, and works out the window count from the
 slab's width. It picks one path for every model, then fits the models
 one at a time. Below :func:`moments_pay` each model's windows, sliding
 views of the slab, are copied once, centred, scaled and transformed into
-that model's design rows. From :func:`moments_pay` on, and unless the
-block is small enough for a Woodbury step, it builds the block's Gram and
+that model's design rows. From :func:`moments_pay` on, a size no block
+small enough for a Woodbury step reaches, it builds the block's Gram and
 cross-moment from the slab's ``(L+H)``-lag second moments (the
 covariance method of linear prediction, Makhoul 1975) and embeds no
 window: the rows are a fixed linear map of each window, so their sums
@@ -485,7 +485,18 @@ class OnlineForecaster:
     def observe_values(self, values) -> None:
         """Merge newly observed rows, one ``(C,)`` row or a ``(k, C)``
         block oldest first, into the running per-channel statistics."""
+        values, G = np.asarray(values, dtype=np.float64), len(self.cores)
+        if not self.stats.count and values.ndim in (1, 2) and values.shape[-1] % G:
+            raise ShapeMismatch(f"{values.shape[-1]} channels do not split across {G} models")
         self.stats.observe(values)
+
+    def _scales(self, channels) -> np.ndarray:
+        """Scaling factors ``(n,)`` of rows cut from ``channels``: each
+        channel's :meth:`ChannelStats.std`, or ones without channel scaling."""
+        if not self.channel_scaling:
+            return np.ones(len(channels))
+        present, row_of = np.unique(channels, return_inverse=True)
+        return np.array([self.stats.std(ch) for ch in present.tolist()])[row_of]
 
     def embed_pair(self, pair: SamplePair):
         """Filtered spectra of one normalized pair.
@@ -508,7 +519,7 @@ class OnlineForecaster:
         if pair.channel < 0:
             raise ShapeMismatch(f"channel index must be non-negative, got {pair.channel}")
         mu = ctx.mean() if self.instance_norm else 0.0
-        sigma = self.stats.std(pair.channel) if self.channel_scaling else 1.0
+        sigma = self._scales([pair.channel])[0]
         ctx_row = lowpass(forward_rft((ctx - mu) / sigma), self.filter.context_bins).bins
         tgt_row = lowpass(forward_rft((tgt - mu) / sigma), self.filter.target_bins).bins
         return ctx_row, tgt_row
@@ -539,14 +550,11 @@ class OnlineForecaster:
                                 f"a multiple of {G} models, got {ctx.shape} and {tgt.shape}")
         if channels.shape != (n,) or channels.dtype.kind not in "iu" or channels.min() < 0:
             raise ShapeMismatch(f"channels must be {n} non-negative integers, got {channels!r}")
-        sigma = None
-        if self.channel_scaling:
-            present, row_of = np.unique(channels, return_inverse=True)
-            sigma = np.array([self.stats.std(ch) for ch in present.tolist()])[row_of, None]
+        sigma = self._scales(channels)[:, None]
         per = n // G
         for g, core in enumerate(self.cores):
             rows = slice(g * per, (g + 1) * per)
-            core.absorb(*self._embed(ctx[rows], tgt[rows], None if sigma is None else sigma[rows]))
+            core.absorb(*self._embed(ctx[rows], tgt[rows], sigma[rows]))
         self._refold()
 
     def fit_slab(self, series) -> None:
@@ -557,14 +565,14 @@ class OnlineForecaster:
         takes the ``C / G`` channels from ``g·C/G`` on: all channels when G
         = 1, channel ``g`` alone when G = C.
 
-        Every model gets ``C/G · m`` rows, so all take the same path. When
-        :func:`woodbury_pays`, or unless :func:`moments_pay`, each model's
+        Every model gets ``C/G · m`` rows, so all take the same path; ``C``
+        must be the observed channel count. Below :func:`moments_pay`, as
+        every Woodbury block is (under ``d // 3 <= L/3`` rows), each model's
         windows, sliding views of the slab, are copied once, embedded and
-        absorbed as in :meth:`fit`, so the models' state equals that of
-        :meth:`fit` on the same windows bit for bit. Otherwise each model
-        builds its block's Gram and cross-moment from its channels' lagged
-        moments (:meth:`_moments`) without embedding a window, and refits
-        from them (:meth:`SpectralRidge.absorb_moments`).
+        absorbed as in :meth:`fit`, bit for bit as :meth:`fit` on the same
+        windows. Otherwise each model builds its block's Gram and
+        cross-moment from its channels' lagged moments (:meth:`_moments`)
+        and refits from them (:meth:`SpectralRidge.absorb_moments`).
         """
         L, H, G = self.context_length, self.horizon, len(self.cores)
         series = np.asarray(series, dtype=np.float64)
@@ -573,30 +581,30 @@ class OnlineForecaster:
         if m < 1 or C == 0 or C % G:
             raise ShapeMismatch(f"fit_slab needs a (C, width) slab with width >= {L + H} and "
                                 f"C > 0 a multiple of {G} models, got {series.shape}")
+        if self.stats.count and C != len(self.stats.means):
+            raise ShapeMismatch(f"fit_slab got {C} channels, {len(self.stats.means)} observed")
         per = C // G
-        sigma = np.array([self.stats.std(ch) for ch in range(C)]) if self.channel_scaling else None
-        moments = not woodbury_pays(per * m, self.design_dim) and moments_pay(per * m, L + H)
+        sigma = self._scales(np.arange(C))
+        moments = moments_pay(per * m, L + H)
         windows = sliding_window_view(series, L + H, axis=1)[:, :m]
         for g, core in enumerate(self.cores):
             chans = slice(g * per, (g + 1) * per)
-            scales = None if sigma is None else sigma[chans]
             if moments:
-                core.absorb_moments(*self._moments(series[chans], scales, m), per * m)
+                core.absorb_moments(*self._moments(series[chans], sigma[chans], m), per * m)
             else:
-                # an embedded block stays under L+H rows (moments_pay), or
-                # under d/3 for a Woodbury step: one model's copy is small
+                # an embedded block stays under L+H rows (moments_pay), so
+                # one model's copy is small
                 core.absorb(*self._embed(
                     np.array(windows[chans, :, :L]).reshape(-1, L),
                     np.array(windows[chans, :, L:]).reshape(-1, H),
-                    None if scales is None else np.repeat(scales, m)[:, None]))
+                    np.repeat(sigma[chans], m)[:, None]))
         self._refold()
 
     def _moments(self, block, scales, m):
         """Gram ``(d, d)`` and cross-moment ``(d, d_t)`` of the design rows
         of the ``m`` windows of each row of ``block`` ``(c, m+L+H-1)``, row
-        ``i`` divided by ``scales[i]`` (``scales`` a ``(c,)`` array, or None
-        for no scaling), built from the block's lagged second moments
-        instead of the rows.
+        ``i`` divided by ``scales[i]``, built from the block's lagged second
+        moments instead of the rows.
 
         A window ``z`` of length ``K = L + H`` becomes the rows ``z[:L] @
         Ax`` and ``z[L:] @ Ay`` (``Ax`` the context layout ``_analysis``,
@@ -627,13 +635,12 @@ class OnlineForecaster:
         d, cb, tb = self.design_dim, self.filter.context_bins, self.filter.target_bins
         n = m + L - 1                  # the positions s that rows a < L sum over
         mean = block.mean(axis=1, keepdims=True)
-        scale = None if scales is None else scales[:, None]
+        scale = scales[:, None]
         # padded with zeros so every position has K lags; padded lags only
         # reach entries past the last window, which are dropped
         y = np.zeros((c, n + K - 1))
         np.subtract(block, mean, out=y[:, :block.shape[1]])
-        if scale is not None:
-            y /= scale
+        y /= scale
         prefix = np.empty((n + 1, K))
         prefix[0] = 0.0
         np.matmul(y[:, :n].T[:, None, :],
@@ -665,7 +672,7 @@ class OnlineForecaster:
         else:
             # y = (x - mean) / scale: add back w = mean / scale on each row,
             # (L, H)·w on the (context, target) DC of each of its windows
-            w = (mean if scale is None else mean / scale)[:, 0]
+            w = (mean / scale)[:, 0]
             run = np.zeros((c, m + K))
             np.cumsum(y[:, :m + K - 1], axis=1, out=run[:, 1:])
             first = w @ (run[:, m:] - run[:, :K])     # Σ_i w_i Σ_j y[i, j:j+K]
@@ -683,16 +690,15 @@ class OnlineForecaster:
     def _embed(self, ctx, tgt, sigma):
         """Centre the C-ordered float64 rows ``ctx`` ``(k, L)`` and ``tgt``
         ``(k, H)`` in place on each context's mean (under instance
-        normalization), divide them by ``sigma`` (a ``(k, 1)`` column, or
-        None for no scaling) and return their real coefficients, the design
-        rows ``(k, d)`` and target rows ``(k, d_t)``."""
+        normalization), divide them by the ``(k, 1)`` column ``sigma`` and
+        return their real coefficients, the design rows ``(k, d)`` and
+        target rows ``(k, d_t)``."""
         if self.instance_norm:
             mu = ctx.mean(axis=1, keepdims=True)
             ctx -= mu
             tgt -= mu
-        if sigma is not None:
-            ctx /= sigma
-            tgt /= sigma
+        ctx /= sigma
+        tgt /= sigma
         return (_real_coefficients(np.fft.rfft(ctx, axis=1)[:, :self.filter.context_bins],
                                    self.context_length),
                 _real_coefficients(np.fft.rfft(tgt, axis=1)[:, :self.filter.target_bins],
@@ -749,10 +755,13 @@ def save_forecaster(forecaster: OnlineForecaster, path) -> None:
     refit dropped its inverse computes it here, so a reloaded model's next
     Woodbury step reads the same inverse as the original's."""
     f = forecaster
+    counts = [core.n_samples for core in f.cores]
+    if len(set(counts)) > 1:
+        raise InvalidConfig(f"cannot save models with different sample counts {counts}")
     np.savez(path, format=SNAPSHOT_FORMAT, context_length=f.context_length, horizon=f.horizon,
              seasonality=f.seasonality, lam=f.lam, alpha=f.alpha, instance_norm=f.instance_norm,
              channel_scaling=f.channel_scaling, models=len(f.cores),
-             n_samples=f.n_samples,  # every fit gives every model the same number of rows
+             n_samples=f.n_samples,  # the same for every model, checked above
              stats_count=f.stats.count, stats_means=f.stats.means, stats_m2s=f.stats.m2s,
              **{name: np.stack([getattr(core, name) for core in f.cores]) for name in _RIDGE_FIELDS})
 

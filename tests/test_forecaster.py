@@ -1119,6 +1119,24 @@ class TestSnapshot:
         assert f.core.last_path == g.core.last_path == "woodbury"
         assert_same()
 
+    @pytest.mark.parametrize("rows", [(0, 3), (2, 3)])
+    def test_models_with_different_sample_counts_rejected(self, tmp_path, rows):
+        # a snapshot keeps one n_samples for every model; a caller feeding
+        # one model alone must not save the other's count as its own
+        rng = np.random.default_rng(71)
+        f = new_forecaster(16, 4, 2, models=2)
+        for core, m in zip(f.cores, rows):
+            if m:
+                core.absorb(rng.normal(size=(m, f.design_dim)), rng.normal(size=(m, core.dim_out)))
+        before = [ridge_state(core) for core in f.cores]
+        path = tmp_path / "state.npz"
+        with pytest.raises(InvalidConfig, match=rf"sample counts \[{rows[0]}, {rows[1]}\]"):
+            save_forecaster(f, path)
+        assert not path.exists() and not list(tmp_path.iterdir())
+        for core, state in zip(f.cores, before):
+            for name, value in state.items():
+                np.testing.assert_array_equal(getattr(core, name), value, err_msg=name)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["stats_means", "stats_m2s", "a_inv", "gram", "cross",
                                        "weight"])
@@ -1317,6 +1335,21 @@ class TestModelAxis:
         assert f.cores[1].last_fallback == "trace"
         assert [core.n_samples for core in f.cores] == [6, 6]
 
+    @pytest.mark.parametrize("first", [(10, 3), (3,)])
+    def test_first_block_not_splitting_across_models_rejected(self, tmp_path, first):
+        # statistics of 3 channels cannot split across 2 models: no fit
+        # could use them, and load_forecaster would refuse their snapshot
+        rng = np.random.default_rng(73)
+        f = new_forecaster(16, 4, 2, models=2)
+        with pytest.raises(ShapeMismatch, match="3 channels do not split across 2 models"):
+            f.observe_values(rng.normal(size=first))
+        assert f.stats.count == 0 and f.stats.means.size == f.stats.m2s.size == 0
+        f.observe_values(rng.normal(size=(10, 4)))
+        assert f.stats.count == 10 and f.stats.means.shape == (4,)
+        save_forecaster(f, tmp_path / "state.npz")
+        assert load_forecaster(tmp_path / "state.npz").stats.means.tobytes() == \
+            f.stats.means.tobytes()
+
     def test_model_count_below_one_rejected(self):
         with pytest.raises(InvalidConfig, match="model"):
             new_forecaster(8, 2, 2, models=0)
@@ -1493,6 +1526,23 @@ class TestFitWindows:
         with pytest.raises(ShapeMismatch, match="fit_slab"):
             f.fit_slab(slab)
         assert f.n_samples == 0
+
+    @pytest.mark.parametrize("models, C", [(1, 2), (1, 5), (3, 6)])
+    def test_slab_of_another_channel_count_rejected(self, models, C):
+        # channels 3 and 4 of a 5-channel slab have no statistics: they
+        # would be fitted unscaled next to channel 1, scaled by its std of ~6
+        L, H, m = 16, 4, 8
+        rng = np.random.default_rng(79)
+        f = new_forecaster(L, H, 2, lam=2.0, models=models)
+        f.observe_values(rng.normal(size=(25, 3)) * [1.0, 6.0, 0.05])
+        f.fit_slab(rng.normal(size=(3, m + L + H - 1)))
+        before, fold = [ridge_state(core) for core in f.cores], f.time_map.copy()
+        with pytest.raises(ShapeMismatch, match=f"fit_slab got {C} channels, 3 observed"):
+            f.fit_slab(rng.normal(size=(C, m + L + H - 1)))
+        for core, state in zip(f.cores, before):
+            for name, value in state.items():
+                np.testing.assert_array_equal(getattr(core, name), value, err_msg=name)
+        assert f.time_map.tobytes() == fold.tobytes()
 
     def test_path_rule(self):
         # the paper shape (C = 7, m = 200, L = 520, H = 96, d = 469) and

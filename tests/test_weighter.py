@@ -310,6 +310,24 @@ class TestRegretBound:
             w = exp_weight_step(w, row, eta)
         return incurred - losses.sum(axis=0).min()
 
+    def test_weighter_follows_the_bounded_recursion(self):
+        # the bound holds for exp_weight_step, which ChannelWeighter never
+        # calls: its slow and merge weights are two-way softmaxes of loss
+        # sums. After every update they must equal exp_weight_step from
+        # [0.5, 0.5] over the loss pairs absorbed after warm-up
+        rng = np.random.default_rng(1100)
+        for _ in range(50):
+            eta, warmup = float(rng.uniform(0.05, 3.0)), int(rng.integers(0, 4))
+            w = ChannelWeighter(eta=eta, warmup_steps=warmup)
+            slow = merge = np.array([0.5, 0.5])
+            for step, losses in enumerate(rng.uniform(0.0, 3.0, size=(300, 4))):
+                w.update(*losses)
+                if step >= warmup:
+                    slow = exp_weight_step(slow, losses[:2], eta)
+                    merge = exp_weight_step(merge, losses[2:], eta)
+                assert abs(w.w_slow - slow[0]) <= 1e-12, (eta, warmup, step)
+                assert abs(w.beta_merge - merge[0]) <= 1e-12, (eta, warmup, step)
+
     @pytest.mark.parametrize("k", [2, 4])
     @pytest.mark.parametrize("horizon", [10, 100, 1000])
     def test_bound_never_violated(self, k, horizon):
