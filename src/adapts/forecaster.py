@@ -492,10 +492,17 @@ class OnlineForecaster:
 
     def _scales(self, channels) -> np.ndarray:
         """Scaling factors ``(n,)`` of rows cut from ``channels``: each
-        channel's :meth:`ChannelStats.std`, or ones without channel scaling."""
+        channel's :meth:`ChannelStats.std`, or ones without channel scaling.
+        Once statistics exist, a channel past the observed ones raises
+        :class:`ShapeMismatch`: it has no std, and its rows would be fitted
+        unscaled next to scaled ones. Before any observation every factor
+        is 1."""
+        present, row_of = np.unique(channels, return_inverse=True)
+        if self.stats.count and present[-1] >= len(self.stats.means):
+            raise ShapeMismatch(f"channel {int(present[-1])} is past the "
+                                f"{len(self.stats.means)} observed channels")
         if not self.channel_scaling:
             return np.ones(len(channels))
-        present, row_of = np.unique(channels, return_inverse=True)
         return np.array([self.stats.std(ch) for ch in present.tolist()])[row_of]
 
     def embed_pair(self, pair: SamplePair):
@@ -531,7 +538,9 @@ class OnlineForecaster:
         consecutive rows per model under the ``"auto"`` rule of
         :meth:`SpectralRidge.absorb` and refresh ``time_map``. Channel
         statistics must already reflect the observations the rows were cut
-        from (see :meth:`observe_values`).
+        from (see :meth:`observe_values`); once they exist, a channel past
+        the observed ones raises :class:`ShapeMismatch` before any model
+        changes.
 
         Each model embeds its rows and absorbs them before the next model
         starts, so that one model's design rows and one new ``d×d`` Gram are

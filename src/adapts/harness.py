@@ -21,7 +21,8 @@ with one forecaster, holding one model for all channels or one per channel
   window's seasonal-naive denominators come from one pass over the copy,
   each channel's windows are scored for the weighters, and the
   forecaster fits on the copy itself (``OnlineForecaster.fit_slab``),
-  which holds exactly the completed windows.
+  which holds exactly the completed windows. The slab's rows from the
+  first target on are kept as the report's landed rows.
 
 So each row reaches the base once, and the channel statistics once if an
 update follows it, in time order. Nothing ever reads past the current
@@ -29,13 +30,18 @@ step: pairs enter fitting only once their target lies entirely in the
 past, at the price of a horizon-length lag.
 
 A run keeps its state in a few preallocated arrays on the report: the
-base, adaptive and target forecasts of every step (step-major, so each
-step writes one contiguous slab), the weight each channel used at each
-step, and the MASE/RMSSE and floored flag of every scored window. The
-combined forecast is not stored: it is ``combine(base, adaptive,
-weight_used)``, an elementwise expression that rebuilds it bit for bit
-wherever it is read (block scoring and ``RunReport.bundles``), so storing
-it would only cost memory.
+base and adaptive forecasts of every step (step-major, so each step writes
+one contiguous slab), the weight each channel used at each step, the
+MASE/RMSSE and floored flag of every scored window, and the rows the
+scored windows' targets span. Nothing that can be rebuilt bit for bit is
+stored, because storing it would only cost memory:
+
+- the combined forecast is ``combine(base, adaptive, weight_used)``, an
+  elementwise expression rebuilt wherever it is read (block scoring and
+  ``RunReport.bundles``);
+- a scored window's target is ``H`` consecutive landed rows, so the
+  targets are sliding views of those rows (``RunReport.targets``), not
+  ``H`` copies of each row.
 
 The dataset is only ever touched through ``__getitem__`` with a slice of
 rows on the object passed in, so tests can substitute an index-recording
@@ -236,21 +242,27 @@ class ForecastBundle:
 class RunReport:
     """Metrics, weight trajectories and the run's forecasts as columns.
 
-    Step ``i`` is forecast origin ``skipped_initial_steps + i``; scored
-    windows are the first ``n_scored`` steps, oldest first.
+    Step ``i`` is forecast origin ``t0 + i``, ``t0 =
+    skipped_initial_steps``; scored windows are the first ``n_scored``
+    steps, oldest first.
 
-    - ``forecasts``: ``(n_steps, 3, C, H)``, the base, adaptive and target
-      forecasts of every step (targets are filled once scored; the target
-      rows of the last ``n_steps - n_scored`` steps, never scored, are NaN);
+    - ``forecasts``: ``(n_steps, 2, C, H)``, the base and adaptive forecasts
+      of every step;
+    - ``landed``: ``(n_scored + H - 1, C)``, series rows ``t0 + 1`` to ``t0 +
+      n_scored + H - 1``, which the scored windows' targets span (``(0,
+      C)`` when no window was scored);
     - ``weight_used``: ``(C, n_steps)``, the weight each channel blended with;
     - ``scores``: ``(2, 3, C, n_scored)``, MASE and RMSSE of the base,
       adaptive and combined streams per window;
     - ``floored``: ``(C, n_scored)``, whether a window's denominator was floored.
+
+    ``targets`` and ``bundles`` are rebuilt from these on read.
     """
 
     config: RollingConfig
     channel_names: list
     forecasts: np.ndarray
+    landed: np.ndarray
     weight_used: np.ndarray
     scores: np.ndarray
     floored: np.ndarray
@@ -264,13 +276,24 @@ class RunReport:
     dataset_name: str = ""
 
     @property
+    def targets(self) -> np.ndarray:
+        """``(n_scored, C, H)``: the target of every scored window, a
+        read-only sliding view of ``landed``, so nothing is copied."""
+        if not len(self.landed):
+            return np.empty((0, len(self.channel_names), self.config.horizon))
+        return sliding_window_view(self.landed, self.config.horizon, axis=0)
+
+    @property
     def bundles(self) -> list:
         """Per channel, one :class:`ForecastBundle` per step, oldest first,
-        whose arrays are views of the columns (the combined one is rebuilt)."""
+        whose arrays are views of the columns (the combined one is rebuilt)
+        and of ``targets``; steps never scored keep ``target=None``."""
         t0, n_scored = self.skipped_initial_steps, self.floored.shape[1]
+        targets = self.targets
         views = []
         for ch in range(len(self.channel_names)):
-            base, adaptive, target = (self.forecasts[:, k, ch] for k in range(3))
+            base, adaptive = self.forecasts[:, 0, ch], self.forecasts[:, 1, ch]
+            target = targets[:, ch]
             w = self.weight_used[ch]
             combined = combine(base, adaptive, w[:, None])
             views.append([
@@ -366,8 +389,9 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
     # the last update comes after n_steps // M * M steps and has scored all
     # of them but the H whose targets had not yet landed
     n_scored = max(0, n_steps // M * M - H)
-    forecasts = np.empty((n_steps, 3, n_channels, H))  # base, adaptive, target
-    forecasts[n_scored:, 2] = np.nan  # the target rows no update scores
+    forecasts = np.empty((n_steps, 2, n_channels, H))  # base, adaptive
+    # rows t0+1 ... t0+n_scored+H-1: every target a scoring update reads
+    landed = np.empty((n_scored + H - 1 if n_scored else 0, n_channels))
     weight_used = np.empty((n_channels, n_steps))
     scores = np.empty((2, 3, n_channels, n_scored))  # MASE, RMSSE of STREAMS
     floored = np.empty((n_channels, n_scored), dtype=bool)
@@ -415,7 +439,8 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
                 tgt_view = sliding_window_view(cols[:, L:], H, axis=1)[:, :m]
                 naive_mae, naive_mse = seasonal_naive_denominators(
                     cols[:, :m + L - 1], config.seasonality, L)
-                forecasts[done, 2] = tgt_view.transpose(1, 0, 2)
+                # rows[L:] are rows t0+1+scored ... t: the done windows' targets
+                landed[done.start: i] = rows[L:]
                 for ch, w in enumerate(weighters):
                     # streams: base, adaptive, combined, and the two combos at
                     # the fast and slow weights frozen since the previous update
@@ -459,7 +484,7 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
 
     names = list(channel_names)
     return RunReport(
-        config=config, channel_names=names, forecasts=forecasts,
+        config=config, channel_names=names, forecasts=forecasts, landed=landed,
         weight_used=weight_used, scores=scores, floored=floored,
         per_channel={name: {"windows": n_scored, "floored_windows": int(floored[ch].sum()),
                             **streams(by_channel[ch])}

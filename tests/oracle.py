@@ -187,9 +187,13 @@ def gaps(report, oracle):
     assert np.array_equal(report.floored, oracle["floored"])
     channels = range(report.floored.shape[0])
     out = {}
-    for k, name in enumerate(("base", "adaptive", "target")):
+    for k, name in enumerate(("base", "adaptive")):
         out[f"forecasts.{name}"] = max(
             _gap(report.forecasts[:, k, ch], oracle["forecasts"][:, k, ch]) for ch in channels)
+    # the report keeps targets for the scored windows only
+    n_scored = report.floored.shape[1]
+    out["forecasts.target"] = max(
+        _gap(report.targets[:, ch], oracle["forecasts"][:n_scored, 2, ch]) for ch in channels)
     out["weight_used"] = _gap(report.weight_used, oracle["weight_used"])
     for i, metric in enumerate(("mase", "rmsse")):
         for k, stream in enumerate(STREAMS):

@@ -122,14 +122,14 @@ CONFIGS = [(L, H, alpha, instance_norm, channel_scaling)
 
 
 def fitted_pair_of_forecasters(config, seed):
-    """Two identical forecasters with the same channel statistics over
-    three observed channels, plus a generator for random pair blocks that
-    also use a channel never observed."""
+    """Two identical forecasters with the same channel statistics over six
+    observed channels of scales decades apart, plus a generator for random
+    pair blocks cut from channels 0, 1, 2 and 5."""
     L, H, alpha, instance_norm, channel_scaling = config
     rng = np.random.default_rng(seed)
     twins = [new_forecaster(L, H, 2, lam=2.0, alpha=alpha, instance_norm=instance_norm,
                             channel_scaling=channel_scaling) for _ in range(2)]
-    for v in rng.normal(size=(25, 3)) * [1.0, 6.0, 0.05]:
+    for v in rng.normal(size=(25, 6)) * [1.0, 6.0, 0.05, 1.0, 1.0, 40.0]:
         for f in twins:
             f.observe_values(v)
 
@@ -1543,6 +1543,34 @@ class TestFitWindows:
             for name, value in state.items():
                 np.testing.assert_array_equal(getattr(core, name), value, err_msg=name)
         assert f.time_map.tobytes() == fold.tobytes()
+
+    @pytest.mark.parametrize("channel_scaling", [True, False])
+    def test_rows_of_a_channel_past_the_observed_ones_rejected(self, channel_scaling):
+        # channel 5 of 3 has no std: fit would scale row 0 by channel 0's
+        # std and fit row 1 unscaled
+        L, H = 16, 4
+        rng = np.random.default_rng(83)
+        ctx, tgt = rng.normal(size=(2, L)), rng.normal(size=(2, H))
+        fresh = new_forecaster(L, H, 2, lam=2.0, channel_scaling=channel_scaling)
+        fresh.fit(ctx, tgt, [0, 5])  # nothing observed yet: every factor is 1
+        f = new_forecaster(L, H, 2, lam=2.0, channel_scaling=channel_scaling)
+        f.observe_values(rng.normal(size=(25, 3)) * [1.0, 6.0, 0.05])
+        f.fit(ctx, tgt, [0, 2])
+        before, fold = ridge_state(f.core), f.time_map.copy()
+        stats = (f.stats.count, f.stats.means.copy(), f.stats.m2s.copy())
+        message = "channel 5 is past the 3 observed channels"
+        with pytest.raises(ShapeMismatch, match=message):
+            f.fit(ctx, tgt, [0, 5])
+        with pytest.raises(ShapeMismatch, match=message):
+            f.fit_block([SamplePair(ctx[0], tgt[0], 1), SamplePair(ctx[1], tgt[1], 5)])
+        with pytest.raises(ShapeMismatch, match=message):
+            f.embed_pair(SamplePair(ctx[1], tgt[1], 5))
+        for name, value in before.items():
+            np.testing.assert_array_equal(getattr(f.core, name), value, err_msg=name)
+        assert f.time_map.tobytes() == fold.tobytes()
+        assert f.stats.count == stats[0]
+        assert f.stats.means.tobytes() == stats[1].tobytes()
+        assert f.stats.m2s.tobytes() == stats[2].tobytes()
 
     def test_path_rule(self):
         # the paper shape (C = 7, m = 200, L = 520, H = 96, d = 469) and

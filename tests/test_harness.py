@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import re
+import tracemalloc
 import types
 
 import numpy as np
@@ -271,10 +272,12 @@ class TestDeterminismAndCausality:
         r1, r2 = (run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
                   for _ in range(2))
         assert r1.forecasts.tobytes() == r2.forecasts.tobytes()
+        assert r1.landed.tobytes() == r2.landed.tobytes()
         n_scored = r1.floored.shape[1]
-        assert np.isnan(r1.forecasts[n_scored:, 2]).all()
-        assert np.isfinite(r1.forecasts[:n_scored]).all()
-        assert np.isfinite(r1.forecasts[:, :2]).all()
+        # unscored steps have no target row at all, not a NaN one
+        assert r1.targets.shape[0] == n_scored
+        assert np.isfinite(r1.targets).all()
+        assert np.isfinite(r1.forecasts).all()
 
     def test_future_changes_do_not_affect_past_forecasts(self):
         cfg = small_config()
@@ -533,7 +536,9 @@ class TestColumnarRunState:
                      NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
         n_steps = 300 - cfg.context_length
         n_scored = n_steps // cfg.update_period * cfg.update_period - cfg.horizon
-        assert report.forecasts.shape == (n_steps, 3, 3, cfg.horizon)
+        assert report.forecasts.shape == (n_steps, 2, 3, cfg.horizon)
+        assert report.landed.shape == (n_scored + cfg.horizon - 1, 3)
+        assert report.targets.shape == (n_scored, 3, cfg.horizon)
         assert report.weight_used.shape == (3, n_steps)
         assert report.scores.shape == (2, 3, 3, n_scored)
         assert report.floored.shape == (3, n_scored)
@@ -570,6 +575,51 @@ class TestColumnarRunState:
                     assert b.target is None
         with pytest.raises(AttributeError):
             report.bundles = []
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_targets_are_the_landed_rows_without_copies(self, shared):
+        cfg = small_config(shared_weights=shared)
+        values = sine_dataset(300, channels=3, noise=0.1, seed=9)
+        report = run(values, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
+        t0, H, n_scored = report.skipped_initial_steps, cfg.horizon, report.floored.shape[1]
+        assert n_scored and report.targets.shape == (n_scored, 3, H)
+        for i in range(n_scored):
+            for ch in range(3):
+                want = values[t0 + 1 + i: t0 + 1 + i + H, ch]
+                assert report.targets[i, ch].tobytes() == want.tobytes()
+        assert np.shares_memory(report.targets, report.landed)
+        assert not report.targets.flags.writeable
+
+    def test_run_without_a_scored_window_has_no_targets(self):
+        cfg = small_config(update_period=400)
+        report = run(sine_dataset(300, channels=2, noise=0.1, seed=2),
+                     NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
+        assert report.forecasts.shape[0] < cfg.update_period
+        assert report.landed.shape == (0, 2)
+        assert report.targets.shape == (0, 2, cfg.horizon)
+        assert all(b.target is None for bundles in report.bundles for b in bundles)
+
+    def test_peak_memory_holds_two_forecast_slots(self):
+        # numpy reports its buffers to tracemalloc, so the traced peak holds
+        # the columns (two forecast slots, the landed rows, the weights and
+        # scores) plus the working set: the update's slab copy, the
+        # forecaster and the trajectories, under 2 MiB. Here the peak is
+        # 17.1 MiB against a bound of 18.3; a third (n_steps, C, H) slot of
+        # target copies, 7.5 MiB, peaked at 24.5
+        cfg = small_config(context_length=64, horizon=48, update_period=50)
+        data = sine_dataset(3000, channels=7, noise=0.3, seed=1)
+        base = NaiveSeasonalBase(cfg.seasonality, cfg.horizon)
+        tracemalloc.start()
+        try:
+            report = run(data, base, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (n_steps, _, C, H), n_scored = report.forecasts.shape, report.floored.shape[1]
+        columns = 8 * (2 * n_steps * C * H + (n_scored + H - 1) * C)
+        others = report.weight_used.nbytes + report.scores.nbytes + report.floored.nbytes
+        bound = columns + others + 2 * 2**20
+        assert peak < bound, f"traced peak {peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
 
 
 class ForecastOnly(BaseForecaster):
@@ -740,9 +790,8 @@ class TestForecastAll:
 
         fast = run(data, make(), cfg)
         oracle = run(data, ForecastOnly(make()), cfg)
-        assert fast.forecasts[:, :2].tobytes() == oracle.forecasts[:, :2].tobytes()
-        n_scored = fast.floored.shape[1]
-        assert fast.forecasts[:n_scored, 2].tobytes() == oracle.forecasts[:n_scored, 2].tobytes()
+        assert fast.forecasts.tobytes() == oracle.forecasts.tobytes()
+        assert fast.targets.tobytes() == oracle.targets.tobytes()
         for attr in ("weight_used", "scores", "floored"):
             assert getattr(fast, attr).tobytes() == getattr(oracle, attr).tobytes()
         assert fast.to_dict() == oracle.to_dict()
