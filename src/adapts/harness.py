@@ -33,8 +33,10 @@ A run keeps its state in a few preallocated arrays on the report: the
 base and adaptive forecasts of every step (step-major, so each step writes
 one contiguous slab), the weight each channel used at each step, the
 MASE/RMSSE and floored flag of every scored window, and the rows the
-scored windows' targets span. Nothing that can be rebuilt bit for bit is
-stored, because storing it would only cost memory:
+scored windows' targets span. Weights move only at updates, so they are
+written once per update period, for all of its steps at once. Nothing that
+can be rebuilt bit for bit is stored, because storing it would only cost
+memory:
 
 - the combined forecast is ``combine(base, adaptive, weight_used)``, an
   elementwise expression rebuilt wherever it is read (block scoring and
@@ -378,10 +380,6 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
                         warmup_steps=config.warmup)
         for _ in range(n_channels)
     ]
-    # weights only move at updates: each channel's fast weight and applied
-    # weight are computed once here and once after each of its updates
-    w_fast = [w.fast_weight() for w in weighters]
-    applied = [w.current_weight(config.weighter_mode) for w in weighters]
     trajectories = [[] for _ in range(n_channels)]
 
     t0 = L - 1
@@ -396,7 +394,6 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
     scores = np.empty((2, 3, n_channels, n_scored))  # MASE, RMSSE of STREAMS
     floored = np.empty((n_channels, n_scored), dtype=bool)
     scored = 0   # steps already scored and fitted on; step k's context starts at row k
-    update_steps = 0
 
     # the rows before the first forecast step are revealed up front, in one read
     head = np.asarray(dataset[0:t0], dtype=np.float64)
@@ -420,7 +417,11 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
                 f"base forecasts at t={t} have shape {bf.shape}, expected ({n_channels}, {H})"
             )
         step[0] = bf
-        weight_used[:, i] = applied
+        if i % M == 0:
+            # weights only move at updates: every step up to the next update
+            # blends with the weights the previous one left
+            weight_used[:, i: i + M] = [[w.current_weight(config.weighter_mode)]
+                                        for w in weighters]
         if (i + 1) % M == 0:
             # the steps whose targets have landed since the previous update
             done = slice(scored, max(scored, i + 1 - H))
@@ -447,26 +448,24 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
                     bfs, afs = forecasts[done, 0, ch], forecasts[done, 1, ch]
                     block = scaled_scores(
                         np.stack([bfs, afs, combine(bfs, afs, weight_used[ch, done, None]),
-                                  combine(bfs, afs, w_fast[ch]), combine(bfs, afs, w.w_slow)]),
+                                  combine(bfs, afs, w.fast_weight()),
+                                  combine(bfs, afs, w.w_slow)]),
                         tgt_view[ch], naive_mae[ch], naive_mse[ch])
                     scores[:, :, ch, done] = block.mase[:3], block.rmsse[:3]
                     floored[ch, done] = block.floored
                     loss_base, loss_adaptive, _, loss_fast, loss_slow = \
                         block.mase.mean(axis=1).tolist()
                     w.update(loss_base, loss_adaptive, loss_fast, loss_slow)
-                    w_fast[ch] = w.fast_weight()
-                    applied[ch] = w.current_weight(config.weighter_mode)
                     trajectories[ch].append({
                         "update_step": w.update_count,
                         "time_step": t,
                         "w_slow": w.w_slow,
-                        "w_fast": w_fast[ch],
+                        "w_fast": w.fast_weight(),
                         "beta_merge": w.beta_merge,
-                        "w_combined": applied[ch],
+                        "w_combined": w.current_weight(config.weighter_mode),
                         "loss_base": loss_base,
                         "loss_adaptive": loss_adaptive,
                     })
-                update_steps += 1
                 forecaster.fit_slab(cols)
                 scored = done.stop
         if step_callback is not None:
@@ -491,5 +490,5 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
                      for ch, name in enumerate(names)},
         aggregate=streams(overall), weights=dict(zip(names, trajectories)),
         windows_evaluated=floored.size, floored_windows=int(floored.sum()),
-        update_steps=update_steps, skipped_initial_steps=t0,
+        update_steps=len(trajectories[0]), skipped_initial_steps=t0,
     )

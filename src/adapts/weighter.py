@@ -12,9 +12,9 @@ The slow and merge weights are not stored as probabilities. Repeatedly
 renormalizing a probability loses the odds ratio once a weight saturates
 near 0 or 1, and the drift compounds over thousands of updates. Instead
 each weighter keeps compensated (Kahan) running sums of its two loss
-streams and derives the weight as a softmax on demand, which keeps the
-recursion equal to its closed form to near machine precision over
-arbitrarily long streams.
+streams and derives the weight as their softmax once per absorbed block,
+which keeps the recursion equal to its closed form to near machine
+precision over arbitrarily long streams.
 
 Channels are independent: one state per channel, updates within a channel
 serialized.
@@ -125,12 +125,14 @@ def _softmax_pair_first(totals, eta: float) -> float:
 class ChannelWeighter:
     """Weighting state for one channel.
 
-    The slow and merge weights start uniform at 0.5. The fast weight is
-    derived on demand from the ring buffer of recent loss pairs rather
-    than stored. During the first ``warmup_steps`` update steps the
-    combined output is forced to the base forecast and incoming losses are
-    not absorbed, so the cold-start fallback cannot poison the weights;
-    the step counter still advances.
+    The slow weight ``w_slow``, the fast weight (:meth:`fast_weight`) and
+    the merge weight ``beta_merge`` start uniform at 0.5. Each is computed
+    when a block of losses is absorbed and stored until the next one: the
+    fast weight from the ring buffer of recent loss pairs, the slow and
+    merge weights from their loss sums. During the first
+    ``warmup_steps`` update steps the combined output is forced to the
+    base forecast and incoming losses are not absorbed, so the cold-start
+    fallback cannot poison the weights; the step counter still advances.
     """
 
     def __init__(self, eta: float = 0.5, fast_window: int = 5, warmup_steps: int = 5):
@@ -147,26 +149,15 @@ class ChannelWeighter:
         self.fast_losses = deque(maxlen=fast_window)
         self._slow = _LossSums()
         self._merge = _LossSums()
-
-    @property
-    def w_slow(self) -> float:
-        """Base-forecast weight from all post-warm-up losses."""
-        return _softmax_pair_first(self._slow.totals, self.eta)
-
-    @property
-    def beta_merge(self) -> float:
-        """Mixing weight between the fast and slow weighters."""
-        return _softmax_pair_first(self._merge.totals, self.eta)
+        self.w_slow = self._w_fast = self.beta_merge = 0.5
 
     def fast_weight(self) -> float:
         """Base-forecast weight from the buffered recent losses.
 
         The two-way softmax of the windowed loss sums, as for the slow and
-        merge totals; 0.5 while the buffer is empty.
+        merge totals, at the last absorbed block; 0.5 before the first.
         """
-        if not self.fast_losses:
-            return 0.5
-        return _softmax_pair_first([sum(col) for col in zip(*self.fast_losses)], self.eta)
+        return self._w_fast
 
     def current_weight(self, mode: str = "full") -> float:
         """Weight applied to the base forecast at this moment.
@@ -183,11 +174,11 @@ class ChannelWeighter:
         if mode == "slow_only":
             return self.w_slow
         if mode == "fast_only":
-            return self.fast_weight()
+            return self._w_fast
         if mode == "unweighted":
             return 0.5
         beta = self.beta_merge
-        return beta * self.fast_weight() + (1.0 - beta) * self.w_slow
+        return beta * self._w_fast + (1.0 - beta) * self.w_slow
 
     def update(self, loss_base: float, loss_adaptive: float,
                loss_fast_combo: float, loss_slow_combo: float) -> None:
@@ -206,3 +197,7 @@ class ChannelWeighter:
         self.fast_losses.append((float(loss_base), float(loss_adaptive)))
         self._merge.add(float(loss_fast_combo), float(loss_slow_combo))
         self.update_count += 1
+        self.w_slow = _softmax_pair_first(self._slow.totals, self.eta)
+        self._w_fast = _softmax_pair_first([sum(col) for col in zip(*self.fast_losses)],
+                                           self.eta)
+        self.beta_merge = _softmax_pair_first(self._merge.totals, self.eta)

@@ -65,6 +65,11 @@ class TestRun:
         assert main(["run"]) == 1
         assert "UsageError" in capsys.readouterr().err
 
+    def test_set_without_equals_is_usage_error(self, workspace, capsys):
+        _, config_path = workspace
+        assert main(["run", "--config", str(config_path), "--set", "horizon"]) == 1
+        assert "--set expects key=value, got 'horizon'" in capsys.readouterr().err
+
     def test_csv_format_flag(self, workspace):
         tmp_path, config_path = workspace
         out = tmp_path / "report.csv"

@@ -289,6 +289,15 @@ class TestChannelStats:
             st.observe(rows)
         assert st.count == 0 and st.means.size == 0
 
+    @pytest.mark.parametrize("rows", [np.ones((2, 3)), np.ones(1)])
+    def test_changed_channel_count_rejected(self, rows):
+        st = ChannelStats()
+        st.observe(np.arange(4.0).reshape(2, 2))
+        before = (st.count, st.means.tobytes(), st.m2s.tobytes())
+        with pytest.raises(ShapeMismatch, match="channel count changed from 2 to"):
+            st.observe(rows)
+        assert (st.count, st.means.tobytes(), st.m2s.tobytes()) == before
+
 
 class TestEmbed:
     def test_constant_context_embeds_to_zero(self):
@@ -522,6 +531,58 @@ class TestRealSpectralRidge:
         model.absorb(rows, outs, method="auto")
         assert model.n_samples == 2
         assert model.a_inv.dtype == np.float64
+
+
+class TestAbsorbMoments:
+    """The refit from block sums: its guards leave the model as it was, and
+    the direct refit of :meth:`SpectralRidge.absorb` is exactly this refit
+    from the rows' own sums."""
+
+    @staticmethod
+    def primed(seed=31, d=5, k=2, lam=2.0):
+        # integer rows keep every Gram entry exact, so negating the Gram
+        # cancels it to the last bit
+        rng = np.random.default_rng(seed)
+        model = SpectralRidge(d, k, lam)
+        model.absorb(rng.integers(-3, 4, size=(7, d)).astype(float),
+                     rng.integers(-3, 4, size=(7, k)).astype(float), method="direct")
+        assert model.a_inv.shape == (d, d)  # computed now, so a raise must keep it
+        return model
+
+    @staticmethod
+    def state(model):
+        held = {name: getattr(model, name) for name in ("_a_inv", "gram", "cross", "weight")}
+        return {**{name: value.tobytes() for name, value in held.items()},
+                "n_samples": model.n_samples, "last_path": model.last_path}
+
+    @pytest.mark.parametrize("xtx_shape, xty_shape, n_rows", [
+        ((5, 4), (5, 2), 3), ((4, 5), (5, 2), 3), ((5, 5), (5, 3), 3), ((5, 5), (2,), 3),
+        ((5, 5), (5, 2), 0), ((5, 5), (5, 2), -1),
+    ])
+    def test_bad_block_raises_shape_mismatch_and_leaves_model(self, xtx_shape, xty_shape, n_rows):
+        model = self.primed()
+        before = self.state(model)
+        with pytest.raises(ShapeMismatch):
+            model.absorb_moments(np.eye(*xtx_shape), np.ones(xty_shape), n_rows)
+        assert self.state(model) == before
+
+    def test_singular_regularized_gram_raises_and_leaves_model(self):
+        model = self.primed()
+        before = self.state(model)
+        xtx = -model.gram - model.lam * np.eye(model.dim_in)
+        with pytest.raises(IllConditionedUpdate, match="regularized Gram is singular"):
+            model.absorb_moments(xtx, np.ones((model.dim_in, model.dim_out)), 4)
+        assert self.state(model) == before
+
+    def test_direct_absorb_is_the_refit_from_its_rows_sums(self):
+        rng = np.random.default_rng(32)
+        x, y = rng.normal(size=(9, 5)), rng.normal(size=(9, 2))
+        rows, twin = self.primed(), self.primed()
+        rows.absorb(x, y, method="direct")
+        twin.absorb_moments(x.T @ x, x.T @ y, len(x))
+        assert (rows.last_path, twin.last_path) == ("direct", "moments")
+        for name, value in ridge_state(rows).items():
+            assert value.tobytes() == ridge_state(twin)[name].tobytes(), name
 
 
 class TestLeanRidge:

@@ -132,6 +132,14 @@ class TestRunBasics:
             run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg,
                 channel_names=["a", "a"])
 
+    @pytest.mark.parametrize("names", [["a"], ["a", "b", "c"]])
+    def test_channel_name_count_must_match(self, names):
+        cfg = small_config()
+        data = sine_dataset(200, channels=2)
+        with pytest.raises(InvalidConfig, match=f"{len(names)} channel names for 2 channels"):
+            run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg,
+                channel_names=names)
+
     def test_report_structure_and_bundle_invariant(self):
         cfg = small_config()
         data = sine_dataset(300, channels=2, noise=0.05)
@@ -438,6 +446,19 @@ class TestConfigValidation:
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_rate_and_ridge_rejected(self, key, value):
         with pytest.raises(InvalidConfig, match="finite"):
+            small_config(**{key: value})
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("context_length", 1, "context_length must be >= 2"),
+        ("horizon", 0, "horizon must be >= 1"),
+        ("update_period", 0, "update_period must be >= 1"),
+        ("alpha", 0.0, r"alpha must be in \(0, 1\]"),
+        ("alpha", 1.5, r"alpha must be in \(0, 1\]"),
+        ("fast_window", 0, "fast_window must be >= 1"),
+        ("warmup", -1, "warmup must be >= 0"),
+    ])
+    def test_out_of_range_setting_rejected(self, key, value, message):
+        with pytest.raises(InvalidConfig, match=message):
             small_config(**{key: value})
 
 

@@ -470,6 +470,13 @@ class TestRunConfigFiles:
             load_run_config(p)
         assert err.value.line == 4
 
+    def test_line_without_equals_rejected_at_its_line(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("horizon = 24\n# comment\ncontext_length 64\n")
+        with pytest.raises(ParseError, match="expected 'key = value'") as err:
+            load_run_config(p)
+        assert err.value.line == 3
+
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("wibble = 3\n")

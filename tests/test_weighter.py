@@ -10,6 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
+from adapts import weighter
+from adapts.config import WEIGHTER_MODES
 from adapts.errors import InvalidConfig, InvalidLoss, ShapeMismatch
 from adapts.weighter import ChannelWeighter, combine, exp_weight_step
 
@@ -275,6 +277,36 @@ class TestUpdate:
                 totals[key] = t
             assert w._slow.totals == totals["slow"].tolist()
             assert w._merge.totals == totals["merge"].tolist()
+
+
+class TestWeightsMoveOnlyAtUpdates:
+    def test_three_softmaxes_per_absorbed_block_and_none_per_read(self, monkeypatch):
+        calls = []
+        softmax = weighter._softmax_pair_first
+
+        def counted(totals, eta):
+            calls.append(eta)
+            return softmax(totals, eta)
+
+        monkeypatch.setattr(weighter, "_softmax_pair_first", counted)
+        w = ChannelWeighter(eta=0.7, warmup_steps=2)
+
+        def read():
+            return ([w.current_weight(mode) for mode in WEIGHTER_MODES],
+                    w.w_slow, w.beta_merge, w.fast_weight())
+
+        assert read() == ([1.0] * 4, 0.5, 0.5, 0.5)
+        rng = np.random.default_rng(23)
+        for step in range(8):
+            w.update(*rng.uniform(0.0, 2.0, size=4))
+            # warm-up absorbs nothing and leaves every weight at 0.5
+            absorbed = max(0, step + 1 - w.warmup_steps)
+            assert len(calls) == 3 * absorbed, step
+            first = read()
+            assert read() == first
+            assert len(calls) == 3 * absorbed, step
+            if not absorbed:
+                assert first[1:] == (0.5, 0.5, 0.5)
 
 
 class TestRoleFlip:
