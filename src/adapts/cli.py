@@ -66,23 +66,34 @@ def _apply_overrides(settings: dict, args) -> dict:
     return merged
 
 
-def _execute(settings: dict):
-    """Resolve a settings dict into a finished run report."""
+def _load_table(settings: dict):
+    """The parsed forecast file of a precomputed base, else None."""
+    if settings.get("base", "naive_seasonal") != "precomputed":
+        return None
+    if "forecasts" not in settings:
+        raise InvalidConfig("base=precomputed needs a forecasts file (key 'forecasts')")
+    return adio.load_forecasts(settings["forecasts"])
+
+
+def _execute(settings: dict, forecasts=None):
+    """Resolve a settings dict into a finished run report. ``forecasts``
+    is the ``(table, horizon)`` pair of an already parsed forecast file;
+    without it the file is parsed here."""
     if "dataset" not in settings:
         raise UsageError("a dataset path is required (config key 'dataset')")
     cfg = adio.build_rolling_config(settings)
     series = adio.load_series(settings["dataset"])
-    kind = settings.get("base", "naive_seasonal")
+    if forecasts is None:
+        forecasts = _load_table(settings)
     table = None
-    if kind == "precomputed":
-        if "forecasts" not in settings:
-            raise InvalidConfig("base=precomputed needs a forecasts file (key 'forecasts')")
-        table, horizon = adio.load_forecasts(settings["forecasts"])
+    if forecasts is not None:
+        table, horizon = forecasts
         if horizon != cfg.horizon:
             raise InvalidConfig(
                 f"forecast file horizon {horizon} differs from configured {cfg.horizon}")
-    base = make_base_forecaster(kind, horizon=cfg.horizon, seasonality=cfg.seasonality,
-                                forecasts=table, channel_names=series.channel_names)
+    base = make_base_forecaster(settings.get("base", "naive_seasonal"), horizon=cfg.horizon,
+                                seasonality=cfg.seasonality, forecasts=table,
+                                channel_names=series.channel_names)
     report = run(series, base, cfg)
     report.dataset_name = str(settings["dataset"])
     return report, cfg
@@ -105,7 +116,15 @@ def _print_summary(report) -> None:
 
 
 def _dump_base_forecasts(report, cfg, path) -> None:
+    """Write the base stream channel by channel, as ``.npz`` if the path
+    ends so and as CSV otherwise."""
     t0, base = report.skipped_initial_steps, report.forecasts[:, 0]
+    if adio.is_npz(path):
+        steps, channels = base.shape[:2]
+        adio.write_forecasts_npz(np.tile(t0 + np.arange(steps), channels),
+                                 np.repeat(report.channel_names, steps),
+                                 base.transpose(1, 0, 2).reshape(-1, cfg.horizon), path)
+        return
     rows = [(t0 + i, name, vec)
             for ch, name in enumerate(report.channel_names)
             for i, vec in enumerate(base[:, ch])]
@@ -126,11 +145,12 @@ def cmd_run(args) -> int:
 def _sweep_point(payload):
     """One sweep point: run, write its report, return its aggregate.
 
-    Every invocation builds all state from the settings dict, so points
-    share nothing and may run in separate processes.
+    Every invocation builds its state from the settings dict and the
+    parsed forecast file, so points share nothing else and may run in
+    separate processes.
     """
-    axis, value, settings, path, fmt = payload
-    report, _ = _execute({**settings, axis: value})
+    axis, value, settings, forecasts, path, fmt = payload
+    report, _ = _execute({**settings, axis: value}, forecasts)
     adio.write_report(report, path, fmt=fmt)
     return value, str(path), report.aggregate
 
@@ -143,10 +163,11 @@ def cmd_sweep(args) -> int:
         raise UsageError("--values needs a non-empty comma-separated list")
     values = [adio.parse_config_value(args.axis, v) for v in raw_values]
     settings = _apply_overrides(adio.load_run_config(args.config), args)
+    forecasts = _load_table(settings)  # parsed once, for every point
     out = Path(settings.get("out", "report.json"))
     fmt = settings.get("format", "json")
     payloads = [
-        (args.axis, value, settings,
+        (args.axis, value, settings, forecasts,
          str(out.with_name(f"{out.stem}.{args.axis}_{value}{out.suffix or '.json'}")), fmt)
         for value in values
     ]

@@ -66,6 +66,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .forecaster import OnlineForecaster, _season_index
+from .io import ForecastTable
 from .metrics import scaled_scores, seasonal_naive_denominators
 from .weighter import ChannelWeighter, combine
 
@@ -165,24 +166,40 @@ class HistoricalMeanBase(BaseForecaster):
 
 
 class PrecomputedBase(BaseForecaster):
-    """Serves forecasts from a pre-generated table keyed by (t, channel)."""
+    """Serves forecasts from a pre-generated table keyed by (t, channel).
 
-    def __init__(self, table: dict, horizon: int, channel_names):
+    ``table`` is a :class:`~adapts.io.ForecastTable` or any mapping from
+    ``(t, channel_name)`` to a vector, which is converted to one once.
+    Each step's forecasts are one gather from the table's block; a step
+    with a forecast missing, or of another length, takes the per-channel
+    path, which raises the error naming the first bad channel.
+    """
+
+    def __init__(self, table, horizon: int, channel_names):
+        self._odd = {}
+        if not isinstance(table, ForecastTable):
+            table, self._odd = ForecastTable.from_mapping(table, horizon)
         self.table = table
         self.horizon = horizon
         self.channel_names = list(channel_names)
+        # each step's block rows of the leading channel names the table
+        # holds, and how many leading channels each step has a row for
+        codes = [table.code(name) for name in self.channel_names] if table.horizon == horizon else []
+        self._rows = table.index[:, codes[:codes.index(-1)] if -1 in codes else codes]
+        self._served = np.logical_and.accumulate(self._rows >= 0, axis=1).sum(axis=1).tolist()
 
     def forecast(self, t, channel, context):
         if not 0 <= channel < len(self.channel_names):
             raise MissingForecast(f"no precomputed forecast for channel index {channel}: the "
                                   f"base holds {len(self.channel_names)} channel names")
         name = self.channel_names[channel]
-        try:
-            vec = self.table[(t, name)]
-        except KeyError:
+        vec = self.table.get((t, name))
+        if vec is None:
+            vec = self._odd.get((t, name))
+        if vec is None:
             raise MissingForecast(
                 f"no precomputed forecast for time step {t}, channel {name!r}"
-            ) from None
+            )
         if vec.shape[0] != self.horizon:
             raise ShapeMismatch(
                 f"precomputed forecast at ({t}, {name!r}) has length {vec.shape[0]}, "
@@ -191,25 +208,20 @@ class PrecomputedBase(BaseForecaster):
         return vec
 
     def forecast_all(self, t, contexts):
-        n = len(contexts)
-        try:
-            out = np.array([self.table[(t, name)] for name in self.channel_names[:n]],
-                           dtype=np.float64)
-        except (KeyError, ValueError):
-            out = None
-        if out is None or out.shape != (n, self.horizon):
-            # the per-channel path raises the error naming the first bad channel
-            return BaseForecaster.forecast_all(self, t, contexts)
-        return out
+        n, step = len(contexts), self.table.step(t)
+        if step >= 0 and 0 < n <= self._served[step]:
+            return self.table.block[self._rows[step, :n]]
+        return BaseForecaster.forecast_all(self, t, contexts)
 
 
 def make_base_forecaster(kind: str, *, horizon: int, seasonality: int = None,
-                         forecasts: dict = None, channel_names=None) -> BaseForecaster:
+                         forecasts=None, channel_names=None) -> BaseForecaster:
     """Build one of the bundled base forecasters.
 
-    ``precomputed`` needs ``forecasts`` (a ``(t, channel_name) -> vector``
-    mapping, e.g. from :func:`adapts.io.load_forecasts`) and the run's
-    ``channel_names``.
+    ``precomputed`` needs ``forecasts`` (the :class:`~adapts.io.ForecastTable`
+    that :func:`adapts.io.load_forecasts` returns, or any ``(t,
+    channel_name) -> vector`` mapping, converted to a table once) and the
+    run's ``channel_names``.
     """
     if kind == "naive_seasonal":
         if seasonality is None:

@@ -7,7 +7,8 @@ Three delimited-text formats are supported:
   per channel;
 * forecast files: long CSV with header ``t,channel,h1,...,hH``, one row
   per (time step, channel) holding the horizon-length forecast made at
-  ``t``;
+  ``t``; the same rows may come as an ``.npz`` file of three arrays
+  (``t``, ``channel``, ``h``);
 * run config files: ``key = value`` lines with ``#`` comments.
 
 Numbers are written with ``repr`` (shortest round-trip form), so every
@@ -23,7 +24,11 @@ import csv
 import dataclasses
 import itertools
 import json
+import operator
 import warnings
+import zipfile
+from collections.abc import Mapping
+from pathlib import Path
 
 import numpy as np
 
@@ -241,24 +246,184 @@ def _duplicate_forecast(key, line):
     return ParseError(f"duplicate forecast for (t={t}, channel={name!r})", line=line)
 
 
+class ForecastTable(Mapping):
+    """Read-only ``(t, channel_name) -> (H,)`` mapping over one dense block.
+
+    ``block`` holds the forecasts as ``(n, H)`` float64 rows in file
+    order. Each channel name is stored once and rows refer to it by code;
+    ``index[i, code]`` is the block row of step ``times[i]`` and that
+    channel, or -1 where the file has no such forecast. ``times`` holds the
+    distinct steps in ascending order, so any int64 step is allowed.
+
+    As a mapping it reads like the dict of row views it replaces: keys
+    iterate in file order with ``int`` steps, lookups return views of the
+    block, and ``==`` compares it with a dict item by item, as two dicts.
+    """
+
+    def __init__(self, t, channel, block, first_line=None):
+        """Index ``block``'s rows by step ``t`` (``(n,)`` int64) and
+        ``channel`` (``(n,)`` names). A repeated ``(t, channel)`` raises
+        ParseError at the line of its second occurrence, counting row 0
+        as ``first_line`` (None: no line)."""
+        lookup = {}
+        codes = np.fromiter((lookup.setdefault(name, len(lookup)) for name in channel.tolist()),
+                            np.intp, count=len(channel))
+        self.block, self.names, self._codes_of = block, list(lookup), lookup
+        self._t, self._codes = t, codes
+        self.times, steps = np.unique(t, return_inverse=True)
+        self.index = np.full((len(self.times), len(self.names)), -1, np.intp)
+        self.index[steps, codes] = np.arange(len(codes))
+        if np.count_nonzero(self.index >= 0) < len(codes):
+            _, first = np.unique(steps * len(self.names) + codes, return_index=True)
+            repeat = np.ones(len(codes), bool)
+            repeat[first] = False
+            row = int(np.argmax(repeat))
+            raise _duplicate_forecast((int(t[row]), self.names[codes[row]]),
+                                      None if first_line is None else first_line + row)
+        # consecutive steps map to index rows by subtraction
+        self._first = None
+        if len(self.times) and int(self.times[-1]) - int(self.times[0]) == len(self.times) - 1:
+            self._first = int(self.times[0])
+
+    @property
+    def horizon(self) -> int:
+        return self.block.shape[1]
+
+    def step(self, t) -> int:
+        """The ``index`` row of step ``t``, or -1 if the table has none."""
+        try:
+            t = operator.index(t)
+        except TypeError:
+            return -1
+        if self._first is not None:
+            i = t - self._first
+            return i if 0 <= i < len(self.times) else -1
+        if not _INT64.min <= t <= _INT64.max:
+            return -1
+        i = int(np.searchsorted(self.times, t))
+        return i if i < len(self.times) and self.times[i] == t else -1
+
+    def code(self, name) -> int:
+        """The code of channel ``name``, or -1 if the table has none."""
+        return self._codes_of.get(name, -1)
+
+    def _row(self, key) -> int:
+        try:
+            t, name = key
+            i, code = self.step(t), self._codes_of[name]
+        except (TypeError, ValueError, KeyError):
+            return -1
+        return -1 if i < 0 else int(self.index[i, code])
+
+    def __getitem__(self, key):
+        row = self._row(key)
+        if row < 0:
+            raise KeyError(key)
+        return self.block[row]
+
+    def __iter__(self):
+        return zip(self._t.tolist(), map(self.names.__getitem__, self._codes.tolist()))
+
+    def __len__(self):
+        return len(self._codes)
+
+    @classmethod
+    def from_mapping(cls, table, horizon: int):
+        """A table of a ``(t, name) -> vector`` mapping's ``(horizon,)``
+        vectors with int64 steps, in the mapping's order, and a dict of
+        its other items, which stay out of the block as they are."""
+        steps, channel, rows, odd = [], [], [], {}
+        for key, vec in table.items():
+            try:
+                t, name = key
+                t, row = operator.index(t), np.asarray(vec, dtype=np.float64)
+            except (TypeError, ValueError):
+                row = None
+            if row is None or row.shape != (horizon,) or not _INT64.min <= t <= _INT64.max:
+                odd[key] = vec
+                continue
+            steps.append(t)
+            channel.append(name)
+            rows.append(row)
+        names = np.empty(len(channel), object)
+        names[:] = channel
+        block = np.array(rows, dtype=np.float64).reshape(len(rows), horizon)
+        return cls(np.array(steps, dtype=np.int64), names, block), odd
+
+
+def is_npz(path) -> bool:
+    return Path(path).suffix.lower() == ".npz"
+
+
 def load_forecasts(path):
-    """Read a long-format forecast file.
+    """Read a forecast file: long CSV, or ``.npz`` if the name ends so.
 
     Returns
     -------
-    (table, horizon) where table maps ``(t, channel_name)`` to the
-    forecast vector, in file order. The vectors are rows of one float64
-    block.
+    (table, horizon) where table is a :class:`ForecastTable` mapping
+    ``(t, channel_name)`` to the forecast vector, in file order. The
+    vectors are rows of one float64 block.
     """
+    if is_npz(path):
+        return _load_forecasts_npz(path)
     header, records = _read_records(path, _forecast_layout)
-    horizon = len(header) - 2
-    keys = zip(records["t"].tolist(), records["channel"].tolist())
-    table = {}
-    for line, key, vec in zip(itertools.count(2), keys, records["h"]):
-        if key in table:
-            raise _duplicate_forecast(key, line)
-        table[key] = vec
-    return table, horizon
+    table = ForecastTable(records["t"], records["channel"], records["h"], first_line=2)
+    records["channel"] = None  # the table holds each name once
+    return table, len(header) - 2
+
+
+# the dtype kinds and rank each field of an .npz forecast file accepts
+_NPZ_FIELDS = {"t": ("iu", 1), "channel": ("U", 1), "h": ("f", 2)}
+
+
+def _npz_field(data, name):
+    kinds, ndim = _NPZ_FIELDS[name]
+    if name not in data.files:
+        raise ParseError(f"no field {name!r}")
+    try:
+        array = data[name]
+    except ValueError as exc:  # an object array, which needs pickle
+        raise ParseError(f"field {name!r} cannot be read: {exc}") from None
+    if array.dtype.kind not in kinds or array.ndim != ndim:
+        raise ParseError(f"field {name!r} has dtype {array.dtype} and shape {array.shape}")
+    return array
+
+
+def _load_forecasts_npz(path):
+    try:
+        with open(path, "rb") as fh:
+            archive = np.load(fh, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ParseError(f"{path} is not an .npz archive")
+            with archive as data:
+                t, channel, h = (_npz_field(data, name) for name in _NPZ_FIELDS)
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ParseError(f"cannot parse {path}: {exc}") from None
+    if channel.shape != t.shape:
+        raise ParseError(f"field 'channel' has shape {channel.shape}, 't' has {t.shape}")
+    if h.shape[0] != len(t) or h.shape[1] < 1:
+        raise ParseError(f"field 'h' has shape {h.shape}, expected ({len(t)}, H) with H >= 1")
+    if t.dtype.kind == "u" and len(t) and t.max() > _INT64.max:
+        raise ParseError("field 't' holds a step beyond int64")
+    block = h.astype(np.float64, copy=False)
+    return ForecastTable(t.astype(np.int64, copy=False), channel, block), block.shape[1]
+
+
+def write_forecasts_npz(t, channel, block, path) -> None:
+    """Write forecast rows as an ``.npz`` file of ``t`` ``(n,)`` int64,
+    ``channel`` ``(n,)`` unicode and ``h`` ``(n, H)`` float64."""
+    t, channel = np.asarray(t, dtype=np.int64), np.asarray(channel, dtype=str)
+    block = np.asarray(block, dtype=np.float64)
+    if block.ndim != 2 or block.shape[1] < 1 or not t.shape == channel.shape == block.shape[:1]:
+        raise InvalidConfig(f"forecast rows need t (n,), channel (n,) and h (n, H >= 1), got "
+                            f"{t.shape}, {channel.shape} and {block.shape}")
+    try:
+        with open(path, "wb") as fh:
+            np.savez(fh, t=t, channel=channel, h=block)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 # -- run config files ---------------------------------------------------------

@@ -187,15 +187,17 @@ class ChannelWeighter:
         The combo losses must be scored with the previous step's frozen
         fast and slow weights (read them before calling).
         """
-        losses = np.array([loss_base, loss_adaptive, loss_fast_combo, loss_slow_combo])
-        if not np.all(np.isfinite(losses)) or np.any(losses < 0):
+        losses = (float(loss_base), float(loss_adaptive),
+                  float(loss_fast_combo), float(loss_slow_combo))
+        if not all(map(math.isfinite, losses)) or min(losses) < 0.0:
             raise InvalidLoss(f"losses must be finite and >= 0, got {losses}")
         if self.update_count < self.warmup_steps:
             self.update_count += 1
             return
-        self._slow.add(float(loss_base), float(loss_adaptive))
-        self.fast_losses.append((float(loss_base), float(loss_adaptive)))
-        self._merge.add(float(loss_fast_combo), float(loss_slow_combo))
+        loss_base, loss_adaptive, loss_fast_combo, loss_slow_combo = losses
+        self._slow.add(loss_base, loss_adaptive)
+        self.fast_losses.append((loss_base, loss_adaptive))
+        self._merge.add(loss_fast_combo, loss_slow_combo)
         self.update_count += 1
         self.w_slow = _softmax_pair_first(self._slow.totals, self.eta)
         self._w_fast = _softmax_pair_first([sum(col) for col in zip(*self.fast_losses)],

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import ar_seasonal_series
 
+from adapts import io as adio
 from adapts.cli import _apply_overrides, build_parser, main
 from adapts.forecaster import SpectralRidge
 from adapts.io import Series, load_forecasts, read_report_json, write_series
@@ -143,6 +144,36 @@ class TestPrecomputedRoundTrip:
         assert first["aggregate"] == second["aggregate"]
         assert first["weights"] == second["weights"]
 
+    def test_npz_dump_then_rerun_reproduces_report(self, workspace):
+        tmp_path, config_path = workspace
+        dump = tmp_path / "base.npz"
+        first_out = tmp_path / "first.json"
+        assert main(["run", "--config", str(config_path),
+                     "--dump-forecasts", str(dump), "--out", str(first_out)]) == 0
+        second_out = tmp_path / "second.json"
+        assert main(["run", "--config", str(config_path),
+                     "--base", "precomputed", "--forecasts", str(dump),
+                     "--out", str(second_out)]) == 0
+        first = read_report_json(first_out)
+        second = read_report_json(second_out)
+        for key in ("per_channel", "aggregate", "weights"):
+            assert first[key] == second[key]
+
+    def test_csv_and_npz_dumps_load_identical_tables(self, workspace):
+        tmp_path, config_path = workspace
+        for name in ("base.csv", "base.npz"):
+            assert main(["run", "--config", str(config_path),
+                         "--dump-forecasts", str(tmp_path / name)]) == 0
+        (from_csv, h_csv), (from_npz, h_npz) = (load_forecasts(tmp_path / name)
+                                                for name in ("base.csv", "base.npz"))
+        assert h_csv == h_npz == 8
+        assert list(from_npz) == list(from_csv)
+        assert [type(t) for t, _ in from_npz] == [int] * len(from_csv)
+        assert from_npz.block.tobytes() == np.ascontiguousarray(from_csv.block).tobytes()
+        with np.load(tmp_path / "base.npz", allow_pickle=False) as data:
+            assert {k: data[k].dtype.kind for k in data.files} == \
+                {"t": "i", "channel": "U", "h": "f"}
+
     def test_horizon_mismatch_rejected(self, workspace, capsys):
         tmp_path, config_path = workspace
         dump = tmp_path / "base.csv"
@@ -200,6 +231,43 @@ class TestSweep:
                      "--axis", "alpha", "--values", "1.0,0.8"]) == 0
         parallel = json.loads((tmp_path / "report.sweep.json").read_text())
         assert sequential == parallel
+
+
+class TestSweepSharesForecasts:
+    @pytest.fixture()
+    def precomputed(self, workspace):
+        tmp_path, config_path = workspace
+        dump = tmp_path / "base.npz"
+        assert main(["run", "--config", str(config_path), "--dump-forecasts", str(dump)]) == 0
+        with config_path.open("a") as fh:
+            fh.write(f"base = precomputed\nforecasts = {dump}\n")
+        return tmp_path, config_path, dump
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_forecast_file_parsed_once(self, precomputed, monkeypatch, parallel):
+        tmp_path, config_path, dump = precomputed
+        calls = []
+
+        def load_then_hide(path):
+            # a second parse, here or in a worker, finds no file
+            calls.append(path)
+            loaded = load_forecasts(path)
+            dump.rename(dump.with_suffix(".hidden"))
+            return loaded
+
+        monkeypatch.setattr(adio, "load_forecasts", load_then_hide)
+        monkeypatch.setenv("ADAPTS_THREADS", "2")
+        values = ["1.0", "0.9", "0.5"]
+        assert main(["sweep", "--config", str(config_path), "--axis", "alpha",
+                     "--values", ",".join(values)] + ["--parallel"] * parallel) == 0
+        assert len(calls) == 1
+        dump.with_suffix(".hidden").rename(dump)
+        monkeypatch.undo()
+        for value in values:
+            single = tmp_path / f"single_{value}.json"
+            assert main(["run", "--config", str(config_path), "--alpha", value,
+                         "--out", str(single)]) == 0
+            assert (tmp_path / f"report.alpha_{value}.json").read_bytes() == single.read_bytes()
 
 
 class TestBench:

@@ -28,6 +28,7 @@ from adapts.harness import (
     make_base_forecaster,
     run,
 )
+from adapts.io import load_forecasts, write_forecasts
 from adapts.weighter import combine
 
 
@@ -427,6 +428,23 @@ class TestPrecomputedRoundTrip:
         assert first.to_dict() == second.to_dict()
 
 
+    def test_precomputed_base_reproduces_combined_stream_through_npz(self, tmp_path):
+        from adapts.io import write_forecasts_npz
+        cfg = small_config()
+        data = sine_dataset(300, channels=2, noise=0.1, seed=11)
+        first = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
+        base_stream = first.forecasts[:, 0]
+        steps = first.skipped_initial_steps + np.arange(base_stream.shape[0])
+        path = tmp_path / "forecasts.npz"
+        write_forecasts_npz(np.tile(steps, 2), np.repeat(first.channel_names, len(steps)),
+                            base_stream.transpose(1, 0, 2).reshape(-1, cfg.horizon), path)
+        table, horizon = load_forecasts(path)
+        assert horizon == cfg.horizon
+        second = run(data, PrecomputedBase(table, cfg.horizon, first.channel_names), cfg)
+        assert first.forecasts.tobytes() == second.forecasts.tobytes()
+        assert first.to_dict() == second.to_dict()
+
+
 class TestSharedVersusPerChannel:
     def test_per_channel_mode_runs_and_differs(self):
         data = ar_seasonal_series(seed=2, steps=2500, channels=2, period=24)
@@ -717,6 +735,48 @@ class TestForecastAll:
             base.forecast_all(7, contexts)
         assert str(batched.value) == str(per_ch.value)
         assert repr(first) in str(batched.value)
+
+    @pytest.mark.parametrize("channel_major", [False, True])
+    def test_precomputed_file_equals_per_channel(self, tmp_path, channel_major):
+        # step-major as perfbench writes files, channel-major as --dump-forecasts does
+        rng = np.random.default_rng(6)
+        steps, names = range(10, 30), ["a", "b", "c", "d"]
+        keys = ([(t, name) for name in names for t in steps] if channel_major
+                else [(t, name) for t in steps for name in names])
+        path = tmp_path / "f.csv"
+        write_forecasts([(t, name, rng.normal(size=5)) for t, name in keys], 5, path)
+        table, _ = load_forecasts(path)
+        contexts = np.zeros((3, 8))
+        for order in (names, names[::-1]):  # the run's channels in another order too
+            base = PrecomputedBase(table, horizon=5, channel_names=order)
+            for t in steps:
+                got = base.forecast_all(t, contexts)
+                assert got.shape == (3, 5) and got.dtype == np.float64
+                assert got.tobytes() == per_channel(base, t, contexts).tobytes()
+
+    @pytest.mark.parametrize("names, t, match", [
+        (["a", "x", "b"], 3, "channel 'x'"),   # a name the file lacks
+        (["a", "b", "c"], 4, "channel 'c'"),   # a step that lacks one channel
+        (["a", "b", "c"], 9, "time step 9"),   # a step the file lacks
+    ])
+    def test_precomputed_file_raises_like_per_channel(self, tmp_path, names, t, match):
+        rows = [(t, name, np.ones(2)) for t in (3, 4) for name in "abc"]
+        path = tmp_path / "f.csv"
+        write_forecasts([row for row in rows if row[:2] != (4, "c")], 2, path)
+        base = PrecomputedBase(load_forecasts(path)[0], horizon=2, channel_names=names)
+        contexts = np.zeros((3, 8))
+        with pytest.raises(MissingForecast, match=match) as batched:
+            base.forecast_all(t, contexts)
+        with pytest.raises(MissingForecast) as per_ch:
+            per_channel(base, t, contexts)
+        assert str(batched.value) == str(per_ch.value)
+
+    def test_precomputed_file_of_another_horizon_raises_shape_mismatch(self, tmp_path):
+        path = tmp_path / "f.csv"
+        write_forecasts([(0, "a", np.ones(3))], 3, path)
+        base = PrecomputedBase(load_forecasts(path)[0], horizon=2, channel_names=["a"])
+        with pytest.raises(ShapeMismatch, match="has length 3, expected 2"):
+            base.forecast_all(0, np.zeros((1, 8)))
 
     def test_precomputed_with_too_few_names_raises_missing_forecast(self):
         table = {(t, "a"): np.ones(2) for t in range(40)}

@@ -8,7 +8,9 @@ parsers.
 """
 
 import csv
+import gc
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +20,7 @@ from adapts.config import RollingConfig
 from adapts.errors import InsufficientData, InvalidConfig, IoError, ParseError
 from adapts.harness import NaiveSeasonalBase, run
 from adapts.io import (
+    ForecastTable,
     Series,
     build_rolling_config,
     load_forecasts,
@@ -26,6 +29,7 @@ from adapts.io import (
     parse_config_value,
     read_report_json,
     write_forecasts,
+    write_forecasts_npz,
     write_json,
     write_report,
     write_series,
@@ -434,6 +438,170 @@ class TestLoaderNumberSyntax:
         p = write_bytes(tmp_path, "t,channel,h1\n\x1c4\x1f,a,\x1d2.5\x1e\n")
         table, _ = load_forecasts(p)
         np.testing.assert_array_equal(table[(4, "a")], [2.5])
+
+
+def write_both(tmp_path, rows, horizon):
+    """The same rows as a CSV and as an .npz forecast file."""
+    csv_path, npz_path = tmp_path / "f.csv", tmp_path / "f.npz"
+    write_forecasts(rows, horizon, csv_path)
+    write_forecasts_npz([t for t, _, _ in rows], [name for _, name, _ in rows],
+                        np.array([vec for _, _, vec in rows]).reshape(len(rows), horizon),
+                        npz_path)
+    return csv_path, npz_path
+
+
+def assert_same_table(got, want):
+    assert list(got) == list(want)
+    assert [type(t) for t, _ in got] == [int] * len(want)
+    for key in want:
+        assert got[key].shape == want[key].shape
+        assert bits(got[key]).tobytes() == bits(want[key]).tobytes()
+
+
+class TestForecastTable:
+    def test_mapping_interface(self, tmp_path):
+        # one-element rows, so that == of two dicts of them is defined
+        rows = [(t, name, np.full(1, 10.0 * t + i))
+                for t in (4, 5, 6) for i, name in enumerate("ba")]
+        rows.pop(3)  # no (5, "a")
+        p = tmp_path / "f.csv"
+        write_forecasts(rows, 1, p)
+        table, horizon = load_forecasts(p)
+        assert isinstance(table, ForecastTable) and table.horizon == horizon == 1
+        want = {(t, name): vec for t, name, vec in rows}
+        assert len(table) == 5 and table == want and want == table
+        assert table != {**want, (9, "a"): np.zeros(1)}
+        assert list(table.keys()) == list(want)
+        assert (5, "b") in table and (5, "a") not in table
+        np.testing.assert_array_equal(table[(np.int64(6), "a")], [61.0])
+        for key in [(5, "a"), (3, "b"), (7, "b"), (4, "c"), (4.0, "b"), (2**70, "b"),
+                    (4, ["b"]), "b", (4,), (4, "b", 0)]:
+            assert key not in table
+            with pytest.raises(KeyError):
+                table[key]
+        assert table.get((5, "a")) is None
+
+    def test_rows_are_views_of_one_block(self, tmp_path):
+        rows = [(t, name, np.arange(3.0) + t) for name in "xy" for t in range(4)]
+        table, _ = load_forecasts(write_both(tmp_path, rows, 3)[0])
+        assert table.block.shape == (8, 3)
+        for row, key in enumerate(table):
+            assert np.shares_memory(table[key], table.block)
+            assert table.index[table.step(key[0]), table.code(key[1])] == row
+
+    @pytest.mark.parametrize("steps", [[-2**63, 0, 2**63 - 1], [7, 3, 12, 5], [0, 1, 2]])
+    def test_steps_anywhere_in_int64(self, tmp_path, steps):
+        rows = [(t, name, np.full(1, float(i))) for i, (t, name) in
+                enumerate((t, name) for t in steps for name in "pq")]
+        table, _ = load_forecasts(write_both(tmp_path, rows, 1)[0])
+        assert list(table.times) == sorted(steps)
+        for t, name, vec in rows:
+            np.testing.assert_array_equal(table[(t, name)], vec)
+        for t in (min(steps) - 1, max(steps) + 1, 4):
+            if t not in steps:
+                assert table.step(t) == -1
+
+    def test_retains_the_block_and_little_more(self, tmp_path):
+        steps, names, horizon = 2500, [f"ch{i}" for i in range(8)], 8
+        rng = np.random.default_rng(5)
+        rows = [(t, name, rng.normal(size=horizon)) for t in range(steps) for name in names]
+        p = tmp_path / "f.csv"
+        write_forecasts(rows, horizon, p)
+        del rows
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table, _ = load_forecasts(p)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        n = steps * len(names)
+        block = n * horizon * 8
+        assert table.block.nbytes == block
+        assert retained <= block + 64 * n + 64 * 2**10, \
+            f"{(retained - block) / n:.0f} B per row above the block"
+
+
+class TestNpzForecastFiles:
+    def test_csv_and_npz_load_identical_tables(self, tmp_path):
+        rng = np.random.default_rng(9)
+        values = special_doubles(rng, 227).reshape(30, 8)
+        keys = [(int(t), name) for t in rng.permutation(6) - 3
+                for name in ["a,b", 'say "hi"', "", "ünïcode", "z"]]
+        rows = [(t, name, values[i]) for i, (t, name) in enumerate(keys)]
+        rows.append((2**63 - 1, "z", values[0]))
+        csv_path, npz_path = write_both(tmp_path, rows, 8)
+        (got, got_h), (want, want_h) = load_forecasts(npz_path), load_forecasts(csv_path)
+        assert got_h == want_h == 8
+        assert_same_table(got, want)
+
+    def test_header_only_and_empty_npz_agree(self, tmp_path):
+        csv_path, npz_path = write_both(tmp_path, [], 3)
+        assert load_forecasts(npz_path) == load_forecasts(csv_path) == ({}, 3)
+
+    def test_duplicates_raise_the_csv_message(self, tmp_path):
+        rows = [(1, "a", [0.5]), (2, "a", [0.5]), (1, "b", [0.5]), (2, "a", [0.7])]
+        csv_path, npz_path = write_both(tmp_path, rows, 1)
+        with pytest.raises(ParseError) as from_csv:
+            load_forecasts(csv_path)
+        with pytest.raises(ParseError) as from_npz:
+            load_forecasts(npz_path)
+        assert from_csv.value.line == 5 and from_npz.value.line is None
+        assert str(from_npz.value) == "duplicate forecast for (t=2, channel='a')"
+        assert str(from_csv.value) == str(from_npz.value) + " (line 5)"
+
+    @pytest.mark.parametrize("field, fields", [
+        ("t", dict(t=np.array([1.0, 2.0]))),
+        ("t", dict(t=np.array([[1], [2]]))),
+        ("t", dict(t=np.array([True, False]))),
+        ("t", dict(t=np.array([1, 2**63], dtype=np.uint64))),
+        ("t", dict(t=None)),
+        ("channel", dict(channel=np.array([1, 2]))),
+        ("channel", dict(channel=np.array([b"a", b"b"]))),
+        ("channel", dict(channel=np.array(["a", "b"], dtype=object))),
+        ("channel", dict(channel=np.array(["a", "b", "c"]))),
+        ("channel", dict(channel=None)),
+        ("h", dict(h=np.ones((2, 3), dtype=np.int64))),
+        ("h", dict(h=np.ones(2))),
+        ("h", dict(h=np.ones((3, 3)))),
+        ("h", dict(h=np.ones((2, 0)))),
+        ("h", dict(h=None)),
+    ])
+    def test_bad_field_names_the_field(self, tmp_path, field, fields):
+        arrays = dict(t=np.array([1, 2]), channel=np.array(["a", "b"]), h=np.ones((2, 3)))
+        arrays.update(fields)
+        p = tmp_path / "f.npz"
+        np.savez(p, **{k: v for k, v in arrays.items() if v is not None})
+        with pytest.raises(ParseError, match=f"'{field}'"):
+            load_forecasts(p)
+
+    def test_narrow_dtypes_widen(self, tmp_path):
+        p = tmp_path / "f.npz"
+        np.savez(p, t=np.array([3, 4], dtype=np.uint8), channel=np.array(["a", "a"]),
+                 h=np.array([[0.5], [0.25]], dtype=np.float32))
+        table, horizon = load_forecasts(p)
+        assert horizon == 1 and list(table) == [(3, "a"), (4, "a")]
+        assert table.block.dtype == np.float64 and table[(4, "a")][0] == 0.25
+
+    @pytest.mark.parametrize("content", [b"", b"not an archive", b"PK\x03\x04broken"])
+    def test_unreadable_archive_is_parse_error(self, tmp_path, content):
+        p = tmp_path / "f.npz"
+        p.write_bytes(content)
+        with pytest.raises(ParseError):
+            load_forecasts(p)
+
+    def test_npy_content_is_parse_error(self, tmp_path):
+        p = tmp_path / "f.npz"
+        with open(p, "wb") as fh:
+            np.save(fh, np.ones(3))
+        with pytest.raises(ParseError, match="not an .npz archive"):
+            load_forecasts(p)
+
+    def test_missing_file_is_io_error(self, tmp_path):
+        with pytest.raises(IoError):
+            load_forecasts(tmp_path / "absent.npz")
 
 
 class TestRunConfigFiles:

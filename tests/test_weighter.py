@@ -230,6 +230,25 @@ class TestUpdate:
         with pytest.raises(InvalidLoss):
             w.update(0.5, 1.0, -0.5, 0.5)
 
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1e-300])
+    def test_bad_loss_rejected_in_every_position(self, position, bad):
+        w = ChannelWeighter(warmup_steps=0)
+        losses = [0.5, 1.0, 0.25, 0.75]
+        losses[position] = bad
+        with pytest.raises(InvalidLoss, match="finite and >= 0"):
+            w.update(*losses)
+        assert w.update_count == 0 and len(w.fast_losses) == 0
+
+    def test_numpy_scalars_and_negative_zero_accepted(self):
+        w, ref = ChannelWeighter(warmup_steps=0), ChannelWeighter(warmup_steps=0)
+        w.update(np.float64(0.25), -0.0, np.float64(0.5), np.float32(0.75))
+        ref.update(0.25, 0.0, 0.5, 0.75)
+        assert w.update_count == 1
+        assert (w.w_slow, w.fast_weight(), w.beta_merge) == \
+            (ref.w_slow, ref.fast_weight(), ref.beta_merge)
+        assert all(type(x) is float for pair in w.fast_losses for x in pair)
+
     def test_weights_bounded_under_extreme_losses(self):
         w = ChannelWeighter(warmup_steps=0)
         rng = np.random.default_rng(4)
