@@ -122,7 +122,7 @@ def _dump_base_forecasts(report, cfg, path) -> None:
     if adio.is_npz(path):
         steps, channels = base.shape[:2]
         adio.write_forecasts_npz(np.tile(t0 + np.arange(steps), channels),
-                                 np.repeat(report.channel_names, steps),
+                                 np.repeat(np.array(report.channel_names, dtype=object), steps),
                                  base.transpose(1, 0, 2).reshape(-1, cfg.horizon), path)
         return
     rows = [(t0 + i, name, vec)

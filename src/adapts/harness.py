@@ -182,11 +182,10 @@ class PrecomputedBase(BaseForecaster):
         self.table = table
         self.horizon = horizon
         self.channel_names = list(channel_names)
-        # each step's block rows of the leading channel names the table
-        # holds, and how many leading channels each step has a row for
-        codes = [table.code(name) for name in self.channel_names] if table.horizon == horizon else []
-        self._rows = table.index[:, codes[:codes.index(-1)] if -1 in codes else codes]
-        self._served = np.logical_and.accumulate(self._rows >= 0, axis=1).sum(axis=1).tolist()
+        # the table's code of each channel name; a table that lacks a name,
+        # or holds vectors of another length, serves every step per channel
+        codes = np.array([table.code(name) for name in self.channel_names], np.intp)
+        self._codes = codes if table.horizon == horizon and (codes >= 0).all() else None
 
     def forecast(self, t, channel, context):
         if not 0 <= channel < len(self.channel_names):
@@ -208,9 +207,11 @@ class PrecomputedBase(BaseForecaster):
         return vec
 
     def forecast_all(self, t, contexts):
-        n, step = len(contexts), self.table.step(t)
-        if step >= 0 and 0 < n <= self._served[step]:
-            return self.table.block[self._rows[step, :n]]
+        n = len(contexts)
+        if self._codes is not None and 0 < n <= len(self._codes):
+            block = self.table.gather(t, self._codes[:n])
+            if block is not None:
+                return block
         return BaseForecaster.forecast_all(self, t, contexts)
 
 

@@ -280,10 +280,6 @@ class ForecastTable(Mapping):
             row = int(np.argmax(repeat))
             raise _duplicate_forecast((int(t[row]), self.names[codes[row]]),
                                       None if first_line is None else first_line + row)
-        # consecutive steps map to index rows by subtraction
-        self._first = None
-        if len(self.times) and int(self.times[-1]) - int(self.times[0]) == len(self.times) - 1:
-            self._first = int(self.times[0])
 
     @property
     def horizon(self) -> int:
@@ -295,17 +291,26 @@ class ForecastTable(Mapping):
             t = operator.index(t)
         except TypeError:
             return -1
-        if self._first is not None:
-            i = t - self._first
-            return i if 0 <= i < len(self.times) else -1
         if not _INT64.min <= t <= _INT64.max:
             return -1
-        i = int(np.searchsorted(self.times, t))
+        i = int(self.times.searchsorted(t))
         return i if i < len(self.times) and self.times[i] == t else -1
 
     def code(self, name) -> int:
         """The code of channel ``name``, or -1 if the table has none."""
         return self._codes_of.get(name, -1)
+
+    def gather(self, t, codes):
+        """The ``(len(codes), H)`` forecasts of step ``t`` for channel
+        ``codes`` (an ``(n,)`` intp array of codes the table holds), in one
+        copy from the block; None if the step or any forecast is missing."""
+        i = self.step(t)
+        if i < 0:
+            return None
+        # two indexing steps and a scan of the Python ints cost under half
+        # of index[i, codes] and rows.min() at C=7
+        rows = self.index[i][codes]
+        return None if -1 in rows.tolist() else self.block[rows]
 
     def _row(self, key) -> int:
         try:
@@ -414,11 +419,16 @@ def _load_forecasts_npz(path):
 def write_forecasts_npz(t, channel, block, path) -> None:
     """Write forecast rows as an ``.npz`` file of ``t`` ``(n,)`` int64,
     ``channel`` ``(n,)`` unicode and ``h`` ``(n, H)`` float64."""
-    t, channel = np.asarray(t, dtype=np.int64), np.asarray(channel, dtype=str)
+    t, names = np.asarray(t, dtype=np.int64), np.asarray(channel, dtype=object)
     block = np.asarray(block, dtype=np.float64)
-    if block.ndim != 2 or block.shape[1] < 1 or not t.shape == channel.shape == block.shape[:1]:
+    if block.ndim != 2 or block.shape[1] < 1 or not t.shape == names.shape == block.shape[:1]:
         raise InvalidConfig(f"forecast rows need t (n,), channel (n,) and h (n, H >= 1), got "
-                            f"{t.shape}, {channel.shape} and {block.shape}")
+                            f"{t.shape}, {names.shape} and {block.shape}")
+    # numpy strips trailing NULs from unicode arrays, so such a name would
+    # load back as another channel: look at the names before converting
+    if any(isinstance(name, str) and name.endswith("\0") for name in set(names.tolist())):
+        raise InvalidConfig("a channel name ending in NUL cannot be written to an .npz file")
+    channel = names.astype(str)
     try:
         with open(path, "wb") as fh:
             np.savez(fh, t=t, channel=channel, h=block)

@@ -489,6 +489,21 @@ class TestForecastTable:
             assert np.shares_memory(table[key], table.block)
             assert table.index[table.step(key[0]), table.code(key[1])] == row
 
+    def test_gather_serves_whole_steps_only(self, tmp_path):
+        rows = [(t, name, np.arange(2.0) + 10 * t + i)
+                for t in (3, 4) for i, name in enumerate("xyz")]
+        rows.pop(4)  # no (4, "y")
+        table, _ = load_forecasts(write_both(tmp_path, rows, 2)[0])
+        codes = np.array([table.code(name) for name in "zx"], np.intp)
+        got = table.gather(3, codes)
+        np.testing.assert_array_equal(got, [table[(3, "z")], table[(3, "x")]])
+        assert not np.shares_memory(got, table.block)
+        assert table.gather(np.int64(4), codes[:0]).shape == (0, 2)
+        assert table.gather(4, codes) is not None
+        for t, names in [(4, "xy"), (5, "x"), (2**70, "x"), ("3", "x")]:
+            assert table.gather(t, np.array([table.code(n) for n in names], np.intp)) is None
+        assert table.code("w") == -1
+
     @pytest.mark.parametrize("steps", [[-2**63, 0, 2**63 - 1], [7, 3, 12, 5], [0, 1, 2]])
     def test_steps_anywhere_in_int64(self, tmp_path, steps):
         rows = [(t, name, np.full(1, float(i))) for i, (t, name) in
@@ -602,6 +617,21 @@ class TestNpzForecastFiles:
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(IoError):
             load_forecasts(tmp_path / "absent.npz")
+
+    def test_name_ending_in_nul_is_not_written(self, tmp_path):
+        # a unicode array would drop the NUL and the name would load back
+        # as "a"; the CSV file keeps it
+        rows = [(0, "a\0", [1.0]), (0, "b", [2.0])]
+        p = tmp_path / "f.npz"
+        with pytest.raises(InvalidConfig, match="NUL"):
+            write_forecasts_npz([0, 0], np.array(["a\0", "b"], dtype=object), np.ones((2, 1)), p)
+        with pytest.raises(InvalidConfig, match="NUL"):
+            write_both(tmp_path, rows, 1)
+        assert not p.exists()
+        table, _ = load_forecasts(tmp_path / "f.csv")
+        assert list(table) == [(0, "a\0"), (0, "b")]
+        write_forecasts_npz([0], ["a\0b"], np.ones((1, 1)), p)
+        assert list(load_forecasts(p)[0]) == [(0, "a\0b")]
 
 
 class TestRunConfigFiles:
