@@ -67,30 +67,23 @@ def _apply_overrides(settings: dict, args) -> dict:
 
 
 def _load_table(settings: dict):
-    """The parsed forecast file of a precomputed base, else None."""
+    """The parsed forecast table of a precomputed base, else None."""
     if settings.get("base", "naive_seasonal") != "precomputed":
         return None
     if "forecasts" not in settings:
         raise InvalidConfig("base=precomputed needs a forecasts file (key 'forecasts')")
-    return adio.load_forecasts(settings["forecasts"])
+    return adio.load_forecasts(settings["forecasts"])[0]
 
 
-def _execute(settings: dict, forecasts=None):
-    """Resolve a settings dict into a finished run report. ``forecasts``
-    is the ``(table, horizon)`` pair of an already parsed forecast file;
-    without it the file is parsed here."""
+def _execute(settings: dict, table=None):
+    """Resolve a settings dict into a finished run report. ``table`` is an
+    already parsed forecast table; without it the file is parsed here."""
     if "dataset" not in settings:
         raise UsageError("a dataset path is required (config key 'dataset')")
     cfg = adio.build_rolling_config(settings)
     series = adio.load_series(settings["dataset"])
-    if forecasts is None:
-        forecasts = _load_table(settings)
-    table = None
-    if forecasts is not None:
-        table, horizon = forecasts
-        if horizon != cfg.horizon:
-            raise InvalidConfig(
-                f"forecast file horizon {horizon} differs from configured {cfg.horizon}")
+    if table is None:
+        table = _load_table(settings)
     base = make_base_forecaster(settings.get("base", "naive_seasonal"), horizon=cfg.horizon,
                                 seasonality=cfg.seasonality, forecasts=table,
                                 channel_names=series.channel_names)
@@ -116,19 +109,12 @@ def _print_summary(report) -> None:
 
 
 def _dump_base_forecasts(report, cfg, path) -> None:
-    """Write the base stream channel by channel, as ``.npz`` if the path
-    ends so and as CSV otherwise."""
+    """Write the base stream channel by channel."""
     t0, base = report.skipped_initial_steps, report.forecasts[:, 0]
-    if adio.is_npz(path):
-        steps, channels = base.shape[:2]
-        adio.write_forecasts_npz(np.tile(t0 + np.arange(steps), channels),
-                                 np.repeat(np.array(report.channel_names, dtype=object), steps),
-                                 base.transpose(1, 0, 2).reshape(-1, cfg.horizon), path)
-        return
-    rows = [(t0 + i, name, vec)
-            for ch, name in enumerate(report.channel_names)
-            for i, vec in enumerate(base[:, ch])]
-    adio.write_forecasts(rows, cfg.horizon, path)
+    steps, channels = base.shape[:2]
+    adio.write_forecasts(np.tile(t0 + np.arange(steps), channels),
+                         np.repeat(np.array(report.channel_names, dtype=object), steps),
+                         base.transpose(1, 0, 2).reshape(-1, cfg.horizon), path)
 
 
 def cmd_run(args) -> int:
@@ -142,15 +128,24 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _sweep_point(payload):
+# the parsed forecast table of a parallel sweep, sent once to each worker
+_worker_table = None
+
+
+def _set_worker_table(table) -> None:
+    global _worker_table
+    _worker_table = table
+
+
+def _sweep_point(payload, table=None):
     """One sweep point: run, write its report, return its aggregate.
 
     Every invocation builds its state from the settings dict and the
-    parsed forecast file, so points share nothing else and may run in
-    separate processes.
+    parsed forecast table (None: the one the pool sent this worker), so
+    points share nothing else and may run in separate processes.
     """
-    axis, value, settings, forecasts, path, fmt = payload
-    report, _ = _execute({**settings, axis: value}, forecasts)
+    axis, value, settings, path, fmt = payload
+    report, _ = _execute({**settings, axis: value}, _worker_table if table is None else table)
     adio.write_report(report, path, fmt=fmt)
     return value, str(path), report.aggregate
 
@@ -162,21 +157,26 @@ def cmd_sweep(args) -> int:
     if not raw_values:
         raise UsageError("--values needs a non-empty comma-separated list")
     values = [adio.parse_config_value(args.axis, v) for v in raw_values]
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise UsageError(f"--values gives {args.axis}={value} more than once "
+                             f"({raw_values[values.index(value)]!r} and {raw_values[i]!r})")
     settings = _apply_overrides(adio.load_run_config(args.config), args)
     forecasts = _load_table(settings)  # parsed once, for every point
     out = Path(settings.get("out", "report.json"))
     fmt = settings.get("format", "json")
     payloads = [
-        (args.axis, value, settings, forecasts,
+        (args.axis, value, settings,
          str(out.with_name(f"{out.stem}.{args.axis}_{value}{out.suffix or '.json'}")), fmt)
         for value in values
     ]
     if args.parallel and len(payloads) > 1:
         workers = min(_worker_count(), len(payloads))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_worker_table,
+                                 initargs=(forecasts,)) as pool:
             results = list(pool.map(_sweep_point, payloads))
     else:
-        results = [_sweep_point(p) for p in payloads]
+        results = [_sweep_point(p, forecasts) for p in payloads]
     for value, path, agg in results:
         print(f"{args.axis}={value}: combined_mase={agg['combined']['mase']:.4f} -> {path}")
     table = [{"axis": args.axis, "value": v, "aggregate": agg} for v, _, agg in results]

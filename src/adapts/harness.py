@@ -169,23 +169,26 @@ class PrecomputedBase(BaseForecaster):
     """Serves forecasts from a pre-generated table keyed by (t, channel).
 
     ``table`` is a :class:`~adapts.io.ForecastTable` or any mapping from
-    ``(t, channel_name)`` to a vector, which is converted to one once.
-    Each step's forecasts are one gather from the table's block; a step
-    with a forecast missing, or of another length, takes the per-channel
-    path, which raises the error naming the first bad channel.
+    ``(t, channel_name)`` to a vector, which is converted to one once. A
+    table of another horizon raises InvalidConfig here. Each step's
+    forecasts are one gather from the table's block; a step with a
+    forecast missing takes the per-channel path, which raises the error
+    naming the first missing channel.
     """
 
     def __init__(self, table, horizon: int, channel_names):
-        self._odd = {}
         if not isinstance(table, ForecastTable):
-            table, self._odd = ForecastTable.from_mapping(table, horizon)
+            table = ForecastTable.from_mapping(table, horizon)
+        if table.horizon != horizon:
+            raise InvalidConfig(
+                f"forecast file horizon {table.horizon} differs from configured {horizon}")
         self.table = table
         self.horizon = horizon
         self.channel_names = list(channel_names)
-        # the table's code of each channel name; a table that lacks a name,
-        # or holds vectors of another length, serves every step per channel
+        # the table's code of each channel name; a table that lacks a name
+        # serves every step per channel
         codes = np.array([table.code(name) for name in self.channel_names], np.intp)
-        self._codes = codes if table.horizon == horizon and (codes >= 0).all() else None
+        self._codes = codes if (codes >= 0).all() else None
 
     def forecast(self, t, channel, context):
         if not 0 <= channel < len(self.channel_names):
@@ -194,15 +197,8 @@ class PrecomputedBase(BaseForecaster):
         name = self.channel_names[channel]
         vec = self.table.get((t, name))
         if vec is None:
-            vec = self._odd.get((t, name))
-        if vec is None:
             raise MissingForecast(
                 f"no precomputed forecast for time step {t}, channel {name!r}"
-            )
-        if vec.shape[0] != self.horizon:
-            raise ShapeMismatch(
-                f"precomputed forecast at ({t}, {name!r}) has length {vec.shape[0]}, "
-                f"expected {self.horizon}"
             )
         return vec
 

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RollingConfig
-from .errors import InsufficientData, InvalidConfig, IoError, ParseError
+from .errors import InsufficientData, InvalidConfig, IoError, ParseError, ShapeMismatch
 
 
 @dataclasses.dataclass
@@ -196,19 +196,30 @@ def write_series(series: Series, path) -> None:
 
 # -- forecast files -----------------------------------------------------------
 
-def write_forecasts(rows, horizon: int, path) -> None:
-    """Write (t, channel_name, vector) triples as a long-format file."""
+def write_forecasts(t, channel, block, path) -> None:
+    """Write forecast rows: ``t`` ``(n,)`` int64 steps, ``channel`` ``(n,)``
+    names and ``block`` ``(n, H)`` float64 forecasts. A name ending in
+    ``.npz`` gets an ``.npz`` file of the three arrays (fields ``t``,
+    ``channel`` as unicode, ``h``), any other long CSV."""
+    t, names = np.asarray(t, dtype=np.int64), np.asarray(channel, dtype=object)
+    block = np.asarray(block, dtype=np.float64)
+    if block.ndim != 2 or block.shape[1] < 1 or not t.shape == names.shape == block.shape[:1]:
+        raise InvalidConfig(f"forecast rows need t (n,), channel (n,) and h (n, H >= 1), got "
+                            f"{t.shape}, {names.shape} and {block.shape}")
     try:
+        if _is_npz(path):
+            # numpy strips trailing NULs from unicode arrays, so such a name
+            # would load back as another channel: look before converting
+            if any(isinstance(name, str) and name.endswith("\0") for name in set(names.tolist())):
+                raise InvalidConfig("a channel name ending in NUL cannot be written to an .npz file")
+            with open(path, "wb") as fh:
+                np.savez(fh, t=t, channel=names.astype(str), h=block)
+            return
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["t", "channel"] + [f"h{i + 1}" for i in range(horizon)])
-            for t, name, vec in rows:
-                vec = np.asarray(vec, dtype=np.float64)
-                if vec.shape != (horizon,):
-                    raise InvalidConfig(
-                        f"forecast at ({t}, {name!r}) has shape {vec.shape}, "
-                        f"expected ({horizon},)")
-                writer.writerow([int(t), name] + [_fmt(v) for v in vec])
+            writer.writerow(["t", "channel"] + [f"h{i + 1}" for i in range(block.shape[1])])
+            for step, name, row in zip(t.tolist(), names.tolist(), block):
+                writer.writerow([step, name, *map(repr, row.tolist())])
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -256,8 +267,9 @@ class ForecastTable(Mapping):
     distinct steps in ascending order, so any int64 step is allowed.
 
     As a mapping it reads like the dict of row views it replaces: keys
-    iterate in file order with ``int`` steps, lookups return views of the
-    block, and ``==`` compares it with a dict item by item, as two dicts.
+    iterate in file order with ``int`` steps, lookups return read-only
+    views of the block, and ``==`` compares it with a dict item by item,
+    as two dicts.
     """
 
     def __init__(self, t, channel, block, first_line=None):
@@ -268,7 +280,8 @@ class ForecastTable(Mapping):
         lookup = {}
         codes = np.fromiter((lookup.setdefault(name, len(lookup)) for name in channel.tolist()),
                             np.intp, count=len(channel))
-        self.block, self.names, self._codes_of = block, list(lookup), lookup
+        self.block, self.names, self._codes_of = block.view(), list(lookup), lookup
+        self.block.flags.writeable = False  # rows go out as views of it
         self._t, self._codes = t, codes
         self.times, steps = np.unique(t, return_inverse=True)
         self.index = np.full((len(self.times), len(self.names)), -1, np.intp)
@@ -333,30 +346,30 @@ class ForecastTable(Mapping):
         return len(self._codes)
 
     @classmethod
-    def from_mapping(cls, table, horizon: int):
-        """A table of a ``(t, name) -> vector`` mapping's ``(horizon,)``
-        vectors with int64 steps, in the mapping's order, and a dict of
-        its other items, which stay out of the block as they are."""
-        steps, channel, rows, odd = [], [], [], {}
-        for key, vec in table.items():
+    def from_mapping(cls, mapping, horizon: int):
+        """A table of a ``(t, name) -> vector`` mapping, in its order. A
+        key that is not an (int64 step, name) pair, or a vector not of
+        shape ``(horizon,)``, raises ShapeMismatch naming the key."""
+        steps, channel, rows = [], [], []
+        for key, vec in mapping.items():
             try:
                 t, name = key
                 t, row = operator.index(t), np.asarray(vec, dtype=np.float64)
             except (TypeError, ValueError):
                 row = None
             if row is None or row.shape != (horizon,) or not _INT64.min <= t <= _INT64.max:
-                odd[key] = vec
-                continue
+                raise ShapeMismatch(f"forecast {key!r} needs an (int64 step, name) key and a "
+                                    f"float vector of shape ({horizon},)")
             steps.append(t)
             channel.append(name)
             rows.append(row)
         names = np.empty(len(channel), object)
         names[:] = channel
         block = np.array(rows, dtype=np.float64).reshape(len(rows), horizon)
-        return cls(np.array(steps, dtype=np.int64), names, block), odd
+        return cls(np.array(steps, dtype=np.int64), names, block)
 
 
-def is_npz(path) -> bool:
+def _is_npz(path) -> bool:
     return Path(path).suffix.lower() == ".npz"
 
 
@@ -369,7 +382,7 @@ def load_forecasts(path):
     ``(t, channel_name)`` to the forecast vector, in file order. The
     vectors are rows of one float64 block.
     """
-    if is_npz(path):
+    if _is_npz(path):
         return _load_forecasts_npz(path)
     header, records = _read_records(path, _forecast_layout)
     table = ForecastTable(records["t"], records["channel"], records["h"], first_line=2)
@@ -414,26 +427,6 @@ def _load_forecasts_npz(path):
         raise ParseError("field 't' holds a step beyond int64")
     block = h.astype(np.float64, copy=False)
     return ForecastTable(t.astype(np.int64, copy=False), channel, block), block.shape[1]
-
-
-def write_forecasts_npz(t, channel, block, path) -> None:
-    """Write forecast rows as an ``.npz`` file of ``t`` ``(n,)`` int64,
-    ``channel`` ``(n,)`` unicode and ``h`` ``(n, H)`` float64."""
-    t, names = np.asarray(t, dtype=np.int64), np.asarray(channel, dtype=object)
-    block = np.asarray(block, dtype=np.float64)
-    if block.ndim != 2 or block.shape[1] < 1 or not t.shape == names.shape == block.shape[:1]:
-        raise InvalidConfig(f"forecast rows need t (n,), channel (n,) and h (n, H >= 1), got "
-                            f"{t.shape}, {names.shape} and {block.shape}")
-    # numpy strips trailing NULs from unicode arrays, so such a name would
-    # load back as another channel: look at the names before converting
-    if any(isinstance(name, str) and name.endswith("\0") for name in set(names.tolist())):
-        raise InvalidConfig("a channel name ending in NUL cannot be written to an .npz file")
-    channel = names.astype(str)
-    try:
-        with open(path, "wb") as fh:
-            np.savez(fh, t=t, channel=channel, h=block)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 # -- run config files ---------------------------------------------------------

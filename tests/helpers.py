@@ -79,3 +79,13 @@ def regime_switch_series(steps=6000, switch_at=3000, seasonality=8, seed=0):
     phase2 = 1.2 * np.sin(2.0 * np.pi * t / 12.0)
     x = np.where(t < switch_at, phase1, phase2) + 0.01 * rng.normal(size=steps)
     return x[:, None]
+
+
+def forecast_columns(rows, horizon):
+    """The ``(t, channel, block)`` arrays of ``(t, name, vector)`` triples,
+    as :func:`adapts.io.write_forecasts` takes them."""
+    rows = list(rows)
+    channel = np.empty(len(rows), object)
+    channel[:] = [name for _, name, _ in rows]
+    block = np.array([vec for _, _, vec in rows], dtype=np.float64).reshape(len(rows), horizon)
+    return [t for t, _, _ in rows], channel, block

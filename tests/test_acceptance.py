@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import TraceArray, ar_seasonal_series, regime_switch_series
+from helpers import TraceArray, ar_seasonal_series, forecast_columns, regime_switch_series
 
 from adapts.config import RollingConfig
 from adapts.forecaster import OnlineForecaster, SamplePair, SpectralRidge, new_forecaster
@@ -288,7 +288,7 @@ def test_criterion_11_determinism_and_round_trips(tmp_path):
         forecasts_path = tmp_path / "base.csv"
         rows = [(b.time_step, r1.channel_names[ch], b.base_forecast)
                 for ch in range(2) for b in r1.bundles[ch]]
-        write_forecasts(rows, cfg.horizon, forecasts_path)
+        write_forecasts(*forecast_columns(rows, cfg.horizon), forecasts_path)
         table, horizon = load_forecasts(forecasts_path)
         assert horizon == cfg.horizon
         base = PrecomputedBase(table, cfg.horizon, r1.channel_names)

@@ -221,6 +221,16 @@ class TestSweep:
         assert main(["sweep", "--config", str(config_path),
                      "--axis", "lambda", "--values", "1,2"]) == 1
 
+    @pytest.mark.parametrize("values, raws", [("1.0,0.9,1", "'1.0' and '1'"),
+                                              ("0.5,0.5", "'0.5' and '0.5'")])
+    def test_repeated_value_is_usage_error(self, workspace, capsys, values, raws):
+        tmp_path, config_path = workspace
+        assert main(["sweep", "--config", str(config_path),
+                     "--axis", "alpha", "--values", values]) == 1
+        assert f"UsageError: --values gives alpha={values.split(',')[0]} more than once " \
+            f"({raws})" in capsys.readouterr().err
+        assert not list(tmp_path.glob("report.*"))
+
     def test_parallel_sweep_matches_sequential(self, workspace, monkeypatch):
         tmp_path, config_path = workspace
         monkeypatch.setenv("ADAPTS_THREADS", "2")
@@ -268,6 +278,26 @@ class TestSweepSharesForecasts:
             assert main(["run", "--config", str(config_path), "--alpha", value,
                          "--out", str(single)]) == 0
             assert (tmp_path / f"report.alpha_{value}.json").read_bytes() == single.read_bytes()
+
+    def test_parallel_sweep_sends_the_table_once_per_worker(self, precomputed, monkeypatch):
+        tmp_path, config_path, _ = precomputed
+        pickled = []
+
+        def counted(table, protocol):
+            pickled.append(protocol)
+            return object.__reduce_ex__(table, protocol)
+
+        monkeypatch.setattr(adio.ForecastTable, "__reduce_ex__", counted, raising=False)
+        monkeypatch.setenv("ADAPTS_THREADS", "2")
+        values = "1.0,0.9,0.5"
+        assert main(["sweep", "--config", str(config_path), "--parallel",
+                     "--axis", "alpha", "--values", values]) == 0
+        assert len(pickled) <= 2
+        parallel = (tmp_path / "report.sweep.json").read_bytes()
+        monkeypatch.undo()
+        assert main(["sweep", "--config", str(config_path),
+                     "--axis", "alpha", "--values", values]) == 0
+        assert (tmp_path / "report.sweep.json").read_bytes() == parallel
 
 
 class TestBench:

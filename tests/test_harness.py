@@ -9,7 +9,7 @@ import types
 import numpy as np
 import pytest
 
-from helpers import TraceArray, ar_seasonal_series, regime_switch_series
+from helpers import TraceArray, ar_seasonal_series, forecast_columns, regime_switch_series
 
 from adapts.config import RollingConfig
 from adapts.errors import (
@@ -417,7 +417,7 @@ class TestPrecomputedRoundTrip:
         rows = [(b.time_step, first.channel_names[ch], b.base_forecast)
                 for ch in range(2) for b in first.bundles[ch]]
         path = tmp_path / "forecasts.csv"
-        write_forecasts(rows, cfg.horizon, path)
+        write_forecasts(*forecast_columns(rows, cfg.horizon), path)
         table, horizon = load_forecasts(path)
         assert horizon == cfg.horizon
         base = PrecomputedBase(table, cfg.horizon, first.channel_names)
@@ -429,15 +429,14 @@ class TestPrecomputedRoundTrip:
 
 
     def test_precomputed_base_reproduces_combined_stream_through_npz(self, tmp_path):
-        from adapts.io import write_forecasts_npz
         cfg = small_config()
         data = sine_dataset(300, channels=2, noise=0.1, seed=11)
         first = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
         base_stream = first.forecasts[:, 0]
         steps = first.skipped_initial_steps + np.arange(base_stream.shape[0])
         path = tmp_path / "forecasts.npz"
-        write_forecasts_npz(np.tile(steps, 2), np.repeat(first.channel_names, len(steps)),
-                            base_stream.transpose(1, 0, 2).reshape(-1, cfg.horizon), path)
+        write_forecasts(np.tile(steps, 2), np.repeat(first.channel_names, len(steps)),
+                        base_stream.transpose(1, 0, 2).reshape(-1, cfg.horizon), path)
         table, horizon = load_forecasts(path)
         assert horizon == cfg.horizon
         second = run(data, PrecomputedBase(table, cfg.horizon, first.channel_names), cfg)
@@ -716,9 +715,6 @@ class TestForecastAll:
     @pytest.mark.parametrize("error, broken", [
         (MissingForecast, {"b": None, "c": None}),
         (MissingForecast, {"c": None}),
-        (ShapeMismatch, {"b": 3, "c": 5}),
-        (ShapeMismatch, {"c": 3}),
-        (ShapeMismatch, {"a": 3, "b": 3, "c": 3}),
     ])
     def test_precomputed_raises_like_per_channel(self, error, broken):
         table = {}
@@ -736,6 +732,38 @@ class TestForecastAll:
         assert str(batched.value) == str(per_ch.value)
         assert repr(first) in str(batched.value)
 
+    @pytest.mark.parametrize("broken", [{"b": 3, "c": 5}, {"c": 3}, {"a": 3, "b": 3, "c": 3}])
+    def test_precomputed_bad_vector_raises_at_construction(self, broken):
+        table = {(7, name): np.ones(broken.get(name, 4)) for name in "abc"}
+        with pytest.raises(ShapeMismatch, match=re.escape(f"forecast (7, {min(broken)!r}) needs")):
+            PrecomputedBase(table, horizon=4, channel_names=["a", "b", "c"])
+
+    @pytest.mark.parametrize("key, vec", [
+        ((7.0, "a"), np.ones(4)), ((2**63, "a"), np.ones(4)), ("ab", np.ones(4)),
+        ((7, "a", 0), np.ones(4)), ((7, "b"), "abcd"), ((7, "b"), [[1.0] * 4]),
+    ])
+    def test_precomputed_odd_item_raises_at_construction(self, key, vec):
+        table = {(6, "a"): np.ones(4), key: vec}
+        with pytest.raises(ShapeMismatch, match=re.escape(repr(key))):
+            PrecomputedBase(table, horizon=4, channel_names=["a"])
+
+    @pytest.mark.parametrize("source", ["csv", "npz", "mapping"])
+    def test_precomputed_rows_are_read_only(self, tmp_path, source):
+        rows = [(t, name, np.arange(3.0) + t) for t in range(2) for name in "ab"]
+        table = {(t, name): vec for t, name, vec in rows}
+        if source != "mapping":
+            path = tmp_path / f"f.{source}"
+            write_forecasts(*forecast_columns(rows, 3), path)
+            table = load_forecasts(path)[0]
+        base = PrecomputedBase(table, horizon=3, channel_names=["a", "b"])
+        for row in (base.table[(0, "a")], base.forecast(0, 0, None)):
+            with pytest.raises(ValueError, match="read-only"):
+                row[:] = 7.0
+        served = base.forecast_all(0, np.zeros((2, 8)))
+        served[:] = 7.0  # gather hands out a copy
+        np.testing.assert_array_equal(base.forecast_all(0, np.zeros((2, 8))), [[0, 1, 2]] * 2)
+        np.testing.assert_array_equal(rows[0][2], [0, 1, 2])
+
     @pytest.mark.parametrize("channel_major", [False, True])
     def test_precomputed_file_equals_per_channel(self, tmp_path, channel_major):
         # step-major as perfbench writes files, channel-major as --dump-forecasts does
@@ -744,7 +772,8 @@ class TestForecastAll:
         keys = ([(t, name) for name in names for t in steps] if channel_major
                 else [(t, name) for t in steps for name in names])
         path = tmp_path / "f.csv"
-        write_forecasts([(t, name, rng.normal(size=5)) for t, name in keys], 5, path)
+        write_forecasts(*forecast_columns([(t, name, rng.normal(size=5)) for t, name in keys], 5),
+                        path)
         table, _ = load_forecasts(path)
         contexts = np.zeros((3, 8))
         for order in (names, names[::-1]):  # the run's channels in another order too
@@ -762,7 +791,7 @@ class TestForecastAll:
     def test_precomputed_file_raises_like_per_channel(self, tmp_path, names, t, match):
         rows = [(t, name, np.ones(2)) for t in (3, 4) for name in "abc"]
         path = tmp_path / "f.csv"
-        write_forecasts([row for row in rows if row[:2] != (4, "c")], 2, path)
+        write_forecasts(*forecast_columns([row for row in rows if row[:2] != (4, "c")], 2), path)
         base = PrecomputedBase(load_forecasts(path)[0], horizon=2, channel_names=names)
         contexts = np.zeros((3, 8))
         with pytest.raises(MissingForecast, match=match) as batched:
@@ -771,12 +800,11 @@ class TestForecastAll:
             per_channel(base, t, contexts)
         assert str(batched.value) == str(per_ch.value)
 
-    def test_precomputed_file_of_another_horizon_raises_shape_mismatch(self, tmp_path):
+    def test_precomputed_file_of_another_horizon_raises_invalid_config(self, tmp_path):
         path = tmp_path / "f.csv"
-        write_forecasts([(0, "a", np.ones(3))], 3, path)
-        base = PrecomputedBase(load_forecasts(path)[0], horizon=2, channel_names=["a"])
-        with pytest.raises(ShapeMismatch, match="has length 3, expected 2"):
-            base.forecast_all(0, np.zeros((1, 8)))
+        write_forecasts([0], ["a"], np.ones((1, 3)), path)
+        with pytest.raises(InvalidConfig, match="horizon 3 differs from configured 2"):
+            PrecomputedBase(load_forecasts(path)[0], horizon=2, channel_names=["a"])
 
     def test_precomputed_with_too_few_names_raises_missing_forecast(self):
         table = {(t, "a"): np.ones(2) for t in range(40)}

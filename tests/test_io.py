@@ -16,6 +16,8 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import forecast_columns
+
 from adapts.config import RollingConfig
 from adapts.errors import InsufficientData, InvalidConfig, IoError, ParseError
 from adapts.harness import NaiveSeasonalBase, run
@@ -29,7 +31,6 @@ from adapts.io import (
     parse_config_value,
     read_report_json,
     write_forecasts,
-    write_forecasts_npz,
     write_json,
     write_report,
     write_series,
@@ -103,7 +104,7 @@ class TestForecastFiles:
         rows = [(t, name, rng.normal(size=4))
                 for t in (10, 11) for name in ("a", "b")]
         p = tmp_path / "f.csv"
-        write_forecasts(rows, 4, p)
+        write_forecasts(*forecast_columns(rows, 4), p)
         table, horizon = load_forecasts(p)
         assert horizon == 4
         assert set(table) == {(10, "a"), (10, "b"), (11, "a"), (11, "b")}
@@ -124,8 +125,16 @@ class TestForecastFiles:
             load_forecasts(p)
 
     def test_wrong_length_forecast_rejected_on_write(self, tmp_path):
-        with pytest.raises(InvalidConfig):
-            write_forecasts([(0, "a", np.zeros(3))], 4, tmp_path / "f.csv")
+        for t, channel, block in [
+            ([0, 1], ["a", "a"], np.zeros((1, 4))),   # fewer rows than steps
+            ([0], ["a", "b"], np.zeros((1, 4))),      # more names than rows
+            ([0], ["a"], np.zeros(4)),                # not a block of rows
+            ([0], ["a"], np.zeros((1, 0))),           # no horizon
+        ]:
+            for path in (tmp_path / "f.csv", tmp_path / "f.npz"):
+                with pytest.raises(InvalidConfig, match="forecast rows need"):
+                    write_forecasts(t, channel, block, path)
+                assert not path.exists()
 
 
 def write_bytes(tmp_path, text, name="f.csv"):
@@ -269,7 +278,7 @@ class TestForecastLoaderContract:
                  "cr\r\nlf", "tab\tbed", "ünïcode"]
         rows = [(t, name, np.full(3, t + 0.5)) for t in (0, 1) for name in names]
         p = tmp_path / "f.csv"
-        write_forecasts(rows, 3, p)
+        write_forecasts(*forecast_columns(rows, 3), p)
         table, horizon = load_forecasts(p)
         assert list(table) == [(t, name) for t, name, _ in rows]
         for t, name, vec in rows:
@@ -304,7 +313,7 @@ class TestForecastLoaderContract:
                 for i, (t, name) in enumerate(
                     (t, name) for t in rng.permutation(5) - 2 for name in "edcba")]
         p = tmp_path / "f.csv"
-        write_forecasts(rows, 8, p)
+        write_forecasts(*forecast_columns(rows, 8), p)
         table, horizon = load_forecasts(p)
         want, want_horizon = oracle_load_forecasts(p)
         assert horizon == want_horizon == 8
@@ -430,7 +439,7 @@ class TestLoaderNumberSyntax:
 
     def test_blank_line_inside_quoted_cell_rejected(self, tmp_path):
         p = tmp_path / "f.csv"
-        write_forecasts([(0, "a", [1.0]), (1, "two\n\nbreaks", [2.0])], 1, p)
+        write_forecasts([0, 1], ["a", "two\n\nbreaks"], [[1.0], [2.0]], p)
         with pytest.raises(ParseError, match="blank line"):
             load_forecasts(p)
 
@@ -443,10 +452,8 @@ class TestLoaderNumberSyntax:
 def write_both(tmp_path, rows, horizon):
     """The same rows as a CSV and as an .npz forecast file."""
     csv_path, npz_path = tmp_path / "f.csv", tmp_path / "f.npz"
-    write_forecasts(rows, horizon, csv_path)
-    write_forecasts_npz([t for t, _, _ in rows], [name for _, name, _ in rows],
-                        np.array([vec for _, _, vec in rows]).reshape(len(rows), horizon),
-                        npz_path)
+    write_forecasts(*forecast_columns(rows, horizon), csv_path)
+    write_forecasts(*forecast_columns(rows, horizon), npz_path)
     return csv_path, npz_path
 
 
@@ -465,7 +472,7 @@ class TestForecastTable:
                 for t in (4, 5, 6) for i, name in enumerate("ba")]
         rows.pop(3)  # no (5, "a")
         p = tmp_path / "f.csv"
-        write_forecasts(rows, 1, p)
+        write_forecasts(*forecast_columns(rows, 1), p)
         table, horizon = load_forecasts(p)
         assert isinstance(table, ForecastTable) and table.horizon == horizon == 1
         want = {(t, name): vec for t, name, vec in rows}
@@ -521,7 +528,7 @@ class TestForecastTable:
         rng = np.random.default_rng(5)
         rows = [(t, name, rng.normal(size=horizon)) for t in range(steps) for name in names]
         p = tmp_path / "f.csv"
-        write_forecasts(rows, horizon, p)
+        write_forecasts(*forecast_columns(rows, horizon), p)
         del rows
         gc.collect()
         tracemalloc.start()
@@ -624,13 +631,13 @@ class TestNpzForecastFiles:
         rows = [(0, "a\0", [1.0]), (0, "b", [2.0])]
         p = tmp_path / "f.npz"
         with pytest.raises(InvalidConfig, match="NUL"):
-            write_forecasts_npz([0, 0], np.array(["a\0", "b"], dtype=object), np.ones((2, 1)), p)
+            write_forecasts([0, 0], np.array(["a\0", "b"], dtype=object), np.ones((2, 1)), p)
         with pytest.raises(InvalidConfig, match="NUL"):
             write_both(tmp_path, rows, 1)
         assert not p.exists()
         table, _ = load_forecasts(tmp_path / "f.csv")
         assert list(table) == [(0, "a\0"), (0, "b")]
-        write_forecasts_npz([0], ["a\0b"], np.ones((1, 1)), p)
+        write_forecasts([0], ["a\0b"], np.ones((1, 1)), p)
         assert list(load_forecasts(p)[0]) == [(0, "a\0b")]
 
 
