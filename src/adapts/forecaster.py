@@ -53,13 +53,19 @@ arithmetic of :meth:`OnlineForecaster.embed_pair` plus the layout on one
 
 Inference is folded. Forward transform -> low-pass -> layout -> weight ->
 inverse layout -> zero padding -> inverse transform is linear in the
-(centered) context, so after every fit the forecaster collapses it into
-one real ``(L, H)`` matrix ``time_map[g] = analysis @ weight @ synthesis``
-per model and a forecast is ``(ctx - mean) @ time_map[g] + mean``, for
-every model's contexts in one batched matmul. ``analysis`` is the layout
-of the unit impulses' spectra; ``synthesis`` is the target-side one
-transposed and divided by ``H``, because the full target layout is
-orthogonal up to ``sqrt(H)``.
+(centered) context, so the forecaster keeps it collapsed into one real
+``(L, H)`` matrix ``time_map[g] = analysis @ weight @ synthesis`` per
+model and a forecast is ``(ctx - mean) @ time_map[g] + mean``, for every
+model's contexts in one batched matmul. ``analysis`` is the layout of the
+unit impulses' spectra; ``synthesis`` is the target-side one transposed
+and divided by ``H``, because the full target layout is orthogonal up to
+``sqrt(H)``. Each model's fold follows its weight as soon as the model has
+absorbed a block. A refit recomputes it in full. A Woodbury step moved the
+weight by the rank-m ``V* Z``, so the fold moves by ``(analysis @ V*) @
+(Z @ synthesis)``, and ``analysis @ V*`` is m inverse real FFTs of length
+``L`` (:func:`_coefficient_bins`), not an ``L×d×m`` product. Such a fold
+drifts from a full refold by rounding only, about 1e-15 of its largest
+entry after hundreds of steps, and a snapshot keeps it as it is.
 
 Channel handling: a forecaster holds G independent models, and the rows
 it fits or predicts split into G equal consecutive groups, group g going
@@ -80,6 +86,8 @@ calls; ``fit`` and ``fit_slab``, which rewrite the fold in place, and
 from __future__ import annotations
 
 import functools
+import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,8 +108,19 @@ from .spectral import (  # noqa: F401
 
 SIGMA_FLOOR = 1e-8
 CONDITION_LIMIT = 1e12
-SNAPSHOT_FORMAT = "adapts-forecaster/5"
+SNAPSHOT_FORMAT = "adapts-forecaster/6"
 _RIDGE_FIELDS = ("a_inv", "gram", "cross", "weight")  # per model, stacked in a snapshot
+# the largest gap a snapshot's time_map may have from a full refold of its
+# weight, relative to the refold's largest entry; folds that took Woodbury
+# increments drift from it by rounding, ~1e-15 over hundreds of steps
+FOLD_TOLERANCE = 1e-9
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _paired_stop(n: int, keep: int) -> int:
+    """End of the kept bins ``1..stop-1`` of a length-``n`` signal that
+    have a conjugate twin: all but DC and a kept Nyquist bin."""
+    return keep - 1 if n % 2 == 0 and keep == full_bin_count(n) else keep
 
 
 def _real_coefficients(bins: np.ndarray, n: int, out: np.ndarray = None) -> np.ndarray:
@@ -114,7 +133,7 @@ def _real_coefficients(bins: np.ndarray, n: int, out: np.ndarray = None) -> np.n
     bin stands for itself and its conjugate twin, hence the sqrt2.
     """
     keep = bins.shape[-1]
-    stop = keep - 1 if n % 2 == 0 and keep == full_bin_count(n) else keep
+    stop = _paired_stop(n, keep)
     paired = bins[..., 1:stop]
     k = stop - 1
     if out is None:
@@ -124,6 +143,26 @@ def _real_coefficients(bins: np.ndarray, n: int, out: np.ndarray = None) -> np.n
     np.multiply(paired.imag, np.sqrt(2.0), out=out[..., 1 + k:1 + 2 * k])
     out[..., 1 + 2 * k:] = bins[..., stop:].real
     return out
+
+
+def _coefficient_bins(coefs: np.ndarray, n: int, keep: int) -> np.ndarray:
+    """Inverse of :func:`_real_coefficients`: the kept one-sided bins
+    ``(..., keep)`` of real length-``n`` signals whose real coefficients
+    are ``coefs`` ``(..., d)``.
+
+    ``n * irfft(bins, n)`` of these bins is ``analysis @ coefs``, where
+    row ``t`` of ``analysis`` holds the coefficients of unit impulse
+    ``t``: the layout is orthogonal up to ``sqrt(n)``, so its transpose
+    is its inverse transform.
+    """
+    stop = _paired_stop(n, keep)
+    k = stop - 1
+    bins = np.zeros(coefs.shape[:-1] + (keep,), dtype=complex)
+    bins.real[..., :1] = coefs[..., :1]
+    np.multiply(coefs[..., 1:1 + k], np.sqrt(0.5), out=bins.real[..., 1:stop])
+    np.multiply(coefs[..., 1 + k:1 + 2 * k], np.sqrt(0.5), out=bins.imag[..., 1:stop])
+    bins.real[..., stop:] = coefs[..., 1 + 2 * k:]
+    return bins
 
 
 @dataclass
@@ -204,11 +243,16 @@ def woodbury_pays(m: int, d: int) -> bool:
     ridge of design dimension ``d`` by a Woodbury step rather than a direct
     refit.
 
-    A Woodbury step grows with the block (three ``d×d×m`` products); a
-    direct refit is dominated by its ``d×d`` solve. With one BLAS thread
-    and real rows the two cross at 0.30-0.33·d at d=469 and at 0.38-0.44·d
-    at d=117, so a third of ``d`` sits near the crossover at the one and on
-    the Woodbury-paying side at the other.
+    A Woodbury step grows with the block: three ``d×d×m`` products, and a
+    fold increment of m inverse real FFTs of length L and an ``L×m×H``
+    product. A direct refit is dominated by its ``d×d`` solve and a full
+    ``L×d×H`` refold. With one BLAS thread, real rows and the fold counted
+    on both sides, the two cross at 0.30-0.40·d at d=469 (L=520, H=96) and
+    at 0.30-0.35·d at d=117 (L=128, H=24), so a third of ``d`` sits near
+    the crossover at both. At the smaller shape the increment costs more
+    than the refold it replaces, 0.05 against 0.02 ms. No workload has
+    blocks in [d/3, d): per-channel blocks of 50 rows at d=469 take the
+    step, and every other block has at least ``d`` rows.
     """
     return m < d // 3
 
@@ -322,7 +366,7 @@ class SpectralRidge:
         reg.flat[::self.dim_in + 1] += self.lam
         return reg
 
-    def absorb(self, rows_in: np.ndarray, rows_out: np.ndarray, method: str = "auto") -> None:
+    def absorb(self, rows_in: np.ndarray, rows_out: np.ndarray, method: str = "auto"):
         """Fold a block of design rows into the model and refresh ``weight``.
 
         Parameters
@@ -334,6 +378,10 @@ class SpectralRidge:
             falls back to a direct refit when the inner matrix fails its
             test; "woodbury" raises :class:`IllConditionedUpdate` instead
             of falling back.
+
+        Returns the whitened block ``(v, z)`` ``((m, dim_in), (m,
+        dim_out))`` after a Woodbury step, whose weight step is ``v* z``,
+        and None after a direct refit.
 
         Everything that can raise (the shape checks, the Woodbury test and
         both solves) runs before the model changes, so a raise leaves it
@@ -367,13 +415,14 @@ class SpectralRidge:
                 v = whiten @ t.conj().T                        # (m, d)
                 z = whiten @ (rows_out - rows_in @ self.weight)
                 self._woodbury_step(rows_in, rows_out, v, z)
-                return
+                return v, z
             if method == "woodbury":
                 raise IllConditionedUpdate(
                     f"inner {m}x{m} solve failed the {fault} test (limit {CONDITION_LIMIT:.0e})")
 
         self.absorb_moments(rows_in.conj().T @ rows_in, rows_in.conj().T @ rows_out, m)
         self.last_path, self.last_fallback = "direct", fault
+        return None
 
     def absorb_moments(self, xtx: np.ndarray, xty: np.ndarray, n_rows: int) -> None:
         """Refit from a block given by its sums ``xtx = X*X`` ``(dim_in,
@@ -461,7 +510,7 @@ class OnlineForecaster:
         self.cores = [SpectralRidge(self.design_dim, self._synthesis.shape[0], lam)
                       for _ in range(models)]
         self.stats = ChannelStats()
-        # (G, L, H) real folds of the weights, rewritten in place by _refold.
+        # (G, L, H) real folds of the weights, rewritten in place by _fold.
         # One block for the forecaster's lifetime, plus adding the mean in
         # place in predict, keeps peak RSS within ~1 % of the unfolded code
         # on a per-channel L=520 replay; fresh arrays in those two places
@@ -536,7 +585,8 @@ class OnlineForecaster:
         from channel ``channels[i]`` and scaled by its running std, by the
         arithmetic of :meth:`embed_pair` plus the layout, absorb ``n / G``
         consecutive rows per model under the ``"auto"`` rule of
-        :meth:`SpectralRidge.absorb` and refresh ``time_map``. Channel
+        :meth:`SpectralRidge.absorb` and fold each model (:meth:`_fold`)
+        right after it absorbed. Channel
         statistics must already reflect the observations the rows were cut
         from (see :meth:`observe_values`); once they exist, a channel past
         the observed ones raises :class:`ShapeMismatch` before any model
@@ -546,7 +596,9 @@ class OnlineForecaster:
         starts, so that one model's design rows and one new ``d×d`` Gram are
         alive at once, not one per model. A block that fails the Woodbury
         test takes a direct refit, so only a singular regularized Gram, a
-        data error, can raise after earlier models have absorbed their rows.
+        data error, can raise after earlier models have absorbed their rows;
+        those models are folded already, so each model's ``time_map`` slice
+        always matches its weight.
         """
         L, H, G = self.context_length, self.horizon, len(self.cores)
         # C order whatever the input's, so the means and FFTs sum alike
@@ -563,8 +615,7 @@ class OnlineForecaster:
         per = n // G
         for g, core in enumerate(self.cores):
             rows = slice(g * per, (g + 1) * per)
-            core.absorb(*self._embed(ctx[rows], tgt[rows], sigma[rows]))
-        self._refold()
+            self._fold(g, core.absorb(*self._embed(ctx[rows], tgt[rows], sigma[rows])))
 
     def fit_slab(self, series) -> None:
         """Fit on the ``m = width - L - H + 1`` windows of a channel-major
@@ -581,7 +632,8 @@ class OnlineForecaster:
         absorbed as in :meth:`fit`, bit for bit as :meth:`fit` on the same
         windows. Otherwise each model builds its block's Gram and
         cross-moment from its channels' lagged moments (:meth:`_moments`)
-        and refits from them (:meth:`SpectralRidge.absorb_moments`).
+        and refits from them (:meth:`SpectralRidge.absorb_moments`). Each
+        model is folded right after it absorbed, as in :meth:`fit`.
         """
         L, H, G = self.context_length, self.horizon, len(self.cores)
         series = np.asarray(series, dtype=np.float64)
@@ -598,16 +650,17 @@ class OnlineForecaster:
         windows = sliding_window_view(series, L + H, axis=1)[:, :m]
         for g, core in enumerate(self.cores):
             chans = slice(g * per, (g + 1) * per)
+            step = None   # a refit, folded in full
             if moments:
                 core.absorb_moments(*self._moments(series[chans], sigma[chans], m), per * m)
             else:
                 # an embedded block stays under L+H rows (moments_pay), so
                 # one model's copy is small
-                core.absorb(*self._embed(
+                step = core.absorb(*self._embed(
                     np.array(windows[chans, :, :L]).reshape(-1, L),
                     np.array(windows[chans, :, L:]).reshape(-1, H),
                     np.repeat(sigma[chans], m)[:, None]))
-        self._refold()
+            self._fold(g, step)
 
     def _moments(self, block, scales, m):
         """Gram ``(d, d)`` and cross-moment ``(d, d_t)`` of the design rows
@@ -720,11 +773,31 @@ class OnlineForecaster:
         self.fit([p.context for p in pairs], [p.target for p in pairs],
                  [p.channel for p in pairs])
 
-    def _refold(self) -> None:
-        """Collapse the spectral chain around each model's weight into its
-        real ``(L, H)`` slice of ``time_map``, in place."""
-        for core, fold in zip(self.cores, self.time_map):
-            np.matmul(self._analysis, core.weight @ self._synthesis, out=fold)
+    def _refold(self, core: SpectralRidge, out: np.ndarray = None) -> np.ndarray:
+        """The spectral chain around ``core``'s weight collapsed into one
+        real ``(L, H)`` matrix, ``analysis @ weight @ synthesis``, written
+        into ``out`` when given."""
+        return np.matmul(self._analysis, core.weight @ self._synthesis, out=out)
+
+    def _fold(self, g: int, step) -> None:
+        """Bring model ``g``'s slice of ``time_map`` up to its weight, in
+        place, after it absorbed a block. ``step`` is what the absorb
+        returned: after a Woodbury step, the whitened block ``(v, z)``
+        whose ``vᵀ z`` the weight moved by, so the fold moves by the rank-m
+        ``(analysis @ vᵀ) @ (z @ synthesis)``, ``analysis @ vᵀ`` taken as m
+        inverse real FFTs (:func:`_coefficient_bins`); after a refit, None,
+        and the fold is recomputed in full."""
+        fold = self.time_map[g]
+        if step is None:
+            self._refold(self.cores[g], out=fold)
+            return
+        v, z = step
+        L = self.context_length
+        # (m, L): (analysis @ vᵀ)ᵀ / L, its factor L moved onto the smaller (m, H)
+        lifted = np.fft.irfft(_coefficient_bins(v, L, self.filter.context_bins), n=L, axis=1)
+        moved = z @ self._synthesis
+        moved *= L
+        fold += lifted.T @ moved
 
     def predict(self, context) -> np.ndarray:
         """Forecast the next ``horizon`` values.
@@ -758,11 +831,24 @@ def new_forecaster(context_length, horizon, seasonality, lam=20.0, alpha=0.9,
                             instance_norm, channel_scaling, models)
 
 
+def environment_stamp() -> dict:
+    """What a bit-for-bit result depends on beyond the inputs: the numpy
+    version, the BLAS library's name and version, and the BLAS thread
+    variables, None where unset."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version"),
+            **{var: os.environ.get(var) for var in BLAS_THREAD_VARS}}
+
+
 def save_forecaster(forecaster: OnlineForecaster, path) -> None:
     """Snapshot a forecaster to an ``.npz`` file (lossless round trip), its
-    models' ridge arrays stacked along a leading model axis. A model whose
-    refit dropped its inverse computes it here, so a reloaded model's next
-    Woodbury step reads the same inverse as the original's."""
+    models' ridge arrays stacked along a leading model axis, its fold
+    ``time_map`` and, as JSON in ``environment``, its
+    :func:`environment_stamp`. A model whose refit dropped its inverse
+    computes it here, so a reloaded model's next Woodbury step reads the
+    same inverse as the original's; the fold is saved, not recomputed on
+    load, because Woodbury increments leave it a few ulps from a full
+    refold."""
     f = forecaster
     counts = [core.n_samples for core in f.cores]
     if len(set(counts)) > 1:
@@ -772,13 +858,17 @@ def save_forecaster(forecaster: OnlineForecaster, path) -> None:
              channel_scaling=f.channel_scaling, models=len(f.cores),
              n_samples=f.n_samples,  # the same for every model, checked above
              stats_count=f.stats.count, stats_means=f.stats.means, stats_m2s=f.stats.m2s,
+             time_map=f.time_map, environment=json.dumps(environment_stamp()),
              **{name: np.stack([getattr(core, name) for core in f.cores]) for name in _RIDGE_FIELDS})
 
 
 def load_forecaster(path) -> OnlineForecaster:
     """Restore a forecaster saved by :func:`save_forecaster`. Each array
-    field must hold finite real floats of its exact shape; an error names
-    the field at fault."""
+    field must hold finite real floats of its exact shape, and each
+    model's ``time_map`` slice must lie within ``FOLD_TOLERANCE`` of a full
+    refold of its weight, relative to the refold's largest entry (so
+    exactly zero when ``n_samples`` is 0); an error names the field at
+    fault. The environment stamp is not read."""
     with np.load(path) as data:
         fmt = str(data["format"])
         if fmt != SNAPSHOT_FORMAT:
@@ -795,8 +885,9 @@ def load_forecaster(path) -> OnlineForecaster:
         G, d, d_t = len(f.cores), f.design_dim, f.core.dim_out
         C = data["stats_means"].size   # stats_means is checked first, against its own size
         fields = {}
-        for name, shape in zip(("stats_means", "stats_m2s", *_RIDGE_FIELDS),
-                               ((C,), (C,), (G, d, d), (G, d, d), (G, d, d_t), (G, d, d_t))):
+        for name, shape in zip(("stats_means", "stats_m2s", *_RIDGE_FIELDS, "time_map"),
+                               ((C,), (C,), (G, d, d), (G, d, d), (G, d, d_t), (G, d, d_t),
+                                f.time_map.shape)):
             value = data[name]
             if value.dtype.kind != "f":
                 raise InvalidConfig(f"snapshot {name} has dtype {value.dtype}, expected real floats")
@@ -820,5 +911,11 @@ def load_forecaster(path) -> OnlineForecaster:
     for g, core in enumerate(f.cores):
         core.n_samples = n_samples
         core._a_inv, core.gram, core.cross, core.weight = (fields[name][g] for name in _RIDGE_FIELDS)
-    f._refold()
+        refold, fold = f._refold(core), fields["time_map"][g]
+        gap, scale = np.abs(fold - refold).max(), np.abs(refold).max()
+        if gap > FOLD_TOLERANCE * scale:
+            raise InvalidConfig(f"snapshot time_map of model {g} lies {gap:.3g} from its weight's "
+                                f"refold, more than {FOLD_TOLERANCE:.0e} of its largest entry "
+                                f"{scale:.3g}")
+    f.time_map[...] = fields["time_map"]   # into the cache-aligned block
     return f

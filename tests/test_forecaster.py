@@ -7,6 +7,7 @@ the stacked design, a complex ridge over conjugate-augmented spectra, and
 the eager-inverse ridge update (:class:`OracleRidge`).
 """
 
+import json
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -23,7 +24,9 @@ from adapts.forecaster import (
     OnlineForecaster,
     SamplePair,
     SpectralRidge,
+    _coefficient_bins,
     _real_coefficients,
+    environment_stamp,
     load_forecaster,
     moments_pay,
     new_forecaster,
@@ -794,6 +797,23 @@ class TestRealCoefficients:
         np.testing.assert_allclose(u @ u.conj().T, np.eye(d), atol=1e-15)
         assert np.linalg.norm(coefs @ u - augmented) <= 1e-14 * np.linalg.norm(augmented)
 
+    # (L, alpha): alpha = 1 at an even L keeps the Nyquist column, odd L with
+    # all bins and with a partial filter, the DC bin alone, and the paper's
+    # and shared-l128's context shapes
+    @pytest.mark.parametrize("L, alpha", [(16, 1.0), (17, 1.0), (17, 0.8), (10, 0.01),
+                                          (2, 1.0), (128, 0.9), (520, 0.9)])
+    def test_inverse_layout_equals_analysis(self, L, alpha):
+        f = new_forecaster(L, 4, 1, alpha=alpha)
+        keep, d = f.filter.context_bins, f.design_dim
+        assert (d % 2 == 0) == (L % 2 == 0 and alpha == 1.0)   # a Nyquist column
+        # column j of analysis is analysis @ e_j: L inverse real FFTs of e_j's bins
+        lifted = L * np.fft.irfft(_coefficient_bins(np.eye(d), L, keep), n=L, axis=1).T
+        scale = np.abs(f._analysis).max()
+        assert np.abs(lifted - f._analysis).max() <= 1e-13 * scale
+        coefs = np.random.default_rng(L).normal(size=(3, d))
+        back = _real_coefficients(_coefficient_bins(coefs, L, keep), L)
+        assert np.abs(back - coefs).max() <= 1e-15 * np.abs(coefs).max() * 4
+
     @pytest.mark.parametrize("config", CONFIGS)
     def test_fitted_state_is_real(self, config):
         (f, _), block, _ = fitted_pair_of_forecasters(config, seed=47)
@@ -949,6 +969,69 @@ class TestFoldedPredict:
         np.testing.assert_array_equal(f.core.weight, weight)
 
 
+def full_refold(f, core):
+    """The fold of ``core``'s weight computed in full, as a refit does."""
+    return f._analysis @ (core.weight @ f._synthesis)
+
+
+class TestIncrementalFold:
+    """After a Woodbury step a model's fold moves by the step's rank-m
+    increment; after a refit it is recomputed in full."""
+
+    def test_stays_at_a_full_refold_over_a_chain_of_woodbury_steps(self):
+        L, H, C = 128, 24, 2
+        rng = np.random.default_rng(131)
+        f = new_forecaster(L, H, 24, lam=2.0, models=C)
+        f.observe_values(rng.normal(size=(30, C)) * [1.0, 5.0])
+        worst = 0.0
+        for step in range(300):
+            m = 1 + step % 8
+            f.fit_slab(rng.normal(size=(C, m + L + H - 1)) * [[1.0], [5.0]] + 2.0)
+            assert [core.last_path for core in f.cores] == ["woodbury"] * C, step
+            for core, fold in zip(f.cores, f.time_map):
+                refold = full_refold(f, core)
+                worst = max(worst, np.abs(fold - refold).max() / np.abs(refold).max())
+        # a fold recomputed in full would match to the bit
+        assert 0.0 < worst <= 1e-12
+
+    def test_refit_refolds_in_full(self):
+        L, H = 32, 8
+        rng = np.random.default_rng(139)
+        f = new_forecaster(L, H, 8, lam=2.0, alpha=0.8, models=2)
+        f.observe_values(rng.normal(size=(30, 2)))
+        for m in (3, 2, 20):   # two Woodbury steps, then a direct refit
+            f.fit_slab(rng.normal(size=(2, m + L + H - 1)))
+        assert [core.last_path for core in f.cores] == ["direct"] * 2
+        for core, fold in zip(f.cores, f.time_map):
+            assert fold.tobytes() == full_refold(f, core).tobytes()
+
+    def test_models_absorbed_before_a_raise_are_folded(self, monkeypatch):
+        # model 1's absorb raises after model 0 absorbed its 3 rows; model 0's
+        # fold must already follow its weight, or it forecasts the context mean
+        L, H = 16, 4
+        rng = np.random.default_rng(137)
+        f = new_forecaster(L, H, 2, lam=2.0, models=2)
+        f.observe_values(rng.normal(size=(10, 2)))
+        absorb = SpectralRidge.absorb
+
+        def refuse_model_1(core, rows_in, rows_out, method="auto"):
+            if core is f.cores[1]:
+                raise IllConditionedUpdate("model 1 refused its block")
+            return absorb(core, rows_in, rows_out, method)
+
+        monkeypatch.setattr(SpectralRidge, "absorb", refuse_model_1)
+        with pytest.raises(IllConditionedUpdate, match="model 1"):
+            f.fit(rng.normal(size=(6, L)), rng.normal(size=(6, H)), np.repeat([0, 1], 3))
+        assert (f.cores[0].n_samples, f.cores[1].n_samples) == (3, 0)
+        refold = full_refold(f, f.cores[0])
+        assert np.abs(refold).max() > 0.1
+        assert np.abs(f.time_map[0] - refold).max() <= 1e-12 * np.abs(refold).max()
+        assert not f.time_map[1].any()
+        probes = rng.normal(size=(2, L)) * 3.0 + 1.0
+        want = spectral_chain_predict(f, probes[0])
+        assert rel_frobenius(f.predict(probes)[0], want) <= 1e-10
+
+
 class TestPredict:
     def test_cold_start_tiles_last_season(self):
         f = new_forecaster(6, 5, 2)
@@ -1068,12 +1151,12 @@ class TestSnapshot:
 
     def test_previous_format_rejected(self, tmp_path):
         path, fields = self._saved_fields(tmp_path)
-        fields["format"] = np.array("adapts-forecaster/4")
+        fields["format"] = np.array("adapts-forecaster/5")
         np.savez(path, **fields)
-        with pytest.raises(InvalidConfig, match="adapts-forecaster/4.*adapts-forecaster/5"):
+        with pytest.raises(InvalidConfig, match="adapts-forecaster/5.*adapts-forecaster/6"):
             load_forecaster(path)
 
-    @pytest.mark.parametrize("field", ["a_inv", "gram", "cross", "weight"])
+    @pytest.mark.parametrize("field", ["a_inv", "gram", "cross", "weight", "time_map"])
     def test_complex_fields_rejected(self, tmp_path, field):
         path, fields = self._saved_fields(tmp_path)
         fields[field] = fields[field] + 1e-3j
@@ -1086,6 +1169,8 @@ class TestSnapshot:
         ("gram", lambda a: a[:-1]),
         ("cross", lambda a: a[:, :-1]),
         ("weight", lambda a: a[:, :2]),
+        ("time_map", lambda a: a[:, :, :-1]),
+        ("time_map", lambda a: a[0]),
         ("stats_means", lambda a: a[:1]),
         ("stats_m2s", lambda a: np.zeros(0)),
         ("stats_count", lambda a: np.array([a, a])),
@@ -1106,6 +1191,64 @@ class TestSnapshot:
         np.savez(path, **fields)
         with pytest.raises(InvalidConfig, match=field):
             load_forecaster(path)
+
+    def test_time_map_round_trips(self, tmp_path):
+        # Woodbury increments leave the fold a few ulps from a full refold;
+        # the snapshot keeps the fold itself, so the copies stay bit for bit
+        L, H, C = 32, 8, 3
+        rng = np.random.default_rng(149)
+        f = new_forecaster(L, H, 8, lam=2.0, alpha=0.8, models=C)
+        f.observe_values(rng.normal(size=(30, C)))
+        for m in (2, 5, 1, 4, 3) * 3:
+            f.fit_slab(rng.normal(size=(C, m + L + H - 1)))
+        assert [core.last_path for core in f.cores] == ["woodbury"] * C
+        assert any(fold.tobytes() != full_refold(f, core).tobytes()
+                   for core, fold in zip(f.cores, f.time_map))
+        save_forecaster(f, tmp_path / "state.npz")
+        g = load_forecaster(tmp_path / "state.npz")
+        assert g.time_map.tobytes() == f.time_map.tobytes()
+        slab = rng.normal(size=(C, 2 + L + H - 1))
+        f.fit_slab(slab)
+        g.fit_slab(slab)
+        assert g.time_map.tobytes() == f.time_map.tobytes()
+        probe = rng.normal(size=(C, L))
+        assert g.predict(probe).tobytes() == f.predict(probe).tobytes()
+
+    @pytest.mark.parametrize("shift, loads", [(1e-12, True), (1e-8, False)])
+    def test_fold_off_its_weight_rejected(self, tmp_path, shift, loads):
+        # within 1e-9 of a full refold's largest entry a fold is rounding;
+        # past it, the fold no longer forecasts what its weight does
+        path, fields = self._saved_fields(tmp_path)
+        scale = np.abs(fields["time_map"]).max()
+        fields["time_map"][0, 3, 1] += shift * scale
+        np.savez(path, **fields)
+        if loads:
+            assert load_forecaster(path).time_map[0, 3, 1] == fields["time_map"][0, 3, 1]
+        else:
+            with pytest.raises(InvalidConfig, match="time_map of model 0"):
+                load_forecaster(path)
+
+    def test_untrained_fold_must_be_zero(self, tmp_path):
+        path = tmp_path / "state.npz"
+        save_forecaster(new_forecaster(16, 4, 2, models=2), path)
+        with np.load(path) as data:
+            fields = dict(data)
+        fields["time_map"][1, 0, 0] = 1e-300
+        np.savez(path, **fields)
+        with pytest.raises(InvalidConfig, match="time_map of model 1"):
+            load_forecaster(path)
+
+    def test_environment_is_stamped(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        path, _ = self._saved_fields(tmp_path)
+        with np.load(path) as data:
+            stamp = json.loads(str(data["environment"]))
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert stamp == environment_stamp() == {
+            "numpy": np.__version__, "blas": blas["name"], "blas_version": blas["version"],
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None}
 
     def test_untrained_round_trip_loads(self, tmp_path):
         f = new_forecaster(16, 4, 2)
@@ -1200,7 +1343,7 @@ class TestSnapshot:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["stats_means", "stats_m2s", "a_inv", "gram", "cross",
-                                       "weight"])
+                                       "weight", "time_map"])
     def test_non_finite_fields_rejected(self, tmp_path, field, value):
         path, fields = self._saved_fields(tmp_path)
         fields[field].flat[-1] = value
