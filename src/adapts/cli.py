@@ -212,7 +212,8 @@ def cmd_bench(args) -> int:
         timings[method] = time.perf_counter() - start
         states[method] = model
     gaps = {name: np.linalg.norm(getattr(states["woodbury"], name) - getattr(states["direct"], name))
-            / np.linalg.norm(getattr(states["direct"], name)) for name in ("a_inv", "weight")}
+            / np.linalg.norm(getattr(states["direct"], name))
+            for name in ("a_inv", "weight", "gram", "cross")}
     # a NaN or infinite gap fails the comparison, so it counts as a mismatch
     match = all(gap < 1e-8 for gap in gaps.values())
     print(f"design_dim={dim} block={m} updates={args.updates}")
@@ -221,7 +222,7 @@ def cmd_bench(args) -> int:
     print(f"auto path: {'woodbury' if woodbury_pays(m, dim) else 'direct'} "
           f"(block {m}, design dim {dim})")
     print(f"match={'true' if match else 'false'} "
-          f"(a_inv rel_gap={gaps['a_inv']:.2e}, weight rel_gap={gaps['weight']:.2e})")
+          f"({', '.join(f'{name} rel_gap={gap:.2e}' for name, gap in gaps.items())})")
     return 0 if match else 3
 
 

@@ -27,7 +27,10 @@ by one of three paths:
   Cholesky factor ``F`` of the small inner matrix whitens the block once,
   ``[V | Z] = F^-1 [T* | R]``, and the step adds ``V* Z`` to the weight
   and subtracts ``V* V`` from the inverse Gram matrix in place, which
-  keeps that inverse symmetric without re-symmetrising it;
+  keeps that inverse symmetric without re-symmetrising it. The step needs
+  neither the Gram nor the cross-moment sum, so its rows wait in a
+  pending block and join both sums in one product per at most ``d``
+  rows, when a refit needs the sums or the block would overfill;
 - larger blocks, and small ones whose inner matrix fails a trace or
   Cholesky test, trigger a direct refit that solves for the weight from
   the Gram and cross-moment sums and leaves the inverse to be computed
@@ -79,7 +82,8 @@ centered by its own mean, which is added back onto the forecast.
 
 Concurrency contract: ``predict`` is read-only (the fold is computed
 eagerly by the writers) and may run concurrently with other ``predict``
-calls; ``fit`` and ``fit_slab``, which rewrite the fold in place, and
+calls, as may reads of a model's ``gram`` and ``cross``, which fold
+nothing; ``fit`` and ``fit_slab``, which rewrite the fold in place, and
 ``observe_values`` are exclusive writers.
 """
 
@@ -108,8 +112,11 @@ from .spectral import (  # noqa: F401
 
 SIGMA_FLOOR = 1e-8
 CONDITION_LIMIT = 1e12
-SNAPSHOT_FORMAT = "adapts-forecaster/6"
-_RIDGE_FIELDS = ("a_inv", "gram", "cross", "weight")  # per model, stacked in a snapshot
+SNAPSHOT_FORMAT = "adapts-forecaster/7"
+# per model, stacked in a snapshot: gram and cross are the folded sums, and
+# pending_in and pending_out the pending rows, padded with zero rows to the
+# most any model holds
+_RIDGE_FIELDS = ("a_inv", "gram", "cross", "weight", "pending_in", "pending_out")
 # the largest gap a snapshot's time_map may have from a full refold of its
 # weight, relative to the refold's largest entry; folds that took Woodbury
 # increments drift from it by rounding, ~1e-15 over hundreds of steps
@@ -243,16 +250,17 @@ def woodbury_pays(m: int, d: int) -> bool:
     ridge of design dimension ``d`` by a Woodbury step rather than a direct
     refit.
 
-    A Woodbury step grows with the block: three ``d×d×m`` products, and a
+    A Woodbury step grows with the block: three ``d×d×m`` products, a
     fold increment of m inverse real FFTs of length L and an ``L×m×H``
-    product. A direct refit is dominated by its ``d×d`` solve and a full
-    ``L×d×H`` refold. With one BLAS thread, real rows and the fold counted
-    on both sides, the two cross at 0.30-0.40·d at d=469 (L=520, H=96) and
-    at 0.30-0.35·d at d=117 (L=128, H=24), so a third of ``d`` sits near
-    the crossover at both. At the smaller shape the increment costs more
-    than the refold it replaces, 0.05 against 0.02 ms. No workload has
-    blocks in [d/3, d): per-channel blocks of 50 rows at d=469 take the
-    step, and every other block has at least ``d`` rows.
+    product, and a share of the pending block's fold, one ``d×k×d``
+    product per ``k <= d`` rows. A direct refit is dominated by its
+    ``d×d`` solve and a full ``L×d×H`` refold. Timed as whole steps from a
+    warm model with one BLAS thread and real rows, the two cross at
+    0.36-0.40·d at d=469 (L=520, H=96) and at 0.30-0.39·d at d=117
+    (L=128, H=24), so a third of ``d`` sits just below the crossover at
+    both. At m=50, d=469 a step takes ≈2.7 ms against ≈8 ms for a refit.
+    No workload has blocks in [d/3, d): per-channel blocks of 50 rows at
+    d=469 take the step, and every other block has at least ``d`` rows.
     """
     return m < d // 3
 
@@ -319,6 +327,14 @@ class SpectralRidge:
       is exactly symmetric, so ``A`` stays so. The step is refused when
       ``inner`` fails :func:`_inner_fault`.
 
+    A Woodbury step reads neither sum, so it does not add to them: it
+    copies its rows into a pending block of at most ``dim_in`` rows, and
+    ``P*P`` and ``P*Q`` of the pending rows ``P`` and targets ``Q`` join
+    the folded sums in one product when a refit needs them or when a step
+    would overfill the block. A step of more than ``dim_in`` rows joins
+    them at once. Reading :attr:`gram` or :attr:`cross` adds the pending
+    product to a copy and leaves the model as it was.
+
     ``a_inv = (gram + lam*I)^-1`` is computed only when read: a direct
     refit drops it, and the next Woodbury step, snapshot or reader
     recomputes it. ``last_path`` (``"woodbury"``, ``"direct"`` or
@@ -339,12 +355,74 @@ class SpectralRidge:
         self.dim_out = dim_out
         self.lam = float(lam)
         self._a_inv = None
-        self.gram = np.zeros((dim_in, dim_in))
-        self.cross = np.zeros((dim_in, dim_out))
+        # the folded sums, and the pending block: design and target rows in
+        # buffers of dim_in rows, allocated by the first Woodbury step, the
+        # first `pending` of them not yet folded
+        self._gram = np.zeros((dim_in, dim_in))
+        self._cross = np.zeros((dim_in, dim_out))
+        self._rows_in = self._rows_out = None
+        self.pending = 0
         self.weight = np.zeros((dim_in, dim_out))
         self.n_samples = 0
         self.last_path = None
         self.last_fallback = None
+
+    @property
+    def gram(self) -> np.ndarray:
+        """``X*X`` over every absorbed row: the folded sum plus the pending
+        block's product, in a new array while rows are pending."""
+        return self._gram + self._pending_sums()[0] if self.pending else self._gram
+
+    @property
+    def cross(self) -> np.ndarray:
+        """``X*Y`` over every absorbed row, as :attr:`gram`."""
+        return self._cross + self._pending_sums()[1] if self.pending else self._cross
+
+    def pending_rows(self):
+        """The pending design and target rows ``((pending, dim_in),
+        (pending, dim_out))``, views of the block."""
+        k = self.pending
+        return (self._rows_in[:k], self._rows_out[:k]) if k else (
+            np.zeros((0, self.dim_in), self._gram.dtype),
+            np.zeros((0, self.dim_out), self._gram.dtype))
+
+    def _pending_sums(self):
+        p, q = self.pending_rows()
+        p_h = p.conj().T
+        # for real rows p_h is p's own transpose, so numpy takes syrk and
+        # the product is exactly symmetric
+        return p_h @ p, p_h @ q
+
+    def _fold_pending(self) -> None:
+        """Add the pending block's sums to the folded ones and empty it."""
+        if self.pending:
+            xtx, xty = self._pending_sums()
+            # bit for bit the gram and cross a read returned before
+            xtx += self._gram
+            xty += self._cross
+            self._gram, self._cross, self.pending = xtx, xty, 0
+
+    def _stage(self, rows_in: np.ndarray, rows_out: np.ndarray) -> None:
+        """Add a block to the pending rows, folding them first when the
+        block would overfill them; a block of more than ``dim_in`` rows is
+        folded in at once."""
+        m, d = rows_in.shape[0], self.dim_in
+        if self.pending + m > d:
+            self._fold_pending()
+        if m > d:
+            x_h = rows_in.conj().T
+            self._gram = self._gram + x_h @ rows_in
+            self._cross = self._cross + x_h @ rows_out
+            return
+        if self._rows_in is None or self._rows_in.dtype != rows_in.dtype:
+            # nothing is pending here: the state's dtype changes only after a
+            # refit or a fold
+            self._rows_in = np.empty((d, d), dtype=rows_in.dtype)
+            self._rows_out = np.empty((d, self.dim_out), dtype=rows_in.dtype)
+        k = self.pending
+        self._rows_in[k:k + m] = rows_in
+        self._rows_out[k:k + m] = rows_out
+        self.pending = k + m
 
     @property
     def a_inv(self) -> np.ndarray:
@@ -354,7 +432,7 @@ class SpectralRidge:
             if self.n_samples == 0:
                 # the Gram is zero: no factorisation needed. Set here, not in
                 # __init__, so an unread inverse costs no d×d array
-                self._a_inv = np.eye(self.dim_in, dtype=self.gram.dtype) / self.lam
+                self._a_inv = np.eye(self.dim_in, dtype=self._gram.dtype) / self.lam
             else:
                 # the direct refit already solved with this very matrix
                 inv = np.linalg.inv(self._regularized(self.gram))
@@ -388,7 +466,9 @@ class SpectralRidge:
         unchanged.
         """
         rows_in, rows_out = np.asarray(rows_in), np.asarray(rows_out)
-        dtype = np.result_type(rows_in, rows_out, self.gram)
+        # the stored sum, not the property: a read while rows are pending
+        # would compute their product
+        dtype = np.result_type(rows_in, rows_out, self._gram)
         rows_in, rows_out = rows_in.astype(dtype, copy=False), rows_out.astype(dtype, copy=False)
         if rows_in.ndim != 2 or rows_in.shape[1] != self.dim_in:
             raise ShapeMismatch(f"design rows must be (m, {self.dim_in}), got {rows_in.shape}")
@@ -427,9 +507,10 @@ class SpectralRidge:
     def absorb_moments(self, xtx: np.ndarray, xty: np.ndarray, n_rows: int) -> None:
         """Refit from a block given by its sums ``xtx = X*X`` ``(dim_in,
         dim_in)`` and ``xty = X*Y`` ``(dim_in, dim_out)`` over ``n_rows``
-        rows: solve ``(gram + xtx + lam*I) weight = cross + xty``. The
-        direct refit of :meth:`absorb` ends here too. A raise leaves the
-        model unchanged.
+        rows: solve ``(gram + xtx + lam*I) weight = cross + xty``, with
+        ``gram`` and ``cross`` the folded sums plus the pending block's, and
+        empty the pending block. The direct refit of :meth:`absorb` ends
+        here too. A raise leaves the model unchanged.
         """
         if np.shape(xtx) != (self.dim_in, self.dim_in) or \
                 np.shape(xty) != (self.dim_in, self.dim_out):
@@ -443,28 +524,22 @@ class SpectralRidge:
             weight = np.linalg.solve(self._regularized(gram), cross)
         except np.linalg.LinAlgError as exc:
             raise IllConditionedUpdate(f"regularized Gram is singular: {exc}") from exc
-        self.gram, self.cross, self.weight = gram, cross, weight
+        self._gram, self._cross, self.weight, self.pending = gram, cross, weight, 0
         self.n_samples += n_rows
         self._a_inv = None
         self.last_path, self.last_fallback = "moments", None
 
     def _woodbury_step(self, rows_in, rows_out, v, z) -> None:
-        if self.gram.dtype != v.dtype:  # complex rows into a real state
-            self.gram, self.cross, self.weight, self._a_inv = (
-                a.astype(v.dtype) for a in (self.gram, self.cross, self.weight, self._a_inv))
-        v_h, x_h = v.conj().T, rows_in.conj().T
+        if self._gram.dtype != v.dtype:  # complex rows into a real state
+            self._fold_pending()
+            self._gram, self._cross, self.weight, self._a_inv = (
+                a.astype(v.dtype) for a in (self._gram, self._cross, self.weight, self._a_inv))
+        v_h = v.conj().T
         self.weight += v_h @ z
         # for real rows v_h is v's own transpose, so numpy takes syrk, which
         # fills one triangle from the other: a_inv stays exactly symmetric
-        scratch = v_h @ v                                      # (d, d)
-        self._a_inv -= scratch
-        # the new Gram takes over the scratch array and the old one is freed;
-        # keeping gram's array and adding into it measured the batched
-        # embedding in fit ~1.6x slower on a per-channel L=520 replay
-        np.matmul(x_h, rows_in, out=scratch)
-        scratch += self.gram
-        self.gram = scratch
-        self.cross += x_h @ rows_out
+        self._a_inv -= v_h @ v
+        self._stage(rows_in, rows_out)
         self.n_samples += rows_in.shape[0]
         self.last_path, self.last_fallback = "woodbury", None
 
@@ -846,29 +921,38 @@ def save_forecaster(forecaster: OnlineForecaster, path) -> None:
     ``time_map`` and, as JSON in ``environment``, its
     :func:`environment_stamp`. A model whose refit dropped its inverse
     computes it here, so a reloaded model's next Woodbury step reads the
-    same inverse as the original's; the fold is saved, not recomputed on
-    load, because Woodbury increments leave it a few ulps from a full
-    refold."""
+    same inverse as the original's. Each model's sums are saved as folded,
+    with its pending rows and their count ``pending``, so a reloaded model
+    folds the same rows when the original does. The fold is saved, not
+    recomputed on load, because Woodbury increments leave it a few ulps
+    from a full refold."""
     f = forecaster
     counts = [core.n_samples for core in f.cores]
     if len(set(counts)) > 1:
         raise InvalidConfig(f"cannot save models with different sample counts {counts}")
+    pending = np.array([core.pending for core in f.cores])
+    arrays = [(core.a_inv, core._gram, core._cross, core.weight,
+               *(np.pad(a, ((0, pending.max() - core.pending), (0, 0)))
+                 for a in core.pending_rows()))
+              for core in f.cores]   # the _RIDGE_FIELDS of each model
     np.savez(path, format=SNAPSHOT_FORMAT, context_length=f.context_length, horizon=f.horizon,
              seasonality=f.seasonality, lam=f.lam, alpha=f.alpha, instance_norm=f.instance_norm,
              channel_scaling=f.channel_scaling, models=len(f.cores),
              n_samples=f.n_samples,  # the same for every model, checked above
              stats_count=f.stats.count, stats_means=f.stats.means, stats_m2s=f.stats.m2s,
-             time_map=f.time_map, environment=json.dumps(environment_stamp()),
-             **{name: np.stack([getattr(core, name) for core in f.cores]) for name in _RIDGE_FIELDS})
+             time_map=f.time_map, environment=json.dumps(environment_stamp()), pending=pending,
+             **{name: np.stack(field) for name, field in zip(_RIDGE_FIELDS, zip(*arrays))})
 
 
 def load_forecaster(path) -> OnlineForecaster:
     """Restore a forecaster saved by :func:`save_forecaster`. Each array
-    field must hold finite real floats of its exact shape, and each
-    model's ``time_map`` slice must lie within ``FOLD_TOLERANCE`` of a full
-    refold of its weight, relative to the refold's largest entry (so
-    exactly zero when ``n_samples`` is 0); an error names the field at
-    fault. The environment stamp is not read."""
+    field must hold finite real floats of its exact shape, each model's
+    ``pending`` count must lie in ``[0, min(d, n_samples)]``, an untrained
+    snapshot must hold the state of a fresh forecaster, and each model's
+    ``time_map`` slice must lie within ``FOLD_TOLERANCE`` of a full refold
+    of its weight, relative to the refold's largest entry (so exactly zero
+    when ``n_samples`` is 0); an error names the field at fault. The
+    environment stamp is not read."""
     with np.load(path) as data:
         fmt = str(data["format"])
         if fmt != SNAPSHOT_FORMAT:
@@ -883,11 +967,19 @@ def load_forecaster(path) -> OnlineForecaster:
             bool(data["instance_norm"]), bool(data["channel_scaling"]), int(data["models"]),
         )
         G, d, d_t = len(f.cores), f.design_dim, f.core.dim_out
+        count, n_samples = int(data["stats_count"]), int(data["n_samples"])
+        pending = data["pending"]
+        if pending.shape != (G,) or pending.dtype.kind not in "iu" or pending.min() < 0 \
+                or pending.max() > min(d, n_samples):
+            raise InvalidConfig(f"snapshot pending must hold {G} integers in [0, "
+                                f"{min(d, n_samples)}] (design dim {d}, n_samples "
+                                f"{n_samples}), got {pending}")
+        k = int(pending.max())
         C = data["stats_means"].size   # stats_means is checked first, against its own size
         fields = {}
         for name, shape in zip(("stats_means", "stats_m2s", *_RIDGE_FIELDS, "time_map"),
                                ((C,), (C,), (G, d, d), (G, d, d), (G, d, d_t), (G, d, d_t),
-                                f.time_map.shape)):
+                                (G, k, d), (G, k, d_t), f.time_map.shape)):
             value = data[name]
             if value.dtype.kind != "f":
                 raise InvalidConfig(f"snapshot {name} has dtype {value.dtype}, expected real floats")
@@ -897,7 +989,6 @@ def load_forecaster(path) -> OnlineForecaster:
             if not np.isfinite(value).all():
                 raise InvalidConfig(f"snapshot {name} holds non-finite values")
             fields[name] = value
-        count, n_samples = int(data["stats_count"]), int(data["n_samples"])
     if (fields["stats_m2s"] < 0).any():
         raise InvalidConfig("snapshot stats_m2s holds negative squared deviations")
     if (count == 0) != (C == 0):
@@ -905,12 +996,20 @@ def load_forecaster(path) -> OnlineForecaster:
                             f"stats_count {count}, expected none exactly when the count is 0")
     if C % G:
         raise InvalidConfig(f"snapshot stats_means holds {C} channels, not a multiple of {G} models")
-    if n_samples == 0 and fields["weight"].any():
-        raise InvalidConfig("snapshot n_samples is 0 but its weight is nonzero")
+    if n_samples == 0:
+        # the state of a fresh model; a fold of zero is checked below
+        for name, fresh, label in (("weight", 0.0, "nonzero"), ("gram", 0.0, "nonzero"),
+                                   ("cross", 0.0, "nonzero"),
+                                   ("a_inv", np.eye(d) / f.lam, "other than I/lam")):
+            if (fields[name] != fresh).any():
+                raise InvalidConfig(f"snapshot n_samples is 0 but its {name} is {label}")
     f.stats.count, f.stats.means, f.stats.m2s = count, fields["stats_means"], fields["stats_m2s"]
     for g, core in enumerate(f.cores):
         core.n_samples = n_samples
-        core._a_inv, core.gram, core.cross, core.weight = (fields[name][g] for name in _RIDGE_FIELDS)
+        core._a_inv, core._gram, core._cross, core.weight, rows_in, rows_out = (
+            fields[name][g] for name in _RIDGE_FIELDS)
+        if pending[g]:
+            core._stage(rows_in[:pending[g]], rows_out[:pending[g]])
         refold, fold = f._refold(core), fields["time_map"][g]
         gap, scale = np.abs(fold - refold).max(), np.abs(refold).max()
         if gap > FOLD_TOLERANCE * scale:

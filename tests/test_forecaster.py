@@ -669,7 +669,7 @@ class TestLeanRidge:
         assert rel_frobenius(lean.weight, exact) <= rel_frobenius(oracle.weight, exact)
 
     def test_switch_rule(self):
-        # the measured crossovers: 0.30-0.33·d at d=469, 0.38-0.44·d at d=117
+        # the measured crossovers: 0.36-0.40·d at d=469, 0.30-0.39·d at d=117
         assert woodbury_pays(155, 469) and not woodbury_pays(156, 469)
         assert woodbury_pays(38, 117) and not woodbury_pays(39, 117)
         assert not woodbury_pays(1, 3)
@@ -770,6 +770,90 @@ class TestLeanRidge:
         assert model.last_path == "woodbury"
         np.testing.assert_array_equal(x, x0)
         np.testing.assert_array_equal(y, y0)
+
+
+class TestPendingSums:
+    """A Woodbury step leaves its rows pending; they join ``gram`` and
+    ``cross`` in one product per at most ``dim_in`` rows, and reading the
+    sums folds nothing."""
+
+    D, K = 12, 3
+
+    @staticmethod
+    def state_bytes(model):
+        """Every byte of a model's state, arrays and counters alike."""
+        return {name: value.tobytes() if isinstance(value, np.ndarray) else value
+                for name, value in vars(model).items()}
+
+    def test_read_sums_equal_the_direct_sums_after_several_folds(self):
+        rng = np.random.default_rng(83)
+        d, k = self.D, self.K
+        model = SpectralRidge(d, k, 2.0)
+        all_in, all_out, folds = [], [], 0
+        # real steps of 3 rows (below d // 3), a forced Woodbury block of
+        # more than d rows, then complex steps that convert the state
+        schedule = [(3, "auto", False)] * 9 + [(d + 3, "woodbury", False)] + \
+            [(2, "auto", False)] * 3 + [(3, "auto", True)] * 6
+        for m, method, complex_rows in schedule:
+            x = random_complex(rng, (m, d)) if complex_rows else rng.normal(size=(m, d))
+            y = random_complex(rng, (m, k)) if complex_rows else rng.normal(size=(m, k))
+            before = model.pending
+            model.absorb(x, y, method=method)
+            assert model.last_path == "woodbury"
+            folds += model.pending < before + m and before > 0
+            all_in.append(x)
+            all_out.append(y)
+            x_all, y_all = np.vstack(all_in), np.vstack(all_out)
+            assert rel_frobenius(model.gram, x_all.conj().T @ x_all) <= 1e-12
+            assert rel_frobenius(model.cross, x_all.conj().T @ y_all) <= 1e-12
+        assert folds >= 3 and model.pending > 0
+        assert model.gram.dtype == model.cross.dtype == complex
+        assert rel_frobenius(model.weight, exact_weight(model)) <= 1e-12
+
+    def test_reading_the_sums_changes_no_state_byte(self):
+        rng = np.random.default_rng(89)
+        model = SpectralRidge(self.D, self.K, 2.0)
+        for _ in range(3):
+            model.absorb(rng.normal(size=(2, self.D)), rng.normal(size=(2, self.K)))
+        assert model.pending == 6
+        before = self.state_bytes(model)
+        first = model.gram.tobytes(), model.cross.tobytes()
+        assert (model.gram.tobytes(), model.cross.tobytes()) == first
+        assert self.state_bytes(model) == before
+
+    def test_folded_sums_stay_fixed_until_the_block_fills(self):
+        rng = np.random.default_rng(97)
+        d = self.D
+        model = SpectralRidge(d, self.K, 2.0)
+        model.absorb(rng.normal(size=(2 * d, d)), rng.normal(size=(2 * d, self.K)))
+        assert model.last_path == "direct"
+        for step in range(3 * d):
+            folded = model._gram.tobytes(), model._cross.tobytes()
+            full = model.pending + 3 > d
+            model.absorb(rng.normal(size=(3, d)), rng.normal(size=(3, self.K)))
+            assert model.last_path == "woodbury"
+            assert ((model._gram.tobytes(), model._cross.tobytes()) == folded) != full, step
+            assert model.pending == (3 if full else 3 * (step % (d // 3) + 1))
+
+    def test_a_refit_folds_the_pending_block(self):
+        rng = np.random.default_rng(101)
+        d = self.D
+        model = SpectralRidge(d, self.K, 2.0)
+        model.absorb(rng.normal(size=(2, d)), rng.normal(size=(2, self.K)))
+        pending = model.gram, model.cross
+        xtx, xty = np.eye(d), np.ones((d, self.K))
+        model.absorb_moments(xtx, xty, 5)
+        assert model.pending == 0 and model.n_samples == 7
+        assert model.gram.tobytes() == (pending[0] + xtx).tobytes()
+        assert model.cross.tobytes() == (pending[1] + xty).tobytes()
+
+    def test_a_refit_only_model_allocates_no_pending_block(self):
+        rng = np.random.default_rng(103)
+        model = SpectralRidge(self.D, self.K, 2.0)
+        for m in (20, 5, 30):
+            model.absorb(rng.normal(size=(m, self.D)), rng.normal(size=(m, self.K)))
+            assert model.last_path == "direct"
+        assert model._rows_in is None and model._rows_out is None
 
 
 class TestRealCoefficients:
@@ -1149,11 +1233,117 @@ class TestSnapshot:
         with np.load(path) as data:
             return path, dict(data)
 
+    def _pending_fields(self, tmp_path):
+        """A snapshot of a model that took two Woodbury steps of 2 rows."""
+        rng = np.random.default_rng(107)
+        f = new_forecaster(16, 4, 2, lam=3.0, alpha=0.8)
+        f.observe_values(rng.normal(size=(10, 2)))
+        for _ in range(2):
+            f.fit_block([SamplePair(rng.normal(size=16), rng.normal(size=4), 0)
+                         for _ in range(2)])
+        assert f.core.last_path == "woodbury" and f.core.pending == 4
+        path = tmp_path / "state.npz"
+        save_forecaster(f, path)
+        with np.load(path) as data:
+            return path, dict(data)
+
+    def test_pending_rows_are_saved_beside_the_folded_sums(self, tmp_path):
+        path, fields = self._pending_fields(tmp_path)
+        assert fields["pending"].tolist() == [4]
+        assert fields["pending_in"].shape == (1, 4, 15) and fields["pending_out"].shape == (1, 4, 4)
+        # nothing folded yet: the saved sums are a fresh model's zeros
+        assert not fields["gram"].any() and not fields["cross"].any()
+        g = load_forecaster(path)
+        assert g.core.pending == 4
+        p, q = g.core.pending_rows()
+        assert p.tobytes() == fields["pending_in"][0].tobytes()
+        assert q.tobytes() == fields["pending_out"][0].tobytes()
+
+    @pytest.mark.parametrize("field, bad", [
+        ("pending_in", lambda a: a + 1e-3j),
+        ("pending_out", lambda a: a + 1e-3j),
+        ("pending_in", lambda a: a[:, :-1]),
+        ("pending_out", lambda a: a[:, :, :-1]),
+        ("pending_in", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 7, np.nan, a)),
+        ("pending_out", lambda a: np.where(np.arange(a.size).reshape(a.shape) == 2, np.inf, a)),
+    ])
+    def test_bad_pending_rows_rejected(self, tmp_path, field, bad):
+        path, fields = self._pending_fields(tmp_path)
+        fields[field] = bad(fields[field])
+        np.savez(path, **fields)
+        with pytest.raises(InvalidConfig, match=field):
+            load_forecaster(path)
+
+    @pytest.mark.parametrize("bad", [np.array([-1]), np.array([4.0]), np.array(4),
+                                     np.array([4, 4]), np.array([16]), np.array([8])])
+    def test_bad_pending_counts_rejected(self, tmp_path, bad):
+        # a count must be an integer per model in [0, min(d, n_samples)]:
+        # 16 is past d = 15, and 8 past the 4 absorbed rows
+        path, fields = self._pending_fields(tmp_path)
+        fields["pending"] = bad
+        np.savez(path, **fields)
+        with pytest.raises(InvalidConfig, match="snapshot pending"):
+            load_forecaster(path)
+
+    @pytest.mark.parametrize("field, change", [
+        ("a_inv", lambda a: a * 50.0),
+        ("gram", lambda a: a + 7.0 * np.eye(a.shape[-1])),
+        ("cross", lambda a: a + 1e-300),
+    ])
+    def test_untrained_snapshot_must_hold_a_fresh_state(self, tmp_path, field, change):
+        # with no sample absorbed, a model's inverse is I / lam and its sums
+        # are zero; any other state would steer its first Woodbury step
+        path = tmp_path / "state.npz"
+        save_forecaster(new_forecaster(16, 4, 2, lam=3.0, models=2), path)
+        with np.load(path) as data:
+            fields = dict(data)
+        fields[field] = change(fields[field])
+        np.savez(path, **fields)
+        with pytest.raises(InvalidConfig, match=f"n_samples is 0 but its {field}"):
+            load_forecaster(path)
+
+    def test_untrained_snapshot_with_pending_rows_rejected(self, tmp_path):
+        path = tmp_path / "state.npz"
+        save_forecaster(new_forecaster(16, 4, 2, lam=3.0, alpha=0.8), path)
+        with np.load(path) as data:
+            fields = dict(data)
+        fields["pending"] = np.array([1])
+        fields["pending_in"] = np.zeros((1, 1, 15))
+        fields["pending_out"] = np.zeros((1, 1, 4))
+        np.savez(path, **fields)
+        with pytest.raises(InvalidConfig, match=r"snapshot pending .*n_samples 0"):
+            load_forecaster(path)
+
+    def test_mid_block_snapshot_then_a_refit_matches_uninterrupted(self, tmp_path):
+        # Woodbury steps leave 3 models with rows pending; saved there and
+        # reloaded, a direct refit then folds the same rows into the same sums
+        L, H, C = 32, 8, 3
+        rng = np.random.default_rng(109)
+        f = new_forecaster(L, H, 4, lam=2.0, alpha=0.8, models=C)
+        f.observe_values(rng.normal(size=(40, C)))
+        for m in (4, 5, 3):
+            f.fit_slab(rng.normal(size=(C, m + L + H - 1)))
+        assert [core.last_path for core in f.cores] == ["woodbury"] * C
+        assert [core.pending for core in f.cores] == [12] * C
+        save_forecaster(f, tmp_path / "state.npz")
+        g = load_forecaster(tmp_path / "state.npz")
+        slab = rng.normal(size=(C, 20 + L + H - 1))
+        f.fit_slab(slab)
+        g.fit_slab(slab)
+        for got, want in zip(g.cores, f.cores):
+            assert got.last_path == want.last_path == "direct"
+            assert got.pending == want.pending == 0
+            for name in ("gram", "cross", "weight", "a_inv"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert g.time_map.tobytes() == f.time_map.tobytes()
+        probe = rng.normal(size=(C, L))
+        assert g.predict(probe).tobytes() == f.predict(probe).tobytes()
+
     def test_previous_format_rejected(self, tmp_path):
         path, fields = self._saved_fields(tmp_path)
-        fields["format"] = np.array("adapts-forecaster/5")
+        fields["format"] = np.array("adapts-forecaster/6")
         np.savez(path, **fields)
-        with pytest.raises(InvalidConfig, match="adapts-forecaster/5.*adapts-forecaster/6"):
+        with pytest.raises(InvalidConfig, match="adapts-forecaster/6.*adapts-forecaster/7"):
             load_forecaster(path)
 
     @pytest.mark.parametrize("field", ["a_inv", "gram", "cross", "weight", "time_map"])
