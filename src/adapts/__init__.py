@@ -14,7 +14,6 @@ from .forecaster import (
     SamplePair,
     SpectralRidge,
     load_forecaster,
-    new_forecaster,
     save_forecaster,
 )
 from .harness import (
@@ -76,7 +75,6 @@ __all__ = [
     "lowpass",
     "make_base_forecaster",
     "mase",
-    "new_forecaster",
     "pad_spectrum",
     "rmsse",
     "run",

@@ -899,13 +899,6 @@ class OnlineForecaster:
         return out
 
 
-def new_forecaster(context_length, horizon, seasonality, lam=20.0, alpha=0.9,
-                   instance_norm=True, channel_scaling=True, models=1) -> OnlineForecaster:
-    """Construct an untrained forecaster (cold-start path active)."""
-    return OnlineForecaster(context_length, horizon, seasonality, lam, alpha,
-                            instance_norm, channel_scaling, models)
-
-
 def environment_stamp() -> dict:
     """What a bit-for-bit result depends on beyond the inputs: the numpy
     version, the BLAS library's name and version, and the BLAS thread

@@ -166,59 +166,60 @@ class HistoricalMeanBase(BaseForecaster):
 
 
 class PrecomputedBase(BaseForecaster):
-    """Serves forecasts from a pre-generated table keyed by (t, channel).
+    """Serves forecasts from a :class:`~adapts.io.ForecastTable`.
 
-    ``table`` is a :class:`~adapts.io.ForecastTable` or any mapping from
-    ``(t, channel_name)`` to a vector, which is converted to one once. A
-    table of another horizon raises InvalidConfig here. Each step's
-    forecasts are one gather from the table's block; a step with a
-    forecast missing takes the per-channel path, which raises the error
-    naming the first missing channel.
+    Any other ``table``, or a table of another horizon, raises
+    InvalidConfig here. Channel ``ch`` of a run is the table's channel
+    ``channel_names[ch]``. Each step's forecasts are one lookup of their
+    block rows; ``forecast`` serves a read-only view of its row and
+    ``forecast_all`` a copy of the step's rows. A forecast the lookup
+    misses raises MissingForecast naming the first channel without one.
     """
 
     def __init__(self, table, horizon: int, channel_names):
         if not isinstance(table, ForecastTable):
-            table = ForecastTable.from_mapping(table, horizon)
+            raise InvalidConfig(
+                f"a precomputed base needs a ForecastTable, got {type(table).__name__}")
         if table.horizon != horizon:
             raise InvalidConfig(
                 f"forecast file horizon {table.horizon} differs from configured {horizon}")
         self.table = table
         self.horizon = horizon
         self.channel_names = list(channel_names)
-        # the table's code of each channel name; a table that lacks a name
-        # serves every step per channel
-        codes = np.array([table.code(name) for name in self.channel_names], np.intp)
-        self._codes = codes if (codes >= 0).all() else None
+        # the table's code of each channel name, -1 for a name it lacks
+        self._codes = np.array([table.code(name) for name in self.channel_names], np.intp)
+
+    def _rows(self, t, first, stop):
+        """The block rows of step ``t`` for channels ``first`` to ``stop -
+        1``; the first of them without a forecast raises MissingForecast."""
+        codes = self._codes[first:stop] if first >= 0 else self._codes[:0]
+        listed = codes.tolist()
+        if -1 in listed:  # a name the table lacks: the lookup stops before it
+            codes = codes[:listed.index(-1)]
+        rows = self.table.rows(t, codes)
+        ch = first + (rows.tolist() + [-1]).index(-1)
+        if ch == stop:
+            return rows
+        if not 0 <= ch < len(self.channel_names):
+            raise MissingForecast(f"no precomputed forecast for channel index {ch}: the "
+                                  f"base holds {len(self.channel_names)} channel names")
+        raise MissingForecast(f"no precomputed forecast for time step {t}, "
+                              f"channel {self.channel_names[ch]!r}")
 
     def forecast(self, t, channel, context):
-        if not 0 <= channel < len(self.channel_names):
-            raise MissingForecast(f"no precomputed forecast for channel index {channel}: the "
-                                  f"base holds {len(self.channel_names)} channel names")
-        name = self.channel_names[channel]
-        vec = self.table.get((t, name))
-        if vec is None:
-            raise MissingForecast(
-                f"no precomputed forecast for time step {t}, channel {name!r}"
-            )
-        return vec
+        return self.table.block[self._rows(t, channel, channel + 1)[0]]
 
     def forecast_all(self, t, contexts):
-        n = len(contexts)
-        if self._codes is not None and 0 < n <= len(self._codes):
-            block = self.table.gather(t, self._codes[:n])
-            if block is not None:
-                return block
-        return BaseForecaster.forecast_all(self, t, contexts)
+        return self.table.block[self._rows(t, 0, len(contexts))]
 
 
 def make_base_forecaster(kind: str, *, horizon: int, seasonality: int = None,
                          forecasts=None, channel_names=None) -> BaseForecaster:
     """Build one of the bundled base forecasters.
 
-    ``precomputed`` needs ``forecasts`` (the :class:`~adapts.io.ForecastTable`
-    that :func:`adapts.io.load_forecasts` returns, or any ``(t,
-    channel_name) -> vector`` mapping, converted to a table once) and the
-    run's ``channel_names``.
+    ``precomputed`` needs ``forecasts``, a :class:`~adapts.io.ForecastTable`
+    such as :func:`adapts.io.load_forecasts` returns, and the run's
+    ``channel_names``.
     """
     if kind == "naive_seasonal":
         if seasonality is None:

@@ -27,13 +27,12 @@ import json
 import operator
 import warnings
 import zipfile
-from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
 
 from .config import RollingConfig
-from .errors import InsufficientData, InvalidConfig, IoError, ParseError, ShapeMismatch
+from .errors import InsufficientData, InvalidConfig, IoError, ParseError
 
 
 @dataclasses.dataclass
@@ -197,15 +196,11 @@ def write_series(series: Series, path) -> None:
 # -- forecast files -----------------------------------------------------------
 
 def write_forecasts(t, channel, block, path) -> None:
-    """Write forecast rows: ``t`` ``(n,)`` int64 steps, ``channel`` ``(n,)``
-    names and ``block`` ``(n, H)`` float64 forecasts. A name ending in
-    ``.npz`` gets an ``.npz`` file of the three arrays (fields ``t``,
-    ``channel`` as unicode, ``h``), any other long CSV."""
-    t, names = np.asarray(t, dtype=np.int64), np.asarray(channel, dtype=object)
-    block = np.asarray(block, dtype=np.float64)
-    if block.ndim != 2 or block.shape[1] < 1 or not t.shape == names.shape == block.shape[:1]:
-        raise InvalidConfig(f"forecast rows need t (n,), channel (n,) and h (n, H >= 1), got "
-                            f"{t.shape}, {names.shape} and {block.shape}")
+    """Write forecast rows: ``t`` ``(n,)`` integer steps, ``channel``
+    ``(n,)`` names and ``block`` ``(n, H)`` float64 forecasts. A name
+    ending in ``.npz`` gets an ``.npz`` file of the three arrays (fields
+    ``t``, ``channel`` as unicode, ``h``), any other long CSV."""
+    t, names, block = _forecast_columns(t, channel, block)
     try:
         if _is_npz(path):
             # numpy strips trailing NULs from unicode arrays, so such a name
@@ -243,7 +238,7 @@ def _forecast_layout(header):
                              line=line, column=1)
         key = (t, row[1])
         if key in seen:
-            raise _duplicate_forecast(key, line)
+            raise _bad_forecast("duplicate", *key, line)
         seen.add(key)
         _check_numbers(row[2:], line, 3)
 
@@ -252,47 +247,66 @@ def _forecast_layout(header):
     return dtype, check
 
 
-def _duplicate_forecast(key, line):
-    t, name = key
-    return ParseError(f"duplicate forecast for (t={t}, channel={name!r})", line=line)
+def _bad_forecast(problem, t, name, line):
+    return ParseError(f"{problem} forecast for (t={t}, channel={name!r})", line=line)
 
 
-class ForecastTable(Mapping):
-    """Read-only ``(t, channel_name) -> (H,)`` mapping over one dense block.
+def _forecast_columns(t, channel, block):
+    """``t`` as ``(n,)`` int64 steps, ``channel`` as ``(n,)`` names and
+    ``block`` as ``(n, H)`` float64 forecasts with H >= 1, each converted
+    only where it is not one already; other columns raise InvalidConfig."""
+    steps = np.asarray(t)
+    names = channel if isinstance(channel, np.ndarray) else np.asarray(channel, dtype=object)
+    block = np.asarray(block, dtype=np.float64)
+    # an empty list of steps reads as float64, and holds no float step
+    integral = not steps.size or steps.dtype.kind in "iu" and np.can_cast(steps.dtype, np.int64)
+    if not integral or block.ndim != 2 or block.shape[1] < 1 \
+            or not steps.shape == names.shape == block.shape[:1]:
+        raise InvalidConfig(f"forecast rows need t (n,) int64, channel (n,) and h (n, H >= 1), "
+                            f"got {steps.dtype} {steps.shape}, {names.shape} and {block.shape}")
+    return steps.astype(np.int64, copy=False), names, block
+
+
+class ForecastTable:
+    """The forecasts of a forecast file as one dense block, indexed by
+    step and channel.
 
     ``block`` holds the forecasts as ``(n, H)`` float64 rows in file
-    order. Each channel name is stored once and rows refer to it by code;
-    ``index[i, code]`` is the block row of step ``times[i]`` and that
-    channel, or -1 where the file has no such forecast. ``times`` holds the
-    distinct steps in ascending order, so any int64 step is allowed.
-
-    As a mapping it reads like the dict of row views it replaces: keys
-    iterate in file order with ``int`` steps, lookups return read-only
-    views of the block, and ``==`` compares it with a dict item by item,
-    as two dicts.
+    order. Each channel name is stored once, in ``names``, and ``code(name)``
+    is its position there; ``index[i, code]`` is the block row of step
+    ``times[i]`` and that channel, or -1 where the file has no such
+    forecast. ``times`` holds the distinct steps in ascending order, so any
+    int64 step is allowed.
     """
 
     def __init__(self, t, channel, block, first_line=None):
-        """Index ``block``'s rows by step ``t`` (``(n,)`` int64) and
-        ``channel`` (``(n,)`` names). A repeated ``(t, channel)`` raises
-        ParseError at the line of its second occurrence, counting row 0
-        as ``first_line`` (None: no line)."""
+        """Index ``block``'s rows by step ``t`` (``(n,)`` integers) and
+        ``channel`` (``(n,)`` names). The table keeps a read-only view of
+        ``block``, not a copy. Columns of other shapes or types raise
+        InvalidConfig. A repeated ``(t, channel)`` or a non-finite forecast
+        raises ParseError at the line of its row, counting row 0 as
+        ``first_line`` (None: no line)."""
+        t, channel, block = _forecast_columns(t, channel, block)
         lookup = {}
         codes = np.fromiter((lookup.setdefault(name, len(lookup)) for name in channel.tolist()),
                             np.intp, count=len(channel))
         self.block, self.names, self._codes_of = block.view(), list(lookup), lookup
         self.block.flags.writeable = False  # rows go out as views of it
-        self._t, self._codes = t, codes
         self.times, steps = np.unique(t, return_inverse=True)
         self.index = np.full((len(self.times), len(self.names)), -1, np.intp)
         self.index[steps, codes] = np.arange(len(codes))
+
+        def bad_row(problem, row):
+            return _bad_forecast(problem, int(t[row]), self.names[codes[row]],
+                                 None if first_line is None else first_line + row)
+
         if np.count_nonzero(self.index >= 0) < len(codes):
             _, first = np.unique(steps * len(self.names) + codes, return_index=True)
             repeat = np.ones(len(codes), bool)
             repeat[first] = False
-            row = int(np.argmax(repeat))
-            raise _duplicate_forecast((int(t[row]), self.names[codes[row]]),
-                                      None if first_line is None else first_line + row)
+            raise bad_row("duplicate", int(np.argmax(repeat)))
+        if not np.isfinite(block).all():
+            raise bad_row("non-finite", int(np.argmin(np.isfinite(block).all(axis=1))))
 
     @property
     def horizon(self) -> int:
@@ -313,60 +327,12 @@ class ForecastTable(Mapping):
         """The code of channel ``name``, or -1 if the table has none."""
         return self._codes_of.get(name, -1)
 
-    def gather(self, t, codes):
-        """The ``(len(codes), H)`` forecasts of step ``t`` for channel
-        ``codes`` (an ``(n,)`` intp array of codes the table holds), in one
-        copy from the block; None if the step or any forecast is missing."""
+    def rows(self, t, codes):
+        """The block rows of step ``t`` for the channels of ``codes``, a
+        sequence of codes the table holds, as an ``(n,)`` intp array with
+        -1 where a forecast is missing: everywhere if it lacks the step."""
         i = self.step(t)
-        if i < 0:
-            return None
-        # two indexing steps and a scan of the Python ints cost under half
-        # of index[i, codes] and rows.min() at C=7
-        rows = self.index[i][codes]
-        return None if -1 in rows.tolist() else self.block[rows]
-
-    def _row(self, key) -> int:
-        try:
-            t, name = key
-            i, code = self.step(t), self._codes_of[name]
-        except (TypeError, ValueError, KeyError):
-            return -1
-        return -1 if i < 0 else int(self.index[i, code])
-
-    def __getitem__(self, key):
-        row = self._row(key)
-        if row < 0:
-            raise KeyError(key)
-        return self.block[row]
-
-    def __iter__(self):
-        return zip(self._t.tolist(), map(self.names.__getitem__, self._codes.tolist()))
-
-    def __len__(self):
-        return len(self._codes)
-
-    @classmethod
-    def from_mapping(cls, mapping, horizon: int):
-        """A table of a ``(t, name) -> vector`` mapping, in its order. A
-        key that is not an (int64 step, name) pair, or a vector not of
-        shape ``(horizon,)``, raises ShapeMismatch naming the key."""
-        steps, channel, rows = [], [], []
-        for key, vec in mapping.items():
-            try:
-                t, name = key
-                t, row = operator.index(t), np.asarray(vec, dtype=np.float64)
-            except (TypeError, ValueError):
-                row = None
-            if row is None or row.shape != (horizon,) or not _INT64.min <= t <= _INT64.max:
-                raise ShapeMismatch(f"forecast {key!r} needs an (int64 step, name) key and a "
-                                    f"float vector of shape ({horizon},)")
-            steps.append(t)
-            channel.append(name)
-            rows.append(row)
-        names = np.empty(len(channel), object)
-        names[:] = channel
-        block = np.array(rows, dtype=np.float64).reshape(len(rows), horizon)
-        return cls(np.array(steps, dtype=np.int64), names, block)
+        return self.index[i][codes] if i >= 0 else np.full(len(codes), -1, np.intp)
 
 
 def _is_npz(path) -> bool:
@@ -378,9 +344,8 @@ def load_forecasts(path):
 
     Returns
     -------
-    (table, horizon) where table is a :class:`ForecastTable` mapping
-    ``(t, channel_name)`` to the forecast vector, in file order. The
-    vectors are rows of one float64 block.
+    (table, horizon) where table is a :class:`ForecastTable` over the
+    file's rows, in file order, as one float64 block.
     """
     if _is_npz(path):
         return _load_forecasts_npz(path)
@@ -425,8 +390,7 @@ def _load_forecasts_npz(path):
         raise ParseError(f"field 'h' has shape {h.shape}, expected ({len(t)}, H) with H >= 1")
     if t.dtype.kind == "u" and len(t) and t.max() > _INT64.max:
         raise ParseError("field 't' holds a step beyond int64")
-    block = h.astype(np.float64, copy=False)
-    return ForecastTable(t.astype(np.int64, copy=False), channel, block), block.shape[1]
+    return ForecastTable(t.astype(np.int64, copy=False), channel, h), h.shape[1]
 
 
 # -- run config files ---------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from adapts.io import ForecastTable, load_forecasts, write_forecasts
+
 
 class TraceArray:
     """Array wrapper recording the highest time index ever read.
@@ -89,3 +91,27 @@ def forecast_columns(rows, horizon):
     channel[:] = [name for _, name, _ in rows]
     block = np.array([vec for _, _, vec in rows], dtype=np.float64).reshape(len(rows), horizon)
     return [t for t, _, _ in rows], channel, block
+
+
+def table_dict(table):
+    """The rows of a :class:`adapts.io.ForecastTable` as a ``{(t, name):
+    row}`` dict in block order, read back through its index, which must
+    name every block row once."""
+    i, code = np.nonzero(table.index >= 0)
+    rows = table.index[i, code]
+    order = np.argsort(rows)
+    assert rows[order].tolist() == list(range(len(table.block)))
+    return {(int(table.times[i[k]]), table.names[code[k]]): table.block[rows[k]]
+            for k in order.tolist()}
+
+
+def forecast_table(rows, horizon, source, tmp_path):
+    """A :class:`adapts.io.ForecastTable` of ``(t, name, vector)`` rows,
+    built from arrays (``source="array"``) or written to and loaded from a
+    ``.csv`` or ``.npz`` file in ``tmp_path``."""
+    columns = forecast_columns(rows, horizon)
+    if source == "array":
+        return ForecastTable(*columns)
+    path = tmp_path / f"f.{source}"
+    write_forecasts(*columns, path)
+    return load_forecasts(path)[0]

@@ -18,7 +18,7 @@ import pytest
 from helpers import TraceArray, ar_seasonal_series, forecast_columns, regime_switch_series
 
 from adapts.config import RollingConfig
-from adapts.forecaster import OnlineForecaster, SamplePair, SpectralRidge, new_forecaster
+from adapts.forecaster import OnlineForecaster, SamplePair, SpectralRidge
 from adapts.harness import NaiveSeasonalBase, PrecomputedBase, run
 from adapts.io import (
     Series,
@@ -101,8 +101,8 @@ def test_criterion_03_ols_equivalence():
             n = int(rng.integers(80, 200))
             x = rng.normal(size=(n, L))
             y = rng.normal(size=(n, H)) + 0.4 * x[:, -H:]
-            f = new_forecaster(L, H, 1, lam=1e-9, alpha=1.0,
-                               instance_norm=False, channel_scaling=False)
+            f = OnlineForecaster(L, H, 1, lam=1e-9, alpha=1.0,
+                                 instance_norm=False, channel_scaling=False)
             f.fit_block([SamplePair(x[i], y[i], 0) for i in range(n)])
             w_time = np.linalg.solve(x.T @ x + 1e-9 * np.eye(L), x.T @ y)
             probes = rng.normal(size=(8, L))

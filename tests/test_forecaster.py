@@ -29,7 +29,6 @@ from adapts.forecaster import (
     environment_stamp,
     load_forecaster,
     moments_pay,
-    new_forecaster,
     save_forecaster,
     woodbury_pays,
 )
@@ -130,8 +129,8 @@ def fitted_pair_of_forecasters(config, seed):
     pair blocks cut from channels 0, 1, 2 and 5."""
     L, H, alpha, instance_norm, channel_scaling = config
     rng = np.random.default_rng(seed)
-    twins = [new_forecaster(L, H, 2, lam=2.0, alpha=alpha, instance_norm=instance_norm,
-                            channel_scaling=channel_scaling) for _ in range(2)]
+    twins = [OnlineForecaster(L, H, 2, lam=2.0, alpha=alpha, instance_norm=instance_norm,
+                              channel_scaling=channel_scaling) for _ in range(2)]
     for v in rng.normal(size=(25, 6)) * [1.0, 6.0, 0.05, 1.0, 1.0, 40.0]:
         for f in twins:
             f.observe_values(v)
@@ -145,7 +144,7 @@ def fitted_pair_of_forecasters(config, seed):
 
 class TestConstruction:
     def test_default_filter_dimensions(self):
-        f = new_forecaster(520, 96, 24, lam=20.0, alpha=0.9)
+        f = OnlineForecaster(520, 96, 24, lam=20.0, alpha=0.9)
         assert f.filter.context_bins == 235
         assert f.filter.target_bins == 45
         # conjugate columns for the 234 non-DC retained bins
@@ -154,7 +153,7 @@ class TestConstruction:
         assert f.n_samples == 0
 
     def test_unfiltered_small_model(self):
-        f = new_forecaster(4, 2, 1, lam=1.0, alpha=1.0)
+        f = OnlineForecaster(4, 2, 1, lam=1.0, alpha=1.0)
         assert f.filter.context_bins == 3
         assert f.filter.target_bins == 2
         # bins 0 and 2 (Nyquist) are self-conjugate, bin 1 gets a twin
@@ -165,29 +164,29 @@ class TestConstruction:
     def test_real_layout_dimensions(self):
         # L=128 keeps 59 of 65 bins: DC plus 58 (Re, Im) pairs; H=24 keeps
         # 12 of 13: DC plus 11 pairs
-        f = new_forecaster(128, 24, 24, lam=20.0, alpha=0.9)
+        f = OnlineForecaster(128, 24, 24, lam=20.0, alpha=0.9)
         assert f.design_dim == 117
         assert f.core.dim_out == 23
         # L=520 and H=96 keep 235 and 45 bins, none of them Nyquist
-        assert new_forecaster(520, 96, 24).core.dim_out == 89
+        assert OnlineForecaster(520, 96, 24).core.dim_out == 89
         # H=4 with alpha=1 keeps Nyquist: DC, one pair, Nyquist
-        assert new_forecaster(16, 4, 2, alpha=1.0).core.dim_out == 4
+        assert OnlineForecaster(16, 4, 2, alpha=1.0).core.dim_out == 4
         assert f.core.a_inv.dtype == np.float64
 
     def test_tiny_alpha_keeps_dc_only(self):
-        f = new_forecaster(10, 4, 2, lam=1.0, alpha=0.01)
+        f = OnlineForecaster(10, 4, 2, lam=1.0, alpha=0.01)
         assert f.filter.context_bins == 1
         assert f.design_dim == 1
 
     def test_invalid_dimensions_rejected(self):
         with pytest.raises(InvalidConfig):
-            new_forecaster(10, 4, 12)  # seasonality > context
+            OnlineForecaster(10, 4, 12)  # seasonality > context
         with pytest.raises(InvalidConfig):
-            new_forecaster(10, 0, 2)
+            OnlineForecaster(10, 0, 2)
         with pytest.raises(InvalidConfig):
-            new_forecaster(10, 4, 2, lam=0.0)
+            OnlineForecaster(10, 4, 2, lam=0.0)
         with pytest.raises(InvalidConfig):
-            new_forecaster(10, 4, 2, alpha=1.5)
+            OnlineForecaster(10, 4, 2, alpha=1.5)
 
 
 class TestChannelStats:
@@ -304,14 +303,14 @@ class TestChannelStats:
 
 class TestEmbed:
     def test_constant_context_embeds_to_zero(self):
-        f = new_forecaster(4, 2, 1, lam=1.0, alpha=1.0)
+        f = OnlineForecaster(4, 2, 1, lam=1.0, alpha=1.0)
         ctx_row, _ = f.embed_pair(SamplePair(np.full(4, 5.0), np.array([1.0, 2.0]), 0))
         np.testing.assert_allclose(ctx_row, 0.0, atol=1e-12)
 
     def test_channel_std_scales_rows_linearly(self):
         pair = SamplePair(np.array([1.0, 4.0, 2.0, 3.0]), np.array([5.0, 6.0]), 0)
-        f1 = new_forecaster(4, 2, 1, lam=1.0, alpha=1.0)
-        f2 = new_forecaster(4, 2, 1, lam=1.0, alpha=1.0)
+        f1 = OnlineForecaster(4, 2, 1, lam=1.0, alpha=1.0)
+        f2 = OnlineForecaster(4, 2, 1, lam=1.0, alpha=1.0)
         # drive the running std of f2 to twice that of f1
         for v in (0.0, 2.0):
             f1.observe_values([v])
@@ -324,14 +323,14 @@ class TestEmbed:
         np.testing.assert_allclose(t2, t1 / 2, rtol=1e-12)
 
     def test_alternating_context_matches_dft(self):
-        f = new_forecaster(4, 2, 1, lam=1.0, alpha=1.0)
+        f = OnlineForecaster(4, 2, 1, lam=1.0, alpha=1.0)
         ctx_row, _ = f.embed_pair(SamplePair(np.array([0.0, 1.0, 0.0, 1.0]),
                                              np.array([0.0, 0.0]), 0))
         expected = lowpass(forward_rft(np.array([-0.5, 0.5, -0.5, 0.5])), 3).bins
         np.testing.assert_allclose(ctx_row, expected, atol=1e-12)
 
     def test_wrong_lengths_rejected(self):
-        f = new_forecaster(4, 2, 1)
+        f = OnlineForecaster(4, 2, 1)
         with pytest.raises(ShapeMismatch):
             f.embed_pair(SamplePair(np.zeros(5), np.zeros(2), 0))
         with pytest.raises(ShapeMismatch):
@@ -339,7 +338,7 @@ class TestEmbed:
 
     @pytest.mark.parametrize("channel_scaling", [True, False])
     def test_negative_channel_rejected(self, channel_scaling):
-        f = new_forecaster(4, 2, 1, channel_scaling=channel_scaling)
+        f = OnlineForecaster(4, 2, 1, channel_scaling=channel_scaling)
         for v in ([1.0, 5.0], [2.0, 9.0]):
             f.observe_values(v)
         with pytest.raises(ShapeMismatch, match="non-negative"):
@@ -887,7 +886,7 @@ class TestRealCoefficients:
     @pytest.mark.parametrize("L, alpha", [(16, 1.0), (17, 1.0), (17, 0.8), (10, 0.01),
                                           (2, 1.0), (128, 0.9), (520, 0.9)])
     def test_inverse_layout_equals_analysis(self, L, alpha):
-        f = new_forecaster(L, 4, 1, alpha=alpha)
+        f = OnlineForecaster(L, 4, 1, alpha=alpha)
         keep, d = f.filter.context_bins, f.design_dim
         assert (d % 2 == 0) == (L % 2 == 0 and alpha == 1.0)   # a Nyquist column
         # column j of analysis is analysis @ e_j: L inverse real FFTs of e_j's bins
@@ -919,7 +918,7 @@ class TestFitBlock:
 
     def test_fit_then_inverse_matches_embedded_design(self):
         rng = np.random.default_rng(17)
-        f = new_forecaster(16, 4, 2, lam=5.0, alpha=0.8)
+        f = OnlineForecaster(16, 4, 2, lam=5.0, alpha=0.8)
         all_rows = []
         for n in (3, 5, 2, 8):
             pairs = self._make_pairs(rng, f, n)
@@ -929,12 +928,12 @@ class TestFitBlock:
         assert rel_frobenius(f.core.a_inv, oracle) < 1e-9
 
     def test_empty_block_rejected(self):
-        f = new_forecaster(8, 2, 2)
+        f = OnlineForecaster(8, 2, 2)
         with pytest.raises(ShapeMismatch):
             f.fit_block([])
 
     def test_wrong_lengths_rejected(self):
-        f = new_forecaster(8, 2, 2)
+        f = OnlineForecaster(8, 2, 2)
         with pytest.raises(ShapeMismatch):
             f.fit_block([SamplePair(np.zeros(8), np.zeros(2), 0),
                          SamplePair(np.zeros(7), np.zeros(2), 0)])
@@ -1022,12 +1021,12 @@ class TestFoldedPredict:
         np.testing.assert_allclose(stacked, rows, rtol=1e-12, atol=1e-12)
 
     def test_cold_start_tiles_each_row_of_a_stack(self):
-        f = new_forecaster(6, 5, 2)
+        f = OnlineForecaster(6, 5, 2)
         ctxs = np.array([[1.0, 2.0, 3.0, 4.0, 7.0, 9.0],
                          [0.0, 0.0, 0.0, 0.0, -1.0, 5.0]])
         np.testing.assert_array_equal(f.predict(ctxs), [[7.0, 9.0, 7.0, 9.0, 7.0],
                                                         [-1.0, 5.0, -1.0, 5.0, -1.0]])
-        g = new_forecaster(8, 2, 4)
+        g = OnlineForecaster(8, 2, 4)
         np.testing.assert_array_equal(g.predict(np.arange(16.0).reshape(2, 8)),
                                       [[4.0, 5.0], [12.0, 13.0]])
 
@@ -1065,7 +1064,7 @@ class TestIncrementalFold:
     def test_stays_at_a_full_refold_over_a_chain_of_woodbury_steps(self):
         L, H, C = 128, 24, 2
         rng = np.random.default_rng(131)
-        f = new_forecaster(L, H, 24, lam=2.0, models=C)
+        f = OnlineForecaster(L, H, 24, lam=2.0, models=C)
         f.observe_values(rng.normal(size=(30, C)) * [1.0, 5.0])
         worst = 0.0
         for step in range(300):
@@ -1081,7 +1080,7 @@ class TestIncrementalFold:
     def test_refit_refolds_in_full(self):
         L, H = 32, 8
         rng = np.random.default_rng(139)
-        f = new_forecaster(L, H, 8, lam=2.0, alpha=0.8, models=2)
+        f = OnlineForecaster(L, H, 8, lam=2.0, alpha=0.8, models=2)
         f.observe_values(rng.normal(size=(30, 2)))
         for m in (3, 2, 20):   # two Woodbury steps, then a direct refit
             f.fit_slab(rng.normal(size=(2, m + L + H - 1)))
@@ -1094,7 +1093,7 @@ class TestIncrementalFold:
         # fold must already follow its weight, or it forecasts the context mean
         L, H = 16, 4
         rng = np.random.default_rng(137)
-        f = new_forecaster(L, H, 2, lam=2.0, models=2)
+        f = OnlineForecaster(L, H, 2, lam=2.0, models=2)
         f.observe_values(rng.normal(size=(10, 2)))
         absorb = SpectralRidge.absorb
 
@@ -1118,18 +1117,18 @@ class TestIncrementalFold:
 
 class TestPredict:
     def test_cold_start_tiles_last_season(self):
-        f = new_forecaster(6, 5, 2)
+        f = OnlineForecaster(6, 5, 2)
         ctx = np.array([1.0, 2.0, 3.0, 4.0, 7.0, 9.0])
         np.testing.assert_array_equal(f.predict(ctx), [7.0, 9.0, 7.0, 9.0, 7.0])
 
     def test_cold_start_with_season_longer_than_horizon(self):
-        f = new_forecaster(8, 2, 4)
+        f = OnlineForecaster(8, 2, 4)
         ctx = np.arange(8.0)
         np.testing.assert_array_equal(f.predict(ctx), [4.0, 5.0])
 
     def test_constant_context_predicts_constant_after_fit(self):
         rng = np.random.default_rng(2)
-        f = new_forecaster(12, 3, 2, lam=1.0, alpha=0.9)
+        f = OnlineForecaster(12, 3, 2, lam=1.0, alpha=0.9)
         f.observe_values([0.0])
         f.observe_values([1.0])
         f.fit_block([SamplePair(rng.normal(size=12), rng.normal(size=3), 0)
@@ -1139,7 +1138,7 @@ class TestPredict:
 
     def test_scale_equivariance_on_zero_mean_contexts(self):
         rng = np.random.default_rng(8)
-        f = new_forecaster(12, 3, 2, lam=2.0, alpha=1.0)
+        f = OnlineForecaster(12, 3, 2, lam=2.0, alpha=1.0)
         f.fit_block([SamplePair(rng.normal(size=12), rng.normal(size=3), 0)
                      for _ in range(30)])
         x = rng.normal(size=12)
@@ -1148,7 +1147,7 @@ class TestPredict:
         assert np.max(np.abs(gap)) < 1e-9
 
     def test_wrong_context_length_rejected(self):
-        f = new_forecaster(8, 2, 2)
+        f = OnlineForecaster(8, 2, 2)
         with pytest.raises(ShapeMismatch):
             f.predict(np.zeros(7))
 
@@ -1158,8 +1157,8 @@ class TestOlsEquivalence:
         rng = np.random.default_rng(31)
         L, H, n = 32, 8, 120
         for _ in range(5):
-            f = new_forecaster(L, H, 1, lam=1e-9, alpha=1.0,
-                               instance_norm=False, channel_scaling=False)
+            f = OnlineForecaster(L, H, 1, lam=1e-9, alpha=1.0,
+                                 instance_norm=False, channel_scaling=False)
             x = rng.normal(size=(n, L))
             y = rng.normal(size=(n, H)) + 0.3 * x[:, -H:]
             f.fit_block([SamplePair(x[i], y[i], 0) for i in range(n)])
@@ -1181,7 +1180,7 @@ class TestOlsEquivalence:
         probe = rng.normal(size=L)
         preds = []
         for boost in (1.0, 7.0):
-            f = new_forecaster(L, H, 2, lam=1e-9, alpha=0.9)
+            f = OnlineForecaster(L, H, 2, lam=1e-9, alpha=0.9)
             for v in obs * boost:
                 f.observe_values([v])
             f.fit_block([SamplePair(x[i], y[i], 0) for i in range(n)])
@@ -1192,7 +1191,7 @@ class TestOlsEquivalence:
 class TestSnapshot:
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(19)
-        f = new_forecaster(16, 4, 2, lam=3.0, alpha=0.8)
+        f = OnlineForecaster(16, 4, 2, lam=3.0, alpha=0.8)
         for v in rng.normal(size=(30, 2)):
             f.observe_values(v)
         f.fit_block([SamplePair(rng.normal(size=16), rng.normal(size=4),
@@ -1223,7 +1222,7 @@ class TestSnapshot:
 
     def _saved_fields(self, tmp_path):
         rng = np.random.default_rng(61)
-        f = new_forecaster(16, 4, 2, lam=3.0, alpha=0.8)
+        f = OnlineForecaster(16, 4, 2, lam=3.0, alpha=0.8)
         for v in rng.normal(size=(10, 2)):
             f.observe_values(v)
         f.fit_block([SamplePair(rng.normal(size=16), rng.normal(size=4), 0)
@@ -1236,7 +1235,7 @@ class TestSnapshot:
     def _pending_fields(self, tmp_path):
         """A snapshot of a model that took two Woodbury steps of 2 rows."""
         rng = np.random.default_rng(107)
-        f = new_forecaster(16, 4, 2, lam=3.0, alpha=0.8)
+        f = OnlineForecaster(16, 4, 2, lam=3.0, alpha=0.8)
         f.observe_values(rng.normal(size=(10, 2)))
         for _ in range(2):
             f.fit_block([SamplePair(rng.normal(size=16), rng.normal(size=4), 0)
@@ -1294,7 +1293,7 @@ class TestSnapshot:
         # with no sample absorbed, a model's inverse is I / lam and its sums
         # are zero; any other state would steer its first Woodbury step
         path = tmp_path / "state.npz"
-        save_forecaster(new_forecaster(16, 4, 2, lam=3.0, models=2), path)
+        save_forecaster(OnlineForecaster(16, 4, 2, lam=3.0, models=2), path)
         with np.load(path) as data:
             fields = dict(data)
         fields[field] = change(fields[field])
@@ -1304,7 +1303,7 @@ class TestSnapshot:
 
     def test_untrained_snapshot_with_pending_rows_rejected(self, tmp_path):
         path = tmp_path / "state.npz"
-        save_forecaster(new_forecaster(16, 4, 2, lam=3.0, alpha=0.8), path)
+        save_forecaster(OnlineForecaster(16, 4, 2, lam=3.0, alpha=0.8), path)
         with np.load(path) as data:
             fields = dict(data)
         fields["pending"] = np.array([1])
@@ -1319,7 +1318,7 @@ class TestSnapshot:
         # reloaded, a direct refit then folds the same rows into the same sums
         L, H, C = 32, 8, 3
         rng = np.random.default_rng(109)
-        f = new_forecaster(L, H, 4, lam=2.0, alpha=0.8, models=C)
+        f = OnlineForecaster(L, H, 4, lam=2.0, alpha=0.8, models=C)
         f.observe_values(rng.normal(size=(40, C)))
         for m in (4, 5, 3):
             f.fit_slab(rng.normal(size=(C, m + L + H - 1)))
@@ -1367,7 +1366,7 @@ class TestSnapshot:
     ])
     def test_mis_shaped_fields_rejected(self, tmp_path, field, bad):
         rng = np.random.default_rng(43)
-        f = new_forecaster(16, 4, 2, lam=3.0, alpha=0.8)
+        f = OnlineForecaster(16, 4, 2, lam=3.0, alpha=0.8)
         for v in rng.normal(size=(10, 2)):
             f.observe_values(v)
         f.fit_block([SamplePair(rng.normal(size=16), rng.normal(size=4), 0)
@@ -1387,7 +1386,7 @@ class TestSnapshot:
         # the snapshot keeps the fold itself, so the copies stay bit for bit
         L, H, C = 32, 8, 3
         rng = np.random.default_rng(149)
-        f = new_forecaster(L, H, 8, lam=2.0, alpha=0.8, models=C)
+        f = OnlineForecaster(L, H, 8, lam=2.0, alpha=0.8, models=C)
         f.observe_values(rng.normal(size=(30, C)))
         for m in (2, 5, 1, 4, 3) * 3:
             f.fit_slab(rng.normal(size=(C, m + L + H - 1)))
@@ -1420,7 +1419,7 @@ class TestSnapshot:
 
     def test_untrained_fold_must_be_zero(self, tmp_path):
         path = tmp_path / "state.npz"
-        save_forecaster(new_forecaster(16, 4, 2, models=2), path)
+        save_forecaster(OnlineForecaster(16, 4, 2, models=2), path)
         with np.load(path) as data:
             fields = dict(data)
         fields["time_map"][1, 0, 0] = 1e-300
@@ -1441,7 +1440,7 @@ class TestSnapshot:
             "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None}
 
     def test_untrained_round_trip_loads(self, tmp_path):
-        f = new_forecaster(16, 4, 2)
+        f = OnlineForecaster(16, 4, 2)
         path = tmp_path / "state.npz"
         save_forecaster(f, path)
         g = load_forecaster(path)
@@ -1465,7 +1464,7 @@ class TestSnapshot:
         # a count of 0 with channel vectors, or channel-less vectors with a count
         path, fields = self._saved_fields(tmp_path)
         empty = tmp_path / "empty.npz"
-        save_forecaster(new_forecaster(16, 4, 2, lam=3.0, alpha=0.8), empty)
+        save_forecaster(OnlineForecaster(16, 4, 2, lam=3.0, alpha=0.8), empty)
         with np.load(empty) as data:
             untrained = dict(data)
         for saved, target, count in ((fields, path, 0), (untrained, empty, 3)):
@@ -1486,7 +1485,7 @@ class TestSnapshot:
         # the save computes it, so both copies then take the same Woodbury step
         rng = np.random.default_rng(67)
         L, H, C = 16, 4, 3
-        f = new_forecaster(L, H, 2, lam=3.0, alpha=0.8, models=C)
+        f = OnlineForecaster(L, H, 2, lam=3.0, alpha=0.8, models=C)
         f.observe_values(rng.normal(size=(30, C)) * [1.0, 6.0, 0.05])
         f.fit_slab(rng.normal(size=(C, 8 + L + H - 1)))
         assert f.core.last_path == "direct"
@@ -1518,7 +1517,7 @@ class TestSnapshot:
         # a snapshot keeps one n_samples for every model; a caller feeding
         # one model alone must not save the other's count as its own
         rng = np.random.default_rng(71)
-        f = new_forecaster(16, 4, 2, models=2)
+        f = OnlineForecaster(16, 4, 2, models=2)
         for core, m in zip(f.cores, rows):
             if m:
                 core.absorb(rng.normal(size=(m, f.design_dim)), rng.normal(size=(m, core.dim_out)))
@@ -1567,7 +1566,7 @@ class TestSnapshot:
 
     def test_channels_not_a_multiple_of_models_rejected(self, tmp_path):
         # two models over three channels: no fit could split the channels
-        f = new_forecaster(16, 4, 2, models=2)
+        f = OnlineForecaster(16, 4, 2, models=2)
         f.observe_values(np.random.default_rng(5).normal(size=(10, 4)))
         path = tmp_path / "state.npz"
         save_forecaster(f, path)
@@ -1627,8 +1626,8 @@ class TestResume:
             return taken
 
         def started():
-            f = new_forecaster(L, H, 4, lam=2.0, alpha=0.8, instance_norm=instance_norm,
-                               models=1 if shared else C)
+            f = OnlineForecaster(L, H, 4, lam=2.0, alpha=0.8, instance_norm=instance_norm,
+                                 models=1 if shared else C)
             f.observe_values(series[:L - 1])
             return f
 
@@ -1668,8 +1667,8 @@ class TestModelAxis:
         L, H, alpha, instance_norm, channel_scaling = config
         kw = dict(lam=2.0, alpha=alpha, instance_norm=instance_norm,
                   channel_scaling=channel_scaling)
-        multi = new_forecaster(L, H, 2, models=models, **kw)
-        singles = [new_forecaster(L, H, 2, **kw) for _ in range(models)]
+        multi = OnlineForecaster(L, H, 2, models=models, **kw)
+        singles = [OnlineForecaster(L, H, 2, **kw) for _ in range(models)]
         rng = np.random.default_rng(seed)
         for v in rng.normal(size=(25, models)) * [1.0, 6.0, 0.05][:models]:
             multi.observe_values(v)
@@ -1718,7 +1717,7 @@ class TestModelAxis:
         # model 0's rows pass the Woodbury test; model 1's, three copies of
         # one 1e8-scaled row, fail it, and model 1 alone refits directly
         rng = np.random.default_rng(89)
-        f = new_forecaster(16, 4, 2, lam=1e-12, instance_norm=False, channel_scaling=False,
+        f = OnlineForecaster(16, 4, 2, lam=1e-12, instance_norm=False, channel_scaling=False,
                            models=2)
         channels = [0, 0, 0, 1, 1, 1]
         f.fit(rng.normal(size=(6, 16)) * 1e-3, rng.normal(size=(6, 4)) * 1e-3, channels)
@@ -1734,7 +1733,7 @@ class TestModelAxis:
         # statistics of 3 channels cannot split across 2 models: no fit
         # could use them, and load_forecaster would refuse their snapshot
         rng = np.random.default_rng(73)
-        f = new_forecaster(16, 4, 2, models=2)
+        f = OnlineForecaster(16, 4, 2, models=2)
         with pytest.raises(ShapeMismatch, match="3 channels do not split across 2 models"):
             f.observe_values(rng.normal(size=first))
         assert f.stats.count == 0 and f.stats.means.size == f.stats.m2s.size == 0
@@ -1746,10 +1745,10 @@ class TestModelAxis:
 
     def test_model_count_below_one_rejected(self):
         with pytest.raises(InvalidConfig, match="model"):
-            new_forecaster(8, 2, 2, models=0)
+            OnlineForecaster(8, 2, 2, models=0)
 
     def test_row_count_not_a_multiple_of_models_rejected(self):
-        f = new_forecaster(8, 2, 2, models=3)
+        f = OnlineForecaster(8, 2, 2, models=3)
         rng = np.random.default_rng(5)
         for fitted in (False, True):
             with pytest.raises(ShapeMismatch, match="multiple of 3"):
@@ -1829,7 +1828,7 @@ class TestFitWindows:
     @staticmethod
     def _twins(config, C, shared, rng):
         L, H, alpha, instance_norm, channel_scaling = config
-        twins = [new_forecaster(L, H, 2, lam=2.0, alpha=alpha, instance_norm=instance_norm,
+        twins = [OnlineForecaster(L, H, 2, lam=2.0, alpha=alpha, instance_norm=instance_norm,
                                 channel_scaling=channel_scaling, models=1 if shared else C)
                  for _ in range(2)]
         for v in rng.normal(size=(25, C)) * [1.0, 6.0, 0.05]:
@@ -1915,7 +1914,7 @@ class TestFitWindows:
         # the slab these windows would be cut from, for L = 8 and H = 2: the
         # first has no channel axis, the second no window, and the last 3
         # channels for 2 models
-        f = new_forecaster(8, 2, 2, models=2)
+        f = OnlineForecaster(8, 2, 2, models=2)
         slab = np.ones(ctx_shape[:-2] + (ctx_shape[-2] + ctx_shape[-1] + tgt_shape[-1] - 1,))
         with pytest.raises(ShapeMismatch, match="fit_slab"):
             f.fit_slab(slab)
@@ -1927,7 +1926,7 @@ class TestFitWindows:
         # would be fitted unscaled next to channel 1, scaled by its std of ~6
         L, H, m = 16, 4, 8
         rng = np.random.default_rng(79)
-        f = new_forecaster(L, H, 2, lam=2.0, models=models)
+        f = OnlineForecaster(L, H, 2, lam=2.0, models=models)
         f.observe_values(rng.normal(size=(25, 3)) * [1.0, 6.0, 0.05])
         f.fit_slab(rng.normal(size=(3, m + L + H - 1)))
         before, fold = [ridge_state(core) for core in f.cores], f.time_map.copy()
@@ -1945,9 +1944,9 @@ class TestFitWindows:
         L, H = 16, 4
         rng = np.random.default_rng(83)
         ctx, tgt = rng.normal(size=(2, L)), rng.normal(size=(2, H))
-        fresh = new_forecaster(L, H, 2, lam=2.0, channel_scaling=channel_scaling)
+        fresh = OnlineForecaster(L, H, 2, lam=2.0, channel_scaling=channel_scaling)
         fresh.fit(ctx, tgt, [0, 5])  # nothing observed yet: every factor is 1
-        f = new_forecaster(L, H, 2, lam=2.0, channel_scaling=channel_scaling)
+        f = OnlineForecaster(L, H, 2, lam=2.0, channel_scaling=channel_scaling)
         f.observe_values(rng.normal(size=(25, 3)) * [1.0, 6.0, 0.05])
         f.fit(ctx, tgt, [0, 2])
         before, fold = ridge_state(f.core), f.time_map.copy()
@@ -1980,7 +1979,7 @@ class TestFitWindows:
         assert moments_pay(616, 616) and not moments_pay(615, 616)
         rng = np.random.default_rng(107)
         L, H, m = 520, 96, 50
-        f = new_forecaster(L, H, 24, models=2)
+        f = OnlineForecaster(L, H, 24, models=2)
         for row in rng.normal(size=(30, 2)):
             f.observe_values(row)
         f.fit_slab(rng.normal(size=(2, m + L + H - 1)))
@@ -1991,7 +1990,7 @@ class TestFitWindows:
         # from moments
         L, H, m = 16, 4, 60
         rng = np.random.default_rng(109)
-        f, g = (new_forecaster(L, H, 2) for _ in range(2))
+        f, g = (OnlineForecaster(L, H, 2) for _ in range(2))
         slab = rng.normal(size=(2, m + L + H - 1))
         g.fit_slab(slab)
         f.fit(sliding_window_view(slab, L, axis=1)[:, :m].reshape(-1, L),
@@ -2013,7 +2012,7 @@ class TestFitChannels:
     @pytest.mark.parametrize("channels", [[0, -1, 2], [0, 1.5, 2], [0.0, 1.0, 2.0],
                                           [[0, 1, 2]], [0, 1], 0])
     def test_bad_channel_arrays_rejected(self, channels):
-        f = new_forecaster(16, 4, 2)
+        f = OnlineForecaster(16, 4, 2)
         rng = np.random.default_rng(3)
         with pytest.raises(ShapeMismatch, match="channels"):
             f.fit(rng.normal(size=(3, 16)), rng.normal(size=(3, 4)), channels)
@@ -2024,7 +2023,7 @@ class TestMemoryLayout:
     @pytest.mark.parametrize("models", [1, 4])
     def test_time_map_starts_on_a_cache_line(self, models, tmp_path):
         # a matmul against a time_map off a 64-byte boundary is ~1.6x slower
-        f = new_forecaster(520, 96, 24, models=models)
+        f = OnlineForecaster(520, 96, 24, models=models)
         assert f.time_map.ctypes.data % 64 == 0
         rng = np.random.default_rng(7)
         f.observe_values(rng.normal(size=models))
@@ -2045,7 +2044,7 @@ class TestMemoryLayout:
         channels, observed = np.repeat([0, 1], 20), rng.normal(size=(5, 2))
         fitted = []
         for layout in (np.ascontiguousarray, np.asfortranarray):
-            f = new_forecaster(L, H, 8, lam=2.0)
+            f = OnlineForecaster(L, H, 8, lam=2.0)
             for row in observed:
                 f.observe_values(row)
             f.fit(layout(ctx), layout(tgt), channels)
@@ -2065,7 +2064,7 @@ class TestMemoryLayout:
         G, L, H, m = 16, 64, 16, 20
         rng = np.random.default_rng(113)
         slab = rng.normal(size=(G, m + L + H - 1))
-        f = new_forecaster(L, H, 8, models=G)
+        f = OnlineForecaster(L, H, 8, models=G)
         for row in slab.T[:5]:
             f.observe_values(row)
         block = 8 * m * (f.design_dim + f.core.dim_out)
@@ -2096,7 +2095,7 @@ class TestMemoryLayout:
         C, m, L, H = 7, 200, 520, 96
         rng = np.random.default_rng(101)
         slab = rng.normal(size=(m + L + H - 1, C))
-        f = new_forecaster(L, H, 24)
+        f = OnlineForecaster(L, H, 24)
         for row in slab:
             f.observe_values(row)
         d, d_t = f.design_dim, f.core.dim_out

@@ -9,7 +9,13 @@ import types
 import numpy as np
 import pytest
 
-from helpers import TraceArray, ar_seasonal_series, forecast_columns, regime_switch_series
+from helpers import (
+    TraceArray,
+    ar_seasonal_series,
+    forecast_columns,
+    forecast_table,
+    regime_switch_series,
+)
 
 from adapts.config import RollingConfig
 from adapts.errors import (
@@ -28,7 +34,7 @@ from adapts.harness import (
     make_base_forecaster,
     run,
 )
-from adapts.io import load_forecasts, write_forecasts
+from adapts.io import ForecastTable, load_forecasts, write_forecasts
 from adapts.weighter import combine
 
 
@@ -62,13 +68,18 @@ class TestBaseForecasters:
         np.testing.assert_allclose(base.forecast(1, 1, np.zeros(4)), np.full(3, 15.0))
 
     def test_precomputed_lookup_and_missing(self):
-        table = {(5, "a"): np.array([1.0, 2.0])}
-        base = PrecomputedBase(table, horizon=2, channel_names=["a", "b"])
+        table = ForecastTable(*forecast_columns([(5, "a", [1.0, 2.0]), (5, "c", [3.0, 4.0])], 2))
+        base = PrecomputedBase(table, horizon=2, channel_names=["a", "b", "c"])
         np.testing.assert_array_equal(base.forecast(5, 0, np.zeros(4)), [1.0, 2.0])
+        # past a name the table lacks, whose code -1 must not read the last column
+        np.testing.assert_array_equal(base.forecast(5, 2, np.zeros(4)), [3.0, 4.0])
         with pytest.raises(MissingForecast, match="channel 'b'"):
             base.forecast(5, 1, np.zeros(4))
         with pytest.raises(MissingForecast, match="time step 6"):
             base.forecast(6, 0, np.zeros(4))
+        for channel in (-2, -1, 3):
+            with pytest.raises(MissingForecast, match=f"channel index {channel}: "):
+                base.forecast(5, channel, np.zeros(4))
 
     def test_factory(self):
         assert isinstance(make_base_forecaster("naive_seasonal", horizon=4, seasonality=2),
@@ -79,6 +90,8 @@ class TestBaseForecasters:
             make_base_forecaster("nope", horizon=4)
         with pytest.raises(InvalidConfig):
             make_base_forecaster("precomputed", horizon=4)
+        with pytest.raises(InvalidConfig, match="needs a ForecastTable, got dict"):
+            make_base_forecaster("precomputed", horizon=4, forecasts={}, channel_names=["a"])
 
 
 class TestRunBasics:
@@ -706,7 +719,8 @@ class TestForecastAll:
 
     def test_precomputed_equals_per_channel(self):
         rng = np.random.default_rng(2)
-        table = {(t, name): rng.normal(size=4) for t in range(3) for name in "abc"}
+        table = ForecastTable(*forecast_columns(
+            [(t, name, rng.normal(size=4)) for t in range(3) for name in "abc"], 4))
         base = PrecomputedBase(table, horizon=4, channel_names=["a", "b", "c"])
         contexts = np.zeros((3, 8))
         assert base.forecast_all(1, contexts).tobytes() == \
@@ -717,11 +731,8 @@ class TestForecastAll:
         (MissingForecast, {"c": None}),
     ])
     def test_precomputed_raises_like_per_channel(self, error, broken):
-        table = {}
-        for name in "abc":
-            length = broken.get(name, 4)
-            if length is not None:
-                table[(7, name)] = np.ones(length)
+        rows = [(7, name, np.ones(4)) for name in "abc" if name not in broken]
+        table = ForecastTable(*forecast_columns(rows, 4))
         base = PrecomputedBase(table, horizon=4, channel_names=["a", "b", "c"])
         contexts = np.zeros((3, 8))
         first = min(broken)
@@ -732,35 +743,16 @@ class TestForecastAll:
         assert str(batched.value) == str(per_ch.value)
         assert repr(first) in str(batched.value)
 
-    @pytest.mark.parametrize("broken", [{"b": 3, "c": 5}, {"c": 3}, {"a": 3, "b": 3, "c": 3}])
-    def test_precomputed_bad_vector_raises_at_construction(self, broken):
-        table = {(7, name): np.ones(broken.get(name, 4)) for name in "abc"}
-        with pytest.raises(ShapeMismatch, match=re.escape(f"forecast (7, {min(broken)!r}) needs")):
-            PrecomputedBase(table, horizon=4, channel_names=["a", "b", "c"])
-
-    @pytest.mark.parametrize("key, vec", [
-        ((7.0, "a"), np.ones(4)), ((2**63, "a"), np.ones(4)), ("ab", np.ones(4)),
-        ((7, "a", 0), np.ones(4)), ((7, "b"), "abcd"), ((7, "b"), [[1.0] * 4]),
-    ])
-    def test_precomputed_odd_item_raises_at_construction(self, key, vec):
-        table = {(6, "a"): np.ones(4), key: vec}
-        with pytest.raises(ShapeMismatch, match=re.escape(repr(key))):
-            PrecomputedBase(table, horizon=4, channel_names=["a"])
-
-    @pytest.mark.parametrize("source", ["csv", "npz", "mapping"])
+    @pytest.mark.parametrize("source", ["csv", "npz", "array"])
     def test_precomputed_rows_are_read_only(self, tmp_path, source):
         rows = [(t, name, np.arange(3.0) + t) for t in range(2) for name in "ab"]
-        table = {(t, name): vec for t, name, vec in rows}
-        if source != "mapping":
-            path = tmp_path / f"f.{source}"
-            write_forecasts(*forecast_columns(rows, 3), path)
-            table = load_forecasts(path)[0]
+        table = forecast_table(rows, 3, source, tmp_path)
         base = PrecomputedBase(table, horizon=3, channel_names=["a", "b"])
-        for row in (base.table[(0, "a")], base.forecast(0, 0, None)):
+        for row in (base.table.block[0], base.forecast(0, 0, None)):
             with pytest.raises(ValueError, match="read-only"):
                 row[:] = 7.0
         served = base.forecast_all(0, np.zeros((2, 8)))
-        served[:] = 7.0  # gather hands out a copy
+        served[:] = 7.0  # forecast_all hands out a copy
         np.testing.assert_array_equal(base.forecast_all(0, np.zeros((2, 8))), [[0, 1, 2]] * 2)
         np.testing.assert_array_equal(rows[0][2], [0, 1, 2])
 
@@ -783,16 +775,16 @@ class TestForecastAll:
                 assert got.shape == (3, 5) and got.dtype == np.float64
                 assert got.tobytes() == per_channel(base, t, contexts).tobytes()
 
+    @pytest.mark.parametrize("source", ["csv", "npz", "array"])
     @pytest.mark.parametrize("names, t, match", [
         (["a", "x", "b"], 3, "channel 'x'"),   # a name the file lacks
         (["a", "b", "c"], 4, "channel 'c'"),   # a step that lacks one channel
         (["a", "b", "c"], 9, "time step 9"),   # a step the file lacks
     ])
-    def test_precomputed_file_raises_like_per_channel(self, tmp_path, names, t, match):
+    def test_precomputed_file_raises_like_per_channel(self, tmp_path, names, t, match, source):
         rows = [(t, name, np.ones(2)) for t in (3, 4) for name in "abc"]
-        path = tmp_path / "f.csv"
-        write_forecasts(*forecast_columns([row for row in rows if row[:2] != (4, "c")], 2), path)
-        base = PrecomputedBase(load_forecasts(path)[0], horizon=2, channel_names=names)
+        table = forecast_table([row for row in rows if row[:2] != (4, "c")], 2, source, tmp_path)
+        base = PrecomputedBase(table, horizon=2, channel_names=names)
         contexts = np.zeros((3, 8))
         with pytest.raises(MissingForecast, match=match) as batched:
             base.forecast_all(t, contexts)
@@ -807,7 +799,7 @@ class TestForecastAll:
             PrecomputedBase(load_forecasts(path)[0], horizon=2, channel_names=["a"])
 
     def test_precomputed_with_too_few_names_raises_missing_forecast(self):
-        table = {(t, "a"): np.ones(2) for t in range(40)}
+        table = ForecastTable(*forecast_columns([(t, "a", np.ones(2)) for t in range(40)], 2))
         base = PrecomputedBase(table, horizon=2, channel_names=["a"])
         contexts = np.zeros((2, 8))
         with pytest.raises(MissingForecast, match="channel index 1.*1 channel names") as per_ch:
@@ -893,9 +885,10 @@ class TestForecastAll:
             if kind == "historical_mean":
                 return HistoricalMeanBase(cfg.horizon)
             rng = np.random.default_rng(3)
-            table = {(t, name): rng.normal(size=cfg.horizon)
-                     for t in range(cfg.context_length - 1, 300) for name in names}
-            return PrecomputedBase(table, cfg.horizon, names)
+            rows = [(t, name, rng.normal(size=cfg.horizon))
+                    for t in range(cfg.context_length - 1, 300) for name in names]
+            return PrecomputedBase(ForecastTable(*forecast_columns(rows, cfg.horizon)),
+                                   cfg.horizon, names)
 
         fast = run(data, make(), cfg)
         oracle = run(data, ForecastOnly(make()), cfg)

@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import forecast_columns
+from helpers import forecast_columns, forecast_table, table_dict
 
 from adapts.config import RollingConfig
 from adapts.errors import InsufficientData, InvalidConfig, IoError, ParseError
@@ -105,7 +105,7 @@ class TestForecastFiles:
                 for t in (10, 11) for name in ("a", "b")]
         p = tmp_path / "f.csv"
         write_forecasts(*forecast_columns(rows, 4), p)
-        table, horizon = load_forecasts(p)
+        table, horizon = load_rows(p)
         assert horizon == 4
         assert set(table) == {(10, "a"), (10, "b"), (11, "a"), (11, "b")}
         for t, name, vec in rows:
@@ -130,6 +130,7 @@ class TestForecastFiles:
             ([0], ["a", "b"], np.zeros((1, 4))),      # more names than rows
             ([0], ["a"], np.zeros(4)),                # not a block of rows
             ([0], ["a"], np.zeros((1, 0))),           # no horizon
+            ([0.5], ["a"], np.zeros((1, 4))),         # not an integer step
         ]:
             for path in (tmp_path / "f.csv", tmp_path / "f.npz"):
                 with pytest.raises(InvalidConfig, match="forecast rows need"):
@@ -142,6 +143,12 @@ def write_bytes(tmp_path, text, name="f.csv"):
     p = tmp_path / name
     p.write_bytes(text.encode())
     return p
+
+
+def load_rows(path):
+    """A forecast file's rows as a ``{(t, name): row}`` dict, and its horizon."""
+    table, horizon = load_forecasts(path)
+    return table_dict(table), horizon
 
 
 def bits(array):
@@ -204,13 +211,16 @@ def oracle_load_series(path):
     return Series(values=values, channel_names=names, timestamps=timestamps)
 
 
-def special_doubles(rng, n):
+def special_doubles(rng, n, finite=False):
     """Random normals across magnitudes plus signed zeros, subnormals,
-    the largest finite values, NaN and infinities."""
+    the largest finite values and, unless ``finite`` (forecast files hold
+    only finite values), NaN and infinities."""
     specials = np.array([
         -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
         1e308, -1e308, 1.7976931348623157e308, np.nan, np.inf, -np.inf,
         0.1 + 0.2, 1.0 / 3.0])
+    if finite:
+        specials = specials[np.isfinite(specials)]
     draws = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
     return np.concatenate([specials, draws])
 
@@ -256,7 +266,7 @@ class TestForecastLoaderContract:
         p = write_bytes(tmp_path, text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table, horizon = load_forecasts(p)
+            table, horizon = load_rows(p)
         assert (table, horizon) == ({}, 2)
 
     @pytest.mark.parametrize("header", [
@@ -269,7 +279,7 @@ class TestForecastLoaderContract:
 
     def test_header_cells_are_stripped(self, tmp_path):
         p = write_bytes(tmp_path, " t , channel ,h1 \n3,a,0.5\n")
-        table, horizon = load_forecasts(p)
+        table, horizon = load_rows(p)
         assert horizon == 1
         assert list(table) == [(3, "a")]
 
@@ -279,7 +289,7 @@ class TestForecastLoaderContract:
         rows = [(t, name, np.full(3, t + 0.5)) for t in (0, 1) for name in names]
         p = tmp_path / "f.csv"
         write_forecasts(*forecast_columns(rows, 3), p)
-        table, horizon = load_forecasts(p)
+        table, horizon = load_rows(p)
         assert list(table) == [(t, name) for t, name, _ in rows]
         for t, name, vec in rows:
             np.testing.assert_array_equal(table[(t, name)], vec)
@@ -289,7 +299,7 @@ class TestForecastLoaderContract:
         with pytest.raises(ParseError):
             load_forecasts(p)  # ' "2"' is not a number: a quote only opens a cell
         p = write_bytes(tmp_path, 't,channel,h1,h2\n 7 , a , 1.5 ,"2"\n"8",b,+1,-.5\n')
-        table, _ = load_forecasts(p)
+        table, _ = load_rows(p)
         assert list(table) == [(7, " a "), (8, "b")]
         np.testing.assert_array_equal(table[(7, " a ")], [1.5, 2.0])
         np.testing.assert_array_equal(table[(8, "b")], [1.0, -0.5])
@@ -297,28 +307,27 @@ class TestForecastLoaderContract:
     @pytest.mark.parametrize("newline", ["\r\n", "\r"])
     def test_other_line_endings(self, tmp_path, newline):
         text = "t,channel,h1,h2\n1,a,0.5,0.25\n2,a,-1,3e-5\n".replace("\n", newline)
-        table, horizon = load_forecasts(write_bytes(tmp_path, text))
+        table, horizon = load_rows(write_bytes(tmp_path, text))
         assert horizon == 2
         assert list(table) == [(1, "a"), (2, "a")]
         np.testing.assert_array_equal(table[(2, "a")], [-1.0, 3e-5])
 
     def test_no_trailing_newline(self, tmp_path):
-        table, _ = load_forecasts(write_bytes(tmp_path, "t,channel,h1\n1,a,0.5"))
+        table, _ = load_rows(write_bytes(tmp_path, "t,channel,h1\n1,a,0.5"))
         np.testing.assert_array_equal(table[(1, "a")], [0.5])
 
     def test_bit_exact_against_cell_by_cell_parser(self, tmp_path):
         rng = np.random.default_rng(7)
-        values = special_doubles(rng, 187).reshape(25, 8)
+        values = special_doubles(rng, 190, finite=True).reshape(25, 8)
         rows = [(int(t), name, values[i])
                 for i, (t, name) in enumerate(
                     (t, name) for t in rng.permutation(5) - 2 for name in "edcba")]
         p = tmp_path / "f.csv"
         write_forecasts(*forecast_columns(rows, 8), p)
-        table, horizon = load_forecasts(p)
+        table, horizon = load_rows(p)
         want, want_horizon = oracle_load_forecasts(p)
         assert horizon == want_horizon == 8
         assert list(table) == list(want)
-        assert [type(t) for t, _ in table] == [int] * len(rows)
         for key, vec in want.items():
             assert table[key].shape == (8,)
             np.testing.assert_array_equal(bits(table[key]), bits(vec))
@@ -427,7 +436,7 @@ class TestLoaderNumberSyntax:
     def test_int64_bounds_accepted(self, tmp_path):
         p = write_bytes(tmp_path, "t,channel,h1\n9223372036854775807,a,1\n"
                                   "-9223372036854775808,a,2\n")
-        table, _ = load_forecasts(p)
+        table, _ = load_rows(p)
         assert list(table) == [(2**63 - 1, "a"), (-2**63, "a")]
 
     @pytest.mark.parametrize("cell", ["1_0", "٣", "1e1_0"])
@@ -445,7 +454,7 @@ class TestLoaderNumberSyntax:
 
     def test_separator_controls_around_numbers_accepted(self, tmp_path):
         p = write_bytes(tmp_path, "t,channel,h1\n\x1c4\x1f,a,\x1d2.5\x1e\n")
-        table, _ = load_forecasts(p)
+        table, _ = load_rows(p)
         np.testing.assert_array_equal(table[(4, "a")], [2.5])
 
 
@@ -458,57 +467,67 @@ def write_both(tmp_path, rows, horizon):
 
 
 def assert_same_table(got, want):
-    assert list(got) == list(want)
-    assert [type(t) for t, _ in got] == [int] * len(want)
-    for key in want:
-        assert got[key].shape == want[key].shape
-        assert bits(got[key]).tobytes() == bits(want[key]).tobytes()
+    assert got.names == want.names
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.index.tobytes() == want.index.tobytes()
+    assert got.block.shape == want.block.shape
+    assert bits(got.block).tobytes() == bits(want.block).tobytes()
 
 
 class TestForecastTable:
-    def test_mapping_interface(self, tmp_path):
-        # one-element rows, so that == of two dicts of them is defined
-        rows = [(t, name, np.full(1, 10.0 * t + i))
-                for t in (4, 5, 6) for i, name in enumerate("ba")]
-        rows.pop(3)  # no (5, "a")
-        p = tmp_path / "f.csv"
-        write_forecasts(*forecast_columns(rows, 1), p)
-        table, horizon = load_forecasts(p)
-        assert isinstance(table, ForecastTable) and table.horizon == horizon == 1
-        want = {(t, name): vec for t, name, vec in rows}
-        assert len(table) == 5 and table == want and want == table
-        assert table != {**want, (9, "a"): np.zeros(1)}
-        assert list(table.keys()) == list(want)
-        assert (5, "b") in table and (5, "a") not in table
-        np.testing.assert_array_equal(table[(np.int64(6), "a")], [61.0])
-        for key in [(5, "a"), (3, "b"), (7, "b"), (4, "c"), (4.0, "b"), (2**70, "b"),
-                    (4, ["b"]), "b", (4,), (4, "b", 0)]:
-            assert key not in table
-            with pytest.raises(KeyError):
-                table[key]
-        assert table.get((5, "a")) is None
-
     def test_rows_are_views_of_one_block(self, tmp_path):
         rows = [(t, name, np.arange(3.0) + t) for name in "xy" for t in range(4)]
         table, _ = load_forecasts(write_both(tmp_path, rows, 3)[0])
         assert table.block.shape == (8, 3)
-        for row, key in enumerate(table):
-            assert np.shares_memory(table[key], table.block)
-            assert table.index[table.step(key[0]), table.code(key[1])] == row
+        for row, (t, name, _) in enumerate(rows):
+            assert table.index[table.step(t), table.code(name)] == row
+        block = np.arange(6.0).reshape(3, 2)
+        table = ForecastTable(np.array([4, 4, 5]), np.array(["b", "a", "b"]), block)
+        assert table.horizon == 2 and table.names == ["b", "a"]
+        assert table.times.tolist() == [4, 5] and table.index.tolist() == [[0, 1], [2, -1]]
+        assert np.shares_memory(table.block, block) and block.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table.block[0] = 7.0
+        block[2] = 7.0  # the caller's writes show through the view
+        np.testing.assert_array_equal(table.block[2], [7.0, 7.0])
 
-    def test_gather_serves_whole_steps_only(self, tmp_path):
+    @pytest.mark.parametrize("t, channel, block", [
+        ([0.0, 1.0], ["a", "a"], np.ones((2, 3))),           # float steps
+        ([[0], [1]], ["a", "a"], np.ones((2, 3))),           # 2-D steps
+        ([True, False], ["a", "a"], np.ones((2, 3))),        # boolean steps
+        ([2**63], ["a"], np.ones((1, 3))),                   # a step beyond int64
+        ([0, 1], ["a", "a"], np.ones(2)),                    # 1-D block
+        ([0, 1], ["a"], np.ones((2, 3))),                    # fewer names than steps
+        ([0, 1], ["a", "b"], np.ones((3, 3))),               # more rows than steps
+        ([0], ["a"], np.ones((1, 0))),                       # H = 0
+    ])
+    def test_odd_columns_rejected(self, t, channel, block):
+        with pytest.raises(InvalidConfig, match="forecast rows need"):
+            ForecastTable(t, channel, block)
+
+    @pytest.mark.parametrize("source", ["csv", "npz", "array"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_forecast_rejected(self, tmp_path, source, value):
+        rows = [(t, name, np.ones(3)) for t in (5, 6) for name in "ab"]
+        rows[2][2][1] = value  # (6, "a"), the file's line 4
+        with pytest.raises(ParseError) as err:
+            forecast_table(rows, 3, source, tmp_path)
+        line = " (line 4)" if source == "csv" else ""
+        assert str(err.value) == "non-finite forecast for (t=6, channel='a')" + line
+
+    def test_rows_of_a_step(self, tmp_path):
         rows = [(t, name, np.arange(2.0) + 10 * t + i)
                 for t in (3, 4) for i, name in enumerate("xyz")]
         rows.pop(4)  # no (4, "y")
         table, _ = load_forecasts(write_both(tmp_path, rows, 2)[0])
-        codes = np.array([table.code(name) for name in "zx"], np.intp)
-        got = table.gather(3, codes)
-        np.testing.assert_array_equal(got, [table[(3, "z")], table[(3, "x")]])
-        assert not np.shares_memory(got, table.block)
-        assert table.gather(np.int64(4), codes[:0]).shape == (0, 2)
-        assert table.gather(4, codes) is not None
-        for t, names in [(4, "xy"), (5, "x"), (2**70, "x"), ("3", "x")]:
-            assert table.gather(t, np.array([table.code(n) for n in names], np.intp)) is None
+        codes = [table.code(name) for name in "zx"]
+        np.testing.assert_array_equal(table.block[table.rows(3, codes)],
+                                      [rows[2][2], rows[0][2]])
+        assert table.rows(np.int64(4), codes).tolist() == [4, 3]
+        assert table.rows(4, [table.code("y")]).tolist() == [-1]
+        assert table.rows(4, []).shape == (0,)
+        for t in (5, 2**70, "3", 3.0):
+            assert table.rows(t, codes).tolist() == [-1, -1]
         assert table.code("w") == -1
 
     @pytest.mark.parametrize("steps", [[-2**63, 0, 2**63 - 1], [7, 3, 12, 5], [0, 1, 2]])
@@ -517,8 +536,9 @@ class TestForecastTable:
                 enumerate((t, name) for t in steps for name in "pq")]
         table, _ = load_forecasts(write_both(tmp_path, rows, 1)[0])
         assert list(table.times) == sorted(steps)
+        got = table_dict(table)
         for t, name, vec in rows:
-            np.testing.assert_array_equal(table[(t, name)], vec)
+            np.testing.assert_array_equal(got[(t, name)], vec)
         for t in (min(steps) - 1, max(steps) + 1, 4):
             if t not in steps:
                 assert table.step(t) == -1
@@ -549,7 +569,7 @@ class TestForecastTable:
 class TestNpzForecastFiles:
     def test_csv_and_npz_load_identical_tables(self, tmp_path):
         rng = np.random.default_rng(9)
-        values = special_doubles(rng, 227).reshape(30, 8)
+        values = special_doubles(rng, 230, finite=True).reshape(30, 8)
         keys = [(int(t), name) for t in rng.permutation(6) - 3
                 for name in ["a,b", 'say "hi"', "", "ünïcode", "z"]]
         rows = [(t, name, values[i]) for i, (t, name) in enumerate(keys)]
@@ -561,7 +581,7 @@ class TestNpzForecastFiles:
 
     def test_header_only_and_empty_npz_agree(self, tmp_path):
         csv_path, npz_path = write_both(tmp_path, [], 3)
-        assert load_forecasts(npz_path) == load_forecasts(csv_path) == ({}, 3)
+        assert load_rows(npz_path) == load_rows(csv_path) == ({}, 3)
 
     def test_duplicates_raise_the_csv_message(self, tmp_path):
         rows = [(1, "a", [0.5]), (2, "a", [0.5]), (1, "b", [0.5]), (2, "a", [0.7])]
@@ -604,8 +624,8 @@ class TestNpzForecastFiles:
         np.savez(p, t=np.array([3, 4], dtype=np.uint8), channel=np.array(["a", "a"]),
                  h=np.array([[0.5], [0.25]], dtype=np.float32))
         table, horizon = load_forecasts(p)
-        assert horizon == 1 and list(table) == [(3, "a"), (4, "a")]
-        assert table.block.dtype == np.float64 and table[(4, "a")][0] == 0.25
+        assert horizon == 1 and list(table_dict(table)) == [(3, "a"), (4, "a")]
+        assert table.block.dtype == np.float64 and table.block[1, 0] == 0.25
 
     @pytest.mark.parametrize("content", [b"", b"not an archive", b"PK\x03\x04broken"])
     def test_unreadable_archive_is_parse_error(self, tmp_path, content):
@@ -635,10 +655,10 @@ class TestNpzForecastFiles:
         with pytest.raises(InvalidConfig, match="NUL"):
             write_both(tmp_path, rows, 1)
         assert not p.exists()
-        table, _ = load_forecasts(tmp_path / "f.csv")
+        table, _ = load_rows(tmp_path / "f.csv")
         assert list(table) == [(0, "a\0"), (0, "b")]
         write_forecasts([0], ["a\0b"], np.ones((1, 1)), p)
-        assert list(load_forecasts(p)[0]) == [(0, "a\0b")]
+        assert list(load_rows(p)[0]) == [(0, "a\0b")]
 
 
 class TestRunConfigFiles:

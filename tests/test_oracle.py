@@ -14,11 +14,12 @@ from embedded windows. A second grid varies the weighter's settings at M=4.
 
 import numpy as np
 import pytest
-from helpers import ar_seasonal_series
+from helpers import ar_seasonal_series, forecast_columns
 from oracle import gaps, replay
 
 from adapts.config import RollingConfig
 from adapts.harness import make_base_forecaster, run
+from adapts.io import ForecastTable
 
 L, H, S = 32, 8, 8
 NAMES = ["a", "b", "c"]
@@ -33,8 +34,9 @@ def series(seed, steps=160):
 def precomputed_table(data, seed):
     """Noisy persistence forecasts for every forecast step."""
     rng = np.random.default_rng(seed)
-    return {(t, name): data[t, ch] + rng.normal(scale=data[:, ch].std(), size=H)
-            for t in range(L - 1, len(data) - 1) for ch, name in enumerate(NAMES)}
+    rows = [(t, name, data[t, ch] + rng.normal(scale=data[:, ch].std(), size=H))
+            for t in range(L - 1, len(data) - 1) for ch, name in enumerate(NAMES)]
+    return ForecastTable(*forecast_columns(rows, H))
 
 
 def make_base(kind, table):
