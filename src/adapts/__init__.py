@@ -27,12 +27,9 @@ from .harness import (
     run,
 )
 from .metrics import (
-    DATASET_SEASONALITY,
     block_average_mase,
-    default_seasonality,
     mase,
     rmsse,
-    score_windows,
 )
 from .spectral import (
     FilterSpec,
@@ -51,7 +48,6 @@ __all__ = [
     "BaseForecaster",
     "ChannelStats",
     "ChannelWeighter",
-    "DATASET_SEASONALITY",
     "FilterSpec",
     "ForecastBundle",
     "HistoricalMeanBase",
@@ -66,7 +62,6 @@ __all__ = [
     "WEIGHTER_MODES",
     "block_average_mase",
     "combine",
-    "default_seasonality",
     "exp_weight_step",
     "filtered_bin_count",
     "forward_rft",
@@ -79,5 +74,4 @@ __all__ = [
     "rmsse",
     "run",
     "save_forecaster",
-    "score_windows",
 ]

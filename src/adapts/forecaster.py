@@ -185,7 +185,9 @@ class ChannelStats:
     """Running mean and variance of every channel, one ``count`` for all,
     merged a block of rows at a time (the pairwise update of Chan, Golub &
     LeVeque). ``means`` and ``m2s`` are empty until the first
-    :meth:`observe` sizes them; every later call must keep their length."""
+    :meth:`observe` sizes them; every later call must keep their length.
+    :meth:`variance` and :meth:`std` answer for every channel at once, as
+    arrays of that length."""
 
     def __init__(self):
         self.count = 0
@@ -214,25 +216,20 @@ class ChannelStats:
         self.m2s += block_m2 + delta * delta * (n * k / self.count)
         self.means += delta * (k / self.count)
 
-    def _count(self, channel: int) -> int:
-        if channel < 0:
-            raise ShapeMismatch(f"channel index must be non-negative, got {channel}")
-        return self.count if channel < len(self.means) else 0
+    def variance(self) -> np.ndarray:
+        """Sample variance of every channel, ``(C,)``: zeros until two
+        observations exist."""
+        if self.count < 2:
+            return np.zeros(len(self.means))
+        return self.m2s / (self.count - 1)
 
-    def variance(self, channel: int) -> float:
-        """Sample variance; zero until a channel has two observations,
-        including a channel beyond the observed ones. A negative channel
-        raises :class:`ShapeMismatch`, as it does in :meth:`std`."""
-        if self._count(channel) < 2:
-            return 0.0
-        return float(self.m2s[channel] / (self.count - 1))
-
-    def std(self, channel: int) -> float:
-        """Scaling factor for a channel: 1 until two observations exist,
-        then the running standard deviation floored at ``SIGMA_FLOOR``."""
-        if self._count(channel) < 2:
-            return 1.0
-        return max(float(np.sqrt(self.variance(channel))), SIGMA_FLOOR)
+    def std(self) -> np.ndarray:
+        """Scaling factor of every channel, ``(C,)``: ones until two
+        observations exist, then the running standard deviation floored at
+        ``SIGMA_FLOOR``."""
+        if self.count < 2:
+            return np.ones(len(self.means))
+        return np.maximum(np.sqrt(self.variance()), SIGMA_FLOOR)
 
 
 @functools.lru_cache(maxsize=16)
@@ -615,19 +612,20 @@ class OnlineForecaster:
         self.stats.observe(values)
 
     def _scales(self, channels) -> np.ndarray:
-        """Scaling factors ``(n,)`` of rows cut from ``channels``: each
-        channel's :meth:`ChannelStats.std`, or ones without channel scaling.
-        Once statistics exist, a channel past the observed ones raises
+        """Scaling factors ``(n,)`` of rows cut from ``channels``, which the
+        callers have checked are non-negative: each channel's entry of
+        :meth:`ChannelStats.std`, or ones without channel scaling. Once
+        statistics exist, a channel past the observed ones raises
         :class:`ShapeMismatch`: it has no std, and its rows would be fitted
         unscaled next to scaled ones. Before any observation every factor
         is 1."""
-        present, row_of = np.unique(channels, return_inverse=True)
-        if self.stats.count and present[-1] >= len(self.stats.means):
-            raise ShapeMismatch(f"channel {int(present[-1])} is past the "
+        channels = np.asarray(channels)
+        if self.stats.count and channels.max() >= len(self.stats.means):
+            raise ShapeMismatch(f"channel {int(channels.max())} is past the "
                                 f"{len(self.stats.means)} observed channels")
-        if not self.channel_scaling:
+        if not self.channel_scaling or not self.stats.count:
             return np.ones(len(channels))
-        return np.array([self.stats.std(ch) for ch in present.tolist()])[row_of]
+        return self.stats.std()[channels]
 
     def embed_pair(self, pair: SamplePair):
         """Filtered spectra of one normalized pair.

@@ -308,6 +308,12 @@ class ForecastTable:
         if not np.isfinite(block).all():
             raise bad_row("non-finite", int(np.argmin(np.isfinite(block).all(axis=1))))
 
+    def __setstate__(self, state):
+        # an unpickled array is writable, so a copy of the table sent to
+        # another process, as ``sweep --parallel`` sends it, locks it again
+        self.__dict__.update(state)
+        self.block.flags.writeable = False
+
     @property
     def horizon(self) -> int:
         return self.block.shape[1]

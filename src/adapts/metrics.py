@@ -6,12 +6,12 @@ channels whose scale drifts over time. The same block-averaged score
 doubles as the loss signal for the weighters.
 
 The denominator is floored at ``DENOMINATOR_FLOOR`` so block averages stay
-defined on locally constant or perfectly periodic contexts; callers that
-care can test :func:`seasonal_naive_mae` against the floor and flag the
-window, as :func:`score_windows` does for a whole block.
+defined on locally constant or perfectly periodic contexts.
+:func:`mase` and :func:`rmsse` score one window.
 :func:`seasonal_naive_denominators` gives both denominators of every
 window of a series in one pass, and :func:`scaled_scores` scores a block
-against them.
+of windows against them and flags each window whose MAE denominator was
+floored.
 """
 
 from __future__ import annotations
@@ -24,32 +24,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import EmptyBlock, InvalidSeasonality, ShapeMismatch
 
 DENOMINATOR_FLOOR = 1e-8
-
-# seasonal periods conventionally paired with the common benchmark sets
-DATASET_SEASONALITY = {
-    "etth1": 24,
-    "etth2": 24,
-    "ettm1": 96,
-    "ettm2": 96,
-    "us_weather": 24,
-    "weather": 144,
-    "solar": 24,
-    "ecl": 24,
-    "traffic": 24,
-}
-
-
-def default_seasonality(dataset_name: str) -> int:
-    """Seasonal period for a known dataset name (case/space insensitive)."""
-    key = dataset_name.strip().lower().replace(" ", "_").replace("-", "_")
-    try:
-        return DATASET_SEASONALITY[key]
-    except KeyError:
-        raise InvalidSeasonality(
-            f"no default seasonality for {dataset_name!r}; known: "
-            + ", ".join(sorted(DATASET_SEASONALITY))
-        ) from None
-
 
 def _check_seasonality(s, n: int) -> None:
     """Reject all but an integer season ``1 <= s < n``, ``n`` the window length."""
@@ -154,27 +128,6 @@ def scaled_scores(forecasts, targets, naive_mae, naive_mse) -> WindowScores:
     return WindowScores(mase_rows, rmsse_rows, naive_mae < DENOMINATOR_FLOOR)
 
 
-def score_windows(forecasts, targets, contexts, s: int) -> WindowScores:
-    """Array form of :func:`mase` and :func:`rmsse` over a block of windows.
-
-    Each window's seasonal-naive denominators are computed once, by
-    :func:`seasonal_naive_denominators`, and shared by every stream. Row by
-    row the values equal the scalar functions exactly: every mean runs over
-    a contiguous last axis, as it does there.
-
-    Parameters
-    ----------
-    forecasts : (k, m, H) array, one stack of m window forecasts per stream
-    targets : (m, H) array
-    contexts : (m, L) array of the matching context windows
-    """
-    contexts = np.asarray(contexts, dtype=np.float64)
-    if contexts.ndim != 2:
-        raise ShapeMismatch(f"contexts must be (m, L), got shape {contexts.shape}")
-    naive_mae, naive_mse = seasonal_naive_denominators(contexts, s, contexts.shape[1])
-    return scaled_scores(forecasts, targets, naive_mae[:, 0], naive_mse[:, 0])
-
-
 def block_average_mase(forecasts, targets, contexts, s: int) -> float:
     """Arithmetic mean of per-window MASE over one update block.
 
@@ -183,5 +136,9 @@ def block_average_mase(forecasts, targets, contexts, s: int) -> float:
     forecasts, targets : (m, H) arrays, one row per window
     contexts : (m, L) array of the matching context windows
     """
+    contexts = np.asarray(contexts, dtype=np.float64)
+    if contexts.ndim != 2:
+        raise ShapeMismatch(f"contexts must be (m, L), got shape {contexts.shape}")
+    naive_mae, naive_mse = seasonal_naive_denominators(contexts, s, contexts.shape[1])
     stack = np.asarray(forecasts, dtype=np.float64)[None]
-    return float(np.mean(score_windows(stack, targets, contexts, s).mase[0]))
+    return float(np.mean(scaled_scores(stack, targets, naive_mae[:, 0], naive_mse[:, 0]).mase[0]))

@@ -20,6 +20,7 @@ from oracle import paired_stop, spectral_chain_predict
 from adapts.errors import IllConditionedUpdate, InvalidConfig, ShapeMismatch
 from adapts.forecaster import (
     CONDITION_LIMIT,
+    SIGMA_FLOOR,
     ChannelStats,
     OnlineForecaster,
     SamplePair,
@@ -114,13 +115,23 @@ def real_rows(f, pairs):
             np.stack([_real_coefficients(t, f.horizon) for _, t in emb]))
 
 
+def configs(shapes):
+    """``(L, H, alpha, instance_norm, channel_scaling)`` for each shape and
+    both settings of each flag."""
+    return [(L, H, alpha, instance_norm, channel_scaling)
+            for L, H, alpha in shapes
+            for instance_norm in (True, False)
+            for channel_scaling in (True, False)]
+
+
 # (context_length, horizon, alpha): even L keeping the Nyquist bin, odd L
 # with a partial filter, and a filter keeping the DC bin alone
 SHAPES = [(16, 4, 1.0), (17, 5, 0.8), (10, 4, 0.01)]
-CONFIGS = [(L, H, alpha, instance_norm, channel_scaling)
-           for L, H, alpha in SHAPES
-           for instance_norm in (True, False)
-           for channel_scaling in (True, False)]
+CONFIGS = configs(SHAPES)
+# plus a horizon of one, for the tests whose reference embeds no pair:
+# fit and fit_slab take H = 1, but forward_rft, and so embed_pair, needs
+# two samples
+CONFIGS_H1 = CONFIGS + configs([(12, 1, 1.0), (13, 1, 0.9)])
 
 
 def fitted_pair_of_forecasters(config, seed):
@@ -194,8 +205,8 @@ class TestChannelStats:
         st = ChannelStats()
         for _ in range(4):
             st.observe([2.0])
-        assert st.variance(0) == 0.0
-        assert st.std(0) == 1e-8
+        assert st.variance()[0] == 0.0
+        assert st.std()[0] == 1e-8
 
     def test_matches_two_pass_oracle(self):
         st = ChannelStats()
@@ -203,14 +214,14 @@ class TestChannelStats:
         for v in vals:
             st.observe([v])
         assert st.means[0] == pytest.approx(np.mean(vals))
-        assert st.variance(0) == pytest.approx(np.var(vals, ddof=1))
+        assert st.variance()[0] == pytest.approx(np.var(vals, ddof=1))
         # random streams against the textbook two-pass formula
         rng = np.random.default_rng(12)
         st2 = ChannelStats()
         xs = rng.normal(3.0, 2.5, size=200)
         for v in xs:
             st2.observe([v])
-        assert st2.variance(0) == pytest.approx(np.var(xs, ddof=1), rel=1e-12)
+        assert st2.variance()[0] == pytest.approx(np.var(xs, ddof=1), rel=1e-12)
 
     def test_channels_do_not_mix(self):
         st = ChannelStats()
@@ -221,30 +232,21 @@ class TestChannelStats:
             st.observe([x, y])
         assert st.means[0] == pytest.approx(a.mean())
         assert st.means[1] == pytest.approx(b.mean())
-        assert st.variance(0) == pytest.approx(np.var(a, ddof=1))
-        assert st.variance(1) == pytest.approx(np.var(b, ddof=1))
+        assert st.variance()[0] == pytest.approx(np.var(a, ddof=1))
+        assert st.variance()[1] == pytest.approx(np.var(b, ddof=1))
 
     def test_fewer_than_two_observations_scale_one(self):
         st = ChannelStats()
-        assert st.std(0) == 1.0
-        st.observe([7.0])
-        assert st.std(0) == 1.0
+        st.observe([7.0, -3.0])
+        assert st.std().tolist() == [1.0, 1.0]
+        assert st.variance().tolist() == [0.0, 0.0]
 
-    def test_channel_beyond_the_observed_ones_is_unscaled(self):
+    def test_arrays_span_the_observed_channels(self):
         st = ChannelStats()
-        assert st.variance(0) == 0.0
+        assert st.variance().shape == st.std().shape == (0,)
         for v in ([1.0, 5.0], [2.0, 9.0], [4.0, 1.0]):
             st.observe(v)
-        assert st.variance(2) == 0.0 and st.std(2) == 1.0
-
-    def test_negative_channel_rejected(self):
-        # numpy's negative indexing would answer with another channel
-        st = ChannelStats()
-        for v in ([1.0, 5.0], [2.0, 9.0], [4.0, 1.0]):
-            st.observe(v)
-        for query in (st.variance, st.std, ChannelStats().std):
-            with pytest.raises(ShapeMismatch, match="non-negative"):
-                query(-1)
+        assert st.variance().shape == st.std().shape == (2,)
 
     def test_block_matches_row_by_row(self):
         rng = np.random.default_rng(5)
@@ -257,9 +259,9 @@ class TestChannelStats:
         assert by_block.count == by_row.count == len(rows)
         np.testing.assert_allclose(by_block.means, by_row.means, rtol=1e-12)
         for ch in range(3):
-            assert by_block.variance(ch) == pytest.approx(by_row.variance(ch), rel=1e-12)
-            assert by_block.variance(ch) == pytest.approx(np.var(rows[:, ch], ddof=1),
-                                                          rel=1e-12)
+            assert by_block.variance()[ch] == pytest.approx(by_row.variance()[ch], rel=1e-12)
+            assert by_block.variance()[ch] == pytest.approx(np.var(rows[:, ch], ddof=1),
+                                                            rel=1e-12)
 
     def test_channel_bits_do_not_depend_on_block_width(self):
         # the per-channel run's equality with one-channel runs rests on this
@@ -281,7 +283,7 @@ class TestChannelStats:
             st.observe(block)
         mean = math.fsum(xs) / len(xs)
         expected = math.fsum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
-        assert st.variance(0) == pytest.approx(expected, rel=1e-9)
+        assert st.variance()[0] == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("rows", [np.zeros((0, 2)), np.zeros((2, 0)), np.zeros(0),
                                       np.zeros((2, 3, 2)), 5.0])
@@ -316,7 +318,7 @@ class TestEmbed:
             f1.observe_values([v])
         for v in (0.0, 4.0):
             f2.observe_values([v])
-        assert f2.stats.std(0) == pytest.approx(2 * f1.stats.std(0))
+        assert f2.stats.std()[0] == pytest.approx(2 * f1.stats.std()[0])
         c1, t1 = f1.embed_pair(pair)
         c2, t2 = f2.embed_pair(pair)
         np.testing.assert_allclose(c2, c1 / 2, rtol=1e-12)
@@ -897,7 +899,7 @@ class TestRealCoefficients:
         back = _real_coefficients(_coefficient_bins(coefs, L, keep), L)
         assert np.abs(back - coefs).max() <= 1e-15 * np.abs(coefs).max() * 4
 
-    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("config", CONFIGS_H1)
     def test_fitted_state_is_real(self, config):
         (f, _), block, _ = fitted_pair_of_forecasters(config, seed=47)
         for n in (1, 40):  # a Woodbury step where one pays, then a direct refit
@@ -958,7 +960,7 @@ class TestBatchedEmbedding:
 
 
 class TestFoldedPredict:
-    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("config", CONFIGS_H1)
     def test_matches_spectral_chain(self, config):
         (f, _), block, rng = fitted_pair_of_forecasters(config, seed=29)
         L = config[0]
@@ -1676,7 +1678,7 @@ class TestModelAxis:
                 f.observe_values(v[g:g + 1])
         return multi, singles, rng
 
-    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("config", CONFIGS_H1)
     def test_matches_one_forecaster_per_model(self, config):
         L, H = config[:2]
         multi, singles, rng = self._multi_and_singles(config, 3, seed=71)
@@ -1773,7 +1775,7 @@ def extended_sums(f, slab, m, channels):
     for x, ch in zip(np.asarray(slab, dtype=np.longdouble), channels):
         ctx, tgt = sliding_window_view(x, L)[:m], sliding_window_view(x[L:], H)[:m]
         mu = ctx.mean(axis=1, keepdims=True) if f.instance_norm else 0
-        sigma = np.longdouble(f.stats.std(ch) if f.channel_scaling else 1.0)
+        sigma = np.longdouble(f.stats.std()[ch] if f.channel_scaling else 1.0)
         rows_in.append((ctx - mu) / sigma @ f._analysis)
         rows_out.append((tgt - mu) / sigma @ layout_out)
     x, y = np.concatenate(rows_in), np.concatenate(rows_out)
@@ -1846,7 +1848,7 @@ class TestFitWindows:
                    np.repeat(np.arange(C), m))
 
     @pytest.mark.parametrize("shared", [True, False])
-    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("config", CONFIGS_H1)
     def test_equals_fit_on_copied_windows(self, config, shared):
         L, H, alpha, instance_norm, channel_scaling = config
         C = 3
@@ -1878,7 +1880,7 @@ class TestFitWindows:
 
     @pytest.mark.parametrize("offset", [0.0, 1e4])
     @pytest.mark.parametrize("shared", [True, False])
-    @pytest.mark.parametrize("config", [c for c in CONFIGS if c[2] > 0.5])
+    @pytest.mark.parametrize("config", [c for c in CONFIGS_H1 if c[2] > 0.5])
     def test_moments_equal_fit_on_copied_windows(self, config, shared, offset):
         # alpha = 1 keeping the Nyquist bin, odd L and H, both normalizations;
         # each model's windows are enough for moments, and the offset slab
@@ -1997,6 +1999,50 @@ class TestFitWindows:
               sliding_window_view(slab[:, L:], H, axis=1)[:, :m].reshape(-1, H),
               np.repeat([0, 1], m))
         assert (f.core.last_path, g.core.last_path) == ("direct", "moments")
+
+
+def per_channel_scale(f, ch):
+    """The scaling factor of rows of channel ``ch``, one channel at a time:
+    1 without channel scaling, below two observations or for a channel the
+    statistics do not hold, else the channel's sample std floored at
+    ``SIGMA_FLOOR``."""
+    st = f.stats
+    if not f.channel_scaling or st.count < 2 or ch >= len(st.means):
+        return 1.0
+    return max(float(np.sqrt(float(st.m2s[ch] / (st.count - 1)))), SIGMA_FLOOR)
+
+
+class TestScales:
+    """``_scales``, one gather from the std vector, against the rule
+    applied one channel at a time, bit for bit."""
+
+    @pytest.mark.parametrize("channel_scaling", [True, False])
+    def test_equals_the_per_channel_rule(self, channel_scaling):
+        rng = np.random.default_rng(113)
+        f = OnlineForecaster(16, 4, 2, channel_scaling=channel_scaling)
+        rows = rng.normal(size=(7, 4)) * [1.0, 40.0, 1e-12, 0.0] + [3.0, -2.0, 5.0, 7.0]
+        floored = 0
+        for lo, hi in ((0, 0), (0, 1), (1, 2), (2, 3), (3, 7)):  # counts 0, 1, 2, 3, 7
+            if hi:
+                f.observe_values(rows[lo:hi])
+            assert f.stats.count == hi
+            for channels in ([0], [3, 0, 1], [1, 1, 0, 2, 3, 2, 0], [2, 2]):
+                want = np.array([per_channel_scale(f, ch) for ch in channels])
+                for given in (channels, np.array(channels)):
+                    got = f._scales(given)
+                    assert got.dtype == np.float64 and got.shape == (len(channels),)
+                    assert got.tobytes() == want.tobytes(), (hi, channels)
+            floored += f.stats.std()[2:].tolist() == [SIGMA_FLOOR] * 2
+        assert floored == 3  # channel 2's σ ~ 1e-12 and channel 3's 0, from two rows
+
+    @pytest.mark.parametrize("channel_scaling", [True, False])
+    def test_channel_past_the_observed_ones(self, channel_scaling):
+        f = OnlineForecaster(16, 4, 2, channel_scaling=channel_scaling)
+        assert f._scales([5, 0]).tolist() == [1.0, 1.0]  # nothing observed yet
+        f.observe_values(np.arange(3.0))
+        for channels in ([0, 3], [3], [7, 1, 0]):
+            with pytest.raises(ShapeMismatch, match=f"channel {max(channels)} is past the 3"):
+                f._scales(channels)
 
 
 class TestFitChannels:

@@ -471,6 +471,40 @@ class TestSharedVersusPerChannel:
             r_split.aggregate["adaptive"]["mase"], rel=1e-12)
 
 
+class TestHorizonOne:
+    @pytest.mark.parametrize("shared, update_period, path", [
+        (True, 5, "direct"),         # 15 pooled rows, d = 23
+        (True, 40, "moments"),
+        (False, 5, "woodbury"),      # 5 rows per channel
+        (False, 40, "moments"),
+    ])
+    def test_run_completes_with_finite_scores(self, shared, update_period, path,
+                                              monkeypatch):
+        paths = set()
+        fit_slab = OnlineForecaster.fit_slab
+
+        def recording(f, series):
+            fit_slab(f, series)
+            paths.update(core.last_path for core in f.cores)
+
+        monkeypatch.setattr(OnlineForecaster, "fit_slab", recording)
+        cfg = small_config(context_length=24, horizon=1, update_period=update_period,
+                           shared_weights=shared)
+        report = run(ar_seasonal_series(seed=5, steps=400, channels=3, period=8),
+                     NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
+        assert paths == {path}
+        n_scored = 376 // update_period * update_period - 1
+        assert report.forecasts.shape == (376, 2, 3, 1)
+        assert report.targets.shape == (n_scored, 3, 1)
+        assert report.windows_evaluated == 3 * n_scored
+        assert np.isfinite(report.scores).all() and np.isfinite(report.forecasts).all()
+        for stream in report.aggregate.values():
+            assert all(np.isfinite(v) for v in stream.values())
+        # the adaptive stream learns the AR series that the seasonal naive
+        # base only tiles
+        assert report.aggregate["adaptive"]["mase"] < report.aggregate["base"]["mase"]
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("key", ["eta", "lam"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])

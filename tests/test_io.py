@@ -10,6 +10,7 @@ parsers.
 import csv
 import gc
 import json
+import pickle
 import tracemalloc
 import warnings
 
@@ -490,6 +491,26 @@ class TestForecastTable:
             table.block[0] = 7.0
         block[2] = 7.0  # the caller's writes show through the view
         np.testing.assert_array_equal(table.block[2], [7.0, 7.0])
+
+    @pytest.mark.parametrize("source", ["csv", "npz", "array"])
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip_keeps_the_block_read_only(self, tmp_path, source, protocol):
+        # sweep --parallel sends the table to its workers by pickle; numpy
+        # unpickles a block writable below protocol 5, and a strided one
+        # (a CSV table's) at any protocol
+        rows = [(t, name, np.arange(2.0) + 10 * t + i)
+                for t in (3, 4, 9) for i, name in enumerate("xyz")]
+        rows.pop(4)  # no (4, "y")
+        table = forecast_table(rows, 2, source, tmp_path)
+        copy = pickle.loads(pickle.dumps(table, protocol))
+        assert not copy.block.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            copy.block[0] = 7.0
+        assert_same_table(copy, table)
+        codes = [table.code(name) for name in "zyx"]
+        assert copy.code("w") == -1 and [copy.code(name) for name in "zyx"] == codes
+        for t in (3, 4, 9, 5):
+            assert copy.rows(t, codes).tolist() == table.rows(t, codes).tolist()
 
     @pytest.mark.parametrize("t, channel, block", [
         ([0.0, 1.0], ["a", "a"], np.ones((2, 3))),           # float steps

@@ -6,14 +6,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from adapts.errors import EmptyBlock, InvalidSeasonality, ShapeMismatch
 from adapts.metrics import (
-    DATASET_SEASONALITY,
     DENOMINATOR_FLOOR,
     block_average_mase,
-    default_seasonality,
     mase,
     rmsse,
     scaled_scores,
-    score_windows,
     seasonal_naive_denominators,
     seasonal_naive_mae,
     seasonal_naive_mse,
@@ -140,11 +137,19 @@ class TestBlockAverage:
             block_average_mase(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 8)), 2)
 
 
-class TestScoreWindows:
+def score_block(forecasts, targets, contexts, s):
+    """``scaled_scores`` of a block over its ``(m, L)`` context windows'
+    own seasonal-naive denominators."""
+    contexts = np.asarray(contexts, dtype=np.float64)
+    naive_mae, naive_mse = seasonal_naive_denominators(contexts, s, contexts.shape[1])
+    return scaled_scores(forecasts, targets, naive_mae[:, 0], naive_mse[:, 0])
+
+
+class TestScaledScores:
     """The array scorer against the scalar functions, window by window."""
 
     def _check_against_scalars(self, forecasts, targets, contexts, s):
-        scores = score_windows(forecasts, targets, contexts, s)
+        scores = score_block(forecasts, targets, contexts, s)
         k, m, _ = forecasts.shape
         assert scores.mase.shape == (k, m)
         assert scores.rmsse.shape == (k, m)
@@ -202,18 +207,18 @@ class TestScoreWindows:
 
     def test_invalid_blocks_rejected(self):
         with pytest.raises(EmptyBlock):
-            score_windows(np.zeros((3, 0, 2)), np.zeros((0, 2)), np.zeros((0, 8)), 2)
+            score_block(np.zeros((3, 0, 2)), np.zeros((0, 2)), np.zeros((0, 8)), 2)
         with pytest.raises(ShapeMismatch):
-            score_windows(np.zeros((3, 4, 2)), np.zeros((4, 3)), np.zeros((4, 8)), 2)
+            score_block(np.zeros((3, 4, 2)), np.zeros((4, 3)), np.zeros((4, 8)), 2)
         with pytest.raises(ShapeMismatch):
-            score_windows(np.zeros((3, 4, 2)), np.zeros((4, 2)), np.zeros((5, 8)), 2)
+            score_block(np.zeros((3, 4, 2)), np.zeros((4, 2)), np.zeros((5, 8)), 2)
         with pytest.raises(InvalidSeasonality):
-            score_windows(np.zeros((3, 4, 2)), np.zeros((4, 2)), np.zeros((4, 8)), 8)
+            score_block(np.zeros((3, 4, 2)), np.zeros((4, 2)), np.zeros((4, 8)), 8)
 
 
 class TestSlabDenominators:
     """Denominators of every window of a slab against the scalar functions
-    and ``score_windows`` on copied windows, bit for bit."""
+    and ``score_block`` on copied windows, bit for bit."""
 
     @pytest.mark.parametrize("s", [1, 5, 19])  # 19 = L - 1
     def test_every_window_equals_its_scalars_and_copy(self, s):
@@ -231,7 +236,7 @@ class TestSlabDenominators:
                 assert mse[ch, j] == seasonal_naive_mse(contexts[j], s)
             targets = rng.normal(size=(m, H))
             forecasts = targets + rng.normal(size=(3, m, H))
-            want = score_windows(forecasts, targets, contexts, s)
+            want = score_block(forecasts, targets, contexts, s)
             got = scaled_scores(forecasts, targets, mae[ch], mse[ch])
             for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes()
@@ -244,21 +249,6 @@ class TestSlabDenominators:
         for series in (np.zeros((2, 7)), np.float64(1.0)):
             with pytest.raises(ShapeMismatch):
                 seasonal_naive_denominators(series, 2, 8)
-
-
-class TestSeasonalityTable:
-    def test_known_names(self):
-        assert default_seasonality("ETTh1") == 24
-        assert default_seasonality("ettm2") == 96
-        assert default_seasonality("US Weather") == 24
-        assert default_seasonality("weather") == 144
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(InvalidSeasonality):
-            default_seasonality("nope")
-
-    def test_table_is_positive(self):
-        assert all(s >= 1 for s in DATASET_SEASONALITY.values())
 
 
 class TestSeasonalNaive:
