@@ -91,13 +91,14 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .errors import IllConditionedUpdate, InvalidConfig, ShapeMismatch
+from .errors import CorruptSeries, IllConditionedUpdate, InvalidConfig, ShapeMismatch
 # pad_spectrum and inverse_rft are not called here; the whole spectral chain
 # stays importable from this module because the benchmark's tracer
 # (perfbench/spans.py) wraps it by these names
@@ -172,6 +173,15 @@ def _coefficient_bins(coefs: np.ndarray, n: int, keep: int) -> np.ndarray:
     return bins
 
 
+def _check_finite(values: np.ndarray, what: str, row: str = "row") -> None:
+    """Raise :class:`CorruptSeries` naming the first non-finite entry of
+    the 2-D ``values``, whose rows are called ``row``s, in one pass."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        r, c = np.unravel_index(np.argmax(bad), bad.shape)
+        raise CorruptSeries(f"non-finite value in {what} at {row} {r}, column {c}")
+
+
 @dataclass
 class SamplePair:
     """One (context, target) training pair for a single channel."""
@@ -196,7 +206,9 @@ class ChannelStats:
 
     def observe(self, rows) -> None:
         """Merge one row ``(C,)`` or a block ``(k, C)``, oldest first, in one
-        pass: the block's mean and squared deviations join the totals."""
+        pass: the block's mean and squared deviations join the totals. A
+        non-finite value raises :class:`CorruptSeries` naming its row and
+        column, and merges nothing."""
         x = np.asarray(rows, dtype=np.float64)
         x = x[None] if x.ndim == 1 else x
         if x.ndim != 2 or not x.size:
@@ -205,6 +217,7 @@ class ChannelStats:
             self.means, self.m2s = np.zeros(x.shape[1]), np.zeros(x.shape[1])
         elif x.shape[1] != len(self.means):
             raise ShapeMismatch(f"channel count changed from {len(self.means)} to {x.shape[1]}")
+        _check_finite(x, "the observed rows")
         # reduce a channel-major copy along its rows, so each channel's sums
         # run in one order however many channels share the block
         cols = np.ascontiguousarray(x.T)
@@ -346,8 +359,8 @@ class SpectralRidge:
     def __init__(self, dim_in: int, dim_out: int, lam: float):
         if dim_in < 1 or dim_out < 1:
             raise InvalidConfig(f"dimensions must be positive, got ({dim_in}, {dim_out})")
-        if not lam > 0:
-            raise InvalidConfig(f"ridge coefficient must be positive, got {lam}")
+        if not 0 < lam < math.inf:
+            raise InvalidConfig(f"ridge coefficient must be positive and finite, got {lam}")
         self.dim_in = dim_in
         self.dim_out = dim_out
         self.lam = float(lam)
@@ -557,8 +570,8 @@ class OnlineForecaster:
             )
         if horizon < 1:
             raise InvalidConfig(f"horizon must be >= 1, got {horizon}")
-        if not lam > 0:
-            raise InvalidConfig(f"ridge coefficient must be positive, got {lam}")
+        if not 0 < lam < math.inf:
+            raise InvalidConfig(f"ridge coefficient must be positive and finite, got {lam}")
         if not 0.0 < alpha <= 1.0:
             raise InvalidConfig(f"filter fraction must be in (0, 1], got {alpha}")
         if models < 1:
@@ -605,7 +618,8 @@ class OnlineForecaster:
 
     def observe_values(self, values) -> None:
         """Merge newly observed rows, one ``(C,)`` row or a ``(k, C)``
-        block oldest first, into the running per-channel statistics."""
+        block oldest first, into the running per-channel statistics
+        (:meth:`ChannelStats.observe`, which rejects non-finite values)."""
         values, G = np.asarray(values, dtype=np.float64), len(self.cores)
         if not self.stats.count and values.ndim in (1, 2) and values.shape[-1] % G:
             raise ShapeMismatch(f"{values.shape[-1]} channels do not split across {G} models")
@@ -662,8 +676,9 @@ class OnlineForecaster:
         right after it absorbed. Channel
         statistics must already reflect the observations the rows were cut
         from (see :meth:`observe_values`); once they exist, a channel past
-        the observed ones raises :class:`ShapeMismatch` before any model
-        changes.
+        the observed ones raises :class:`ShapeMismatch`, and a non-finite
+        value :class:`CorruptSeries` naming its row and column, before any
+        model changes.
 
         Each model embeds its rows and absorbs them before the next model
         starts, so that one model's design rows and one new ``d×d`` Gram are
@@ -684,6 +699,8 @@ class OnlineForecaster:
                                 f"a multiple of {G} models, got {ctx.shape} and {tgt.shape}")
         if channels.shape != (n,) or channels.dtype.kind not in "iu" or channels.min() < 0:
             raise ShapeMismatch(f"channels must be {n} non-negative integers, got {channels!r}")
+        _check_finite(ctx, "the contexts")
+        _check_finite(tgt, "the targets")
         sigma = self._scales(channels)[:, None]
         per = n // G
         for g, core in enumerate(self.cores):
@@ -699,7 +716,9 @@ class OnlineForecaster:
         = 1, channel ``g`` alone when G = C.
 
         Every model gets ``C/G · m`` rows, so all take the same path; ``C``
-        must be the observed channel count. Below :func:`moments_pay`, as
+        must be the observed channel count. A non-finite value raises
+        :class:`CorruptSeries` naming its channel and column before any
+        model changes. Below :func:`moments_pay`, as
         every Woodbury block is (under ``d // 3 <= L/3`` rows), each model's
         windows, sliding views of the slab, are copied once, embedded and
         absorbed as in :meth:`fit`, bit for bit as :meth:`fit` on the same
@@ -717,6 +736,7 @@ class OnlineForecaster:
                                 f"C > 0 a multiple of {G} models, got {series.shape}")
         if self.stats.count and C != len(self.stats.means):
             raise ShapeMismatch(f"fit_slab got {C} channels, {len(self.stats.means)} observed")
+        _check_finite(series, "the slab", "channel")
         per = C // G
         sigma = self._scales(np.arange(C))
         moments = moments_pay(per * m, L + H)

@@ -2,17 +2,22 @@
 
 The harness steps through a multichannel series one time step at a time
 with one forecaster, holding one model for all channels or one per channel
-(``shared_weights``). It reads the series in three places, one slab each:
+(``shared_weights``). A :class:`Session` owns one run's state, and
+:func:`run` is a loop over it. The session has three boundaries, and each
+reads the series once, one slab each:
 
-- before the loop, the rows before the first forecast step, each checked
-  and shown to the base, then merged into the channel statistics at once;
-- at every step, the trailing ``(L, C)`` window. Its last row, the newly
-  revealed one, is checked and shown to the base; one ``forecast_all``
-  and one ``predict`` call give every channel's base and adaptive
-  forecasts, recorded with each channel's current weight;
-- every ``update_period`` steps, the rows from the first context of the
-  windows whose targets have landed since the previous update (or the
-  ``update_period`` newest rows if none has) up to the current step. One
+- construction, before the first forecast step: the rows before it, each
+  checked and shown to the base, then merged into the channel statistics
+  at once;
+- :meth:`Session.step`, at every forecast origin: the trailing ``(L, C)``
+  window. Its last row, the newly revealed one, is checked and shown to
+  the base; one ``forecast_all`` and one ``predict`` call give every
+  channel's base and adaptive forecasts, recorded with each channel's
+  current weight;
+- :meth:`Session._update`, which every ``update_period``-th step calls:
+  the rows from the first context of the windows whose targets have
+  landed since the previous update (or the ``update_period`` newest rows
+  if none has) up to the current step. One
   cursor, the number of steps already scored, says where those windows
   start, because step k's context starts at row k. The slab's newest
   ``update_period`` rows are merged into the channel statistics at once.
@@ -338,9 +343,200 @@ def _check_row(row, t: int):
         raise CorruptSeries(f"non-finite value at time step {t}, channel {int(bad[0])}")
 
 
+class Session:
+    """One run of ``base`` plus the adaptive layer over a series, one
+    forecast origin at a time; :func:`run` is the loop over it.
+
+    The session owns the run's state: the forecaster, one weighter per
+    channel, the report's columns, the ``scored`` cursor and the weight
+    trajectories. It has three boundaries:
+
+    - construction validates the inputs, builds the forecaster and the
+      weighters, allocates the columns for the series' ``n_steps`` steps
+      and reveals the rows before the first step, in one read;
+    - :meth:`step` handles the next forecast origin and returns it;
+    - :meth:`_update`, which every ``update_period``-th step calls, scores
+      the windows whose targets have landed, moves the weights and fits
+      the forecaster.
+
+    :meth:`report` assembles the :class:`RunReport` after the last step.
+    """
+
+    def __init__(self, dataset, base: BaseForecaster, config: RollingConfig,
+                 channel_names=None):
+        config.validate()
+        L, H, M = config.context_length, config.horizon, config.update_period
+        if len(dataset.shape) != 2:
+            raise ShapeMismatch(f"series must be (T, C), got shape {dataset.shape}")
+        total, n_channels = dataset.shape
+        if n_channels == 0:
+            raise ShapeMismatch(f"series of shape {dataset.shape} has no channels")
+        if total < L + H + 1:
+            raise InsufficientData(
+                f"series length {total} cannot produce an evaluable update; "
+                f"need at least {L + H + 1}"
+            )
+        if channel_names is None:
+            channel_names = getattr(dataset, "channel_names", None)
+        if channel_names is None:
+            channel_names = [f"ch{i}" for i in range(n_channels)]
+        if len(channel_names) != n_channels:
+            raise InvalidConfig(
+                f"{len(channel_names)} channel names for {n_channels} channels"
+            )
+        if len(set(channel_names)) != n_channels:
+            raise InvalidConfig(f"channel names must be unique, got {list(channel_names)}")
+
+        self.dataset, self.base, self.config = dataset, base, config
+        self.channel_names = list(channel_names)
+        self.forecaster = OnlineForecaster(
+            L, H, config.seasonality, lam=config.lam, alpha=config.alpha,
+            instance_norm=config.instance_norm, channel_scaling=config.channel_scaling,
+            models=1 if config.shared_weights else n_channels,
+        )
+        self.weighters = [
+            ChannelWeighter(eta=config.eta, fast_window=config.fast_window,
+                            warmup_steps=config.warmup)
+            for _ in range(n_channels)
+        ]
+        self.trajectories = [[] for _ in range(n_channels)]
+
+        self.t0 = t0 = L - 1
+        self.n_steps = n_steps = total - 1 - t0
+        # the last update comes after n_steps // M * M steps and has scored
+        # all of them but the H whose targets had not yet landed
+        n_scored = max(0, n_steps // M * M - H)
+        self.forecasts = np.empty((n_steps, 2, n_channels, H))  # base, adaptive
+        # rows t0+1 ... t0+n_scored+H-1: every target a scoring update reads
+        self.landed = np.empty((n_scored + H - 1 if n_scored else 0, n_channels))
+        self.weight_used = np.empty((n_channels, n_steps))
+        self.scores = np.empty((2, 3, n_channels, n_scored))  # MASE, RMSSE of STREAMS
+        self.floored = np.empty((n_channels, n_scored), dtype=bool)
+        self.scored = 0   # steps already scored and fitted on; step k's context starts at row k
+        self.steps = 0    # steps taken
+
+        # the rows before the first forecast step are revealed up front, in one read
+        head = np.asarray(dataset[0:t0], dtype=np.float64)
+        for idx, row in enumerate(head):
+            _check_row(row, idx)
+            base.observe(idx, row)
+        self.forecaster.observe_values(head)
+
+    def step(self) -> int:
+        """Reveal the next row, record every channel's base and adaptive
+        forecasts at that origin and, when a period starts, the weights it
+        blends with; update after every ``update_period``-th step. Returns
+        the origin ``t``."""
+        config, base = self.config, self.base
+        L, H, M = config.context_length, config.horizon, config.update_period
+        i = self.steps
+        t = self.t0 + i
+        self.steps = i + 1
+        # the (L, C) window is the step's only read: its last row is the
+        # newly revealed row t, and row ch of ctxs is channel ch's context
+        window = np.asarray(self.dataset[t - L + 1: t + 1], dtype=np.float64)
+        _check_row(window[-1], t)
+        base.observe(t, window[-1])
+        ctxs = np.ascontiguousarray(window.T)
+        step = self.forecasts[i]
+        step[1] = self.forecaster.predict(ctxs)
+        bf = np.asarray(base.forecast_all(t, ctxs), dtype=np.float64)
+        if bf.shape != (len(ctxs), H):
+            raise ShapeMismatch(
+                f"base forecasts at t={t} have shape {bf.shape}, expected ({len(ctxs)}, {H})"
+            )
+        step[0] = bf
+        if i % M == 0:
+            # weights only move at updates: every step up to the next update
+            # blends with the weights the previous one left
+            self.weight_used[:, i: i + M] = [[w.current_weight(config.weighter_mode)]
+                                             for w in self.weighters]
+        if (i + 1) % M == 0:
+            self._update(i, t)
+        return t
+
+    def _update(self, i: int, t: int) -> None:
+        """The update after step ``i``, origin ``t``: merge the period's rows
+        into the channel statistics and, once windows have completed since
+        the previous update, score them, move the weights and fit on them."""
+        L, H, M = self.config.context_length, self.config.horizon, self.config.update_period
+        forecasts, weight_used, scored = self.forecasts, self.weight_used, self.scored
+        # the steps whose targets have landed since the previous update
+        done = slice(scored, max(scored, i + 1 - H))
+        m = done.stop - done.start
+        # the update's one read: the M rows revealed since the previous
+        # update and, when windows completed, every row they span
+        lo = done.start if m else t - M + 1
+        rows = np.asarray(self.dataset[lo: t + 1], dtype=np.float64)
+        self.forecaster.observe_values(rows[-M:])
+        if not m:
+            return
+        # the completed windows' targets, channel-major (C, m, H): sliding
+        # views of one channel-major copy of the slab, scored per channel
+        # against denominators taken from the slab in one pass; the copy,
+        # m + L + H - 1 rows, is then fitted as one block
+        cols = np.ascontiguousarray(rows.T)
+        tgt_view = sliding_window_view(cols[:, L:], H, axis=1)[:, :m]
+        naive_mae, naive_mse = seasonal_naive_denominators(
+            cols[:, :m + L - 1], self.config.seasonality, L)
+        # rows[L:] are rows t0+1+scored ... t: the done windows' targets
+        self.landed[done.start: i] = rows[L:]
+        for ch, w in enumerate(self.weighters):
+            # streams: base, adaptive, combined, and the two combos at the
+            # fast and slow weights frozen since the previous update
+            bfs, afs = forecasts[done, 0, ch], forecasts[done, 1, ch]
+            block = scaled_scores(
+                np.stack([bfs, afs, combine(bfs, afs, weight_used[ch, done, None]),
+                          combine(bfs, afs, w.fast_weight()),
+                          combine(bfs, afs, w.w_slow)]),
+                tgt_view[ch], naive_mae[ch], naive_mse[ch])
+            self.scores[:, :, ch, done] = block.mase[:3], block.rmsse[:3]
+            self.floored[ch, done] = block.floored
+            loss_base, loss_adaptive, _, loss_fast, loss_slow = block.mase.mean(axis=1).tolist()
+            w.update(loss_base, loss_adaptive, loss_fast, loss_slow)
+            self.trajectories[ch].append({
+                "update_step": w.update_count,
+                "time_step": t,
+                "w_slow": w.w_slow,
+                "w_fast": w.fast_weight(),
+                "beta_merge": w.beta_merge,
+                "w_combined": w.current_weight(self.config.weighter_mode),
+                "loss_base": loss_base,
+                "loss_adaptive": loss_adaptive,
+            })
+        self.forecaster.fit_slab(cols)
+        self.scored = done.stop
+
+    def report(self) -> RunReport:
+        """The run's :class:`RunReport`, once every step has been taken."""
+        scores, floored, names = self.scores, self.floored, self.channel_names
+        n_scored = floored.shape[1]
+        if n_scored:
+            means = scores.mean(axis=-1)  # (2, 3, C): MASE and RMSSE per stream and channel
+            by_channel, overall = means.transpose(2, 0, 1).tolist(), means.mean(axis=-1).tolist()
+        else:
+            overall = [[None] * 3] * 2
+            by_channel = [overall] * len(names)
+
+        def streams(m):
+            return {s: {"mase": m[0][k], "rmsse": m[1][k]} for k, s in enumerate(STREAMS)}
+
+        return RunReport(
+            config=self.config, channel_names=names, forecasts=self.forecasts,
+            landed=self.landed, weight_used=self.weight_used, scores=scores, floored=floored,
+            per_channel={name: {"windows": n_scored, "floored_windows": int(floored[ch].sum()),
+                                **streams(by_channel[ch])}
+                         for ch, name in enumerate(names)},
+            aggregate=streams(overall), weights=dict(zip(names, self.trajectories)),
+            windows_evaluated=floored.size, floored_windows=int(floored.sum()),
+            update_steps=len(self.trajectories[0]), skipped_initial_steps=self.t0,
+        )
+
+
 def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None,
         step_callback=None) -> RunReport:
-    """Simulate deployment of ``base`` plus the adaptive layer over a series.
+    """Simulate deployment of ``base`` plus the adaptive layer over a series:
+    one :class:`Session`, stepped through every forecast origin.
 
     Parameters
     ----------
@@ -357,148 +553,9 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
     -------
     RunReport
     """
-    config.validate()
-    L, H, M = config.context_length, config.horizon, config.update_period
-    if len(dataset.shape) != 2:
-        raise ShapeMismatch(f"series must be (T, C), got shape {dataset.shape}")
-    total, n_channels = dataset.shape
-    if n_channels == 0:
-        raise ShapeMismatch(f"series of shape {dataset.shape} has no channels")
-    if total < L + H + 1:
-        raise InsufficientData(
-            f"series length {total} cannot produce an evaluable update; "
-            f"need at least {L + H + 1}"
-        )
-    if channel_names is None:
-        channel_names = getattr(dataset, "channel_names", None)
-    if channel_names is None:
-        channel_names = [f"ch{i}" for i in range(n_channels)]
-    if len(channel_names) != n_channels:
-        raise InvalidConfig(
-            f"{len(channel_names)} channel names for {n_channels} channels"
-        )
-    if len(set(channel_names)) != n_channels:
-        raise InvalidConfig(f"channel names must be unique, got {list(channel_names)}")
-
-    forecaster = OnlineForecaster(
-        L, H, config.seasonality, lam=config.lam, alpha=config.alpha,
-        instance_norm=config.instance_norm, channel_scaling=config.channel_scaling,
-        models=1 if config.shared_weights else n_channels,
-    )
-    weighters = [
-        ChannelWeighter(eta=config.eta, fast_window=config.fast_window,
-                        warmup_steps=config.warmup)
-        for _ in range(n_channels)
-    ]
-    trajectories = [[] for _ in range(n_channels)]
-
-    t0 = L - 1
-    n_steps = total - 1 - t0
-    # the last update comes after n_steps // M * M steps and has scored all
-    # of them but the H whose targets had not yet landed
-    n_scored = max(0, n_steps // M * M - H)
-    forecasts = np.empty((n_steps, 2, n_channels, H))  # base, adaptive
-    # rows t0+1 ... t0+n_scored+H-1: every target a scoring update reads
-    landed = np.empty((n_scored + H - 1 if n_scored else 0, n_channels))
-    weight_used = np.empty((n_channels, n_steps))
-    scores = np.empty((2, 3, n_channels, n_scored))  # MASE, RMSSE of STREAMS
-    floored = np.empty((n_channels, n_scored), dtype=bool)
-    scored = 0   # steps already scored and fitted on; step k's context starts at row k
-
-    # the rows before the first forecast step are revealed up front, in one read
-    head = np.asarray(dataset[0:t0], dtype=np.float64)
-    for idx, row in enumerate(head):
-        _check_row(row, idx)
-        base.observe(idx, row)
-    forecaster.observe_values(head)
-
-    for i, t in enumerate(range(t0, total - 1)):
-        # the (L, C) window is the step's only read: its last row is the
-        # newly revealed row t, and row ch of ctxs is channel ch's context
-        window = np.asarray(dataset[t - L + 1: t + 1], dtype=np.float64)
-        _check_row(window[-1], t)
-        base.observe(t, window[-1])
-        ctxs = np.ascontiguousarray(window.T)
-        step = forecasts[i]
-        step[1] = forecaster.predict(ctxs)
-        bf = np.asarray(base.forecast_all(t, ctxs), dtype=np.float64)
-        if bf.shape != (n_channels, H):
-            raise ShapeMismatch(
-                f"base forecasts at t={t} have shape {bf.shape}, expected ({n_channels}, {H})"
-            )
-        step[0] = bf
-        if i % M == 0:
-            # weights only move at updates: every step up to the next update
-            # blends with the weights the previous one left
-            weight_used[:, i: i + M] = [[w.current_weight(config.weighter_mode)]
-                                        for w in weighters]
-        if (i + 1) % M == 0:
-            # the steps whose targets have landed since the previous update
-            done = slice(scored, max(scored, i + 1 - H))
-            m = done.stop - done.start
-            # the update's one read: the M rows revealed since the previous
-            # update and, when windows completed, every row they span
-            lo = done.start if m else t - M + 1
-            rows = np.asarray(dataset[lo: t + 1], dtype=np.float64)
-            forecaster.observe_values(rows[-M:])
-            if m:
-                # the completed windows' targets, channel-major (C, m, H):
-                # sliding views of one channel-major copy of the slab, scored
-                # per channel against denominators taken from the slab in one
-                # pass; the copy, m + L + H - 1 rows, is then fitted as one block
-                cols = np.ascontiguousarray(rows.T)
-                tgt_view = sliding_window_view(cols[:, L:], H, axis=1)[:, :m]
-                naive_mae, naive_mse = seasonal_naive_denominators(
-                    cols[:, :m + L - 1], config.seasonality, L)
-                # rows[L:] are rows t0+1+scored ... t: the done windows' targets
-                landed[done.start: i] = rows[L:]
-                for ch, w in enumerate(weighters):
-                    # streams: base, adaptive, combined, and the two combos at
-                    # the fast and slow weights frozen since the previous update
-                    bfs, afs = forecasts[done, 0, ch], forecasts[done, 1, ch]
-                    block = scaled_scores(
-                        np.stack([bfs, afs, combine(bfs, afs, weight_used[ch, done, None]),
-                                  combine(bfs, afs, w.fast_weight()),
-                                  combine(bfs, afs, w.w_slow)]),
-                        tgt_view[ch], naive_mae[ch], naive_mse[ch])
-                    scores[:, :, ch, done] = block.mase[:3], block.rmsse[:3]
-                    floored[ch, done] = block.floored
-                    loss_base, loss_adaptive, _, loss_fast, loss_slow = \
-                        block.mase.mean(axis=1).tolist()
-                    w.update(loss_base, loss_adaptive, loss_fast, loss_slow)
-                    trajectories[ch].append({
-                        "update_step": w.update_count,
-                        "time_step": t,
-                        "w_slow": w.w_slow,
-                        "w_fast": w.fast_weight(),
-                        "beta_merge": w.beta_merge,
-                        "w_combined": w.current_weight(config.weighter_mode),
-                        "loss_base": loss_base,
-                        "loss_adaptive": loss_adaptive,
-                    })
-                forecaster.fit_slab(cols)
-                scored = done.stop
+    session = Session(dataset, base, config, channel_names)
+    for _ in range(session.n_steps):
+        t = session.step()
         if step_callback is not None:
             step_callback(t)
-
-    if n_scored:
-        means = scores.mean(axis=-1)  # (2, 3, C): MASE and RMSSE per stream and channel
-        by_channel, overall = means.transpose(2, 0, 1).tolist(), means.mean(axis=-1).tolist()
-    else:
-        overall = [[None] * 3] * 2
-        by_channel = [overall] * n_channels
-
-    def streams(m):
-        return {s: {"mase": m[0][k], "rmsse": m[1][k]} for k, s in enumerate(STREAMS)}
-
-    names = list(channel_names)
-    return RunReport(
-        config=config, channel_names=names, forecasts=forecasts, landed=landed,
-        weight_used=weight_used, scores=scores, floored=floored,
-        per_channel={name: {"windows": n_scored, "floored_windows": int(floored[ch].sum()),
-                            **streams(by_channel[ch])}
-                     for ch, name in enumerate(names)},
-        aggregate=streams(overall), weights=dict(zip(names, trajectories)),
-        windows_evaluated=floored.size, floored_windows=int(floored.sum()),
-        update_steps=len(trajectories[0]), skipped_initial_steps=t0,
-    )
+    return session.report()

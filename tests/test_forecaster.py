@@ -17,7 +17,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from oracle import paired_stop, spectral_chain_predict
 
-from adapts.errors import IllConditionedUpdate, InvalidConfig, ShapeMismatch
+from adapts.errors import CorruptSeries, IllConditionedUpdate, InvalidConfig, ShapeMismatch
 from adapts.forecaster import (
     CONDITION_LIMIT,
     SIGMA_FLOOR,
@@ -198,6 +198,14 @@ class TestConstruction:
             OnlineForecaster(10, 4, 2, lam=0.0)
         with pytest.raises(InvalidConfig):
             OnlineForecaster(10, 4, 2, alpha=1.5)
+
+    @pytest.mark.parametrize("lam", [np.inf, np.nan, 0.0, -1.0])
+    def test_ridge_coefficient_must_be_positive_and_finite(self, lam):
+        # under lam = inf a refit and a Woodbury step each left a zero weight
+        with pytest.raises(InvalidConfig, match="ridge coefficient must be positive and finite"):
+            SpectralRidge(3, 2, lam)
+        with pytest.raises(InvalidConfig, match="ridge coefficient must be positive and finite"):
+            OnlineForecaster(10, 4, 2, lam=lam)
 
 
 class TestChannelStats:
@@ -1542,6 +1550,14 @@ class TestSnapshot:
         with pytest.raises(InvalidConfig, match=f"{field} holds non-finite"):
             load_forecaster(path)
 
+    @pytest.mark.parametrize("lam", [np.inf, np.nan, 0.0])
+    def test_bad_ridge_coefficient_rejected(self, tmp_path, lam):
+        path, fields = self._saved_fields(tmp_path)
+        fields["lam"] = np.array(lam)
+        np.savez(path, **fields)
+        with pytest.raises(InvalidConfig, match="ridge coefficient must be positive and finite"):
+            load_forecaster(path)
+
     def test_negative_squared_deviations_rejected(self, tmp_path):
         # a negative variance would scale every fitted row of its channel by NaN
         path, fields = self._saved_fields(tmp_path)
@@ -2063,6 +2079,68 @@ class TestFitChannels:
         with pytest.raises(ShapeMismatch, match="channels"):
             f.fit(rng.normal(size=(3, 16)), rng.normal(size=(3, 4)), channels)
         assert f.n_samples == 0
+
+
+def forecaster_bytes(f):
+    """The bytes of every model's ridge state and pending rows, the fold
+    and the channel statistics."""
+    out = [f.time_map.tobytes(), f.stats.means.tobytes(), f.stats.m2s.tobytes(), f.stats.count]
+    for core in f.cores:
+        out += [np.asarray(value).tobytes() for value in ridge_state(core).values()]
+        out += [rows.tobytes() for rows in core.pending_rows()]
+    return out
+
+
+class TestNonFiniteInput:
+    """A non-finite value raises CorruptSeries naming its row and column
+    before any model, the fold or the channel statistics change; before,
+    one NaN in a context left every weight entry NaN."""
+
+    @staticmethod
+    def fitted(models):
+        rng = np.random.default_rng(83)
+        f = OnlineForecaster(16, 4, 4, models=models)
+        series = rng.normal(size=(40, 2)).cumsum(axis=0)
+        f.observe_values(series)
+        f.fit_slab(np.ascontiguousarray(series[:30].T))
+        f.fit_slab(np.ascontiguousarray(series[10:31].T))  # 2 windows a channel
+        assert f.core.last_path == "woodbury" and f.core.pending == 4 // models
+        return f, series
+
+    @pytest.mark.parametrize("models", [1, 2])
+    @pytest.mark.parametrize("side, row, column, value",
+                             [("contexts", 7, 3, np.nan), ("targets", 20, 1, np.inf),
+                              ("contexts", 29, 15, -np.inf)])
+    def test_fit(self, models, side, row, column, value):
+        f, series = self.fitted(models)
+        windows = sliding_window_view(series, 20, axis=0)[:15]   # (15, 2, 20)
+        ctx = np.concatenate([windows[:, 0, :16], windows[:, 1, :16]])
+        tgt = np.concatenate([windows[:, 0, 16:], windows[:, 1, 16:]])
+        (ctx if side == "contexts" else tgt)[row, column] = value
+        before = forecaster_bytes(f)
+        with pytest.raises(CorruptSeries, match=f"{side} at row {row}, column {column}$"):
+            f.fit(ctx, tgt, np.repeat([0, 1], 15))
+        assert forecaster_bytes(f) == before
+
+    @pytest.mark.parametrize("models", [1, 2])
+    @pytest.mark.parametrize("width", [22, 40])   # Woodbury steps, a moments refit
+    def test_fit_slab(self, models, width):
+        f, series = self.fitted(models)
+        slab = np.ascontiguousarray(series[:width].T)
+        slab[1, 12] = np.nan
+        before = forecaster_bytes(f)
+        with pytest.raises(CorruptSeries, match="slab at channel 1, column 12$"):
+            f.fit_slab(slab)
+        assert forecaster_bytes(f) == before
+
+    @pytest.mark.parametrize("rows, row, column",
+                             [([0.5, np.nan], 0, 1), ([[1.0, 2.0]] * 3 + [[-np.inf, 0.0]], 3, 0)])
+    def test_observe_values(self, rows, row, column):
+        f, _ = self.fitted(2)
+        before = forecaster_bytes(f)
+        with pytest.raises(CorruptSeries, match=f"observed rows at row {row}, column {column}$"):
+            f.observe_values(rows)
+        assert forecaster_bytes(f) == before
 
 
 class TestMemoryLayout:

@@ -10,6 +10,8 @@ and shared runs with M=1 take Woodbury steps. From L+H = 40 rows per model
 (shared runs with M of 16 and 48, per-channel runs with M=48) the updates
 refit from the slab's lagged moments, and the others mostly refit directly
 from embedded windows. A second grid varies the weighter's settings at M=4.
+A seeded draw then varies the shape itself: L, H, S, M, α, λ, the channel
+count, both modes, both flags, the three bases and the weighter's settings.
 """
 
 import numpy as np
@@ -31,22 +33,25 @@ def series(seed, steps=160):
     return ar_seasonal_series(seed, steps=steps, period=S) * [1.0, 6.0, 0.05] + [3.0, -20.0, 0.5]
 
 
-def precomputed_table(data, seed):
-    """Noisy persistence forecasts for every forecast step."""
+def precomputed_table(data, seed, context_length=L, horizon=H):
+    """Noisy persistence forecasts for every forecast step of every
+    channel of ``data``, named as in ``NAMES``."""
     rng = np.random.default_rng(seed)
-    rows = [(t, name, data[t, ch] + rng.normal(scale=data[:, ch].std(), size=H))
-            for t in range(L - 1, len(data) - 1) for ch, name in enumerate(NAMES)]
-    return ForecastTable(*forecast_columns(rows, H))
+    names = NAMES[:data.shape[1]]
+    rows = [(t, name, data[t, ch] + rng.normal(scale=data[:, ch].std(), size=horizon))
+            for t in range(context_length - 1, len(data) - 1) for ch, name in enumerate(names)]
+    return ForecastTable(*forecast_columns(rows, horizon))
 
 
-def make_base(kind, table):
-    return make_base_forecaster(kind, horizon=H, seasonality=S, forecasts=table,
-                                channel_names=NAMES)
+def make_base(kind, table, config, names):
+    return make_base_forecaster(kind, horizon=config.horizon, seasonality=config.seasonality,
+                                forecasts=table, channel_names=names)
 
 
 def assert_matches_replay(data, kind, table, config):
-    report = run(data, make_base(kind, table), config, channel_names=NAMES)
-    expected = replay(data, make_base(kind, table), config)
+    names = NAMES[:data.shape[1]]
+    report = run(data, make_base(kind, table, config, names), config, channel_names=names)
+    expected = replay(data, make_base(kind, table, config, names), config)
     assert report.floored.shape[1] > 5 * config.update_period  # several scored updates
     worst = {name: gap for name, gap in gaps(report, expected).items() if not gap <= TOLERANCE}
     assert not worst, worst
@@ -105,4 +110,51 @@ def test_weighter_settings_match_scalar_replay(case):
     config = RollingConfig(context_length=L, horizon=H, update_period=4, seasonality=S,
                            eta=eta, fast_window=fast_window, warmup=warmup,
                            weighter_mode=mode, shared_weights=shared)
+    assert_matches_replay(data, kind, table, config)
+
+
+# the values each drawn setting takes besides the shape (L, H, S)
+AXES = {
+    "update_period": [1, 2, 3, 5, 8, 13, 30, 60], "alpha": [0.3, 0.6, 0.9, 1.0],
+    "lam": [1.0, 5.0, 20.0], "shared_weights": [True, False], "instance_norm": [True, False],
+    "channel_scaling": [True, False],
+    "weighter_mode": ["full", "slow_only", "fast_only", "unweighted"],
+    "eta": [0.0, 0.5, 5.0], "fast_window": [1, 3, 5], "warmup": [0, 2],
+    "channels": [1, 2, 3], "kind": ["naive_seasonal", "historical_mean", "precomputed"],
+}
+
+
+def draw_cases(seed, n):
+    """``n`` seeded random settings: L from 6 to 47, H from 2 to 13, S < L
+    and one value of every axis. H=1 and λ < 1 stay out: the oracle's
+    embedder needs two target samples, and below λ=1 the gap from the
+    oracle is set by the Gram's conditioning, not by the program."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(n):
+        context_length = int(rng.integers(6, 48))
+        case = {key: values[rng.integers(len(values))] for key, values in AXES.items()}
+        cases.append(dict(case, context_length=context_length,
+                          horizon=int(rng.integers(2, 14)),
+                          seasonality=int(rng.integers(1, context_length))))
+    return cases
+
+
+DRAWN = draw_cases(2024, 40)
+
+
+def test_the_draw_takes_every_value_of_every_axis():
+    for key, values in AXES.items():
+        assert sorted({case[key] for case in DRAWN}) == sorted(values), key
+    assert {c["context_length"] % 2 for c in DRAWN if c["alpha"] == 1.0} == {0, 1}
+
+
+@pytest.mark.parametrize("case", range(len(DRAWN)))
+def test_drawn_setting_matches_scalar_replay(case):
+    settings = dict(DRAWN[case])
+    channels, kind = settings.pop("channels"), settings.pop("kind")
+    config = RollingConfig(**settings)
+    steps = max(160, 7 * config.update_period + config.context_length + config.horizon)
+    data = series(300 + case, steps=steps)[:, :channels]
+    table = precomputed_table(data, case, config.context_length, config.horizon)
     assert_matches_replay(data, kind, table, config)
