@@ -75,9 +75,10 @@ def _load_table(settings: dict):
     return adio.load_forecasts(settings["forecasts"])[0]
 
 
-def _execute(settings: dict, table=None):
+def _execute(settings: dict, table=None, keep_forecasts=False):
     """Resolve a settings dict into a finished run report. ``table`` is an
-    already parsed forecast table; without it the file is parsed here."""
+    already parsed forecast table; without it the file is parsed here. The
+    report keeps every step's forecasts only with ``keep_forecasts``."""
     if "dataset" not in settings:
         raise UsageError("a dataset path is required (config key 'dataset')")
     cfg = adio.build_rolling_config(settings)
@@ -87,7 +88,7 @@ def _execute(settings: dict, table=None):
     base = make_base_forecaster(settings.get("base", "naive_seasonal"), horizon=cfg.horizon,
                                 seasonality=cfg.seasonality, forecasts=table,
                                 channel_names=series.channel_names)
-    report = run(series, base, cfg)
+    report = run(series, base, cfg, keep_forecasts=keep_forecasts)
     report.dataset_name = str(settings["dataset"])
     return report, cfg
 
@@ -119,7 +120,7 @@ def _dump_base_forecasts(report, cfg, path) -> None:
 
 def cmd_run(args) -> int:
     settings = _apply_overrides(adio.load_run_config(args.config), args)
-    report, cfg = _execute(settings)
+    report, cfg = _execute(settings, keep_forecasts=bool(settings.get("dump_forecasts")))
     if settings.get("dump_forecasts"):
         _dump_base_forecasts(report, cfg, settings["dump_forecasts"])
     out = settings.get("out", "report.json")

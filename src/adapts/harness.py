@@ -34,14 +34,20 @@ update follows it, in time order. Nothing ever reads past the current
 step: pairs enter fitting only once their target lies entirely in the
 past, at the price of a horizon-length lag.
 
-A run keeps its state in a few preallocated arrays on the report: the
-base and adaptive forecasts of every step (step-major, so each step writes
-one contiguous slab), the weight each channel used at each step, the
-MASE/RMSSE and floored flag of every scored window, and the rows the
-scored windows' targets span. Weights move only at updates, so they are
-written once per update period, for all of its steps at once. Nothing that
-can be rebuilt bit for bit is stored, because storing it would only cost
-memory:
+A run keeps its state in a few preallocated arrays. The base and adaptive
+forecasts live in a ring of steps (step-major, so each step writes one
+contiguous slab) that holds only the steps no update has scored yet:
+``update_period + horizon`` of them, rounded up to whole update periods.
+A step's row is overwritten only after the update that scored it read
+it, and every update reads its completed steps as one run of rows, a
+view. With ``keep_forecasts`` the ring holds every step instead, and the
+report hands them out. The report's own columns grow with the run, one
+entry per step or scored window and channel: the weight each channel used
+at each step, the MASE/RMSSE and floored flag of every scored window, and
+the rows the scored windows' targets span. Weights move only at updates,
+so they are written once per update period, for all of its steps at once.
+Nothing that can be rebuilt bit for bit is stored, because storing it
+would only cost memory:
 
 - the combined forecast is ``combine(base, adaptive, weight_used)``, an
   elementwise expression rebuilt wherever it is read (block scoring and
@@ -69,6 +75,7 @@ from .errors import (
     InvalidConfig,
     MissingForecast,
     ShapeMismatch,
+    UsageError,
 )
 from .forecaster import OnlineForecaster, _season_index
 from .io import ForecastTable
@@ -264,7 +271,7 @@ class RunReport:
     steps, oldest first.
 
     - ``forecasts``: ``(n_steps, 2, C, H)``, the base and adaptive forecasts
-      of every step;
+      of every step, or None unless the run kept them (``keep_forecasts``);
     - ``landed``: ``(n_scored + H - 1, C)``, series rows ``t0 + 1`` to ``t0 +
       n_scored + H - 1``, which the scored windows' targets span (``(0,
       C)`` when no window was scored);
@@ -304,7 +311,10 @@ class RunReport:
     def bundles(self) -> list:
         """Per channel, one :class:`ForecastBundle` per step, oldest first,
         whose arrays are views of the columns (the combined one is rebuilt)
-        and of ``targets``; steps never scored keep ``target=None``."""
+        and of ``targets``; steps never scored keep ``target=None``. Each
+        channel's list is empty when the run did not keep its forecasts."""
+        if self.forecasts is None:
+            return [[] for _ in self.channel_names]
         t0, n_scored = self.skipped_initial_steps, self.floored.shape[1]
         targets = self.targets
         views = []
@@ -348,8 +358,8 @@ class Session:
     forecast origin at a time; :func:`run` is the loop over it.
 
     The session owns the run's state: the forecaster, one weighter per
-    channel, the report's columns, the ``scored`` cursor and the weight
-    trajectories. It has three boundaries:
+    channel, the report's columns, the ring of forecasts, the ``scored``
+    cursor and the weight trajectories. It has three boundaries:
 
     - construction validates the inputs, builds the forecaster and the
       weighters, allocates the columns for the series' ``n_steps`` steps
@@ -359,11 +369,18 @@ class Session:
       the windows whose targets have landed, moves the weights and fits
       the forecaster.
 
+    Step ``s``'s base and adaptive forecasts sit at row ``(s + H) % R`` of
+    ``ring``, ``(R, 2, C, H)``. ``R`` is the smallest multiple of
+    ``update_period`` (``M``) that holds ``M + H`` steps, or every step and
+    ``H`` more with ``keep_forecasts``. So each update's completed steps
+    are one contiguous run of rows, and a row is written again only after
+    the update that scored it.
+
     :meth:`report` assembles the :class:`RunReport` after the last step.
     """
 
     def __init__(self, dataset, base: BaseForecaster, config: RollingConfig,
-                 channel_names=None):
+                 channel_names=None, keep_forecasts=False):
         config.validate()
         L, H, M = config.context_length, config.horizon, config.update_period
         if len(dataset.shape) != 2:
@@ -406,7 +423,10 @@ class Session:
         # the last update comes after n_steps // M * M steps and has scored
         # all of them but the H whose targets had not yet landed
         n_scored = max(0, n_steps // M * M - H)
-        self.forecasts = np.empty((n_steps, 2, n_channels, H))  # base, adaptive
+        span = (n_steps if keep_forecasts else M) + H
+        self.ring = np.empty((-(-span // M) * M, 2, n_channels, H))  # base, adaptive
+        # a kept run's ring never wraps, so step s stays at row s + H
+        self.forecasts = self.ring[H: H + n_steps] if keep_forecasts else None
         # rows t0+1 ... t0+n_scored+H-1: every target a scoring update reads
         self.landed = np.empty((n_scored + H - 1 if n_scored else 0, n_channels))
         self.weight_used = np.empty((n_channels, n_steps))
@@ -426,10 +446,12 @@ class Session:
         """Reveal the next row, record every channel's base and adaptive
         forecasts at that origin and, when a period starts, the weights it
         blends with; update after every ``update_period``-th step. Returns
-        the origin ``t``."""
+        the origin ``t``. Past the last origin it raises UsageError."""
         config, base = self.config, self.base
         L, H, M = config.context_length, config.horizon, config.update_period
         i = self.steps
+        if i == self.n_steps:
+            raise UsageError(f"the session has taken all {i} steps; no forecast origin is left")
         t = self.t0 + i
         self.steps = i + 1
         # the (L, C) window is the step's only read: its last row is the
@@ -438,7 +460,7 @@ class Session:
         _check_row(window[-1], t)
         base.observe(t, window[-1])
         ctxs = np.ascontiguousarray(window.T)
-        step = self.forecasts[i]
+        step = self.ring[(i + H) % len(self.ring)]
         step[1] = self.forecaster.predict(ctxs)
         bf = np.asarray(base.forecast_all(t, ctxs), dtype=np.float64)
         if bf.shape != (len(ctxs), H):
@@ -460,10 +482,14 @@ class Session:
         into the channel statistics and, once windows have completed since
         the previous update, score them, move the weights and fit on them."""
         L, H, M = self.config.context_length, self.config.horizon, self.config.update_period
-        forecasts, weight_used, scored = self.forecasts, self.weight_used, self.scored
+        weight_used, scored = self.weight_used, self.scored
         # the steps whose targets have landed since the previous update
         done = slice(scored, max(scored, i + 1 - H))
         m = done.stop - done.start
+        # their forecasts: m <= M rows from (scored + H) % R, which is H at
+        # the first scoring update and a multiple of M after, so they never wrap
+        first = (scored + H) % len(self.ring)
+        forecasts = self.ring[first: first + m]
         # the update's one read: the M rows revealed since the previous
         # update and, when windows completed, every row they span
         lo = done.start if m else t - M + 1
@@ -484,7 +510,7 @@ class Session:
         for ch, w in enumerate(self.weighters):
             # streams: base, adaptive, combined, and the two combos at the
             # fast and slow weights frozen since the previous update
-            bfs, afs = forecasts[done, 0, ch], forecasts[done, 1, ch]
+            bfs, afs = forecasts[:, 0, ch], forecasts[:, 1, ch]
             block = scaled_scores(
                 np.stack([bfs, afs, combine(bfs, afs, weight_used[ch, done, None]),
                           combine(bfs, afs, w.fast_weight()),
@@ -508,7 +534,11 @@ class Session:
         self.scored = done.stop
 
     def report(self) -> RunReport:
-        """The run's :class:`RunReport`, once every step has been taken."""
+        """The run's :class:`RunReport`, once every step has been taken;
+        before that it raises UsageError."""
+        if self.steps < self.n_steps:
+            raise UsageError(f"the report needs all {self.n_steps} steps; "
+                             f"the session has taken {self.steps}")
         scores, floored, names = self.scores, self.floored, self.channel_names
         n_scored = floored.shape[1]
         if n_scored:
@@ -534,7 +564,7 @@ class Session:
 
 
 def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None,
-        step_callback=None) -> RunReport:
+        step_callback=None, keep_forecasts=False) -> RunReport:
     """Simulate deployment of ``base`` plus the adaptive layer over a series:
     one :class:`Session`, stepped through every forecast origin.
 
@@ -548,12 +578,15 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
     channel_names : optional list of C names for reporting
     step_callback : optional callable invoked as ``step_callback(t)`` after
         each processed time step
+    keep_forecasts : whether the report keeps every step's forecasts
+        (``RunReport.forecasts`` and ``bundles``); by default the run holds
+        only the steps it has yet to score
 
     Returns
     -------
     RunReport
     """
-    session = Session(dataset, base, config, channel_names)
+    session = Session(dataset, base, config, channel_names, keep_forecasts)
     for _ in range(session.n_steps):
         t = session.step()
         if step_callback is not None:

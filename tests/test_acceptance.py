@@ -213,7 +213,7 @@ def test_criterion_09_ablation_consistency():
         runs = {}
         for mode in ("full", "unweighted", "slow_only", "fast_only"):
             cfg = RollingConfig(weighter_mode=mode, **base_kwargs).validate()
-            runs[mode] = run(data, NaiveSeasonalBase(8, 8), cfg)
+            runs[mode] = run(data, NaiveSeasonalBase(8, 8), cfg, keep_forecasts=True)
         full, unweighted = runs["full"], runs["unweighted"]
         for ch in range(2):
             for bf, bu in zip(full.bundles[ch], unweighted.bundles[ch]):
@@ -265,8 +265,8 @@ def test_criterion_11_determinism_and_round_trips(tmp_path):
         data = ar_seasonal_series(seed=13, steps=900, channels=2, period=8)
         cfg = RollingConfig(context_length=32, horizon=8, update_period=16,
                             seasonality=8, warmup=2).validate()
-        r1 = run(data, NaiveSeasonalBase(8, 8), cfg)
-        r2 = run(data, NaiveSeasonalBase(8, 8), cfg)
+        r1 = run(data, NaiveSeasonalBase(8, 8), cfg, keep_forecasts=True)
+        r2 = run(data, NaiveSeasonalBase(8, 8), cfg, keep_forecasts=True)
         assert r1.to_dict() == r2.to_dict()
         for c1, c2 in zip(r1.bundles, r2.bundles):
             for b1, b2 in zip(c1, c2):
@@ -292,7 +292,7 @@ def test_criterion_11_determinism_and_round_trips(tmp_path):
         table, horizon = load_forecasts(forecasts_path)
         assert horizon == cfg.horizon
         base = PrecomputedBase(table, cfg.horizon, r1.channel_names)
-        r3 = run(data, base, cfg)
+        r3 = run(data, base, cfg, keep_forecasts=True)
         for c1, c3 in zip(r1.bundles, r3.bundles):
             for b1, b3 in zip(c1, c3):
                 np.testing.assert_array_equal(b1.combined_forecast, b3.combined_forecast)

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import ar_seasonal_series, table_dict
 
+from adapts import cli
 from adapts import io as adio
 from adapts.cli import _apply_overrides, build_parser, main
 from adapts.forecaster import SpectralRidge
@@ -240,6 +241,35 @@ class TestSweep:
                      "--axis", "alpha", "--values", "1.0,0.8"]) == 0
         parallel = json.loads((tmp_path / "report.sweep.json").read_text())
         assert sequential == parallel
+
+
+class TestKeptForecasts:
+    """A run keeps every step's forecasts only to dump them."""
+
+    @pytest.fixture()
+    def kept(self, monkeypatch):
+        seen = []
+        run = cli.run
+
+        def recording(*args, keep_forecasts=False, **kwargs):
+            seen.append(keep_forecasts)
+            return run(*args, keep_forecasts=keep_forecasts, **kwargs)
+
+        monkeypatch.setattr(cli, "run", recording)
+        return seen
+
+    def test_run_keeps_forecasts_only_with_a_dump(self, workspace, kept):
+        tmp_path, config_path = workspace
+        assert main(["run", "--config", str(config_path)]) == 0
+        assert main(["run", "--config", str(config_path),
+                     "--dump-forecasts", str(tmp_path / "base.npz")]) == 0
+        assert kept == [False, True]
+
+    def test_sweep_points_stay_bounded(self, workspace, kept):
+        tmp_path, config_path = workspace
+        assert main(["sweep", "--config", str(config_path), "--axis", "alpha",
+                     "--values", "1.0,0.9", "--dump-forecasts", str(tmp_path / "base.npz")]) == 0
+        assert kept == [False, False]
 
 
 class TestSweepSharesForecasts:

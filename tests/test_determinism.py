@@ -42,7 +42,8 @@ adaptive = {{}}
 for name, (shared, period) in {RUNS!r}.items():
     config = RollingConfig(context_length={L}, horizon={H}, update_period=period,
                            seasonality=24, shared_weights=shared)
-    adaptive[name] = run(data, NaiveSeasonalBase(24, {H}), config).forecasts[:, 1]
+    adaptive[name] = run(data, NaiveSeasonalBase(24, {H}), config,
+                         keep_forecasts=True).forecasts[:, 1]
 np.savez(sys.argv[1], **adaptive)
 """
 

@@ -157,7 +157,8 @@ class TestRunBasics:
     def test_report_structure_and_bundle_invariant(self):
         cfg = small_config()
         data = sine_dataset(300, channels=2, noise=0.05)
-        report = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
+        report = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg,
+                     keep_forecasts=True)
         assert set(report.per_channel) == {"ch0", "ch1"}
         assert report.windows_evaluated == report.floored.size == report.scores[0, 0].size
         assert report.skipped_initial_steps == cfg.context_length - 1
@@ -170,7 +171,8 @@ class TestRunBasics:
     def test_pure_seasonal_series_base_is_exact_and_flagged(self):
         cfg = small_config(warmup=1)
         data = sine_dataset(400, channels=1, noise=0.0)
-        report = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
+        report = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg,
+                     keep_forecasts=True)
         # the seasonal base reproduces the series exactly, and every
         # window's scaled-error denominator hits the floor and is flagged
         assert report.aggregate["base"]["mase"] == pytest.approx(0.0, abs=1e-6)
@@ -209,8 +211,8 @@ class TestDeterminismAndCausality:
     def test_two_runs_are_bit_identical(self):
         cfg = small_config()
         data = sine_dataset(400, channels=2, noise=0.1, seed=5)
-        r1 = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
-        r2 = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
+        r1 = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg, keep_forecasts=True)
+        r2 = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg, keep_forecasts=True)
         assert r1.to_dict() == r2.to_dict()
         for c1, c2 in zip(r1.bundles, r2.bundles):
             for b1, b2 in zip(c1, c2):
@@ -281,7 +283,8 @@ class TestDeterminismAndCausality:
 
         cfg = small_config(shared_weights=shared, update_period=update_period)
         data = ReadCount(sine_dataset(400, channels=2, noise=0.1, seed=6))
-        report = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
+        report = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg,
+                     keep_forecasts=True)
         n_steps = report.forecasts.shape[0]
         assert report.floored.size
         assert data.reads == 1 + n_steps + n_steps // update_period
@@ -291,7 +294,8 @@ class TestDeterminismAndCausality:
     def test_unscored_targets_are_nan_and_runs_repeat_byte_for_byte(self, update_period):
         cfg = small_config(update_period=update_period)
         data = sine_dataset(350, channels=2, noise=0.1, seed=5)
-        r1, r2 = (run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
+        r1, r2 = (run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg,
+                      keep_forecasts=True)
                   for _ in range(2))
         assert r1.forecasts.tobytes() == r2.forecasts.tobytes()
         assert r1.landed.tobytes() == r2.landed.tobytes()
@@ -307,8 +311,8 @@ class TestDeterminismAndCausality:
         data_b = data_a.copy()
         cut = 250
         data_b[cut:] += 5.0
-        r_a = run(data_a, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
-        r_b = run(data_b, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
+        r_a = run(data_a, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg, keep_forecasts=True)
+        r_b = run(data_b, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg, keep_forecasts=True)
         for b1, b2 in zip(r_a.bundles[0], r_b.bundles[0]):
             if b1.time_step >= cut - 1:
                 break
@@ -318,7 +322,8 @@ class TestDeterminismAndCausality:
 class TestWeighterModes:
     def _run_mode(self, mode, data, **overrides):
         cfg = small_config(weighter_mode=mode, **overrides)
-        return run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg), cfg
+        return run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg,
+                   keep_forecasts=True), cfg
 
     def test_unweighted_equals_manual_half_combine_of_full_run(self):
         data = sine_dataset(400, channels=2, noise=0.2, seed=8)
@@ -426,7 +431,7 @@ class TestPrecomputedRoundTrip:
         from adapts.io import load_forecasts, write_forecasts
         cfg = small_config()
         data = sine_dataset(300, channels=2, noise=0.1, seed=11)
-        first = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
+        first = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg, keep_forecasts=True)
         rows = [(b.time_step, first.channel_names[ch], b.base_forecast)
                 for ch in range(2) for b in first.bundles[ch]]
         path = tmp_path / "forecasts.csv"
@@ -434,7 +439,7 @@ class TestPrecomputedRoundTrip:
         table, horizon = load_forecasts(path)
         assert horizon == cfg.horizon
         base = PrecomputedBase(table, cfg.horizon, first.channel_names)
-        second = run(data, base, cfg)
+        second = run(data, base, cfg, keep_forecasts=True)
         for ch in range(2):
             for b1, b2 in zip(first.bundles[ch], second.bundles[ch]):
                 np.testing.assert_array_equal(b1.combined_forecast, b2.combined_forecast)
@@ -444,7 +449,7 @@ class TestPrecomputedRoundTrip:
     def test_precomputed_base_reproduces_combined_stream_through_npz(self, tmp_path):
         cfg = small_config()
         data = sine_dataset(300, channels=2, noise=0.1, seed=11)
-        first = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
+        first = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg, keep_forecasts=True)
         base_stream = first.forecasts[:, 0]
         steps = first.skipped_initial_steps + np.arange(base_stream.shape[0])
         path = tmp_path / "forecasts.npz"
@@ -452,7 +457,8 @@ class TestPrecomputedRoundTrip:
                         base_stream.transpose(1, 0, 2).reshape(-1, cfg.horizon), path)
         table, horizon = load_forecasts(path)
         assert horizon == cfg.horizon
-        second = run(data, PrecomputedBase(table, cfg.horizon, first.channel_names), cfg)
+        second = run(data, PrecomputedBase(table, cfg.horizon, first.channel_names), cfg,
+                     keep_forecasts=True)
         assert first.forecasts.tobytes() == second.forecasts.tobytes()
         assert first.to_dict() == second.to_dict()
 
@@ -491,7 +497,7 @@ class TestHorizonOne:
         cfg = small_config(context_length=24, horizon=1, update_period=update_period,
                            shared_weights=shared)
         report = run(ar_seasonal_series(seed=5, steps=400, channels=3, period=8),
-                     NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
+                     NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg, keep_forecasts=True)
         assert paths == {path}
         n_scored = 376 // update_period * update_period - 1
         assert report.forecasts.shape == (376, 2, 3, 1)
@@ -546,10 +552,11 @@ class TestOneForecasterForBothModes:
         data = ar_seasonal_series(seed=4, steps=500, channels=3, period=8)
         for cfg in (small_config(shared_weights=False),
                     small_config(shared_weights=False, update_period=48)):
-            joint = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
+            joint = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg,
+                        keep_forecasts=True)
             for ch in range(3):
                 alone = run(data[:, ch:ch + 1], NaiveSeasonalBase(cfg.seasonality, cfg.horizon),
-                            cfg)
+                            cfg, keep_forecasts=True)
                 assert len(alone.bundles[0]) == len(joint.bundles[ch])
                 for a, b in zip(alone.bundles[0], joint.bundles[ch]):
                     for attr in ("base_forecast", "adaptive_forecast", "combined_forecast",
@@ -618,7 +625,7 @@ class TestColumnarRunState:
     def test_column_shapes(self):
         cfg = small_config()
         report = run(sine_dataset(300, channels=3, noise=0.1),
-                     NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
+                     NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg, keep_forecasts=True)
         n_steps = 300 - cfg.context_length
         n_scored = n_steps // cfg.update_period * cfg.update_period - cfg.horizon
         assert report.forecasts.shape == (n_steps, 2, 3, cfg.horizon)
@@ -641,7 +648,8 @@ class TestColumnarRunState:
         cfg = small_config(shared_weights=shared)
         values = sine_dataset(300, channels=2, noise=0.1, seed=4)
         data = Sealed(values)
-        report = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
+        report = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg,
+                     keep_forecasts=True)
         data.sealed = True
         n_scored = report.floored.shape[1]
         for ch, bundles in enumerate(report.bundles):
@@ -678,7 +686,7 @@ class TestColumnarRunState:
     def test_run_without_a_scored_window_has_no_targets(self):
         cfg = small_config(update_period=400)
         report = run(sine_dataset(300, channels=2, noise=0.1, seed=2),
-                     NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
+                     NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg, keep_forecasts=True)
         assert report.forecasts.shape[0] < cfg.update_period
         assert report.landed.shape == (0, 2)
         assert report.targets.shape == (0, 2, cfg.horizon)
@@ -696,7 +704,7 @@ class TestColumnarRunState:
         base = NaiveSeasonalBase(cfg.seasonality, cfg.horizon)
         tracemalloc.start()
         try:
-            report = run(data, base, cfg)
+            report = run(data, base, cfg, keep_forecasts=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -856,8 +864,8 @@ class TestForecastAll:
         assert Shifted.forecast_all is BaseForecaster.forecast_all
         cfg = small_config()
         data = sine_dataset(200, channels=2, noise=0.1)
-        plain = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
-        shifted = run(data, Shifted(cfg.seasonality, cfg.horizon), cfg)
+        plain = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg, keep_forecasts=True)
+        shifted = run(data, Shifted(cfg.seasonality, cfg.horizon), cfg, keep_forecasts=True)
         n_steps = plain.forecasts.shape[0]
         assert calls == [(t, ch) for t in range(cfg.context_length - 1,
                                                 cfg.context_length - 1 + n_steps)
@@ -924,8 +932,8 @@ class TestForecastAll:
             return PrecomputedBase(ForecastTable(*forecast_columns(rows, cfg.horizon)),
                                    cfg.horizon, names)
 
-        fast = run(data, make(), cfg)
-        oracle = run(data, ForecastOnly(make()), cfg)
+        fast = run(data, make(), cfg, keep_forecasts=True)
+        oracle = run(data, ForecastOnly(make()), cfg, keep_forecasts=True)
         assert fast.forecasts.tobytes() == oracle.forecasts.tobytes()
         assert fast.targets.tobytes() == oracle.targets.tobytes()
         for attr in ("weight_used", "scores", "floored"):

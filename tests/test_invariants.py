@@ -75,7 +75,7 @@ def config(shared, **settings):
 def run_on(data, kind, shared, table=None, names=NAMES, **settings):
     base = make_base_forecaster(kind, horizon=H, seasonality=S, forecasts=table,
                                 channel_names=names)
-    return run(data, base, config(shared, **settings), channel_names=names)
+    return run(data, base, config(shared, **settings), channel_names=names, keep_forecasts=True)
 
 
 @functools.lru_cache(maxsize=None)

@@ -11,7 +11,8 @@ and shared runs with M=1 take Woodbury steps. From L+H = 40 rows per model
 refit from the slab's lagged moments, and the others mostly refit directly
 from embedded windows. A second grid varies the weighter's settings at M=4.
 A seeded draw then varies the shape itself: L, H, S, M, α, λ, the channel
-count, both modes, both flags, the three bases and the weighter's settings.
+count (one to four), both modes, both flags, the three bases and the
+weighter's settings.
 """
 
 import numpy as np
@@ -24,13 +25,16 @@ from adapts.harness import make_base_forecaster, run
 from adapts.io import ForecastTable
 
 L, H, S = 32, 8, 8
-NAMES = ["a", "b", "c"]
+NAMES = ["a", "b", "c", "d"]
 TOLERANCE = 1e-9
 
 
-def series(seed, steps=160):
-    # channel scales five decades apart, so channel scaling matters
-    return ar_seasonal_series(seed, steps=steps, period=S) * [1.0, 6.0, 0.05] + [3.0, -20.0, 0.5]
+def series(seed, steps=160, channels=3):
+    # channel scales nearly three decades apart, so channel scaling matters;
+    # a series of fewer channels is the first ones of a wider one
+    scale, offset = np.array([1.0, 6.0, 0.05, 20.0]), np.array([3.0, -20.0, 0.5, 50.0])
+    return (ar_seasonal_series(seed, steps=steps, channels=channels, period=S)
+            * scale[:channels] + offset[:channels])
 
 
 def precomputed_table(data, seed, context_length=L, horizon=H):
@@ -50,7 +54,8 @@ def make_base(kind, table, config, names):
 
 def assert_matches_replay(data, kind, table, config):
     names = NAMES[:data.shape[1]]
-    report = run(data, make_base(kind, table, config, names), config, channel_names=names)
+    report = run(data, make_base(kind, table, config, names), config, channel_names=names,
+                 keep_forecasts=True)
     expected = replay(data, make_base(kind, table, config, names), config)
     assert report.floored.shape[1] > 5 * config.update_period  # several scored updates
     worst = {name: gap for name, gap in gaps(report, expected).items() if not gap <= TOLERANCE}
@@ -120,7 +125,7 @@ AXES = {
     "channel_scaling": [True, False],
     "weighter_mode": ["full", "slow_only", "fast_only", "unweighted"],
     "eta": [0.0, 0.5, 5.0], "fast_window": [1, 3, 5], "warmup": [0, 2],
-    "channels": [1, 2, 3], "kind": ["naive_seasonal", "historical_mean", "precomputed"],
+    "channels": [1, 2, 3, 4], "kind": ["naive_seasonal", "historical_mean", "precomputed"],
 }
 
 
@@ -155,6 +160,6 @@ def test_drawn_setting_matches_scalar_replay(case):
     channels, kind = settings.pop("channels"), settings.pop("kind")
     config = RollingConfig(**settings)
     steps = max(160, 7 * config.update_period + config.context_length + config.horizon)
-    data = series(300 + case, steps=steps)[:, :channels]
+    data = series(300 + case, steps=steps, channels=channels)
     table = precomputed_table(data, case, config.context_length, config.horizon)
     assert_matches_replay(data, kind, table, config)

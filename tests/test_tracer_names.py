@@ -70,7 +70,7 @@ def test_traced_calls_follow_the_schedule(monkeypatch, shared):
                            warmup=1, shared_weights=shared)
     data = np.random.default_rng(0).normal(size=(rows, C)).cumsum(axis=0)
     base = adapts.harness.make_base_forecaster("naive_seasonal", horizon=H, seasonality=4)
-    report = adapts.harness.run(data, base, config)
+    report = adapts.harness.run(data, base, config, keep_forecasts=True)
 
     steps = rows - L
     updates, periods = steps // M, -(-steps // M)
