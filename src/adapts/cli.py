@@ -27,13 +27,17 @@ from .harness import make_base_forecaster, run
 
 SWEEP_AXES = ("alpha", "update_period", "horizon")
 # the dedicated flags, by config key: each is ``--key`` with dashes for
-# underscores, and overrides its key after every --set pair
+# underscores, and overrides its key after every --set pair. Every
+# subcommand takes _FLAGS; only run takes _RUN_FLAGS, because only a run
+# keeps the forecasts a dump writes
 _FLAGS = dict(
     weighter=dict(choices=WEIGHTER_MODES), alpha=dict(type=float),
     update_period=dict(type=int), horizon=dict(type=int),
     base=dict(choices=("naive_seasonal", "historical_mean", "precomputed")),
     forecasts=dict(help="precomputed forecast file"), out=dict(help="report path"),
     format=dict(choices=("json", "csv")),
+)
+_RUN_FLAGS = dict(
     dump_forecasts=dict(help="write the base forecast stream to this path"),
 )
 
@@ -62,7 +66,7 @@ def _apply_overrides(settings: dict, args) -> dict:
         key, raw = (part.strip() for part in pair.split("=", 1))
         merged[key] = adio.parse_config_value(key, raw)
     merged.update({key: value for key, value in vars(args).items()
-                   if key in _FLAGS and value is not None})
+                   if (key in _FLAGS or key in _RUN_FLAGS) and value is not None})
     return merged
 
 
@@ -163,6 +167,9 @@ def cmd_sweep(args) -> int:
             raise UsageError(f"--values gives {args.axis}={value} more than once "
                              f"({raw_values[values.index(value)]!r} and {raw_values[i]!r})")
     settings = _apply_overrides(adio.load_run_config(args.config), args)
+    if "dump_forecasts" in settings:
+        raise UsageError("dump_forecasts is a run setting: a sweep keeps no forecasts to "
+                         "dump; remove the key or use 'adapts run'")
     forecasts = _load_table(settings)  # parsed once, for every point
     out = Path(settings.get("out", "report.json"))
     fmt = settings.get("format", "json")
@@ -232,15 +239,15 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p):
+    def common(p, flags=_FLAGS):
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key (repeatable, applied in order)")
-        for key, options in _FLAGS.items():
+        for key, options in flags.items():
             p.add_argument("--" + key.replace("_", "-"), dest=key, **options)
 
     p_run = sub.add_parser("run", help="evaluate one configuration")
     p_run.add_argument("--config", required=True)
-    common(p_run)
+    common(p_run, {**_FLAGS, **_RUN_FLAGS})
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="repeat a run across one axis")

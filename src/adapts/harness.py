@@ -6,14 +6,15 @@ with one forecaster, holding one model for all channels or one per channel
 :func:`run` is a loop over it. The session has three boundaries, and each
 reads the series once, one slab each:
 
-- construction, before the first forecast step: the rows before it, each
-  checked and shown to the base, then merged into the channel statistics
-  at once;
+- construction, before the first forecast step: the rows before it,
+  checked as one block, then each shown to the base and all merged into
+  the channel statistics at once;
 - :meth:`Session.step`, at every forecast origin: the trailing ``(L, C)``
-  window. Its last row, the newly revealed one, is checked and shown to
-  the base; one ``forecast_all`` and one ``predict`` call give every
-  channel's base and adaptive forecasts, recorded with each channel's
-  current weight;
+  window. Its last row, the newly revealed one, is checked (one count of
+  its finite values) and shown to the base; one ``forecast_all`` and one
+  ``predict`` call give every channel's base and adaptive forecasts,
+  recorded with each channel's current weight. ``predict`` writes the
+  adaptive ones straight into the step's ring row;
 - :meth:`Session._update`, which every ``update_period``-th step calls:
   the rows from the first context of the windows whose targets have
   landed since the previous update (or the ``update_period`` newest rows
@@ -347,10 +348,18 @@ class RunReport:
         }
 
 
-def _check_row(row, t: int):
-    if not np.isfinite(row).all():
-        bad = np.flatnonzero(~np.isfinite(row))
-        raise CorruptSeries(f"non-finite value at time step {t}, channel {int(bad[0])}")
+def _check_rows(values, t: int) -> None:
+    """Raise CorruptSeries naming the first non-finite value, in time order,
+    of ``values``: the ``(C,)`` row revealed at step ``t``, or the ``(k, C)``
+    rows revealed from step ``t`` on.
+
+    It counts the finite entries: a sum would warn on a finite overflow,
+    and ``ndarray.all`` goes through a Python-level wrapper that costs
+    more than the check itself."""
+    finite = np.isfinite(values)
+    if np.count_nonzero(finite) != finite.size:
+        row, ch = divmod(int(np.argmin(finite)), finite.shape[-1])
+        raise CorruptSeries(f"non-finite value at time step {t + row}, channel {ch}")
 
 
 class Session:
@@ -434,11 +443,13 @@ class Session:
         self.floored = np.empty((n_channels, n_scored), dtype=bool)
         self.scored = 0   # steps already scored and fitted on; step k's context starts at row k
         self.steps = 0    # steps taken
+        self._lengths = L, H, M, len(self.ring)  # bound once: every step reads them
 
-        # the rows before the first forecast step are revealed up front, in one read
+        # the rows before the first forecast step are revealed up front, in
+        # one read, and checked as one block before the base sees any of them
         head = np.asarray(dataset[0:t0], dtype=np.float64)
+        _check_rows(head, 0)
         for idx, row in enumerate(head):
-            _check_row(row, idx)
             base.observe(idx, row)
         self.forecaster.observe_values(head)
 
@@ -446,9 +457,12 @@ class Session:
         """Reveal the next row, record every channel's base and adaptive
         forecasts at that origin and, when a period starts, the weights it
         blends with; update after every ``update_period``-th step. Returns
-        the origin ``t``. Past the last origin it raises UsageError."""
-        config, base = self.config, self.base
-        L, H, M = config.context_length, config.horizon, config.update_period
+        the origin ``t``. Past the last origin it raises UsageError.
+
+        The newly revealed row is checked with one count of its finite
+        values, and ``predict`` writes the adaptive forecasts straight
+        into the step's ring row."""
+        L, H, M, R = self._lengths
         i = self.steps
         if i == self.n_steps:
             raise UsageError(f"the session has taken all {i} steps; no forecast origin is left")
@@ -457,12 +471,13 @@ class Session:
         # the (L, C) window is the step's only read: its last row is the
         # newly revealed row t, and row ch of ctxs is channel ch's context
         window = np.asarray(self.dataset[t - L + 1: t + 1], dtype=np.float64)
-        _check_row(window[-1], t)
-        base.observe(t, window[-1])
+        row = window[-1]
+        _check_rows(row, t)
+        self.base.observe(t, row)
         ctxs = np.ascontiguousarray(window.T)
-        step = self.ring[(i + H) % len(self.ring)]
-        step[1] = self.forecaster.predict(ctxs)
-        bf = np.asarray(base.forecast_all(t, ctxs), dtype=np.float64)
+        step = self.ring[(i + H) % R]
+        self.forecaster.predict(ctxs, out=step[1])
+        bf = np.asarray(self.base.forecast_all(t, ctxs), dtype=np.float64)
         if bf.shape != (len(ctxs), H):
             raise ShapeMismatch(
                 f"base forecasts at t={t} have shape {bf.shape}, expected ({len(ctxs)}, {H})"
@@ -471,7 +486,7 @@ class Session:
         if i % M == 0:
             # weights only move at updates: every step up to the next update
             # blends with the weights the previous one left
-            self.weight_used[:, i: i + M] = [[w.current_weight(config.weighter_mode)]
+            self.weight_used[:, i: i + M] = [[w.current_weight(self.config.weighter_mode)]
                                              for w in self.weighters]
         if (i + 1) % M == 0:
             self._update(i, t)

@@ -103,7 +103,9 @@ class TestRun:
     ])
     def test_each_flag_beats_a_conflicting_set(self, key, set_raw, flag_raw, want):
         flag, pair = "--" + key.replace("_", "-"), f"{key}={set_raw}"
-        for command in (["run", "--config", "run.cfg"], ["bench"]):
+        commands = [["run", "--config", "run.cfg"], ["bench"]]
+        # only run takes --dump-forecasts
+        for command in commands[:1] if key == "dump_forecasts" else commands:
             parse = build_parser().parse_args
             assert _apply_overrides({}, parse([*command, "--set", pair]))[key] != want
             assert _apply_overrides({}, parse([*command, flag, flag_raw, "--set", pair]))[key] == want
@@ -265,11 +267,36 @@ class TestKeptForecasts:
                      "--dump-forecasts", str(tmp_path / "base.npz")]) == 0
         assert kept == [False, True]
 
-    def test_sweep_points_stay_bounded(self, workspace, kept):
+    def test_sweep_points_stay_bounded(self, workspace, kept, capsys):
         tmp_path, config_path = workspace
         assert main(["sweep", "--config", str(config_path), "--axis", "alpha",
-                     "--values", "1.0,0.9", "--dump-forecasts", str(tmp_path / "base.npz")]) == 0
+                     "--values", "1.0,0.9", "--dump-forecasts", str(tmp_path / "base.npz")]) == 1
+        assert "unrecognized arguments: --dump-forecasts" in capsys.readouterr().err
+        assert kept == []
+        assert main(["sweep", "--config", str(config_path), "--axis", "alpha",
+                     "--values", "1.0,0.9"]) == 0
         assert kept == [False, False]
+
+    def test_bench_takes_no_dump_flag(self, tmp_path, capsys):
+        assert main(["bench", "--set", "context_length=64", "--set", "horizon=8",
+                     "--dump-forecasts", str(tmp_path / "base.npz")]) == 1
+        assert "unrecognized arguments: --dump-forecasts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["config", "set"])
+    def test_sweep_refuses_a_dump_setting_before_any_point(self, workspace, kept, capsys,
+                                                           source):
+        tmp_path, config_path = workspace
+        dump, extra = tmp_path / "base.npz", []
+        if source == "config":
+            with config_path.open("a") as fh:
+                fh.write(f"dump_forecasts = {dump}\n")
+        else:
+            extra = ["--set", f"dump_forecasts={dump}"]
+        assert main(["sweep", "--config", str(config_path), "--axis", "alpha",
+                     "--values", "1.0,0.9", *extra]) == 1
+        assert "UsageError: dump_forecasts is a run setting" in capsys.readouterr().err
+        assert kept == []
+        assert not dump.exists() and not list(tmp_path.glob("report.*"))
 
 
 class TestSweepSharesForecasts:

@@ -9,6 +9,7 @@ the eager-inverse ridge update (:class:`OracleRidge`).
 
 import json
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -1160,6 +1161,49 @@ class TestPredict:
         f = OnlineForecaster(8, 2, 2)
         with pytest.raises(ShapeMismatch):
             f.predict(np.zeros(7))
+
+
+class TestPredictInto:
+    """``predict(x, out=buf)`` writes into ``buf`` the bytes ``predict(x)``
+    returns, and returns ``buf``."""
+
+    @staticmethod
+    def forecaster(models, instance_norm, fitted):
+        rng = np.random.default_rng(131)
+        f = OnlineForecaster(16, 4, 4, lam=2.0, instance_norm=instance_norm, models=models)
+        series = rng.normal(size=(40, 2)).cumsum(axis=0)
+        f.observe_values(series)
+        if fitted:
+            f.fit_slab(np.ascontiguousarray(series[:30].T))
+        assert (f.core.n_samples > 0) == fitted
+        return f, rng
+
+    @pytest.mark.parametrize("fitted", [False, True], ids=["cold", "fitted"])
+    @pytest.mark.parametrize("instance_norm", [True, False])
+    @pytest.mark.parametrize("models", [1, 2])
+    def test_out_holds_the_returned_bytes(self, models, instance_norm, fitted):
+        f, rng = self.forecaster(models, instance_norm, fitted)
+        shapes = [(16,), (3, 16)] if models == 1 else [(2, 16), (4, 16)]
+        for shape in shapes:
+            ctx = rng.normal(size=shape) * 3.0 + 2.0
+            want = f.predict(ctx)
+            # a contiguous buffer, as the harness's ring rows are, and a strided view
+            out_shape = shape[:-1] + (4,)
+            wide = np.full(shape[:-1] + (8,), np.nan)
+            for out in (np.full(out_shape, np.nan), wide[..., ::2]):
+                assert f.predict(ctx, out=out) is out
+                assert out.tobytes() == want.tobytes()
+            assert np.isnan(wide[..., 1::2]).all()
+
+    @pytest.mark.parametrize("fitted", [False, True], ids=["cold", "fitted"])
+    def test_out_of_another_shape_rejected(self, fitted):
+        f, rng = self.forecaster(1, True, fitted)
+        for ctx, want in ((rng.normal(size=(3, 16)), "(3, 4)"), (rng.normal(size=16), "(4,)")):
+            for shape in ((3, 5), (2, 4), (12,), (1, 4), (1, 3, 4)):
+                out = np.zeros(shape)
+                with pytest.raises(ShapeMismatch, match=re.escape(f"out must have shape {want}")):
+                    f.predict(ctx, out=out)
+                assert not out.any()
 
 
 class TestOlsEquivalence:

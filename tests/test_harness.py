@@ -5,6 +5,7 @@ import gc
 import re
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from adapts.harness import (
     HistoricalMeanBase,
     NaiveSeasonalBase,
     PrecomputedBase,
+    _check_rows,
     make_base_forecaster,
     run,
 )
@@ -129,6 +131,7 @@ class TestRunBasics:
         [(5, 0)],             # a row revealed before the first forecast (t < L - 1)
         [(90, 2)],            # only a later channel than the first
         [(90, 2), (90, 1)],   # two bad channels: the first is named
+        [(7, 0), (5, 2)],     # two bad head rows: the earlier is named, not the lower channel
     ])
     def test_non_finite_rejected_with_first_location(self, value, cells):
         cfg = small_config()
@@ -138,6 +141,35 @@ class TestRunBasics:
         t, ch = min(cells)
         with pytest.raises(CorruptSeries, match=f"time step {t}, channel {ch}$"):
             run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
+
+    def test_non_finite_head_reaches_no_base(self):
+        # the head is checked as one block before the base sees any row of it
+        cfg = small_config()
+        data = sine_dataset(200, channels=3)
+        data[5, 1] = np.nan
+        base = HistoricalMeanBase(cfg.horizon)
+        with pytest.raises(CorruptSeries, match="time step 5, channel 1$"):
+            run(data, base, cfg, step_callback=lambda t: pytest.fail(f"stepped to {t}"))
+        assert base._count == 0
+
+    def test_row_check_counts_without_summing(self):
+        # a finite row whose sum overflows passes, and raises no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _check_rows(np.array([1.7e308, 1.7e308]), 3)
+            _check_rows(np.full((2, 2), 1.7e308), 3)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape, cells, named", [
+        ((4,), [(2,), (3,)], "time step 9, channel 2"),
+        ((3, 4), [(1, 3), (2, 0)], "time step 10, channel 3"),
+    ])
+    def test_row_check_names_the_first_bad_value(self, value, shape, cells, named):
+        values = np.ones(shape)
+        for cell in cells:
+            values[cell] = value
+        with pytest.raises(CorruptSeries, match=f"{named}$"):
+            _check_rows(values, 9)
 
     def test_duplicate_channel_names_rejected(self):
         cfg = small_config()
@@ -571,9 +603,9 @@ class TestOneForecasterForBothModes:
         predicts, observed = [], []
         predict, observe_values = OnlineForecaster.predict, OnlineForecaster.observe_values
 
-        def counted_predict(self, contexts):
+        def counted_predict(self, contexts, out=None):
             predicts.append(None)
-            return predict(self, contexts)
+            return predict(self, contexts, out=out)
 
         def recorded_observe(self, values):
             observed.append(np.array(values))

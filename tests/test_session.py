@@ -98,8 +98,8 @@ def test_kept_forecasts_are_what_each_step_returned(shape, shared, monkeypatch):
     predicted = []
     predict = OnlineForecaster.predict
 
-    def recording_predict(self, contexts):
-        out = predict(self, contexts)
+    def recording_predict(self, contexts, out=None):
+        out = predict(self, contexts, out=out)
         predicted.append(np.array(out))
         return out
 
