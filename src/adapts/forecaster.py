@@ -255,6 +255,25 @@ def _season_index(context_length: int, seasonality: int, horizon: int) -> np.nda
     return index
 
 
+@functools.lru_cache(maxsize=16)
+def _strict_lower(n: int) -> np.ndarray:
+    """Read-only ``(n, n)`` mask of the strictly lower triangle."""
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _accumulate_rows(a: np.ndarray) -> None:
+    """``np.cumsum(a, axis=0, out=a)`` for a C-ordered 2-D ``a``, one row
+    added into the next: the same sequential order, so the same bits, but
+    each addition runs along a contiguous row, where ``cumsum`` walks
+    every column down the strided axis."""
+    prev = a[0]
+    for row in a[1:]:
+        row += prev
+        prev = row
+
+
 def woodbury_pays(m: int, d: int) -> bool:
     """Whether ``absorb(method="auto")`` folds a block of ``m`` rows into a
     ridge of design dimension ``d`` by a Woodbury step rather than a direct
@@ -801,7 +820,7 @@ class OnlineForecaster:
         np.matmul(y[:, :n].T[:, None, :],
                   sliding_window_view(y, K, axis=1)[:, :n].transpose(1, 0, 2),
                   out=prefix[1:, None, :])
-        np.cumsum(prefix, axis=0, out=prefix)
+        _accumulate_rows(prefix)
         # row a of the skewed view is S[a, a:a+K]: its tail past column K
         # wraps into the strict lower triangle of row a+1, zeroed next, and
         # the spare last row takes the wrap of row L-1
@@ -810,7 +829,7 @@ class OnlineForecaster:
                     out=as_strided(s, shape=(L, K), strides=((K + 1) * 8, 8)))
         del prefix  # free each buffer once read: the peak stays below the embedding's
         upper = s[:L, :L]
-        np.copyto(upper, 0.0, where=np.tri(L, k=-1, dtype=bool))
+        np.copyto(upper, 0.0, where=_strict_lower(L))
         s.reshape(-1)[:L * (K + 1):K + 1] *= 0.5   # the diagonal
         half = np.empty((L, d + self._synthesis.shape[0]))   # [U Ax | S_ct Ay]
         _real_coefficients(np.fft.rfft(upper, axis=1)[:, :cb], L, out=half[:, :d])
@@ -902,17 +921,18 @@ class OnlineForecaster:
 
         ``out``, a float64 array of the result's shape, receives the
         forecast and is returned, so a caller that keeps forecasts in a
-        buffer of its own skips the copy into it; another shape raises
-        ShapeMismatch. The values are the same bits either way.
+        buffer of its own skips the copy into it; another shape or dtype
+        raises ShapeMismatch before anything is written. The values are
+        the same bits either way.
         """
         ctx = np.asarray(context, dtype=np.float64, order="C")
         L, G, H = self.context_length, len(self.cores), self.horizon
         if ctx.ndim not in (1, 2) or ctx.shape[-1] != L or (ctx.size // L) % G:
             raise ShapeMismatch(f"context must be (n, {L}) with n a multiple of {G} models, "
                                 f"or ({L},) for one model, got {ctx.shape}")
-        if out is not None and out.shape != ctx.shape[:-1] + (H,):
-            raise ShapeMismatch(f"out must have shape {ctx.shape[:-1] + (H,)} for a context "
-                                f"of shape {ctx.shape}, got {out.shape}")
+        if out is not None and (out.shape != ctx.shape[:-1] + (H,) or out.dtype != np.float64):
+            raise ShapeMismatch(f"out must have shape {ctx.shape[:-1] + (H,)} and dtype float64 "
+                                f"for a context of shape {ctx.shape}, got {out.shape} {out.dtype}")
         if self.core.n_samples == 0:
             return ctx.take(_season_index(L, self.seasonality, H), axis=-1, out=out)
         if self.instance_norm:

@@ -27,8 +27,12 @@ reads the series once, one slab each:
   window's seasonal-naive denominators come from one pass over the copy,
   each channel's windows are scored for the weighters, and the
   forecaster fits on the copy itself (``OnlineForecaster.fit_slab``),
-  which holds exactly the completed windows. The slab's rows from the
-  first target on are kept as the report's landed rows.
+  which holds exactly the completed windows. A channel's five scored
+  streams are written into the session's one stream block, its base and
+  adaptive forecasts copied from the ring and the three combinations
+  written by ``combine(..., out=)``, and the block is scored in one
+  ``scaled_scores`` call. The slab's rows from the first target on are
+  kept as the report's landed rows.
 
 So each row reaches the base once, and the channel statistics once if an
 update follows it, in time order. Nothing ever reads past the current
@@ -385,6 +389,12 @@ class Session:
     are one contiguous run of rows, and a row is written again only after
     the update that scored it.
 
+    ``stream_block``, ``(5, M, H)``, is where an update scores each
+    channel's ``m <= M`` completed windows in turn: its first ``m`` rows
+    take the channel's base and adaptive forecasts and their combinations
+    at the applied, fast and slow weights, so the per-channel loop
+    allocates no stream arrays.
+
     :meth:`report` assembles the :class:`RunReport` after the last step.
     """
 
@@ -441,6 +451,7 @@ class Session:
         self.weight_used = np.empty((n_channels, n_steps))
         self.scores = np.empty((2, 3, n_channels, n_scored))  # MASE, RMSSE of STREAMS
         self.floored = np.empty((n_channels, n_scored), dtype=bool)
+        self.stream_block = np.empty((5, M, H))  # one channel's scored streams at a time
         self.scored = 0   # steps already scored and fitted on; step k's context starts at row k
         self.steps = 0    # steps taken
         self._lengths = L, H, M, len(self.ring)  # bound once: every step reads them
@@ -522,18 +533,24 @@ class Session:
             cols[:, :m + L - 1], self.config.seasonality, L)
         # rows[L:] are rows t0+1+scored ... t: the done windows' targets
         self.landed[done.start: i] = rows[L:]
+        # one channel's streams at a time, in the first m rows of the
+        # session's block: base, adaptive, combined, and the two combos at
+        # the fast and slow weights frozen since the previous update
+        streams = self.stream_block[:, :m]
+        bfs, afs, combined, fast, slow = streams
         for ch, w in enumerate(self.weighters):
-            # streams: base, adaptive, combined, and the two combos at the
-            # fast and slow weights frozen since the previous update
-            bfs, afs = forecasts[:, 0, ch], forecasts[:, 1, ch]
-            block = scaled_scores(
-                np.stack([bfs, afs, combine(bfs, afs, weight_used[ch, done, None]),
-                          combine(bfs, afs, w.fast_weight()),
-                          combine(bfs, afs, w.w_slow)]),
-                tgt_view[ch], naive_mae[ch], naive_mse[ch])
+            np.copyto(bfs, forecasts[:, 0, ch])
+            np.copyto(afs, forecasts[:, 1, ch])
+            combine(bfs, afs, weight_used[ch, done, None], out=combined)
+            combine(bfs, afs, w.fast_weight(), out=fast)
+            combine(bfs, afs, w.w_slow, out=slow)
+            block = scaled_scores(streams, tgt_view[ch], naive_mae[ch], naive_mse[ch])
             self.scores[:, :, ch, done] = block.mase[:3], block.rmsse[:3]
             self.floored[ch, done] = block.floored
-            loss_base, loss_adaptive, _, loss_fast, loss_slow = block.mase.mean(axis=1).tolist()
+            # each stream's mean MASE, as np.mean sums and divides
+            losses = np.add.reduce(block.mase, axis=1)
+            losses /= m
+            loss_base, loss_adaptive, _, loss_fast, loss_slow = losses.tolist()
             w.update(loss_base, loss_adaptive, loss_fast, loss_slow)
             self.trajectories[ch].append({
                 "update_step": w.update_count,

@@ -112,6 +112,12 @@ def scaled_scores(forecasts, targets, naive_mae, naive_mse) -> WindowScores:
     H)`` targets, given each window's unfloored seasonal-naive MAE and MSE
     as ``(m,)`` arrays (see :func:`seasonal_naive_denominators`). The
     denominators are floored here, and ``floored`` flags the MAE's floor.
+
+    Each mean over the horizon is ``np.mean``'s own sum-then-divide
+    (``np.add.reduce``, then ``/= H`` in place), the same bits without its
+    wrapper's per-call cost, and the errors are squared in place, so the
+    stack costs two temporaries of its size: the errors and their
+    absolute values.
     """
     forecasts, targets, naive_mae, naive_mse = (
         np.asarray(a, dtype=np.float64) for a in (forecasts, targets, naive_mae, naive_mse))
@@ -121,11 +127,15 @@ def scaled_scores(forecasts, targets, naive_mae, naive_mse) -> WindowScores:
     if targets.shape != forecasts.shape[1:] or naive_mae.shape != (m,) or naive_mse.shape != (m,):
         raise ShapeMismatch(f"inconsistent block shapes: {forecasts.shape}, {targets.shape}, "
                             f"denominators {naive_mae.shape} and {naive_mse.shape}")
+    H = forecasts.shape[2]
     errors = forecasts - targets
-    mase_rows = np.mean(np.abs(errors), axis=-1) / np.maximum(naive_mae, DENOMINATOR_FLOOR)
-    rmsse_rows = np.sqrt(np.mean(np.square(errors), axis=-1)
-                         / np.maximum(naive_mse, DENOMINATOR_FLOOR))
-    return WindowScores(mase_rows, rmsse_rows, naive_mae < DENOMINATOR_FLOOR)
+    mae = np.add.reduce(np.abs(errors), axis=-1)
+    mae /= H
+    mse = np.add.reduce(np.square(errors, out=errors), axis=-1)
+    mse /= H
+    mae /= np.maximum(naive_mae, DENOMINATOR_FLOOR)
+    mse /= np.maximum(naive_mse, DENOMINATOR_FLOOR)
+    return WindowScores(mae, np.sqrt(mse, out=mse), naive_mae < DENOMINATOR_FLOOR)
 
 
 def block_average_mase(forecasts, targets, contexts, s: int) -> float:

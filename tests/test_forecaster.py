@@ -26,8 +26,10 @@ from adapts.forecaster import (
     OnlineForecaster,
     SamplePair,
     SpectralRidge,
+    _accumulate_rows,
     _coefficient_bins,
     _real_coefficients,
+    _strict_lower,
     environment_stamp,
     load_forecaster,
     moments_pay,
@@ -1204,6 +1206,35 @@ class TestPredictInto:
                 with pytest.raises(ShapeMismatch, match=re.escape(f"out must have shape {want}")):
                     f.predict(ctx, out=out)
                 assert not out.any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.complex128])
+    @pytest.mark.parametrize("fitted", [False, True], ids=["cold", "fitted"])
+    def test_out_of_another_dtype_rejected(self, fitted, dtype):
+        # a float32 buffer would hold the forecast rounded, an int64 one
+        # would raise numpy's own casting error
+        f, rng = self.forecaster(1, True, fitted)
+        for ctx, shape in ((rng.normal(size=(3, 16)), (3, 4)), (rng.normal(size=16), (4,))):
+            out = np.zeros(shape, dtype=dtype)
+            with pytest.raises(ShapeMismatch, match="dtype float64"):
+                f.predict(ctx, out=out)
+            assert not out.any()
+
+
+class TestMomentHelpers:
+    @pytest.mark.parametrize("shape", [(1, 5), (2, 1), (37, 13), (300, 64)])
+    def test_row_accumulation_is_cumsum(self, shape):
+        rng = np.random.default_rng(shape[0])
+        a = rng.normal(size=shape) * np.exp(rng.normal(size=shape) * 4.0)
+        want = np.cumsum(a, axis=0)
+        _accumulate_rows(a)
+        assert a.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_strict_lower_mask_is_cached_read_only(self, n):
+        mask = _strict_lower(n)
+        assert mask is _strict_lower(n)
+        assert not mask.flags.writeable
+        np.testing.assert_array_equal(mask, np.tri(n, k=-1, dtype=bool))
 
 
 class TestOlsEquivalence:

@@ -216,6 +216,65 @@ class TestScaledScores:
             score_block(np.zeros((3, 4, 2)), np.zeros((4, 2)), np.zeros((4, 8)), 8)
 
 
+def scaled_scores_by_mean(forecasts, targets, naive_mae, naive_mse):
+    """``scaled_scores`` as it was written with ``np.mean``, the reference
+    its sum-then-divide in place must match bit for bit."""
+    errors = forecasts - targets
+    return (np.mean(np.abs(errors), axis=-1) / np.maximum(naive_mae, DENOMINATOR_FLOOR),
+            np.sqrt(np.mean(np.square(errors), axis=-1)
+                    / np.maximum(naive_mse, DENOMINATOR_FLOOR)))
+
+
+class TestScaledScoresInPlace:
+    """The in-place means and squares give ``np.mean``'s bits and leave the
+    caller's arrays as they were."""
+
+    def _check(self, forecasts, targets, contexts, s):
+        naive_mae, naive_mse = (d[:, 0] for d in seasonal_naive_denominators(
+            contexts, s, contexts.shape[1]))
+        before = forecasts.copy(), targets.copy()
+        got = scaled_scores(forecasts, targets, naive_mae, naive_mse)
+        want_mase, want_rmsse = scaled_scores_by_mean(forecasts, targets, naive_mae, naive_mse)
+        assert got.mase.tobytes() == want_mase.tobytes()
+        assert got.rmsse.tobytes() == want_rmsse.tobytes()
+        assert forecasts.tobytes() == before[0].tobytes()
+        assert targets.tobytes() == before[1].tobytes()
+        return got
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_blocks(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        m, H, L = rng.integers(2, 60), rng.integers(2, 100), 48
+        contexts = rng.normal(size=(m, L)) * rng.uniform(0.01, 100.0, size=(m, 1))
+        targets = rng.normal(size=(m, H)) * 10.0
+        forecasts = targets + rng.normal(size=(5, m, H)) * rng.uniform(0.1, 10.0)
+        self._check(forecasts, targets, contexts, 12)
+
+    def test_floored_windows(self):
+        rng = np.random.default_rng(44)
+        contexts = rng.normal(size=(5, 16))
+        contexts[[0, 3]] = 7.25
+        targets = rng.normal(size=(5, 6))
+        forecasts = rng.normal(size=(5, 5, 6))
+        got = self._check(forecasts, targets, contexts, 4)
+        assert got.floored.tolist() == [True, False, False, True, False]
+
+    @pytest.mark.parametrize("m,H", [(1, 7), (9, 1), (1, 1)])
+    def test_one_window_or_one_step(self, m, H):
+        rng = np.random.default_rng(45)
+        contexts = rng.normal(size=(m, 12))
+        targets = rng.normal(size=(m, H))
+        self._check(rng.normal(size=(5, m, H)), targets, contexts, 3)
+
+    def test_strided_stack_of_a_larger_block(self):
+        # the harness scores the first m rows of an (5, M, H) block
+        rng = np.random.default_rng(46)
+        block = rng.normal(size=(5, 30, 8))
+        contexts = rng.normal(size=(17, 20))
+        targets = sliding_window_view(rng.normal(size=17 + 7), 8)
+        self._check(block[:, :17], targets, contexts, 5)
+
+
 class TestSlabDenominators:
     """Denominators of every window of a slab against the scalar functions
     and ``score_block`` on copied windows, bit for bit."""

@@ -170,6 +170,45 @@ class TestCombine:
         with pytest.raises(ShapeMismatch):
             combine(np.zeros(3), np.zeros(4), 0.5)
 
+    @staticmethod
+    def pair(seed, m=6, H=9):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(m, H)) * 40.0, rng.normal(size=(m, H)), rng
+
+    @pytest.mark.parametrize("column", [False, True], ids=["scalar", "column"])
+    def test_out_holds_the_returned_bytes(self, column):
+        base, adaptive, rng = self.pair(7)
+        for w in (0.0, 1.0, 0.37, rng.uniform(size=(6, 1)) if column else 0.81):
+            want = combine(base, adaptive, w)
+            out = np.full_like(base, np.nan)
+            assert combine(base, adaptive, w, out=out) is out
+            assert out.tobytes() == want.tobytes()
+            # a strided view of a larger block, as the harness writes
+            block = np.full((3, 10, 9), np.nan)
+            assert combine(base, adaptive, w, out=block[1, :6]).tobytes() == want.tobytes()
+            assert np.isnan(block[[0, 2]]).all() and np.isnan(block[1, 6:]).all()
+
+    @pytest.mark.parametrize("alias", ["base", "adaptive"])
+    @pytest.mark.parametrize("column", [False, True], ids=["scalar", "column"])
+    def test_out_may_be_an_input(self, alias, column):
+        base, adaptive, rng = self.pair(8)
+        w = rng.uniform(size=(6, 1)) if column else 0.29
+        want = combine(base, adaptive, w)
+        inputs = {"base": base, "adaptive": adaptive}
+        got = combine(base, adaptive, w, out=inputs[alias])
+        assert got is inputs[alias]
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape,dtype", [((6, 8), np.float64), ((9,), np.float64),
+                                             ((6, 9), np.float32), ((6, 9), np.int64),
+                                             ((1, 6, 9), np.float64)])
+    def test_out_of_another_shape_or_dtype_rejected(self, shape, dtype):
+        base, adaptive, _ = self.pair(9)
+        out = np.zeros(shape, dtype=dtype)
+        with pytest.raises(ShapeMismatch, match="out must have shape"):
+            combine(base, adaptive, 0.4, out=out)
+        assert not out.any()
+
 
 class TestUpdate:
     def test_equal_losses_are_neutral(self):
