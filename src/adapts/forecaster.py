@@ -123,6 +123,8 @@ _RIDGE_FIELDS = ("a_inv", "gram", "cross", "weight", "pending_in", "pending_out"
 # increments drift from it by rounding, ~1e-15 over hundreds of steps
 FOLD_TOLERANCE = 1e-9
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the narrowest prefix rows that _accumulate_rows sums row by row
+_ROW_LOOP_WIDTH = 144
 
 
 def _paired_stop(n: int, keep: int) -> int:
@@ -264,10 +266,20 @@ def _strict_lower(n: int) -> np.ndarray:
 
 
 def _accumulate_rows(a: np.ndarray) -> None:
-    """``np.cumsum(a, axis=0, out=a)`` for a C-ordered 2-D ``a``, one row
-    added into the next: the same sequential order, so the same bits, but
-    each addition runs along a contiguous row, where ``cumsum`` walks
-    every column down the strided axis."""
+    """``np.cumsum(a, axis=0, out=a)`` for a C-ordered 2-D ``a``.
+
+    From ``_ROW_LOOP_WIDTH`` columns on, one row is added into the next:
+    the same sequential order, so the same bits, but each addition runs
+    along a contiguous row, where ``cumsum`` walks every column down the
+    strided axis. The loop pays ≈0.4 µs of interpreter time per row
+    against ``cumsum``'s ≈3 ns per element, so narrower rows keep
+    ``cumsum``. Timed on 300-3000 rows, the two cross at 136-144 columns;
+    at 616 columns (L=520, H=96) the loop takes a third of the time, at
+    72 (L=64, H=8) it would take twice as long.
+    """
+    if a.shape[1] < _ROW_LOOP_WIDTH:
+        np.cumsum(a, axis=0, out=a)
+        return
     prev = a[0]
     for row in a[1:]:
         row += prev

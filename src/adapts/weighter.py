@@ -76,21 +76,21 @@ def combine(base_forecast, adaptive_forecast, w, out=None) -> np.ndarray:
     """Convex combination ``w * base + (1 - w) * adaptive``.
 
     ``w`` is a scalar or an array that broadcasts against the forecasts,
-    such as an ``(m, 1)`` column of per-row weights. ``out``, a float64
-    array of the result's shape, receives the combination and is
-    returned; another shape or dtype raises ShapeMismatch before anything
-    is written. ``(1 - w) * adaptive`` is taken before ``out`` is written,
-    so ``out`` may be ``base`` or ``adaptive`` itself. The bits are those
-    of the expression either way.
+    such as an ``(m, 1)`` column of per-row weights. The result is
+    written into ``out`` and returned: a fresh array when ``out`` is None,
+    else a float64 array of the result's shape, where another shape or
+    dtype raises ShapeMismatch before anything is written. ``(1 - w) *
+    adaptive`` is taken before ``out`` is written, so ``out`` may be
+    ``base`` or ``adaptive`` itself.
     """
     base = np.asarray(base_forecast, dtype=np.float64)
     adaptive = np.asarray(adaptive_forecast, dtype=np.float64)
     if base.shape != adaptive.shape:
         raise ShapeMismatch(f"forecast shapes differ: {base.shape} vs {adaptive.shape}")
-    if out is None:
-        return w * base + (1.0 - w) * adaptive
     shape = np.broadcast_shapes(np.shape(w), base.shape)
-    if out.shape != shape or out.dtype != np.float64:
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
         raise ShapeMismatch(f"out must have shape {shape} and dtype float64, "
                             f"got {out.shape} {out.dtype}")
     rest = (1.0 - w) * adaptive

@@ -1221,7 +1221,9 @@ class TestPredictInto:
 
 
 class TestMomentHelpers:
-    @pytest.mark.parametrize("shape", [(1, 5), (2, 1), (37, 13), (300, 64)])
+    # both sides of _ROW_LOOP_WIDTH: cumsum itself, and the row-by-row loop
+    @pytest.mark.parametrize("shape", [(1, 5), (2, 1), (37, 13), (300, 64),
+                                       (1, 200), (2, 144), (40, 616)])
     def test_row_accumulation_is_cumsum(self, shape):
         rng = np.random.default_rng(shape[0])
         a = rng.normal(size=shape) * np.exp(rng.normal(size=shape) * 4.0)

@@ -179,7 +179,8 @@ class TestCombine:
     def test_out_holds_the_returned_bytes(self, column):
         base, adaptive, rng = self.pair(7)
         for w in (0.0, 1.0, 0.37, rng.uniform(size=(6, 1)) if column else 0.81):
-            want = combine(base, adaptive, w)
+            want = w * base + (1.0 - w) * adaptive   # the expression's own bits
+            assert combine(base, adaptive, w).tobytes() == want.tobytes()
             out = np.full_like(base, np.nan)
             assert combine(base, adaptive, w, out=out) is out
             assert out.tobytes() == want.tobytes()
@@ -193,7 +194,7 @@ class TestCombine:
     def test_out_may_be_an_input(self, alias, column):
         base, adaptive, rng = self.pair(8)
         w = rng.uniform(size=(6, 1)) if column else 0.29
-        want = combine(base, adaptive, w)
+        want = w * base + (1.0 - w) * adaptive
         inputs = {"base": base, "adaptive": adaptive}
         got = combine(base, adaptive, w, out=inputs[alias])
         assert got is inputs[alias]
