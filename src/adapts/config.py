@@ -5,9 +5,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidConfig
 
 WEIGHTER_MODES = ("full", "slow_only", "fast_only", "unweighted")
+# each integer setting and its least value; seasonality is also below context_length
+COUNTS = {"context_length": 2, "horizon": 1, "update_period": 1, "seasonality": 1,
+          "fast_window": 1, "warmup": 0}
+FLAGS = ("instance_norm", "channel_scaling", "shared_weights")
+
+
+def check_count(name: str, value, low: int) -> None:
+    """Raise InvalidConfig unless ``value`` is an integer (``int`` or
+    ``np.integer``, not ``bool``) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise InvalidConfig(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -37,14 +52,22 @@ class RollingConfig:
     channel_scaling: bool = True
     shared_weights: bool = True
 
+    def __post_init__(self):
+        # numpy scalars become Python ones, which a weighter's window and
+        # the report's JSON config echo take
+        for name in (*COUNTS, *FLAGS):
+            value = getattr(self, name)
+            if isinstance(value, (np.integer, np.bool_)):
+                object.__setattr__(self, name, value.item())
+
     def validate(self) -> "RollingConfig":
-        if self.context_length < 2:
-            raise InvalidConfig(f"context_length must be >= 2, got {self.context_length}")
-        if self.horizon < 1:
-            raise InvalidConfig(f"horizon must be >= 1, got {self.horizon}")
-        if self.update_period < 1:
-            raise InvalidConfig(f"update_period must be >= 1, got {self.update_period}")
-        if not 1 <= self.seasonality < self.context_length:
+        for name, low in COUNTS.items():
+            check_count(name, getattr(self, name), low)
+        for name in FLAGS:
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise InvalidConfig(f"{name} must be a boolean, got {value!r}")
+        if self.seasonality >= self.context_length:
             raise InvalidConfig(
                 f"need 1 <= seasonality < context_length, got "
                 f"({self.seasonality}, {self.context_length})"
@@ -55,10 +78,6 @@ class RollingConfig:
             raise InvalidConfig(f"alpha must be in (0, 1], got {self.alpha}")
         if not 0 <= self.eta < math.inf:
             raise InvalidConfig(f"eta must be finite and >= 0, got {self.eta}")
-        if self.fast_window < 1:
-            raise InvalidConfig(f"fast_window must be >= 1, got {self.fast_window}")
-        if self.warmup < 0:
-            raise InvalidConfig(f"warmup must be >= 0, got {self.warmup}")
         if self.weighter_mode not in WEIGHTER_MODES:
             raise InvalidConfig(
                 f"weighter_mode must be one of {WEIGHTER_MODES}, got {self.weighter_mode!r}"

@@ -11,10 +11,11 @@ reads the series once, one slab each:
   the channel statistics at once;
 - :meth:`Session.step`, at every forecast origin: the trailing ``(L, C)``
   window. Its last row, the newly revealed one, is checked (one count of
-  its finite values) and shown to the base; one ``forecast_all`` and one
-  ``predict`` call give every channel's base and adaptive forecasts,
-  recorded with each channel's current weight. ``predict`` writes the
-  adaptive ones straight into the step's ring row;
+  its finite values) and shown to the base; one ``forecast_all`` call, the
+  base's one forecasting method, and one ``predict`` call give every
+  channel's base and adaptive forecasts, recorded with each channel's
+  current weight. ``predict`` writes the adaptive ones straight into the
+  step's ring row;
 - :meth:`Session._update`, which every ``update_period``-th step calls:
   the rows from the first context of the windows whose targets have
   landed since the previous update (or the ``update_period`` newest rows
@@ -61,9 +62,9 @@ would only cost memory:
   targets are sliding views of those rows (``RunReport.targets``), not
   ``H`` copies of each row.
 
-The dataset is only ever touched through ``__getitem__`` with a slice of
-rows on the object passed in, so tests can substitute an index-recording
-wrapper to audit that no operation looks ahead.
+The dataset is only ever touched through its ``shape`` and ``__getitem__``
+with a slice of rows on the object passed in, so tests can substitute an
+index-recording wrapper to audit that no operation looks ahead.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import RollingConfig
+from .config import RollingConfig, check_count
 from .errors import (
     CorruptSeries,
     InsufficientData,
@@ -98,54 +99,32 @@ class BaseForecaster:
     Implementations must be deterministic functions of what they have been
     shown and must never peek beyond the current time step. ``observe`` is
     called once per step with the newly revealed values (index order), in
-    particular before the step's forecasts are requested.
-
-    The harness asks for all channels at once through ``forecast_all``,
-    whose default calls ``forecast`` once per channel. A subclass that
-    redefines ``forecast`` but not ``forecast_all`` gets that default back
-    even where a parent overrides ``forecast_all``, so its own
-    ``forecast`` is the one that runs.
+    particular before the step's forecasts are requested. ``forecast_all``
+    is the one forecasting method: the harness calls it once per step with
+    every channel's context, and a subclass must define it.
     """
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if "forecast" in vars(cls) and "forecast_all" not in vars(cls):
-            cls.forecast_all = BaseForecaster.forecast_all
 
     def observe(self, t: int, values: np.ndarray) -> None:
         pass
 
+    # not part of the contract: no run calls it
     def forecast(self, t: int, channel: int, context: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def forecast_all(self, t: int, contexts: np.ndarray) -> np.ndarray:
         """The ``(C, H)`` forecasts of all channels; row ``ch`` of
         ``contexts`` is channel ``ch``'s ``(L,)`` context."""
-        rows = []
-        for ch, ctx in enumerate(contexts):
-            row = np.asarray(self.forecast(t, ch, ctx), dtype=np.float64)
-            if row.ndim != 1 or (rows and row.shape != rows[0].shape):
-                raise ShapeMismatch(
-                    f"base forecasts at t={t} are not vectors of one length: "
-                    f"channel {ch} has shape {row.shape}"
-                )
-            rows.append(row)
-        return np.stack(rows)
+        raise NotImplementedError(f"{type(self).__name__} must define forecast_all(t, contexts)")
 
 
 class NaiveSeasonalBase(BaseForecaster):
     """Tiles the final season of the context across the horizon."""
 
     def __init__(self, seasonality: int, horizon: int):
-        if seasonality < 1:
-            raise InvalidConfig(f"seasonality must be >= 1, got {seasonality}")
+        check_count("seasonality", seasonality, 1)
+        check_count("horizon", horizon, 1)
         self.seasonality = seasonality
         self.horizon = horizon
-
-    def forecast(self, t, channel, context):
-        season = np.asarray(context, dtype=np.float64)[-self.seasonality:]
-        reps = -(-self.horizon // season.shape[0])
-        return np.tile(season, reps)[: self.horizon]
 
     def forecast_all(self, t, contexts):
         contexts = np.asarray(contexts, dtype=np.float64)
@@ -157,6 +136,7 @@ class HistoricalMeanBase(BaseForecaster):
     """Constant forecast at the running mean of everything seen so far."""
 
     def __init__(self, horizon: int):
+        check_count("horizon", horizon, 1)
         self.horizon = horizon
         self._sums = None
         self._count = 0
@@ -167,11 +147,6 @@ class HistoricalMeanBase(BaseForecaster):
             self._sums = np.zeros_like(values)
         self._sums += values
         self._count += 1
-
-    def forecast(self, t, channel, context):
-        if self._count == 0:
-            return np.full(self.horizon, float(np.mean(context)))
-        return np.full(self.horizon, self._sums[channel] / self._count)
 
     def forecast_all(self, t, contexts):
         contexts = np.asarray(contexts, dtype=np.float64)
@@ -188,15 +163,15 @@ class PrecomputedBase(BaseForecaster):
     Any other ``table``, or a table of another horizon, raises
     InvalidConfig here. Channel ``ch`` of a run is the table's channel
     ``channel_names[ch]``. Each step's forecasts are one lookup of their
-    block rows; ``forecast`` serves a read-only view of its row and
-    ``forecast_all`` a copy of the step's rows. A forecast the lookup
-    misses raises MissingForecast naming the first channel without one.
+    block rows, served as a copy. A forecast the lookup misses raises
+    MissingForecast naming the first channel without one.
     """
 
     def __init__(self, table, horizon: int, channel_names):
         if not isinstance(table, ForecastTable):
             raise InvalidConfig(
                 f"a precomputed base needs a ForecastTable, got {type(table).__name__}")
+        check_count("horizon", horizon, 1)
         if table.horizon != horizon:
             raise InvalidConfig(
                 f"forecast file horizon {table.horizon} differs from configured {horizon}")
@@ -206,28 +181,21 @@ class PrecomputedBase(BaseForecaster):
         # the table's code of each channel name, -1 for a name it lacks
         self._codes = np.array([table.code(name) for name in self.channel_names], np.intp)
 
-    def _rows(self, t, first, stop):
-        """The block rows of step ``t`` for channels ``first`` to ``stop -
-        1``; the first of them without a forecast raises MissingForecast."""
-        codes = self._codes[first:stop] if first >= 0 else self._codes[:0]
+    def forecast_all(self, t, contexts):
+        n = len(contexts)
+        codes = self._codes[:n]
         listed = codes.tolist()
         if -1 in listed:  # a name the table lacks: the lookup stops before it
             codes = codes[:listed.index(-1)]
         rows = self.table.rows(t, codes)
-        ch = first + (rows.tolist() + [-1]).index(-1)
-        if ch == stop:
-            return rows
-        if not 0 <= ch < len(self.channel_names):
+        ch = (rows.tolist() + [-1]).index(-1)  # the first channel without a forecast
+        if ch == n:
+            return self.table.block[rows]
+        if ch == len(self.channel_names):
             raise MissingForecast(f"no precomputed forecast for channel index {ch}: the "
                                   f"base holds {len(self.channel_names)} channel names")
         raise MissingForecast(f"no precomputed forecast for time step {t}, "
                               f"channel {self.channel_names[ch]!r}")
-
-    def forecast(self, t, channel, context):
-        return self.table.block[self._rows(t, channel, channel + 1)[0]]
-
-    def forecast_all(self, t, contexts):
-        return self.table.block[self._rows(t, 0, len(contexts))]
 
 
 def make_base_forecaster(kind: str, *, horizon: int, seasonality: int = None,
@@ -402,6 +370,8 @@ class Session:
                  channel_names=None, keep_forecasts=False):
         config.validate()
         L, H, M = config.context_length, config.horizon, config.update_period
+        if not hasattr(dataset, "shape"):
+            raise ShapeMismatch(f"series must have a (T, C) shape, got a {type(dataset).__name__}")
         if len(dataset.shape) != 2:
             raise ShapeMismatch(f"series must be (T, C), got shape {dataset.shape}")
         total, n_channels = dataset.shape
@@ -605,9 +575,12 @@ def run(dataset, base: BaseForecaster, config: RollingConfig, channel_names=None
 
     Parameters
     ----------
-    dataset : (T, C) array-like
-        Accessed only through ``__getitem__``; values at indices greater
-        than the current step are never touched.
+    dataset : (T, C) series, such as a numpy array
+        Any object with a 2-D ``shape`` and a ``__getitem__`` that takes a
+        slice of rows and returns them as a ``(k, C)`` array-like; a list
+        of rows, which has no ``shape``, raises ShapeMismatch. The rows are
+        read only through such slices, and values at indices greater than
+        the current step are never touched.
     base : BaseForecaster
     config : RollingConfig
     channel_names : optional list of C names for reporting

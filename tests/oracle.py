@@ -2,13 +2,17 @@
 
 :func:`replay` rebuilds a run from the scalar pieces only:
 
-- ``base.observe`` once per revealed row and ``base.forecast`` once per
-  channel and step;
+- base forecasts from one of this module's scalar bases, which serve one
+  channel and step at a time and share no code with ``adapts``'
+  bundled bases: ``base.observe`` once per revealed row and
+  ``base.forecast`` once per channel and step;
 - adaptive forecasts through the unfolded spectral chain (forward
   transform, low-pass, real layout, weight, inverse layout, zero padding,
   inverse transform) with a weight from a fresh batch ridge solve over
-  every row absorbed so far, each row embedded by ``embed_pair``; no
-  Woodbury step, no lazy inverse and no fold;
+  every row absorbed so far, each row embedded by ``embed_pair`` (or, for
+  a one-sample target, which ``embed_pair`` cannot transform, by the same
+  arithmetic spelled out here); no Woodbury step, no lazy inverse and no
+  fold;
 - the scalar :func:`~adapts.metrics.mase` and :func:`~adapts.metrics.rmsse`
   of one window at a time, each window cut from the series as it
   completes;
@@ -40,6 +44,72 @@ TRAJECTORY_KEYS = ("update_step", "time_step", "w_slow", "w_fast", "beta_merge",
                    "loss_base", "loss_adaptive")
 
 
+# -- scalar bases ---------------------------------------------------------------
+
+class ScalarBase:
+    """A base served one channel at a time by ``forecast(t, channel,
+    context)``. ``forecast_all`` stacks it over the channels, so a run can
+    take the base too."""
+
+    def observe(self, t, values):
+        pass
+
+    def forecast_all(self, t, contexts):
+        return np.stack([self.forecast(t, ch, ctx) for ch, ctx in enumerate(contexts)])
+
+
+class NaiveSeasonal(ScalarBase):
+    """The context's final ``seasonality`` values, tiled across the horizon."""
+
+    def __init__(self, seasonality, horizon):
+        self.seasonality, self.horizon = seasonality, horizon
+
+    def forecast(self, t, channel, context):
+        season = np.asarray(context, dtype=np.float64)[-self.seasonality:]
+        return np.tile(season, -(-self.horizon // len(season)))[:self.horizon]
+
+
+class RunningMean(ScalarBase):
+    """The mean of every value a channel has revealed, or of its context
+    before any has been."""
+
+    def __init__(self, horizon):
+        self.horizon, self.sums, self.count = horizon, None, 0
+
+    def observe(self, t, values):
+        self.sums = (0.0 if self.sums is None else self.sums) + np.asarray(values, np.float64)
+        self.count += 1
+
+    def forecast(self, t, channel, context):
+        mean = np.mean(context) if self.count == 0 else self.sums[channel] / self.count
+        return np.full(self.horizon, float(mean))
+
+
+class Lookup(ScalarBase):
+    """Forecasts looked up by step and channel name in ``rows``, a
+    ``{(t, name): vector}`` dict; channel ``ch`` is ``channel_names[ch]``."""
+
+    def __init__(self, rows, channel_names):
+        self.rows, self.channel_names = rows, list(channel_names)
+
+    def forecast(self, t, channel, context):
+        return np.asarray(self.rows[t, self.channel_names[channel]], dtype=np.float64)
+
+
+def scalar_base(kind, horizon, seasonality=None, rows=None, channel_names=None):
+    """The scalar twin of ``make_base_forecaster(kind, ...)``: ``rows`` and
+    ``channel_names`` stand in for a precomputed base's table and names."""
+    if kind == "naive_seasonal":
+        return NaiveSeasonal(seasonality, horizon)
+    if kind == "historical_mean":
+        return RunningMean(horizon)
+    assert kind == "precomputed", kind
+    return Lookup(rows, channel_names)
+
+
+# -- the replay -----------------------------------------------------------------
+
+
 def paired_stop(n, keep):
     """End of the bins ``1..stop-1`` that have a conjugate twin: all kept
     bins but DC and a kept Nyquist bin."""
@@ -69,6 +139,21 @@ def spectral_chain_predict(f, context, weight=None):
     return inverse_rft(pad_spectrum(Spectrum(bins=out_bins, original_length=f.horizon))) + mu
 
 
+def embed(f, context, target, channel):
+    """The real coefficients of one pair cut from ``channel``, embedded as
+    ``f.embed_pair`` embeds it. ``embed_pair`` needs two target samples, so
+    a one-sample target is centred and scaled here and keeps its one rfft
+    bin."""
+    if len(target) > 1:
+        ctx_bins, tgt_bins = f.embed_pair(SamplePair(context, target, channel))
+    else:
+        mu = context.mean() if f.instance_norm else 0.0
+        sigma = f._scales([channel])[0]
+        ctx_bins = lowpass(forward_rft((context - mu) / sigma), f.filter.context_bins).bins
+        tgt_bins = np.fft.rfft((target - mu) / sigma)
+    return _real_coefficients(ctx_bins, f.context_length), _real_coefficients(tgt_bins, f.horizon)
+
+
 def batch_ridge(rows_in, rows_out, lam):
     """``(X'X + lam I)^-1 X'Y`` over every row absorbed so far."""
     x, y = np.asarray(rows_in), np.asarray(rows_out)
@@ -76,7 +161,8 @@ def batch_ridge(rows_in, rows_out, lam):
 
 
 def replay(series, base, config):
-    """Replay ``series`` ``(T, C)`` with ``base`` under ``config``.
+    """Replay ``series`` ``(T, C)`` with ``base``, one of this module's
+    scalar bases (:func:`scalar_base`), under ``config``.
 
     Returns a dict with the report's ``forecasts``, ``weight_used``,
     ``scores`` and ``floored`` columns, its ``aggregate`` MASE/RMSSE per
@@ -85,7 +171,7 @@ def replay(series, base, config):
     series = np.asarray(series, dtype=np.float64)
     L, H, M, s = config.context_length, config.horizon, config.update_period, config.seasonality
     total, n_channels = series.shape
-    # used only for embed_pair, its channel statistics and its settings
+    # used only for embedding pairs, its channel statistics and its settings
     embedder = OnlineForecaster(L, H, s, lam=config.lam, alpha=config.alpha,
                                 instance_norm=config.instance_norm,
                                 channel_scaling=config.channel_scaling)
@@ -147,10 +233,10 @@ def replay(series, base, config):
         for ch in range(n_channels):
             rows_in, rows_out = seen[0 if config.shared_weights else ch]
             for o in origins:
-                pair = SamplePair(series[o - L + 1: o + 1, ch], series[o + 1: o + H + 1, ch], ch)
-                ctx_bins, tgt_bins = embedder.embed_pair(pair)
-                rows_in.append(_real_coefficients(ctx_bins, L))
-                rows_out.append(_real_coefficients(tgt_bins, H))
+                row_in, row_out = embed(embedder, series[o - L + 1: o + 1, ch],
+                                        series[o + 1: o + H + 1, ch], ch)
+                rows_in.append(row_in)
+                rows_out.append(row_out)
         weights = [batch_ridge(x, y, config.lam) for x, y in seen]
         last_fit = origins[-1]
 

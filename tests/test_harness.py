@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import json
 import re
 import tracemalloc
 import types
@@ -17,6 +18,8 @@ from helpers import (
     forecast_table,
     regime_switch_series,
 )
+
+from oracle import Lookup, NaiveSeasonal, RunningMean, scalar_base
 
 from adapts.config import RollingConfig
 from adapts.errors import (
@@ -59,29 +62,29 @@ class TestBaseForecasters:
     def test_naive_seasonal_tiles(self):
         base = NaiveSeasonalBase(seasonality=3, horizon=7)
         ctx = np.array([9.0, 9.0, 9.0, 1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(base.forecast(0, 0, ctx),
-                                      [1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0])
+        np.testing.assert_array_equal(base.forecast_all(0, ctx[None]),
+                                      [[1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0]])
 
     def test_historical_mean_tracks_running_mean(self):
         base = HistoricalMeanBase(horizon=3)
         base.observe(0, np.array([1.0, 10.0]))
         base.observe(1, np.array([3.0, 20.0]))
-        np.testing.assert_allclose(base.forecast(1, 0, np.zeros(4)), np.full(3, 2.0))
-        np.testing.assert_allclose(base.forecast(1, 1, np.zeros(4)), np.full(3, 15.0))
+        np.testing.assert_allclose(base.forecast_all(1, np.zeros((2, 4))),
+                                   [np.full(3, 2.0), np.full(3, 15.0)])
 
     def test_precomputed_lookup_and_missing(self):
         table = ForecastTable(*forecast_columns([(5, "a", [1.0, 2.0]), (5, "c", [3.0, 4.0])], 2))
-        base = PrecomputedBase(table, horizon=2, channel_names=["a", "b", "c"])
-        np.testing.assert_array_equal(base.forecast(5, 0, np.zeros(4)), [1.0, 2.0])
-        # past a name the table lacks, whose code -1 must not read the last column
-        np.testing.assert_array_equal(base.forecast(5, 2, np.zeros(4)), [3.0, 4.0])
-        with pytest.raises(MissingForecast, match="channel 'b'"):
-            base.forecast(5, 1, np.zeros(4))
+        base = PrecomputedBase(table, horizon=2, channel_names=["a", "c"])
+        np.testing.assert_array_equal(base.forecast_all(5, np.zeros((2, 4))),
+                                      [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(base.forecast_all(5, np.zeros((1, 4))), [[1.0, 2.0]])
         with pytest.raises(MissingForecast, match="time step 6"):
-            base.forecast(6, 0, np.zeros(4))
-        for channel in (-2, -1, 3):
-            with pytest.raises(MissingForecast, match=f"channel index {channel}: "):
-                base.forecast(5, channel, np.zeros(4))
+            base.forecast_all(6, np.zeros((2, 4)))
+        with pytest.raises(MissingForecast, match="channel index 2: the base holds 2 "):
+            base.forecast_all(5, np.zeros((3, 4)))
+        # a name the table lacks, whose code -1 must not read the last column
+        with pytest.raises(MissingForecast, match="channel 'b'"):
+            PrecomputedBase(table, 2, ["a", "b", "c"]).forecast_all(5, np.zeros((3, 4)))
 
     def test_factory(self):
         assert isinstance(make_base_forecaster("naive_seasonal", horizon=4, seasonality=2),
@@ -94,6 +97,27 @@ class TestBaseForecasters:
             make_base_forecaster("precomputed", horizon=4)
         with pytest.raises(InvalidConfig, match="needs a ForecastTable, got dict"):
             make_base_forecaster("precomputed", horizon=4, forecasts={}, channel_names=["a"])
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: NaiveSeasonalBase(4, horizon=0), "horizon must be >= 1, got 0"),
+        (lambda: NaiveSeasonalBase(0, horizon=4), "seasonality must be >= 1, got 0"),
+        (lambda: NaiveSeasonalBase(4, horizon=8.0), "horizon must be an integer, got 8.0"),
+        (lambda: HistoricalMeanBase(-3), "horizon must be >= 1, got -3"),
+        (lambda: HistoricalMeanBase(True), "horizon must be an integer, got True"),
+        (lambda: make_base_forecaster("naive_seasonal", horizon=8, seasonality=2.5),
+         "seasonality must be an integer, got 2.5"),
+        (lambda: PrecomputedBase(ForecastTable(*forecast_columns([(0, "a", [1.0])], 1)),
+                                 horizon=1.0, channel_names=["a"]),
+         "horizon must be an integer, got 1.0"),
+    ])
+    def test_bad_arguments_rejected(self, make, message):
+        with pytest.raises(InvalidConfig, match=re.escape(message)):
+            make()
+
+    def test_numpy_integer_arguments_accepted(self):
+        base = NaiveSeasonalBase(np.int64(2), np.int32(3))
+        np.testing.assert_array_equal(base.forecast_all(0, [[5.0, 1.0, 2.0]]), [[1.0, 2.0, 1.0]])
+        assert HistoricalMeanBase(np.int64(3)).horizon == 3
 
 
 class TestRunBasics:
@@ -110,6 +134,12 @@ class TestRunBasics:
         with pytest.raises(ShapeMismatch, match="no channels"):
             run(np.zeros((200, 0)), NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg,
                 step_callback=lambda t: pytest.fail(f"stepped to {t}"))
+
+    def test_list_of_rows_rejected(self):
+        # it used to raise AttributeError: a list has no shape
+        cfg = small_config()
+        with pytest.raises(ShapeMismatch, match="got a list"):
+            run(sine_dataset(200).tolist(), NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg)
 
     @pytest.mark.parametrize("shape", [(100,), (100, 2, 1)])
     def test_series_not_two_dimensional_rejected(self, shape):
@@ -563,17 +593,44 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig, match=message):
             small_config(**{key: value})
 
+    @pytest.mark.parametrize("key, value", [
+        ("update_period", 10.5), ("context_length", 32.0), ("fast_window", 2.5),
+        ("warmup", 1.5), ("seasonality", 4.0), ("horizon", True), ("horizon", "8"),
+    ])
+    def test_count_that_is_not_an_integer_rejected(self, key, value):
+        # a float count used to pass and fail later with a raw TypeError,
+        # run silently (warmup) or fail only at the first update (seasonality)
+        with pytest.raises(InvalidConfig, match=re.escape(f"{key} must be an integer, got {value!r}")):
+            small_config(**{key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("instance_norm", "no"), ("channel_scaling", 1), ("shared_weights", None),
+    ])
+    def test_flag_that_is_not_a_boolean_rejected(self, key, value):
+        # instance_norm="no" used to run with instance normalisation on
+        with pytest.raises(InvalidConfig, match=re.escape(f"{key} must be a boolean, got {value!r}")):
+            small_config(**{key: value})
+
+    def test_numpy_scalars_accepted(self):
+        numpy_cfg = small_config(context_length=np.int64(32), horizon=np.int32(8),
+                                 update_period=np.int64(16), seasonality=np.int64(8),
+                                 fast_window=np.int64(5), warmup=np.int64(2),
+                                 instance_norm=np.bool_(True), shared_weights=np.False_)
+        cfg = small_config(shared_weights=False)
+        assert numpy_cfg == cfg and type(numpy_cfg.horizon) is int
+        data = sine_dataset(300, noise=0.1)
+        got, want = (run(data, NaiveSeasonalBase(8, 8), c) for c in (numpy_cfg, cfg))
+        assert got.scores.tobytes() == want.scores.tobytes()
+        # a numpy count used to crash the weighter (fast_window) or the JSON report
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+
 
 class TestBaseValidation:
     def test_wrong_base_forecast_length_rejected(self):
-        class Broken(NaiveSeasonalBase):
-            def forecast(self, t, channel, context):
-                return np.zeros(3)
-
         cfg = small_config()
         data = sine_dataset(200, channels=1)
-        with pytest.raises(ShapeMismatch):
-            run(data, Broken(cfg.seasonality, cfg.horizon), cfg)
+        with pytest.raises(ShapeMismatch, match="shape \\(1, 3\\), expected \\(1, 8\\)"):
+            run(data, NaiveSeasonalBase(cfg.seasonality, 3), cfg)
 
 
 class TestOneForecasterForBothModes:
@@ -747,26 +804,10 @@ class TestColumnarRunState:
         assert peak < bound, f"traced peak {peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
 
 
-class ForecastOnly(BaseForecaster):
-    """Serves a bundled base through ``forecast`` alone, so ``run`` takes
-    the per-channel path: the oracle for the ``forecast_all`` overrides."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def observe(self, t, values):
-        self.inner.observe(t, values)
-
-    def forecast(self, t, channel, context):
-        return self.inner.forecast(t, channel, context)
-
-
-def per_channel(base, t, contexts):
-    return np.stack([np.asarray(base.forecast(t, ch, ctx), dtype=np.float64)
-                     for ch, ctx in enumerate(contexts)])
-
-
 class TestForecastAll:
+    """Each bundled base's ``forecast_all`` against its scalar twin in
+    :mod:`oracle`, which serves one channel at a time."""
+
     @pytest.mark.parametrize("seasonality, horizon", [
         (8, 16),    # divides the horizon
         (5, 16),    # does not
@@ -778,53 +819,46 @@ class TestForecastAll:
         contexts = np.random.default_rng(0).normal(size=(3, 64))
         got = base.forecast_all(10, contexts)
         assert got.shape == (3, horizon)
-        assert got.tobytes() == per_channel(base, 10, contexts).tobytes()
+        assert got.tobytes() == NaiveSeasonal(seasonality, horizon).forecast_all(
+            10, contexts).tobytes()
 
     def test_historical_mean_before_and_after_observe(self):
         rng = np.random.default_rng(1)
-        base = HistoricalMeanBase(horizon=6)
+        base, scalar = HistoricalMeanBase(horizon=6), RunningMean(horizon=6)
         contexts = rng.normal(size=(3, 40))
         assert base.forecast_all(0, contexts).tobytes() == \
-            per_channel(base, 0, contexts).tobytes()
+            scalar.forecast_all(0, contexts).tobytes()
         for t in range(7):
-            base.observe(t, rng.normal(size=3))
+            values = rng.normal(size=3)
+            base.observe(t, values)
+            scalar.observe(t, values)
         assert base.forecast_all(6, contexts).tobytes() == \
-            per_channel(base, 6, contexts).tobytes()
+            scalar.forecast_all(6, contexts).tobytes()
 
     def test_precomputed_equals_per_channel(self):
         rng = np.random.default_rng(2)
-        table = ForecastTable(*forecast_columns(
-            [(t, name, rng.normal(size=4)) for t in range(3) for name in "abc"], 4))
+        rows = {(t, name): rng.normal(size=4) for t in range(3) for name in "abc"}
+        table = ForecastTable(*forecast_columns([(*key, row) for key, row in rows.items()], 4))
         base = PrecomputedBase(table, horizon=4, channel_names=["a", "b", "c"])
         contexts = np.zeros((3, 8))
         assert base.forecast_all(1, contexts).tobytes() == \
-            per_channel(base, 1, contexts).tobytes()
+            Lookup(rows, "abc").forecast_all(1, contexts).tobytes()
 
-    @pytest.mark.parametrize("error, broken", [
-        (MissingForecast, {"b": None, "c": None}),
-        (MissingForecast, {"c": None}),
-    ])
-    def test_precomputed_raises_like_per_channel(self, error, broken):
-        rows = [(7, name, np.ones(4)) for name in "abc" if name not in broken]
+    @pytest.mark.parametrize("missing", ["b", "c"])
+    def test_precomputed_names_the_first_channel_without_a_forecast(self, missing):
+        rows = [(7, name, np.ones(4)) for name in "abc" if name < missing]
         table = ForecastTable(*forecast_columns(rows, 4))
         base = PrecomputedBase(table, horizon=4, channel_names=["a", "b", "c"])
-        contexts = np.zeros((3, 8))
-        first = min(broken)
-        with pytest.raises(error) as per_ch:
-            base.forecast(7, "abc".index(first), contexts[0])
-        with pytest.raises(error) as batched:
-            base.forecast_all(7, contexts)
-        assert str(batched.value) == str(per_ch.value)
-        assert repr(first) in str(batched.value)
+        with pytest.raises(MissingForecast, match=f"time step 7, channel {missing!r}$"):
+            base.forecast_all(7, np.zeros((3, 8)))
 
     @pytest.mark.parametrize("source", ["csv", "npz", "array"])
     def test_precomputed_rows_are_read_only(self, tmp_path, source):
         rows = [(t, name, np.arange(3.0) + t) for t in range(2) for name in "ab"]
         table = forecast_table(rows, 3, source, tmp_path)
         base = PrecomputedBase(table, horizon=3, channel_names=["a", "b"])
-        for row in (base.table.block[0], base.forecast(0, 0, None)):
-            with pytest.raises(ValueError, match="read-only"):
-                row[:] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            base.table.block[0] = 7.0
         served = base.forecast_all(0, np.zeros((2, 8)))
         served[:] = 7.0  # forecast_all hands out a copy
         np.testing.assert_array_equal(base.forecast_all(0, np.zeros((2, 8))), [[0, 1, 2]] * 2)
@@ -837,17 +871,18 @@ class TestForecastAll:
         steps, names = range(10, 30), ["a", "b", "c", "d"]
         keys = ([(t, name) for name in names for t in steps] if channel_major
                 else [(t, name) for t in steps for name in names])
+        rows = {key: rng.normal(size=5) for key in keys}
         path = tmp_path / "f.csv"
-        write_forecasts(*forecast_columns([(t, name, rng.normal(size=5)) for t, name in keys], 5),
-                        path)
+        write_forecasts(*forecast_columns([(*key, row) for key, row in rows.items()], 5), path)
         table, _ = load_forecasts(path)
         contexts = np.zeros((3, 8))
         for order in (names, names[::-1]):  # the run's channels in another order too
-            base = PrecomputedBase(table, horizon=5, channel_names=order)
+            base, scalar = PrecomputedBase(table, horizon=5, channel_names=order), \
+                Lookup(rows, order)
             for t in steps:
                 got = base.forecast_all(t, contexts)
                 assert got.shape == (3, 5) and got.dtype == np.float64
-                assert got.tobytes() == per_channel(base, t, contexts).tobytes()
+                assert got.tobytes() == scalar.forecast_all(t, contexts).tobytes()
 
     @pytest.mark.parametrize("source", ["csv", "npz", "array"])
     @pytest.mark.parametrize("names, t, match", [
@@ -855,16 +890,12 @@ class TestForecastAll:
         (["a", "b", "c"], 4, "channel 'c'"),   # a step that lacks one channel
         (["a", "b", "c"], 9, "time step 9"),   # a step the file lacks
     ])
-    def test_precomputed_file_raises_like_per_channel(self, tmp_path, names, t, match, source):
+    def test_precomputed_file_names_what_is_missing(self, tmp_path, names, t, match, source):
         rows = [(t, name, np.ones(2)) for t in (3, 4) for name in "abc"]
         table = forecast_table([row for row in rows if row[:2] != (4, "c")], 2, source, tmp_path)
         base = PrecomputedBase(table, horizon=2, channel_names=names)
-        contexts = np.zeros((3, 8))
-        with pytest.raises(MissingForecast, match=match) as batched:
-            base.forecast_all(t, contexts)
-        with pytest.raises(MissingForecast) as per_ch:
-            per_channel(base, t, contexts)
-        assert str(batched.value) == str(per_ch.value)
+        with pytest.raises(MissingForecast, match=match):
+            base.forecast_all(t, np.zeros((3, 8)))
 
     def test_precomputed_file_of_another_horizon_raises_invalid_config(self, tmp_path):
         path = tmp_path / "f.csv"
@@ -875,54 +906,24 @@ class TestForecastAll:
     def test_precomputed_with_too_few_names_raises_missing_forecast(self):
         table = ForecastTable(*forecast_columns([(t, "a", np.ones(2)) for t in range(40)], 2))
         base = PrecomputedBase(table, horizon=2, channel_names=["a"])
-        contexts = np.zeros((2, 8))
-        with pytest.raises(MissingForecast, match="channel index 1.*1 channel names") as per_ch:
-            base.forecast(7, 1, contexts[1])
-        with pytest.raises(MissingForecast) as batched:
-            base.forecast_all(7, contexts)
-        assert str(batched.value) == str(per_ch.value)
+        with pytest.raises(MissingForecast, match="channel index 1.*1 channel names"):
+            base.forecast_all(7, np.zeros((2, 8)))
         cfg = small_config(context_length=8, horizon=2, seasonality=2, update_period=4)
         with pytest.raises(MissingForecast, match="channel index 1"):
             run(sine_dataset(40, channels=2), base, cfg)
 
-    def test_forecast_only_subclass_is_what_run_calls(self):
-        calls = []
-
-        class Shifted(NaiveSeasonalBase):
+    def test_forecast_only_base_fails_at_the_first_step(self):
+        # forecast_all is the whole contract: a per-channel forecast alone
+        # is never called
+        class ForecastOnly(BaseForecaster):
             def forecast(self, t, channel, context):
-                calls.append((t, channel))
-                return super().forecast(t, channel, context) + 1.0
+                return np.zeros(8)
 
-        assert Shifted.forecast_all is BaseForecaster.forecast_all
         cfg = small_config()
-        data = sine_dataset(200, channels=2, noise=0.1)
-        plain = run(data, NaiveSeasonalBase(cfg.seasonality, cfg.horizon), cfg, keep_forecasts=True)
-        shifted = run(data, Shifted(cfg.seasonality, cfg.horizon), cfg, keep_forecasts=True)
-        n_steps = plain.forecasts.shape[0]
-        assert calls == [(t, ch) for t in range(cfg.context_length - 1,
-                                                cfg.context_length - 1 + n_steps)
-                         for ch in range(2)]
-        np.testing.assert_array_equal(shifted.forecasts[:, 0], plain.forecasts[:, 0] + 1.0)
-
-    def test_dispatch_rule_keeps_explicit_overrides(self):
-        class Both(NaiveSeasonalBase):
-            def forecast(self, t, channel, context):
-                return np.zeros(self.horizon)
-
-            def forecast_all(self, t, contexts):
-                return np.ones((len(contexts), self.horizon))
-
-        class Child(Both):
-            pass
-
-        class ObserveOnly(NaiveSeasonalBase):
-            def observe(self, t, values):
-                pass
-
-        assert Child.forecast_all is Both.forecast_all
-        assert ObserveOnly.forecast_all is NaiveSeasonalBase.forecast_all
-        np.testing.assert_array_equal(Child(4, 3).forecast_all(0, np.zeros((2, 8))),
-                                      np.ones((2, 3)))
+        message = "ForecastOnly must define forecast_all(t, contexts)"
+        with pytest.raises(NotImplementedError, match=re.escape(message)):
+            run(sine_dataset(200, channels=2), ForecastOnly(), cfg,
+                step_callback=lambda t: pytest.fail(f"stepped to {t}"))
 
     @pytest.mark.parametrize("shape", [(1, 3), (2, 8), (8,)])
     def test_wrong_forecast_all_shape_rejected(self, shape):
@@ -934,38 +935,27 @@ class TestForecastAll:
         with pytest.raises(ShapeMismatch, match="expected \\(1, 8\\)"):
             run(sine_dataset(200, channels=1), Broken(cfg.seasonality, cfg.horizon), cfg)
 
-    def test_ragged_per_channel_forecasts_rejected(self):
-        class Ragged(BaseForecaster):
-            def forecast(self, t, channel, context):
-                return np.zeros(8 + channel)
-
-        cfg = small_config()
-        with pytest.raises(ShapeMismatch, match="channel 1 has shape \\(9,\\)"):
-            run(sine_dataset(200, channels=2), Ragged(), cfg)
-
     @pytest.mark.parametrize("shared", [True, False])
-    @pytest.mark.parametrize("kind", ["naive_seasonal", "long_season", "historical_mean",
-                                      "precomputed"])
-    def test_run_matches_forecast_only_oracle(self, kind, shared, tmp_path):
+    @pytest.mark.parametrize("kind, seasonality", [
+        ("naive_seasonal", 8),
+        ("naive_seasonal", 100),  # a season longer than the context
+        ("historical_mean", None),
+        ("precomputed", None),
+    ])
+    def test_run_matches_scalar_base(self, kind, seasonality, shared):
         cfg = small_config(shared_weights=shared)
         data = sine_dataset(300, channels=3, noise=0.1, seed=12)
         names = ["ch0", "ch1", "ch2"]
-
-        def make():
-            if kind == "naive_seasonal":
-                return NaiveSeasonalBase(cfg.seasonality, cfg.horizon)
-            if kind == "long_season":
-                return NaiveSeasonalBase(100, cfg.horizon)
-            if kind == "historical_mean":
-                return HistoricalMeanBase(cfg.horizon)
-            rng = np.random.default_rng(3)
-            rows = [(t, name, rng.normal(size=cfg.horizon))
-                    for t in range(cfg.context_length - 1, 300) for name in names]
-            return PrecomputedBase(ForecastTable(*forecast_columns(rows, cfg.horizon)),
-                                   cfg.horizon, names)
-
-        fast = run(data, make(), cfg, keep_forecasts=True)
-        oracle = run(data, ForecastOnly(make()), cfg, keep_forecasts=True)
+        rng = np.random.default_rng(3)
+        rows = {(t, name): rng.normal(size=cfg.horizon)
+                for t in range(cfg.context_length - 1, 300) for name in names}
+        table = ForecastTable(*forecast_columns([(*key, row) for key, row in rows.items()],
+                                                cfg.horizon))
+        base = make_base_forecaster(kind, horizon=cfg.horizon, seasonality=seasonality,
+                                    forecasts=table, channel_names=names)
+        fast = run(data, base, cfg, keep_forecasts=True)
+        oracle = run(data, scalar_base(kind, cfg.horizon, seasonality, rows, names), cfg,
+                     keep_forecasts=True)
         assert fast.forecasts.tobytes() == oracle.forecasts.tobytes()
         assert fast.targets.tobytes() == oracle.targets.tobytes()
         for attr in ("weight_used", "scores", "floored"):

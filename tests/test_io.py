@@ -749,6 +749,22 @@ class TestRunConfigFiles:
         with pytest.raises(InvalidConfig):
             parse_config_value("instance_norm", "maybe")
 
+    def test_every_config_the_reader_builds_passes(self, tmp_path):
+        # counts and flags as a config file spells them, and as JSON
+        # settings give them
+        p = tmp_path / "run.cfg"
+        p.write_text("context_length = 64\nhorizon = 8\nupdate_period = 4\nseasonality = 8\n"
+                     "fast_window = 1\nwarmup = 0\ninstance_norm = no\n"
+                     "channel_scaling = on\nshared_weights = 0\n")
+        cfg = build_rolling_config(load_run_config(p))
+        assert (cfg.context_length, cfg.horizon, cfg.warmup) == (64, 8, 0)
+        assert (cfg.instance_norm, cfg.channel_scaling, cfg.shared_weights) == (False, True, False)
+        settings = json.loads('{"context_length": 128, "horizon": 24, "update_period": 100, '
+                              '"seasonality": 24, "shared_weights": false}')
+        assert build_rolling_config(settings).shared_weights is False
+        with pytest.raises(InvalidConfig, match="horizon must be an integer, got 24.0"):
+            build_rolling_config(dict(settings, horizon=24.0))
+
     def test_config_invariants_rechecked(self):
         with pytest.raises(InvalidConfig):
             build_rolling_config({"lambda": -1.0})

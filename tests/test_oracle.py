@@ -13,13 +13,16 @@ from embedded windows. A second grid varies the weighter's settings at M=4.
 A seeded draw then varies the shape itself: L, H, S, M, α, λ, the channel
 count (one to four), both modes, both flags, the three bases and the
 weighter's settings. Three fixed cases take λ below 1, where the Gram's
-conditioning sets the gap, and still hold at the same 1e-9.
+conditioning sets the gap, and still hold at the same 1e-9. A last grid
+runs H=1, whose one-sample targets the oracle embeds itself.
+The replay takes its base forecasts from the oracle's own scalar bases,
+never from the bundled ones it checks.
 """
 
 import numpy as np
 import pytest
 from helpers import ar_seasonal_series, forecast_columns
-from oracle import gaps, replay
+from oracle import gaps, replay, scalar_base
 
 from adapts.config import RollingConfig
 from adapts.harness import make_base_forecaster, run
@@ -38,26 +41,25 @@ def series(seed, steps=160, channels=3):
             * scale[:channels] + offset[:channels])
 
 
-def precomputed_table(data, seed, context_length=L, horizon=H):
-    """Noisy persistence forecasts for every forecast step of every
-    channel of ``data``, named as in ``NAMES``."""
+def precomputed_rows(data, seed, context_length=L, horizon=H):
+    """Noisy persistence forecasts ``{(t, name): vector}`` for every
+    forecast step of every channel of ``data``, named as in ``NAMES``."""
     rng = np.random.default_rng(seed)
     names = NAMES[:data.shape[1]]
-    rows = [(t, name, data[t, ch] + rng.normal(scale=data[:, ch].std(), size=horizon))
-            for t in range(context_length - 1, len(data) - 1) for ch, name in enumerate(names)]
-    return ForecastTable(*forecast_columns(rows, horizon))
+    return {(t, name): data[t, ch] + rng.normal(scale=data[:, ch].std(), size=horizon)
+            for t in range(context_length - 1, len(data) - 1) for ch, name in enumerate(names)}
 
 
-def make_base(kind, table, config, names):
-    return make_base_forecaster(kind, horizon=config.horizon, seasonality=config.seasonality,
+def assert_matches_replay(data, kind, rows, config):
+    """``run`` with the bundled base ``kind`` (a precomputed one serving
+    ``rows`` from a table) against the replay with its scalar twin."""
+    names, H = NAMES[:data.shape[1]], config.horizon
+    table = None if rows is None else ForecastTable(*forecast_columns(
+        [(t, name, vector) for (t, name), vector in rows.items()], H))
+    base = make_base_forecaster(kind, horizon=H, seasonality=config.seasonality,
                                 forecasts=table, channel_names=names)
-
-
-def assert_matches_replay(data, kind, table, config):
-    names = NAMES[:data.shape[1]]
-    report = run(data, make_base(kind, table, config, names), config, channel_names=names,
-                 keep_forecasts=True)
-    expected = replay(data, make_base(kind, table, config, names), config)
+    report = run(data, base, config, channel_names=names, keep_forecasts=True)
+    expected = replay(data, scalar_base(kind, H, config.seasonality, rows, names), config)
     assert report.floored.shape[1] > 5 * config.update_period  # several scored updates
     worst = {name: gap for name, gap in gaps(report, expected).items() if not gap <= TOLERANCE}
     assert not worst, worst
@@ -90,11 +92,11 @@ CASES = [
 def test_run_matches_scalar_replay(update_period, shared, kind, instance_norm, channel_scaling):
     seed = update_period + 2 * shared
     data = series(seed, steps=max(160, 7 * update_period + L + H))
-    table = precomputed_table(data, seed)
+    rows = precomputed_rows(data, seed)
     config = RollingConfig(context_length=L, horizon=H, update_period=update_period,
                            seasonality=S, warmup=2, fast_window=3, instance_norm=instance_norm,
                            channel_scaling=channel_scaling, shared_weights=shared)
-    assert_matches_replay(data, kind, table, config)
+    assert_matches_replay(data, kind, rows, config)
 
 
 # (weighter_mode, eta, fast_window, warmup): every mode meets every eta,
@@ -112,11 +114,11 @@ def test_weighter_settings_match_scalar_replay(case):
     mode, eta, fast_window, warmup = WEIGHTER_CASES[case]
     shared, kind = case % 2 == 0, ("naive_seasonal", "historical_mean", "precomputed")[case % 3]
     data = series(100 + case)
-    table = precomputed_table(data, case)
+    rows = precomputed_rows(data, case)
     config = RollingConfig(context_length=L, horizon=H, update_period=4, seasonality=S,
                            eta=eta, fast_window=fast_window, warmup=warmup,
                            weighter_mode=mode, shared_weights=shared)
-    assert_matches_replay(data, kind, table, config)
+    assert_matches_replay(data, kind, rows, config)
 
 
 # the values each drawn setting takes besides the shape (L, H, S)
@@ -132,9 +134,9 @@ AXES = {
 
 def draw_cases(seed, n):
     """``n`` seeded random settings: L from 6 to 47, H from 2 to 13, S < L
-    and one value of every axis. H=1 and λ < 1 stay out: the oracle's
-    embedder needs two target samples, and below λ=1 the gap from the
-    oracle is set by the Gram's conditioning, not by the program."""
+    and one value of every axis. H=1 has cases of its own below. λ < 1
+    stays out: below λ=1 the gap from the oracle is set by the Gram's
+    conditioning, not by the program."""
     rng = np.random.default_rng(seed)
     cases = []
     for _ in range(n):
@@ -162,8 +164,8 @@ def test_drawn_setting_matches_scalar_replay(case):
     config = RollingConfig(**settings)
     steps = max(160, 7 * config.update_period + config.context_length + config.horizon)
     data = series(300 + case, steps=steps, channels=channels)
-    table = precomputed_table(data, case, config.context_length, config.horizon)
-    assert_matches_replay(data, kind, table, config)
+    rows = precomputed_rows(data, case, config.context_length, config.horizon)
+    assert_matches_replay(data, kind, rows, config)
 
 
 # (shared, λ): at L=33, H=23 and M=1 on seed 5, whose worst gaps measured
@@ -178,3 +180,21 @@ def test_small_ridge_penalty_matches_scalar_replay(shared, lam):
     config = RollingConfig(context_length=33, horizon=23, update_period=1, seasonality=S,
                            lam=lam, shared_weights=shared)
     assert_matches_replay(series(5, steps=200), "naive_seasonal", None, config)
+
+
+# (shared, M, instance_norm, L) at H=1, every combination: the oracle embeds
+# the one-sample targets itself, and the three bases take turns
+ONE_STEP_CASES = [(shared, update_period, instance_norm, context_length)
+                  for shared in (True, False) for update_period in (1, 4, 16, 48)
+                  for instance_norm in (True, False) for context_length in (8, 32)]
+
+
+@pytest.mark.parametrize("case", range(len(ONE_STEP_CASES)))
+def test_one_step_horizon_matches_scalar_replay(case):
+    shared, update_period, instance_norm, context_length = ONE_STEP_CASES[case]
+    kind = ("naive_seasonal", "historical_mean", "precomputed")[case % 3]
+    config = RollingConfig(context_length=context_length, horizon=1, update_period=update_period,
+                           seasonality=4, warmup=2, fast_window=3, instance_norm=instance_norm,
+                           shared_weights=shared)
+    data = series(400 + case, steps=max(160, 7 * update_period + context_length + 1))
+    assert_matches_replay(data, kind, precomputed_rows(data, case, context_length, 1), config)

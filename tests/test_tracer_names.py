@@ -4,7 +4,8 @@
 name, so a rename breaks the traced benchmark runs. Its ``install`` runs
 here with a tracer that only looks each name up and patches nothing, and
 with its own wrappers on one small run, whose call counts must follow the
-run's schedule.
+run's schedule. ``perfbench/replay.py`` reads two names of its own, a
+base's ``forecast`` and a report's ``bundles``, which are pinned here too.
 """
 
 import importlib.util
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from helpers import forecast_columns
 
 import adapts
 from adapts.config import RollingConfig
@@ -84,3 +87,24 @@ def test_traced_calls_follow_the_schedule(monkeypatch, shared):
     assert tracer.calls("weighter.fast_weight") == 2 * C * scoring
     assert tracer.calls("weighter.current_weight") == C * periods + C * scoring
     assert tracer.calls("weighter.combine") == 3 * C * scoring
+
+
+@pytest.mark.parametrize("kind", ["naive_seasonal", "historical_mean", "precomputed"])
+def test_what_the_replay_reads_beyond_the_spans(kind):
+    """The traced replay wraps each bundled base's ``forecast``, which no
+    run calls, and reads ``bundles`` on the bounded report its run makes."""
+    spans = load_spans()
+    tracer = spans.Tracer()
+    L, H, M, rows = 8, 3, 4, 40
+    config = RollingConfig(context_length=L, horizon=H, update_period=M, seasonality=2)
+    data = np.random.default_rng(1).normal(size=(rows, 2))
+    table = adapts.io.ForecastTable(*forecast_columns(
+        [(t, name, np.ones(H)) for t in range(L - 1, rows) for name in ("ch0", "ch1")], H))
+    base = adapts.harness.make_base_forecaster(kind, horizon=H, seasonality=2, forecasts=table,
+                                               channel_names=["ch0", "ch1"])
+    # guards perfbench/replay.py:219, base.forecast = tracer.wrap("base.forecast", base.forecast)
+    base.forecast = tracer.wrap("base.forecast", base.forecast)
+    report = adapts.harness.run(data, base, config)
+    assert tracer.calls("base.forecast") == 0
+    # guards perfbench/replay.py:148, for per_channel in report.bundles
+    assert report.bundles == [[], []]
